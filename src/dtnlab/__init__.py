@@ -54,6 +54,7 @@ from .limits import (
     ResidueMatrix,
     analyticity_test,
     boundary_value_M,
+    dtn_profile,
     residue_contour,
     richardson_extrapolate,
     slim_eta_M,

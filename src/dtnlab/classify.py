@@ -23,7 +23,6 @@ from .limits import (
     boundary_value_M,
     residue_contour,
     slim_eta_M,
-    _dtn_profile,
 )
 
 __all__ = [
@@ -197,8 +196,7 @@ def make_probes(dom, kind: str = "basis", count: int = 0, seed: int = 0):
 def _quadratic_form_terms(op: DirichletOperator, g: np.ndarray):
     """Constant part and injected vector of z -> (M(z) g, g)_B."""
     dom = op.domain
-    p = (op.b * dom.h ** 2).toarray()
-    v = p @ g
+    v = op.incidence @ g
     const = dom.boundary_inner(g, g) / dom.h
     scale = dom.h ** (dom.dimension - 4)
     return const, v, scale
@@ -274,11 +272,9 @@ def classify_point(op: DirichletOperator, x: float, cfg: ClassifyConfig,
     best = (-1.0, None)
     partial = False
     for g in probes:
-        profile = _dtn_profile(op, x, g, sched)
-        est = slim_eta_M(op, x, g, sched, _profile=profile)
+        est = slim_eta_M(op, x, g, sched)
         partial = partial or est.meta.get("partial", False)
-        scale = dom.boundary_norm(profile[1][0])
-        rel = dom.boundary_norm(est.value) / max(scale, 1e-300)
+        rel = est.meta["relative"]
         slim_rels.append(float(rel))
         slopes.append(est.decay_exponent)
         flag = rel > cfg.tau_eig_rel and (
@@ -452,12 +448,10 @@ def sc_screen(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
     for i, g in enumerate(probes):
         for j, x in enumerate(xs):
             sched = cfg.schedule(x)
-            profile = _dtn_profile(op, x, g, sched)
-            bv = boundary_value_M(op, x, g, sched, _profile=profile)
+            bv = boundary_value_M(op, x, g, sched)
             div[i, j] = bv.diverging
-            etas = np.array(profile[0])
-            yq = np.array([eta * op.domain.boundary_inner(mg, g)
-                           for eta, mg in zip(*profile[:2])])
+            etas = np.array([eta for eta, _ in bv.samples])
+            yq = np.array([eta * q for eta, q in bv.samples])
             mask = np.abs(yq) > 1e-290
             if mask.sum() >= 2:
                 slope = np.polyfit(np.log(etas[mask]), np.log(np.abs(yq[mask])), 1)[0]
@@ -493,7 +487,6 @@ def purity_filter(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
     eigenvalue strictly inside the window is caught even when no grid point
     lands on it.
     """
-    dom = op.domain
     xs = _window_grid(window, grid_step)
     lo, hi = float(window[0]), float(window[1])
 
@@ -510,16 +503,14 @@ def purity_filter(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
     for j, x in enumerate(xs):
         sched = cfg.schedule(x)
         for g in probes:
-            profile = _dtn_profile(op, x, g, sched)
-            est = slim_eta_M(op, x, g, sched, _profile=profile)
-            scale = dom.boundary_norm(profile[1][0])
-            rel = dom.boundary_norm(est.value) / max(scale, 1e-300)
+            est = slim_eta_M(op, x, g, sched)
+            rel = est.meta["relative"]
             nonzero = rel > cfg.tau_eig_rel and (
                 est.decay_exponent is None or est.decay_exponent < cfg.slim_decay_cut
             )
             if nonzero:
                 offending.append(float(x))
-            bv = boundary_value_M(op, x, g, sched, _profile=profile)
+            bv = boundary_value_M(op, x, g, sched)
             if abs(complex(bv.value).imag) > cfg.tau_ac:
                 im_nonzero[j] = True
             if bv.diverging:

@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import difflib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .classify import ClassifyConfig
-from .domain import Exterior2D, HalfLine1D
-from .errors import ConfigError
+from .domain import Exterior2D, HalfLine1D, build_domain
+from .errors import ConfigError, DomainError
 
 __all__ = ["RunConfig", "parse_config", "config_from_dict"]
 
@@ -72,6 +73,37 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number (the parser accepts NaN and Infinity)."""
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def _require_numbers(section, values, keys):
+    for key in keys:
+        _require(_is_number(values[key]), f"{section}.{key} must be a finite number")
+
+
+def _domain_spec(d):
+    if d["kind"] == "halfline":
+        return HalfLine1D(h=d["h"], L=d["L"])
+    return Exterior2D(h=d["h"], a=d["a"], L=d["L"])
+
+
+def _check_tabulated(pot, dom):
+    """Tabulated values: finite numbers, one per interior and per boundary node."""
+    for key in ("interior_values", "boundary_values"):
+        _require(isinstance(pot.get(key), list) and all(map(_is_number, pot[key])),
+                 f"potential.{key} must be a list of finite numbers")
+    try:
+        nodes = build_domain(_domain_spec(dom))
+    except DomainError:
+        return  # the geometry error is reported when the model is built
+    for key, count in (("interior_values", nodes.n_interior),
+                       ("boundary_values", nodes.n_boundary)):
+        _require(len(pot[key]) == count,
+                 f"potential.{key} has {len(pot[key])} entries for {count} nodes")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated, fully defaulted run configuration."""
@@ -90,10 +122,7 @@ class RunConfig:
     raw: dict = field(repr=False)
 
     def domain_spec(self):
-        d = self.domain
-        if d["kind"] == "halfline":
-            return HalfLine1D(h=d["h"], L=d["L"])
-        return Exterior2D(h=d["h"], a=d["a"], L=d["L"])
+        return _domain_spec(self.domain)
 
     def classify_config(self) -> ClassifyConfig:
         t = self.thresholds
@@ -132,12 +161,10 @@ def config_from_dict(data: dict) -> RunConfig:
     kind = dom.get("kind")
     _require(kind in ("halfline", "exterior2d"),
              "domain.kind must be 'halfline' or 'exterior2d'")
-    _require(isinstance(dom.get("h"), (int, float)) and dom["h"] > 0,
-             "domain.h must be positive")
-    _require(isinstance(dom.get("L"), (int, float)) and dom["L"] > 0,
-             "domain.L must be positive")
+    _require(_is_number(dom.get("h")) and dom["h"] > 0, "domain.h must be positive")
+    _require(_is_number(dom.get("L")) and dom["L"] > 0, "domain.L must be positive")
     if kind == "exterior2d":
-        _require(isinstance(dom.get("a"), (int, float)) and dom["a"] > 0,
+        _require(_is_number(dom.get("a")) and dom["a"] > 0,
                  "domain.a must be positive")
 
     pot = dict(data.get("potential", {"kind": "zero"}))
@@ -145,21 +172,22 @@ def config_from_dict(data: dict) -> RunConfig:
     _require(pot["kind"] in ("zero", "well", "tabulated"),
              "potential.kind must be 'zero', 'well' or 'tabulated'")
     if pot["kind"] == "well":
-        _require(isinstance(pot.get("depth"), (int, float)),
-                 "potential.depth must be a number")
-        _require(isinstance(pot.get("width"), (int, float)) and pot["width"] > 0,
+        _require(_is_number(pot.get("depth")), "potential.depth must be a number")
+        _require(_is_number(pot.get("width")) and pot["width"] > 0,
                  "potential.width must be positive")
+    if pot["kind"] == "tabulated":
+        _check_tabulated(pot, dom)
 
     win = data["window"]
-    _require(isinstance(win.get("lo"), (int, float))
-             and isinstance(win.get("hi"), (int, float)) and win["lo"] < win["hi"],
+    _require(_is_number(win.get("lo")) and _is_number(win.get("hi")) and win["lo"] < win["hi"],
              "window.lo must be < window.hi")
-    _require(isinstance(win.get("grid_step"), (int, float)) and win["grid_step"] > 0,
+    _require(_is_number(win.get("grid_step")) and win["grid_step"] > 0,
              "window.grid_step must be positive")
 
     eta = {"eta0": 0.01, "ratio": 0.5, "count": 8,
            "floor_mode": "none", "floor_const": 0.0, "floor_factor": 5.0}
     eta.update(data.get("eta", {}))
+    _require_numbers("eta", eta, ("eta0", "ratio", "count", "floor_const", "floor_factor"))
     _require(eta["eta0"] > 0, "eta.eta0 must be positive")
     _require(0 < eta["ratio"] < 1, "eta.ratio must lie in (0, 1)")
     _require(int(eta["count"]) >= 3, "eta.count must be at least 3")
@@ -180,12 +208,14 @@ def config_from_dict(data: dict) -> RunConfig:
     thr = {"tau_eig": 1e-6, "tau_ac": 1e-6, "null_fraction": 0.01,
            "fit_tol": 1e-5, "pole_match_radius": None, "window_half_width": None}
     thr.update(data.get("thresholds", {}))
+    _require_numbers("thresholds", thr, ("tau_eig", "tau_ac", "null_fraction", "fit_tol"))
     _require(thr["tau_eig"] > 0, "thresholds.tau_eig must be positive")
     _require(thr["tau_ac"] > 0, "thresholds.tau_ac must be positive")
     _require(0 <= thr["null_fraction"] < 1,
              "thresholds.null_fraction must lie in [0, 1)")
     for key in ("pole_match_radius", "window_half_width"):
         if thr[key] is not None:
+            _require_numbers("thresholds", thr, (key,))
             _require(thr[key] > 0, f"thresholds.{key} must be positive")
 
     meas = {"stone_intervals": [], "zeta_samples": [[0.0, 1.0], [0.0, 2.0]]}

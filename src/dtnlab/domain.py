@@ -317,7 +317,7 @@ class DirichletOperator:
     a_ii: sp.csr_matrix
     b: sp.csr_matrix
 
-    _norm_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -325,9 +325,25 @@ class DirichletOperator:
 
     @property
     def a_norm(self) -> float:
-        if "a1" not in self._norm_cache:
-            self._norm_cache["a1"] = sp.linalg.norm(self.a_ii, 1)
-        return self._norm_cache["a1"]
+        return self.cached("a1", lambda: sp.linalg.norm(self.a_ii, 1))
+
+    @property
+    def incidence(self) -> np.ndarray:
+        """Dense adjacency incidence P (interior x boundary, entries 1); B = P / h^2."""
+        return self.cached("P", lambda: (self.b * self.domain.h ** 2).toarray())
+
+    def cached(self, key, build):
+        """build() on the first request for key, stored (arrays read-only) unless it raises.
+
+        No lock: concurrent misses may each build, and build() must then give
+        equal values.
+        """
+        if key not in self._cache:
+            value = build()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            self._cache[key] = value
+        return self._cache[key]
 
     def factorize(self, z: complex) -> "ShiftedSolver":
         """Factor A_II - z, raising NearSpectrum if z is too close to an eigenvalue."""

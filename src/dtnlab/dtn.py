@@ -49,11 +49,6 @@ def _relative_residual(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.linalg.norm(x - y) / scale)
 
 
-def _incidence(op: DirichletOperator) -> np.ndarray:
-    """Adjacency incidence P (interior x boundary, entries 1); B = P / h^2."""
-    return (op.b * op.domain.h ** 2).toarray()
-
-
 @dataclass(frozen=True)
 class PoissonMatrix:
     """Columns are the boundary-basis solutions of (A_II - lam) u = B g."""
@@ -109,7 +104,7 @@ def poisson_solve(op: DirichletOperator, lam: complex, g: np.ndarray) -> np.ndar
 
 def poisson_matrix(op: DirichletOperator, lam: complex) -> PoissonMatrix:
     solver = op.factorize(lam)
-    gamma = solver.solve(op.b.toarray().astype(complex))
+    gamma = solver.solve(op.cached("B", lambda: op.b.toarray().astype(complex)))
     return PoissonMatrix(lam=complex(lam), gamma=gamma)
 
 
@@ -129,17 +124,20 @@ def normal_derivative(dom: DiscreteDomain, g: np.ndarray, u: np.ndarray) -> np.n
 
 def _trace_part(op: DirichletOperator, u_cols: np.ndarray) -> np.ndarray:
     """Apply (1/(k_b h)) P^T to interior columns (the u-part of the normal derivative)."""
-    p = _incidence(op)
     k = op.domain.neighbor_counts
-    return (p.T @ u_cols) / (k[:, None] * op.domain.h)
+    return (op.incidence.T @ u_cols) / (k[:, None] * op.domain.h)
 
 
 def dtn_matrix(op: DirichletOperator, lam: complex) -> DtnMatrix:
-    """Materialize M(lam) columnwise from boundary-basis Poisson solutions."""
-    gamma = poisson_matrix(op, lam).gamma
-    n_b = op.domain.n_boundary
-    m = np.eye(n_b, dtype=complex) / op.domain.h - _trace_part(op, gamma)
-    return DtnMatrix(lam=complex(lam), m=m)
+    """M(lam) columnwise from boundary-basis Poisson solutions.
+
+    The operator keeps a z -> M(z) table: a repeated lam gets the stored,
+    read-only array, and NearSpectrum is raised again on every call.
+    """
+    lam = complex(lam)
+    m = op.cached(lam, lambda: np.eye(op.domain.n_boundary, dtype=complex) / op.domain.h
+                  - _trace_part(op, poisson_matrix(op, lam).gamma))
+    return DtnMatrix(lam=lam, m=m)
 
 
 def gamma_adjoint(op: DirichletOperator, lam: complex) -> np.ndarray:
@@ -149,9 +147,8 @@ def gamma_adjoint(op: DirichletOperator, lam: complex) -> np.ndarray:
     <gamma(lam) g, u>_I = <g, gamma_adjoint(lam) u>_B exactly.
     """
     solver = op.factorize(np.conj(lam))
-    p = _incidence(op)
     # A - conj(lam) is complex symmetric, so P^T R(conj lam) = (R(conj lam) P)^T
-    cols = solver.solve(p.astype(complex))
+    cols = solver.solve(op.incidence.astype(complex))
     k = op.domain.neighbor_counts
     return cols.T / (k[:, None] * op.domain.h)
 

@@ -26,6 +26,7 @@ __all__ = [
     "richardson_extrapolate",
     "slim_eta_M",
     "boundary_value_M",
+    "dtn_profile",
     "residue_contour",
     "analyticity_test",
 ]
@@ -151,8 +152,8 @@ def _decay_exponent(etas, norms) -> float | None:
 _TAIL = 5  # extrapolate from the smallest samples only, where f is analytic
 
 
-def _dtn_profile(op: DirichletOperator, x: float, g: np.ndarray, sched: EtaSchedule):
-    """Evaluate M(x + i*eta) g along the schedule; partial on NearSpectrum."""
+def dtn_profile(op: DirichletOperator, x: float, g: np.ndarray, sched: EtaSchedule):
+    """(etas, M(x + i*eta) g, failure) along the schedule; partial on NearSpectrum."""
     etas, applied = [], []
     failure = None
     for eta in sched.samples():
@@ -169,12 +170,14 @@ def _dtn_profile(op: DirichletOperator, x: float, g: np.ndarray, sched: EtaSched
 
 
 def slim_eta_M(op: DirichletOperator, x: float, g: np.ndarray,
-               sched: EtaSchedule, tol: float = 1e-8,
-               _profile=None) -> LimitEstimate:
-    """Extrapolated limit of eta * M(x + i*eta) g (zero off the point spectrum)."""
+               sched: EtaSchedule, tol: float = 1e-8) -> LimitEstimate:
+    """Extrapolated limit of eta * M(x + i*eta) g (zero off the point spectrum).
+
+    meta["relative"] is its norm over ||M(x + i*eta0) g||.
+    """
     dom = op.domain
     g = np.asarray(g, dtype=complex)
-    etas, applied, failure = _profile if _profile is not None else _dtn_profile(op, x, g, sched)
+    etas, applied, failure = dtn_profile(op, x, g, sched)
     samples = [eta * mg for eta, mg in zip(etas, applied)]
 
     norms = [dom.boundary_norm(s) for s in samples]
@@ -189,13 +192,13 @@ def slim_eta_M(op: DirichletOperator, x: float, g: np.ndarray,
         samples=tuple(zip(etas, samples)),
         converged=converged,
         decay_exponent=exponent,
-        meta={"partial": failure is not None},
+        meta={"partial": failure is not None,
+              "relative": dom.boundary_norm(value) / max(dom.boundary_norm(applied[0]), 1e-300)},
     )
 
 
 def boundary_value_M(op: DirichletOperator, x: float, g: np.ndarray,
-                     sched: EtaSchedule, tol: float = 1e-8,
-                     _profile=None) -> LimitEstimate:
+                     sched: EtaSchedule, tol: float = 1e-8) -> LimitEstimate:
     """Boundary value (M(x + i0) g, g) in the weighted boundary product.
 
     On a floored schedule the value at the floor is reported instead of an
@@ -205,7 +208,7 @@ def boundary_value_M(op: DirichletOperator, x: float, g: np.ndarray,
     """
     dom = op.domain
     g = np.asarray(g, dtype=complex)
-    etas, applied, failure = _profile if _profile is not None else _dtn_profile(op, x, g, sched)
+    etas, applied, failure = dtn_profile(op, x, g, sched)
     samples = [dom.boundary_inner(mg, g) for mg in applied]
 
     im0, im_last = abs(samples[0].imag), abs(samples[-1].imag)
@@ -277,7 +280,6 @@ def analyticity_test(op: DirichletOperator, x: float, half_width: float,
     the imaginary parts of the boundary values vanish, and the sampled values
     of (M g, g) just above the axis admit a low-degree polynomial fit in z.
     """
-    dom = op.domain
     xs = np.linspace(x - half_width, x + half_width, n_window)
 
     slim_max = 0.0
@@ -287,14 +289,11 @@ def analyticity_test(op: DirichletOperator, x: float, half_width: float,
         g = np.asarray(g, dtype=complex)
         fit_vals = np.empty(n_window, dtype=complex)
         for j, xj in enumerate(xs):
-            profile = _dtn_profile(op, xj, g, sched)
-            est = slim_eta_M(op, xj, g, sched, _profile=profile)
-            scale = dom.boundary_norm(profile[1][0])  # ||M(x + i eta0) g||
-            slim_max = max(slim_max, dom.boundary_norm(est.value) / max(scale, 1e-300))
-            bv = boundary_value_M(op, xj, g, sched, _profile=profile)
+            slim_max = max(slim_max, slim_eta_M(op, xj, g, sched).meta["relative"])
+            bv = boundary_value_M(op, xj, g, sched)
             im_max = max(im_max, abs(complex(bv.value).imag) / max(abs(complex(bv.value)), 1.0))
             # sample just above the axis at the smallest admissible eta
-            fit_vals[j] = dom.boundary_inner(profile[1][-1], g)
+            fit_vals[j] = bv.samples[-1][1]
         deg = min(fit_degree, n_window - 2)
         fit = np.polynomial.Polynomial.fit(xs, fit_vals, deg)
         resid = np.max(np.abs(fit_vals - fit(xs))) / max(np.max(np.abs(fit_vals)), 1e-300)

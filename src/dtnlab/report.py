@@ -33,7 +33,7 @@ from .domain import (
     zero_potential,
 )
 from .errors import DtnLabError
-from .limits import _dtn_profile
+from .limits import dtn_profile
 
 __all__ = [
     "ClassificationReport",
@@ -70,10 +70,6 @@ class ClassificationReport:
     data: dict
     samples: tuple   # rows (x, eta, probe_id, re_Mgg, im_Mgg, abs_etaMg, verdict)
 
-    def __eq__(self, other):
-        return isinstance(other, ClassificationReport) and self.data == other.data \
-            and self.samples == other.samples
-
 
 def _point_entry(x, ccfg, op, probes):
     """Verdict entry and CSV rows for one grid point (thread worker)."""
@@ -99,7 +95,7 @@ def _point_entry(x, ccfg, op, probes):
     sched = ccfg.schedule(x)
     for pid, g in enumerate(probes):
         try:
-            etas, applied, _ = _dtn_profile(op, x, np.asarray(g, complex), sched)
+            etas, applied, _ = dtn_profile(op, x, np.asarray(g, complex), sched)
         except DtnLabError:
             continue
         for eta, mg in zip(etas, applied):

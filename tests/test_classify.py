@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+import dtnlab.dtn
 from dtnlab import (
     ClassifyConfig,
+    Exterior2D,
     GridSet,
     HalfLine1D,
     ac_support,
     assemble_operator,
     build_domain,
     classify_point,
+    dtn_matrix,
     eigenspace_via_tau,
     essential_closure,
     make_probes,
@@ -17,6 +20,7 @@ from dtnlab import (
     refine_pole,
     sc_screen,
     well_potential,
+    zero_potential,
 )
 
 T1_CFG = ClassifyConfig(eta0=1e-2, pole_match_radius=0.25, residue_rho=0.25,
@@ -188,3 +192,27 @@ class TestProbes:
     def test_unknown_kind(self, t1):
         with pytest.raises(ValueError):
             make_probes(t1[0], "fourier")
+
+
+class TestDtnTable:
+    def test_each_z_materialized_once(self, monkeypatch):
+        dom = build_domain(Exterior2D(h=1.0, a=1.5, L=4.5))
+        op = assemble_operator(dom, zero_potential(dom))
+        reached = []
+        poisson_matrix = dtnlab.dtn.poisson_matrix
+
+        def counting(op_, lam):
+            reached.append(complex(lam))
+            return poisson_matrix(op_, lam)
+
+        monkeypatch.setattr(dtnlab.dtn, "poisson_matrix", counting)
+        cfg = ClassifyConfig(eta0=1e-2, pole_match_radius=0.25, window_half_width=0.25)
+        classify_point(op, 1.0, cfg, make_probes(dom, "basis"))
+        assert reached and len(set(reached)) == len(reached)
+        table = {key for key in op._cache if isinstance(key, complex)}
+        assert table == set(reached)
+
+        monkeypatch.undo()
+        fresh = assemble_operator(dom, zero_potential(dom))
+        for z in reached:
+            assert np.array_equal(dtn_matrix(op, z).m, dtn_matrix(fresh, z).m)

@@ -136,6 +136,29 @@ class TestCli:
         rows = json.loads((tmp_path / "convergence.json").read_text())["rows"]
         assert rows[0]["err_vs_continuum"] > rows[1]["err_vs_continuum"]
 
+    def _rejected(self, tmp_path, bad, match):
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(bad)
+        code = main(["classify", "--config", _write_config(tmp_path, bad),
+                     "--out", str(tmp_path)])
+        assert code == 1
+
+    def test_infinite_eta0_is_config_error(self, tmp_path):
+        bad = dict(T1_CONFIG, eta={"eta0": float("inf")})
+        self._rejected(tmp_path, bad, "eta.eta0")
+
+    def test_nan_tabulated_potential_is_config_error(self, tmp_path):
+        bad = dict(T1_CONFIG, potential={"kind": "tabulated",
+                                         "interior_values": [0.0, float("nan")],
+                                         "boundary_values": [0.0]})
+        self._rejected(tmp_path, bad, "potential.interior_values")
+
+    def test_wrong_length_tabulated_potential_is_config_error(self, tmp_path):
+        bad = dict(T1_CONFIG, potential={"kind": "tabulated",
+                                         "interior_values": [0.0, 0.0, 0.0],
+                                         "boundary_values": [0.0]})
+        self._rejected(tmp_path, bad, "potential.interior_values")
+
     def test_config_error_exit_code(self, tmp_path):
         bad = dict(T1_CONFIG, domain={"kind": "halfline", "h": -1.0, "L": 3.0})
         code = main(["validate", "--config", _write_config(tmp_path, bad),

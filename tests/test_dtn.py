@@ -1,10 +1,16 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from dtnlab import (
     DegenerateParameters,
+    Exterior2D,
     SingularRobinPencil,
+    assemble_operator,
     boundary_adjoint,
+    build_domain,
     dtn_matrix,
     gamma_adjoint,
     identity_suite,
@@ -12,6 +18,7 @@ from dtnlab import (
     poisson_matrix,
     poisson_solve,
     robin_to_dirichlet,
+    zero_potential,
 )
 
 
@@ -45,6 +52,33 @@ class TestDtnMatrix:
         _, op = t1
         assert dtn_matrix(op, 0.0).m[0, 0] == pytest.approx(1 / 3)
         assert dtn_matrix(op, 2.0).m[0, 0] == pytest.approx(1.0)
+
+    def test_table_entries_read_only(self, annulus2d):
+        _, op = annulus2d
+        m = dtn_matrix(op, 0.3 + 0.2j).m
+        assert dtn_matrix(op, 0.3 + 0.2j).m is m
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
+
+    def test_table_filled_concurrently(self):
+        # concurrent misses on one z may both build; every caller must still
+        # get the value a serial run computes
+        dom = build_domain(Exterior2D(h=1.0, a=1.5, L=4.5))
+        zs = [complex(0.1 * k, 0.05) for k in range(20)]
+        serial = assemble_operator(dom, zero_potential(dom))
+        expected = [dtn_matrix(serial, z).m for z in zs]
+        shared = assemble_operator(dom, zero_potential(dom))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                runs = [pool.submit(lambda: [dtn_matrix(shared, z).m for z in zs])
+                        for _ in range(8)]
+                results = [run.result(timeout=60) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results + [[dtn_matrix(shared, z).m for z in zs]]:
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
     def test_normal_derivative_consistency(self, annulus2d, rng):
         # M g must equal the normal derivative of the Poisson solution
