@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import get_lapack_funcs
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DomainError, NearSpectrum
@@ -325,7 +326,7 @@ class DirichletOperator:
 
     @property
     def a_norm(self) -> float:
-        return self.cached("a1", lambda: sp.linalg.norm(self.a_ii, 1))
+        return self.cached("a1", lambda: spla.norm(self.a_ii, 1))
 
     @property
     def incidence(self) -> np.ndarray:
@@ -395,62 +396,47 @@ def assemble_operator(dom: DiscreteDomain, q: PotentialField) -> DirichletOperat
 # ---------------------------------------------------------------------------
 
 _REL_DIST_THRESHOLD = 1e-10
+_GTTRF, _GTTRS = get_lapack_funcs(("gttrf", "gttrs"), dtype=complex)
 
 
 class ShiftedSolver:
-    """LU factorization of A_II - z with a deterministic conditioning estimate.
+    """A_II - z factored once, with a deterministic conditioning estimate.
 
-    Near-spectrum detection runs a few fixed-start power iterations on the
-    inverse; no randomness, no oracle.  Tridiagonal operators use the banded
-    LAPACK path, everything else dense LU (boundary problems at desk scale
-    stay small).
+    A tridiagonal A_II (the half-line) keeps LAPACK's gttrf factors and solves
+    with gttrs; every other operator keeps a sparse LU (splu) of the CSC matrix,
+    as does the two-node half-line, whose size SciPy's gttrf wrapper rejects.
+    Plain and adjoint solves reuse the same factors.  Near-spectrum detection
+    runs a few fixed-start power iterations on the inverse; no randomness, no
+    oracle.
     """
 
     def __init__(self, op: DirichletOperator, z: complex):
         self.z = z
         self.op = op
-        n = op.n
-        self._n = n
-        dom = op.domain
-        self._banded = dom.dimension == 1
-        try:
-            if self._banded:
-                self._ab = self._banded_matrix(z)
-                self._ab_adj = None
-            else:
-                a = op.a_ii.toarray().astype(complex)
-                np.fill_diagonal(a, np.diag(a) - z)
-                self._lu = sla.lu_factor(a)
-        except (np.linalg.LinAlgError, sla.LinAlgError, ValueError):
-            raise NearSpectrum(z, 0.0) from None
+        a = op.a_ii
+        self._n = op.n
+        self._lu = self._tri = None
+        if op.domain.dimension == 1 and self._n > 2:
+            *self._tri, info = _GTTRF(a.diagonal(-1).astype(complex), a.diagonal() - z,
+                                      a.diagonal(1).astype(complex))
+            if info > 0:
+                raise NearSpectrum(z, 0.0)
+        else:
+            try:
+                self._lu = spla.splu((a - z * sp.identity(self._n, format="csr")).tocsc())
+            except RuntimeError:  # exactly singular
+                raise NearSpectrum(z, 0.0) from None
         dist = self._distance_estimate()
         if not np.isfinite(dist) or dist < _REL_DIST_THRESHOLD * op.a_norm:
             raise NearSpectrum(z, dist)
         self.dist_estimate = dist
 
-    def _banded_matrix(self, z: complex) -> np.ndarray:
-        a = self.op.a_ii.tocsr()
-        n = self._n
-        ab = np.zeros((3, n), dtype=complex)
-        ab[1] = a.diagonal() - z
-        if n > 1:
-            ab[0, 1:] = a.diagonal(1)
-            ab[2, :-1] = a.diagonal(-1)
-        return ab
-
     def solve(self, rhs: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """Solve (A_II - z) u = rhs (or the conjugate-transpose system)."""
         rhs = np.asarray(rhs, dtype=complex)
-        try:
-            if self._banded:
-                if adjoint:
-                    if self._ab_adj is None:
-                        self._ab_adj = self._banded_matrix(np.conj(self.z))
-                    return np.conj(sla.solve_banded((1, 1), self._ab_adj, np.conj(rhs)))
-                return sla.solve_banded((1, 1), self._ab, rhs)
-            return sla.lu_solve(self._lu, rhs, trans=2 if adjoint else 0)
-        except (np.linalg.LinAlgError, sla.LinAlgError, ValueError):
-            raise NearSpectrum(self.z, 0.0) from None
+        if self._lu is not None:
+            return self._lu.solve(rhs, trans="H" if adjoint else "N")
+        return _GTTRS(*self._tri, rhs, trans="C" if adjoint else "N")[0]
 
     def _distance_estimate(self) -> float:
         """Estimate sigma_min(A - z) by power iteration on the inverse."""

@@ -102,10 +102,13 @@ def poisson_solve(op: DirichletOperator, lam: complex, g: np.ndarray) -> np.ndar
     return op.factorize(lam).solve(rhs)
 
 
+def _poisson_columns(op: DirichletOperator, solver) -> np.ndarray:
+    """gamma = R(z) B for the z that solver has factored."""
+    return solver.solve(op.cached("B", lambda: op.b.toarray().astype(complex)))
+
+
 def poisson_matrix(op: DirichletOperator, lam: complex) -> PoissonMatrix:
-    solver = op.factorize(lam)
-    gamma = solver.solve(op.cached("B", lambda: op.b.toarray().astype(complex)))
-    return PoissonMatrix(lam=complex(lam), gamma=gamma)
+    return PoissonMatrix(lam=complex(lam), gamma=_poisson_columns(op, op.factorize(lam)))
 
 
 def normal_derivative(dom: DiscreteDomain, g: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -128,6 +131,10 @@ def _trace_part(op: DirichletOperator, u_cols: np.ndarray) -> np.ndarray:
     return (op.incidence.T @ u_cols) / (k[:, None] * op.domain.h)
 
 
+def _dtn_from_gamma(op: DirichletOperator, gamma: np.ndarray) -> np.ndarray:
+    return np.eye(op.domain.n_boundary, dtype=complex) / op.domain.h - _trace_part(op, gamma)
+
+
 def dtn_matrix(op: DirichletOperator, lam: complex) -> DtnMatrix:
     """M(lam) columnwise from boundary-basis Poisson solutions.
 
@@ -135,9 +142,25 @@ def dtn_matrix(op: DirichletOperator, lam: complex) -> DtnMatrix:
     read-only array, and NearSpectrum is raised again on every call.
     """
     lam = complex(lam)
-    m = op.cached(lam, lambda: np.eye(op.domain.n_boundary, dtype=complex) / op.domain.h
-                  - _trace_part(op, poisson_matrix(op, lam).gamma))
+    m = op.cached(lam, lambda: _dtn_from_gamma(op, poisson_matrix(op, lam).gamma))
     return DtnMatrix(lam=lam, m=m)
+
+
+def _factor_at(op: DirichletOperator, z: complex):
+    """Factor A_II - z once: (solver, gamma(z), M(z)), filling the M(z) table at z."""
+    solver = op.factorize(z)
+    gamma = _poisson_columns(op, solver)
+    return solver, gamma, op.cached(complex(z), lambda: _dtn_from_gamma(op, gamma))
+
+
+def _adjoint_from_gamma(op: DirichletOperator, gamma_bar: np.ndarray) -> np.ndarray:
+    """gamma_adjoint(lam) from gamma_bar = gamma(conj lam).
+
+    A - conj(lam) is complex symmetric, so P^T R(conj lam) = (R(conj lam) P)^T,
+    and R(conj lam) P = h^2 gamma(conj lam) because B = P / h^2.
+    """
+    h = op.domain.h
+    return gamma_bar.T * (h / op.domain.neighbor_counts[:, None])
 
 
 def gamma_adjoint(op: DirichletOperator, lam: complex) -> np.ndarray:
@@ -146,11 +169,7 @@ def gamma_adjoint(op: DirichletOperator, lam: complex) -> np.ndarray:
     Returned as a dense (n_B, n_I) matrix satisfying
     <gamma(lam) g, u>_I = <g, gamma_adjoint(lam) u>_B exactly.
     """
-    solver = op.factorize(np.conj(lam))
-    # A - conj(lam) is complex symmetric, so P^T R(conj lam) = (R(conj lam) P)^T
-    cols = solver.solve(op.incidence.astype(complex))
-    k = op.domain.neighbor_counts
-    return cols.T / (k[:, None] * op.domain.h)
+    return _adjoint_from_gamma(op, poisson_matrix(op, np.conj(lam)).gamma)
 
 
 def boundary_adjoint(dom: DiscreteDomain, m: np.ndarray) -> np.ndarray:
@@ -183,18 +202,14 @@ def identity_suite(op: DirichletOperator, lam: complex, zeta: complex, nu: compl
         if abs(x - y) <= 1e-12 * scale:
             raise DegenerateParameters(f"excluded parameter combination: {what}")
 
-    dom = op.domain
-    solver_lam = op.factorize(lam)
-    gamma_lam = poisson_matrix(op, lam).gamma
-    gamma_zeta = poisson_matrix(op, zeta).gamma
-    gamma_nu = poisson_matrix(op, nu).gamma
-    gz_star = gamma_adjoint(op, zeta)
-
-    m_lam = dtn_matrix(op, lam).m
-    m_zeta = dtn_matrix(op, zeta).m
-    m_zeta_star = boundary_adjoint(dom, m_zeta)
-    m_zeta_bar = dtn_matrix(op, np.conj(zeta)).m
-    m_nu = dtn_matrix(op, nu).m
+    # one factorization per distinct z
+    zbar = np.conj(zeta)
+    solver_lam, gamma_lam, m_lam = _factor_at(op, lam)
+    _, gamma_zeta, m_zeta = _factor_at(op, zeta)
+    _, gamma_zeta_bar, m_zeta_bar = _factor_at(op, zbar)
+    _, gamma_nu, m_nu = _factor_at(op, nu)
+    gz_star = _adjoint_from_gamma(op, gamma_zeta_bar)
+    m_zeta_star = boundary_adjoint(op.domain, m_zeta)
 
     residuals = {}
 
@@ -207,7 +222,6 @@ def identity_suite(op: DirichletOperator, lam: complex, zeta: complex, nu: compl
     residuals["weyl_difference"] = _relative_residual(lhs, m_lam - m_zeta_star)
 
     # three-point identity at z = lam
-    zbar = np.conj(zeta)
     lhs3 = gz_star @ solver_lam.solve(gamma_nu)
     rhs3 = (
         m_lam / ((lam - nu) * (zbar - lam))

@@ -135,24 +135,25 @@ def run_sweep(cfg: RunConfig) -> ClassificationReport:
     crosscheck = []
     if dom.n_interior <= _ORACLE_DIM_CAP:
         eig = oracle_eigendecomposition(op)
-        detected = [(p["x"], p["refined_lambda"]) for p in points
-                    if p["verdict"] == EIGENVALUE]
-        seen = set()
-        for lam in eig.values:
-            if not lo < lam < hi:
+        levels = np.array([eig.values[g[0]] for g in eig.groups])
+        # each detected pole is credited to its nearest level only; the first
+        # pole in grid order that a level gets is the one reported
+        credited = {}
+        for p in points:
+            lam_d = p["refined_lambda"]
+            if p["verdict"] != EIGENVALUE or lam_d is None:
                 continue
-            key = round(float(lam) / max(eig.degeneracy_tol, 1e-12))
-            if key in seen:
-                continue
-            seen.add(key)
-            match = [lam_d for _, lam_d in detected
-                     if lam_d is not None and abs(lam_d - lam) <= ccfg.pole_match_radius]
-            crosscheck.append({
-                "lambda_oracle": float(lam),
-                "multiplicity": eig.multiplicity(float(lam)),
-                "detected": bool(match),
-                "lambda_detected": float(match[0]) if match else None,
-            })
+            k = int(np.argmin(np.abs(levels - lam_d)))
+            if abs(levels[k] - lam_d) <= ccfg.pole_match_radius:
+                credited.setdefault(k, lam_d)
+        for k, lam in enumerate(levels):
+            if lo < lam < hi:
+                crosscheck.append({
+                    "lambda_oracle": float(lam),
+                    "multiplicity": eig.multiplicity(float(lam)),
+                    "detected": k in credited,
+                    "lambda_detected": float(credited[k]) if k in credited else None,
+                })
 
     data = {
         "schema": SCHEMA_TAG,

@@ -26,6 +26,13 @@ def annulus2d():
 
 
 @pytest.fixture(scope="session")
+def reduced_annulus():
+    """Square annulus: 3x3-node obstacle inside a 9x9 box, h = 1."""
+    dom = build_domain(Exterior2D(h=1.0, a=1.5, L=4.5))
+    return dom, assemble_operator(dom, zero_potential(dom))
+
+
+@pytest.fixture(scope="session")
 def well1d():
     """1D well model: q = -2 on x < 1, h = 0.05, L = 20."""
     dom = build_domain(HalfLine1D(h=0.05, L=20.0))

@@ -301,7 +301,7 @@ def test_criterion_10_simplicity(t1, well1d, annulus2d):
     _report("10", repw.rank == repw.interior_dim,
             f"T1 rank {rep1.rank}/{rep1.interior_dim}; "
             f"well rank {repw.rank}/{repw.interior_dim} with 2 zeta-samples "
-            "(a 2-column stack cannot reach rank 399; see the decisions ledger)")
+            "(a 2-column stack cannot reach rank 399; see ROADMAP \"Standing red criteria\")")
     assert repw.rank == repw.interior_dim
 
 

@@ -94,6 +94,20 @@ class TestSweep:
             == open(emit_csv(report4, str(b))).read()
 
 
+def test_crosscheck_credits_each_pole_to_its_nearest_level():
+    # the pole at 0.749213 lies within pole_match_radius (0.125) of the
+    # level 0.651945 too, but is nearest to the level 0.749213
+    report = run_sweep(config_from_dict({
+        "domain": {"kind": "exterior2d", "h": 1.0, "a": 1.5, "L": 7.5},
+        "window": {"lo": 0.5, "hi": 1.0, "grid_step": 0.25},
+    }))
+    checks = {round(c["lambda_oracle"], 6): c for c in report.data["oracle_crosscheck"]}
+    assert not checks[0.651945]["detected"]
+    assert checks[0.651945]["lambda_detected"] is None
+    assert checks[0.749213]["detected"]
+    assert checks[0.749213]["lambda_detected"] == pytest.approx(0.749213, abs=1e-6)
+
+
 class TestCli:
     def test_validate(self, tmp_path, capsys):
         code = main(["validate", "--config", _write_config(tmp_path),

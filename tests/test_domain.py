@@ -133,6 +133,26 @@ class TestShiftedSolver:
         dense = np.linalg.solve(op.a_ii.toarray().conj().T - np.conj(z) * np.eye(op.n), rhs)
         assert np.linalg.norm(u - dense) <= 1e-10 * np.linalg.norm(dense)
 
+    @pytest.mark.parametrize("model", ["t1", "well1d", "reduced_annulus"])
+    @pytest.mark.parametrize("z", [0.7 + 0.3j, 0.7 - 0.3j])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_solve_matches_dense(self, request, model, z, adjoint, rng):
+        _, op = request.getfixturevalue(model)
+        a = op.a_ii.toarray() - z * np.eye(op.n)
+        rhs = rng.standard_normal((op.n, 3)) + 1j * rng.standard_normal((op.n, 3))
+        u = op.factorize(z).solve(rhs, adjoint=adjoint)
+        dense = np.linalg.solve(a.conj().T if adjoint else a, rhs)
+        assert np.linalg.norm(u - dense) <= 1e-12 * np.linalg.norm(dense)
+        assert np.linalg.norm(op.factorize(z).solve(rhs[:, 0], adjoint=adjoint)
+                              - dense[:, 0]) <= 1e-12 * np.linalg.norm(dense[:, 0])
+
+    @pytest.mark.parametrize("model", ["t1", "well1d", "reduced_annulus"])
+    def test_factorize_at_oracle_eigenvalue_raises(self, request, model):
+        _, op = request.getfixturevalue(model)
+        for lam in oracle_eigendecomposition(op).values[[0, -1]]:
+            with pytest.raises(NearSpectrum):
+                op.factorize(lam)
+
     def test_near_spectrum_raises(self, t1):
         _, op = t1
         with pytest.raises(NearSpectrum):

@@ -6,6 +6,7 @@ import pytest
 
 from dtnlab import (
     DegenerateParameters,
+    DirichletOperator,
     Exterior2D,
     SingularRobinPencil,
     assemble_operator,
@@ -138,6 +139,28 @@ class TestIdentitySuite:
         for _ in range(5):
             rep = identity_suite(op, *_random_params(rng))
             assert rep.max_residual <= 1e-12
+
+    @pytest.mark.parametrize("model", ["reduced_annulus", "well1d"])
+    def test_one_factorization_per_distinct_z(self, request, model, rng, monkeypatch):
+        _, op = request.getfixturevalue(model)
+        op = assemble_operator(op.domain, op.potential)
+        lam, zeta, nu = _random_params(rng)
+        factored = []
+        factorize = DirichletOperator.factorize
+
+        def counting(op_, z):
+            factored.append(complex(z))
+            return factorize(op_, z)
+
+        monkeypatch.setattr(DirichletOperator, "factorize", counting)
+        rep = identity_suite(op, lam, zeta, nu)
+        monkeypatch.undo()
+        assert rep.max_residual <= 1e-10
+        assert len(factored) == 4 and set(factored) == {lam, zeta, zeta.conjugate(), nu}
+        # the M(z) it entered in the table are the ones dtn_matrix computes
+        fresh = assemble_operator(op.domain, op.potential)
+        for z in factored:
+            assert np.array_equal(op._cache[z], dtn_matrix(fresh, z).m)
 
     def test_reports_all_four(self, t1):
         _, op = t1
