@@ -21,6 +21,7 @@ from .limits import (
     ResidueMatrix,
     analyticity_test,
     boundary_value_M,
+    decay_exponent,
     residue_contour,
     slim_eta_M,
 )
@@ -34,6 +35,7 @@ __all__ = [
     "PurityVerdict",
     "ClassifyConfig",
     "essential_closure",
+    "window_grid",
     "classify_point",
     "refine_pole",
     "eigenspace_via_tau",
@@ -162,6 +164,10 @@ class ClassifyConfig:
             return 2 * np.pi * np.sqrt(x) / self.halfline_length
         return 0.0
 
+    def slim_nonzero(self, relative: float, slope: float | None) -> bool:
+        """Whether an eta*M limit of this relative size and decay slope is nonzero."""
+        return relative > self.tau_eig_rel and (slope is None or slope < self.slim_decay_cut)
+
     def schedule(self, x: float) -> EtaSchedule:
         if self.floor_mode == "constant":
             floor = self.floor_const
@@ -277,9 +283,7 @@ def classify_point(op: DirichletOperator, x: float, cfg: ClassifyConfig,
         rel = est.meta["relative"]
         slim_rels.append(float(rel))
         slopes.append(est.decay_exponent)
-        flag = rel > cfg.tau_eig_rel and (
-            est.decay_exponent is None or est.decay_exponent < cfg.slim_decay_cut
-        )
+        flag = cfg.slim_nonzero(rel, est.decay_exponent)
         flagged.append(flag)
         if flag and rel > best[0]:
             best = (rel, g)
@@ -391,7 +395,8 @@ class ACSupportSet:
     boundary_values: np.ndarray       # (n_probes, n_grid) complex
 
 
-def _window_grid(window, step):
+def window_grid(window, step):
+    """Grid points lo + step*k from lo to hi inclusive, window = (lo, hi)."""
     a, b = window
     n = int(round((b - a) / step))
     return a + step * np.arange(n + 1)
@@ -400,7 +405,7 @@ def _window_grid(window, step):
 def ac_support(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
                grid_step: float) -> ACSupportSet:
     """Grid sets where 0 < -Im(M(x+i0)g, g) < infinity, essentially closed and unioned."""
-    xs = _window_grid(window, grid_step)
+    xs = window_grid(window, grid_step)
     bvals = np.empty((len(probes), len(xs)), dtype=complex)
     per_probe, per_probe_closed = [], []
     for i, g in enumerate(probes):
@@ -442,7 +447,7 @@ class SCReport:
 def sc_screen(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
               grid_step: float) -> SCReport:
     """Flag points where Im(Mg,g) -> -infinity while y(Mg,g) -> 0."""
-    xs = _window_grid(window, grid_step)
+    xs = window_grid(window, grid_step)
     div = np.zeros((len(probes), len(xs)), dtype=bool)
     yzero = np.zeros((len(probes), len(xs)), dtype=bool)
     for i, g in enumerate(probes):
@@ -450,14 +455,9 @@ def sc_screen(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
             sched = cfg.schedule(x)
             bv = boundary_value_M(op, x, g, sched)
             div[i, j] = bv.diverging
-            etas = np.array([eta for eta, _ in bv.samples])
-            yq = np.array([eta * q for eta, q in bv.samples])
-            mask = np.abs(yq) > 1e-290
-            if mask.sum() >= 2:
-                slope = np.polyfit(np.log(etas[mask]), np.log(np.abs(yq[mask])), 1)[0]
-                yzero[i, j] = slope >= cfg.slim_decay_cut
-            else:
-                yzero[i, j] = True
+            slope = decay_exponent([eta for eta, _ in bv.samples],
+                                   [abs(eta * q) for eta, q in bv.samples])
+            yzero[i, j] = slope is None or slope >= cfg.slim_decay_cut
     both = np.any(div & yzero, axis=0)
     flagged = GridSet.from_flags(xs, both)
     excluded = essential_closure(flagged).is_empty
@@ -487,7 +487,7 @@ def purity_filter(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
     eigenvalue strictly inside the window is caught even when no grid point
     lands on it.
     """
-    xs = _window_grid(window, grid_step)
+    xs = window_grid(window, grid_step)
     lo, hi = float(window[0]), float(window[1])
 
     offending = []
@@ -504,11 +504,7 @@ def purity_filter(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
         sched = cfg.schedule(x)
         for g in probes:
             est = slim_eta_M(op, x, g, sched)
-            rel = est.meta["relative"]
-            nonzero = rel > cfg.tau_eig_rel and (
-                est.decay_exponent is None or est.decay_exponent < cfg.slim_decay_cut
-            )
-            if nonzero:
+            if cfg.slim_nonzero(est.meta["relative"], est.decay_exponent):
                 offending.append(float(x))
             bv = boundary_value_M(op, x, g, sched)
             if abs(complex(bv.value).imag) > cfg.tau_ac:

@@ -20,6 +20,7 @@ import sys
 
 import numpy as np
 
+from .classify import window_grid
 from .config import RunConfig, parse_config
 from .domain import oracle_eigendecomposition
 from .dtn import dtn_matrix, identity_suite
@@ -111,14 +112,12 @@ def _cmd_measures(cfg: RunConfig, out_dir: str, seed: int) -> int:
     u = np.zeros(dom.n_interior)
     u[0] = 1.0
     mu = spectral_measure(op, eig, u)
-    lo, hi = cfg.window
-    grid = np.linspace(lo, hi, int(round((hi - lo) / cfg.grid_step)) + 1)
     sched = EtaSchedule(cfg.eta["eta0"], cfg.eta["ratio"], cfg.eta["count"])
-    sup = ac_sc_supports(mu, sched, grid)
+    sup = ac_sc_supports(mu, sched, window_grid(cfg.window, cfg.grid_step))
     out["supports"] = {
         "atoms": [[float(a), float(w)] for a, w in zip(mu.atoms, mu.weights)],
-        "ac_set": [[lo_, hi_] for lo_, hi_ in sup.ac_set.intervals],
-        "sc_set": [[lo_, hi_] for lo_, hi_ in sup.sc_set.intervals],
+        "ac_set": [[lo, hi] for lo, hi in sup.ac_set.intervals],
+        "sc_set": [[lo, hi] for lo, hi in sup.sc_set.intervals],
     }
 
     zetas = [complex(re, im) for re, im in cfg.measures["zeta_samples"]]
@@ -181,7 +180,8 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to a JSON run config")
     parser.add_argument("--out", default=None, help="output directory (default: config)")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="at least 1; no effect, the sweep runs on one thread")
     parser.add_argument("--seed", type=int, default=0, help="seed for random draws")
     args = parser.parse_args(argv)
 

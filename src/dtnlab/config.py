@@ -8,8 +8,7 @@ noted; unknown keys anywhere are rejected with a suggestion):
                    # or {"kind": "exterior2d", "h": 1.0, "a": 1.5, "L": 7.5}
       "potential": {"kind": "zero"},
                    # or {"kind": "well", "depth": 2.0, "width": 1.0}
-                   # or {"kind": "tabulated", "interior_values": [...],
-                   #     "boundary_values": [...]}
+                   # or {"kind": "tabulated", "interior_values": [...]}
       "window":    {"lo": 0.0, "hi": 4.0, "grid_step": 0.1},        # required
       "eta":       {"eta0": 0.01, "ratio": 0.5, "count": 8,
                     "floor_mode": "none", "floor_const": 0.0, "floor_factor": 5.0},
@@ -25,7 +24,8 @@ noted; unknown keys anywhere are rejected with a suggestion):
     }
 
 Null thresholds are derived from the grid step (pole_match_radius = step / 2,
-window_half_width = step).
+window_half_width = step).  "threads" must be at least 1 and has no effect:
+the sweep runs on one thread.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ _SECTIONS = {
 }
 _KEYS = {
     "domain": {"kind", "h", "L", "a"},
-    "potential": {"kind", "depth", "width", "interior_values", "boundary_values"},
+    "potential": {"kind", "depth", "width", "interior_values"},
     "window": {"lo", "hi", "grid_step"},
     "eta": {"eta0", "ratio", "count", "floor_mode", "floor_const", "floor_factor"},
     "probes": {"kind", "count", "seed"},
@@ -90,18 +90,16 @@ def _domain_spec(d):
 
 
 def _check_tabulated(pot, dom):
-    """Tabulated values: finite numbers, one per interior and per boundary node."""
-    for key in ("interior_values", "boundary_values"):
-        _require(isinstance(pot.get(key), list) and all(map(_is_number, pot[key])),
-                 f"potential.{key} must be a list of finite numbers")
+    """Tabulated values: finite numbers, one per interior node."""
+    values = pot.get("interior_values")
+    _require(isinstance(values, list) and all(map(_is_number, values)),
+             "potential.interior_values must be a list of finite numbers")
     try:
         nodes = build_domain(_domain_spec(dom))
     except DomainError:
         return  # the geometry error is reported when the model is built
-    for key, count in (("interior_values", nodes.n_interior),
-                       ("boundary_values", nodes.n_boundary)):
-        _require(len(pot[key]) == count,
-                 f"potential.{key} has {len(pot[key])} entries for {count} nodes")
+    _require(len(values) == nodes.n_interior,
+             f"potential.interior_values has {len(values)} entries for {nodes.n_interior} nodes")
 
 
 @dataclass(frozen=True)

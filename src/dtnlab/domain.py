@@ -93,10 +93,6 @@ class DiscreteDomain:
         return self.interior_lattice * self.h
 
     @property
-    def boundary_coords(self) -> np.ndarray:
-        return self.boundary_lattice * self.h
-
-    @property
     def interior_weight(self) -> float:
         """Quadrature weight of one interior node: h^d."""
         return self.h ** self.dimension
@@ -258,44 +254,34 @@ def _build_exterior2d(spec: Exterior2D) -> DiscreteDomain:
 
 @dataclass(frozen=True)
 class PotentialField:
-    """Real bounded potential sampled on interior and boundary nodes."""
+    """Real bounded potential sampled on the interior nodes, where A_II carries it."""
 
     interior_values: np.ndarray
-    boundary_values: np.ndarray
     bound: float
 
     def validate(self, dom: DiscreteDomain) -> None:
         if self.interior_values.shape != (dom.n_interior,):
             raise DomainError("potential has wrong interior length")
-        if self.boundary_values.shape != (dom.n_boundary,):
-            raise DomainError("potential has wrong boundary length")
         if self.bound < 0:
             raise DomainError("potential bound must be nonnegative")
-        vals = np.concatenate([self.interior_values, self.boundary_values])
+        vals = self.interior_values
         if vals.size and np.max(np.abs(vals)) > self.bound + 1e-12:
             raise DomainError("potential exceeds its declared bound")
 
 
 def zero_potential(dom: DiscreteDomain) -> PotentialField:
-    return PotentialField(
-        interior_values=np.zeros(dom.n_interior),
-        boundary_values=np.zeros(dom.n_boundary),
-        bound=0.0,
-    )
+    return PotentialField(interior_values=np.zeros(dom.n_interior), bound=0.0)
 
 
 def well_potential(dom: DiscreteDomain, depth: float, width: float) -> PotentialField:
     """q = -depth on nodes with first coordinate < width, 0 elsewhere."""
     qi = np.where(dom.interior_coords[:, 0] < width, -depth, 0.0)
-    qb = np.where(dom.boundary_coords[:, 0] < width, -depth, 0.0)
-    return PotentialField(qi, qb, bound=abs(depth))
+    return PotentialField(qi, bound=abs(depth))
 
 
-def tabulated_potential(dom: DiscreteDomain, interior_values, boundary_values) -> PotentialField:
+def tabulated_potential(dom: DiscreteDomain, interior_values) -> PotentialField:
     qi = np.asarray(interior_values, dtype=float)
-    qb = np.asarray(boundary_values, dtype=float)
-    bound = float(max(np.max(np.abs(qi), initial=0.0), np.max(np.abs(qb), initial=0.0)))
-    q = PotentialField(qi, qb, bound=bound)
+    q = PotentialField(qi, bound=float(np.max(np.abs(qi), initial=0.0)))
     q.validate(dom)
     return q
 

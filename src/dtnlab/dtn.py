@@ -63,7 +63,6 @@ class DtnMatrix:
 
     lam: complex
     m: np.ndarray      # (n_B, n_B)
-    convention: str = "one-sided outward quotient, neighbor-averaged"
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,8 @@ __all__ = [
     "ResidueMatrix",
     "AnalyticityReport",
     "richardson_extrapolate",
+    "extrapolate_tail",
+    "decay_exponent",
     "slim_eta_M",
     "boundary_value_M",
     "dtn_profile",
@@ -48,15 +50,14 @@ class EtaSchedule:
     floor: float = 0.0
 
     def __post_init__(self):
-        if self.eta0 <= 0:
+        if not self.eta0 > 0:
             raise ValueError("eta0 must be positive")
         if not 0 < self.ratio < 1:
             raise ValueError("ratio must lie in (0, 1)")
         if self.count < 3:
             raise ValueError("need at least 3 samples")
-        if self.floor < 0 or self.floor >= self.eta0:
-            if self.floor != 0.0:
-                raise ValueError("floor must lie in [0, eta0)")
+        if not 0 <= self.floor < self.eta0:
+            raise ValueError("floor must lie in [0, eta0)")
 
     def samples(self) -> np.ndarray:
         """Strictly decreasing eta values (floored duplicates collapsed)."""
@@ -134,8 +135,22 @@ def richardson_extrapolate(etas, values):
     return limit, err
 
 
-def _decay_exponent(etas, norms) -> float | None:
-    """Least-squares slope of log|f| against log(eta); None if degenerate."""
+_TAIL = 5  # extrapolate from the smallest samples only, where f is analytic
+
+
+def extrapolate_tail(etas, values):
+    """Richardson extrapolation to eta = 0 from the _TAIL smallest samples.
+
+    etas is decreasing, as EtaSchedule.samples() returns it.
+    """
+    return richardson_extrapolate(etas[-_TAIL:], values[-_TAIL:])
+
+
+def decay_exponent(etas, norms) -> float | None:
+    """Least-squares slope of log|f| against log(eta).
+
+    None when fewer than two samples of |f| exceed 1e-290, i.e. f has vanished.
+    """
     mask = np.asarray(norms) > 1e-290
     if mask.sum() < 2:
         return None
@@ -148,8 +163,6 @@ def _decay_exponent(etas, norms) -> float | None:
 # ---------------------------------------------------------------------------
 # limits of M
 # ---------------------------------------------------------------------------
-
-_TAIL = 5  # extrapolate from the smallest samples only, where f is analytic
 
 
 def dtn_profile(op: DirichletOperator, x: float, g: np.ndarray, sched: EtaSchedule):
@@ -181,9 +194,8 @@ def slim_eta_M(op: DirichletOperator, x: float, g: np.ndarray,
     samples = [eta * mg for eta, mg in zip(etas, applied)]
 
     norms = [dom.boundary_norm(s) for s in samples]
-    exponent = _decay_exponent(etas, norms)
-    tail = min(_TAIL, len(etas))
-    value, err = richardson_extrapolate(etas[-tail:], samples[-tail:])
+    exponent = decay_exponent(etas, norms)
+    value, err = extrapolate_tail(etas, samples)
     scale = max(norms + [1e-300])
     converged = failure is None and err <= tol * max(scale, 1.0)
     return LimitEstimate(
@@ -212,7 +224,7 @@ def boundary_value_M(op: DirichletOperator, x: float, g: np.ndarray,
     samples = [dom.boundary_inner(mg, g) for mg in applied]
 
     im0, im_last = abs(samples[0].imag), abs(samples[-1].imag)
-    im_slope = _decay_exponent(etas, [abs(s.imag) for s in samples])
+    im_slope = decay_exponent(etas, [abs(s.imag) for s in samples])
     diverging = (
         im_slope is not None and im_slope <= DIVERGENCE_SLOPE
         and im_last > DIVERGENCE_GROWTH * max(im0, 1e-300) and im_last > 1e-10
@@ -223,8 +235,7 @@ def boundary_value_M(op: DirichletOperator, x: float, g: np.ndarray,
         err = abs(samples[-1] - samples[-2]) if len(samples) > 1 else np.inf
         converged = failure is None
     else:
-        tail = min(_TAIL, len(etas))
-        value, err = richardson_extrapolate(etas[-tail:], samples[-tail:])
+        value, err = extrapolate_tail(etas, samples)
         value = complex(value)
         scale = max(abs(value), max(abs(s) for s in samples), 1.0)
         converged = failure is None and err <= tol * scale and not diverging

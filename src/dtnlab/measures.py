@@ -16,7 +16,7 @@ from scipy.special import roots_legendre
 
 from .domain import DirichletOperator, EigenSystem
 from .errors import AtomHit, EndpointOnEigenvalue
-from .limits import EtaSchedule, richardson_extrapolate
+from .limits import EtaSchedule, decay_exponent, extrapolate_tail, richardson_extrapolate
 from .dtn import poisson_matrix
 
 __all__ = [
@@ -62,10 +62,6 @@ class SpectralMeasure:
     @property
     def total_mass(self) -> float:
         return float(self.weights.sum())
-
-    def restricted(self, a: float, b: float) -> "SpectralMeasure":
-        mask = (self.atoms > a) & (self.atoms < b)
-        return SpectralMeasure(self.atoms[mask], self.weights[mask])
 
 
 def spectral_measure(op: DirichletOperator, eig: EigenSystem, u: np.ndarray) -> SpectralMeasure:
@@ -245,18 +241,12 @@ def ac_sc_supports(measure: SpectralMeasure, sched: EtaSchedule, grid,
         if sched.floored:
             im_values[j] = ims[-1]
         else:
-            tail = min(5, len(etas))
-            limit, _ = richardson_extrapolate(etas[-tail:], ims[-tail:])
+            limit, _ = extrapolate_tail(etas, ims)
             im_values[j] = float(np.real(limit))
         diverging[j] = abs(ims[-1]) > divergence_ratio * max(abs(ims[0]), 1e-300) \
             and abs(ims[-1]) > 1e-10
-        yf = np.abs(etas * fs)
-        mask = yf > 1e-290
-        if mask.sum() >= 2:
-            slope = np.polyfit(np.log(etas[mask]), np.log(yf[mask]), 1)[0]
-            yzero[j] = slope >= 0.5
-        else:
-            yzero[j] = True
+        slope = decay_exponent(etas, np.abs(etas * fs))
+        yzero[j] = slope is None or slope >= 0.5
         ac_flags[j] = (tau < im_values[j] < 1.0 / tau) and not diverging[j]
     ac_set = essential_closure(GridSet.from_flags(grid, ac_flags))
     sc_set = GridSet.from_flags(grid, diverging & yzero)

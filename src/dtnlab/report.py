@@ -1,16 +1,15 @@
 """Sweep orchestration and bit-stable serialization of reports and plot data.
 
-The JSON report is emitted with sorted keys and shortest round-trip float
-representation (Python's repr), so identical runs produce byte-identical
-files regardless of thread count; all numeric content is computed in a fixed
-order and threads only change scheduling, never values.
+The sweep runs on one thread in grid order (the "threads" setting has no
+effect).  The JSON report is emitted with sorted keys and shortest round-trip
+float representation (Python's repr), so identical runs produce byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .classify import (
     make_probes,
     purity_filter,
     sc_screen,
+    window_grid,
 )
 from .config import SCHEMA_TAG, RunConfig
 from .domain import (
@@ -59,7 +59,7 @@ def build_model(cfg: RunConfig):
     elif pot["kind"] == "well":
         q = well_potential(dom, depth=pot["depth"], width=pot["width"])
     else:
-        q = tabulated_potential(dom, pot["interior_values"], pot["boundary_values"])
+        q = tabulated_potential(dom, pot["interior_values"])
     return dom, assemble_operator(dom, q)
 
 
@@ -72,7 +72,7 @@ class ClassificationReport:
 
 
 def _point_entry(x, ccfg, op, probes):
-    """Verdict entry and CSV rows for one grid point (thread worker)."""
+    """Verdict entry and CSV rows for one grid point."""
     dom = op.domain
     try:
         v = classify_point(op, x, ccfg, probes)
@@ -109,28 +109,45 @@ def _gridset_json(s):
     return [[lo, hi] for lo, hi in s.intervals]
 
 
+def _ac_json(acs):
+    return {"closed_union": _gridset_json(acs.closed_union),
+            "per_probe": [_gridset_json(s) for s in acs.per_probe_closed],
+            "ac_free": acs.ac_free}
+
+
+def _sc_json(scr):
+    return {"flagged": _gridset_json(scr.flagged_set), "excluded": scr.excluded,
+            "caveat": scr.caveat}
+
+
+def _purity_json(pur):
+    return {"verdict": pur.verdict, "offending_points": list(pur.offending_points)}
+
+
+def _stage_json(stage, to_json, *args):
+    """Report section of one window stage; a numerical failure stays in it."""
+    try:
+        return to_json(stage(*args))
+    except DtnLabError as exc:
+        return {"verdict": INCONCLUSIVE, "reason": str(exc)}
+
+
 def run_sweep(cfg: RunConfig) -> ClassificationReport:
     """Classify the whole window and assemble the report.
 
-    Per-point failures become 'inconclusive' entries; the sweep never aborts
-    on a single point.  Thread count affects scheduling only.
+    Failures become 'inconclusive' entries, per grid point and per window
+    stage; the sweep never aborts on one of them.
     """
     dom, op = build_model(cfg)
     ccfg = cfg.classify_config()
     probes = make_probes(dom, cfg.probes["kind"], cfg.probes["count"],
                          cfg.probes["seed"])
     lo, hi = cfg.window
-    n = int(round((hi - lo) / cfg.grid_step))
-    xs = lo + cfg.grid_step * np.arange(n + 1)
-
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        results = list(pool.map(lambda x: _point_entry(x, ccfg, op, probes), xs))
+    xs = window_grid(cfg.window, cfg.grid_step)
+    results = [_point_entry(x, ccfg, op, probes) for x in xs]
     points = [entry for entry, _ in results]
     samples = tuple(row for _, rows in results for row in rows)
-
-    acs = ac_support(op, cfg.window, probes, ccfg, cfg.grid_step)
-    scr = sc_screen(op, cfg.window, probes, ccfg, cfg.grid_step)
-    pur = purity_filter(op, cfg.window, probes, ccfg, cfg.grid_step)
+    stage_args = (op, cfg.window, probes, ccfg, cfg.grid_step)
 
     crosscheck = []
     if dom.n_interior <= _ORACLE_DIM_CAP:
@@ -161,21 +178,10 @@ def run_sweep(cfg: RunConfig) -> ClassificationReport:
         "window": [lo, hi],
         "grid_step": cfg.grid_step,
         "points": points,
-        "ac_support": {
-            "closed_union": _gridset_json(acs.closed_union),
-            "per_probe": [_gridset_json(s) for s in acs.per_probe_closed],
-            "ac_free": acs.ac_free,
-        },
-        "sc_screen": {
-            "flagged": _gridset_json(scr.flagged_set),
-            "excluded": scr.excluded,
-            "caveat": scr.caveat,
-        },
-        "purity": [{
-            "window": list(pur.window),
-            "verdict": pur.verdict,
-            "offending_points": list(pur.offending_points),
-        }],
+        "ac_support": _stage_json(ac_support, _ac_json, *stage_args),
+        "sc_screen": _stage_json(sc_screen, _sc_json, *stage_args),
+        "purity": [{"window": [lo, hi], "offending_points": [],
+                    **_stage_json(purity_filter, _purity_json, *stage_args)}],
         "oracle_crosscheck": crosscheck,
     }
     return ClassificationReport(data=data, samples=samples)

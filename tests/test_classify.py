@@ -55,6 +55,19 @@ class TestGridSet:
             GridSet(((0.0, 2.0), (1.0, 3.0)))
 
 
+class TestSlimNonzero:
+    def test_small_limit_is_zero(self):
+        assert not T1_CFG.slim_nonzero(0.5 * T1_CFG.tau_eig_rel, None)
+        assert T1_CFG.slim_nonzero(2 * T1_CFG.tau_eig_rel, 0.0)
+
+    def test_decaying_limit_is_zero(self):
+        assert not T1_CFG.slim_nonzero(1.0, T1_CFG.slim_decay_cut)
+        assert not T1_CFG.slim_nonzero(1.0, 1.0)
+
+    def test_slope_none_does_not_veto(self):
+        assert T1_CFG.slim_nonzero(1.0, None)
+
+
 class TestRefinePole:
     def test_converges_from_offset(self, t1):
         _, op = t1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dtnlab import ConfigError, config_from_dict, parse_config
+from dtnlab.classify import window_grid
 from dtnlab.cli import main
 from dtnlab.report import emit_csv, emit_report, parse_report, run_sweep
 
@@ -75,6 +76,12 @@ class TestSweep:
         assert len(lines) - 1 == 41 * 1 * 8   # grid points x probes x eta samples
         verdicts = {line.split(",")[-1] for line in lines[1:]}
         assert verdicts <= {"resolvent", "eigenvalue", "continuous", "inconclusive"}
+
+    def test_points_on_window_grid(self, report):
+        xs = window_grid((0.0, 4.0), 0.1)
+        assert len(xs) == 41
+        assert xs[0] == 0.0 and xs[-1] == pytest.approx(4.0, rel=1e-15)
+        assert [p["x"] for p in report.data["points"]] == list(xs)
 
     def test_report_roundtrip(self, report, tmp_path):
         path = emit_report(report, str(tmp_path))
@@ -163,15 +170,36 @@ class TestCli:
 
     def test_nan_tabulated_potential_is_config_error(self, tmp_path):
         bad = dict(T1_CONFIG, potential={"kind": "tabulated",
-                                         "interior_values": [0.0, float("nan")],
-                                         "boundary_values": [0.0]})
+                                         "interior_values": [0.0, float("nan")]})
         self._rejected(tmp_path, bad, "potential.interior_values")
 
     def test_wrong_length_tabulated_potential_is_config_error(self, tmp_path):
         bad = dict(T1_CONFIG, potential={"kind": "tabulated",
-                                         "interior_values": [0.0, 0.0, 0.0],
-                                         "boundary_values": [0.0]})
+                                         "interior_values": [0.0, 0.0, 0.0]})
         self._rejected(tmp_path, bad, "potential.interior_values")
+
+    def test_boundary_potential_is_config_error(self, tmp_path):
+        bad = dict(T1_CONFIG, potential={"kind": "tabulated",
+                                         "interior_values": [0.0, 0.0],
+                                         "boundary_values": [0.0]})
+        self._rejected(tmp_path, bad, "boundary_values")
+
+    def test_window_stage_failure_stays_local(self, tmp_path):
+        # eta0 = 1e-13 puts M(1 + i*eta0) within the solver's distance
+        # threshold of the level at 1: every window stage hits NearSpectrum
+        cfg = dict(T1_CONFIG, window={"lo": 0.9, "hi": 1.1, "grid_step": 0.1},
+                   eta={"eta0": 1e-13})
+        code = main(["classify", "--config", _write_config(tmp_path, cfg),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        for name in ("samples.csv", "plot_density.dat", "plot_poles.dat"):
+            assert (tmp_path / name).exists(), name
+        data = parse_report(str(tmp_path / "report.json"))
+        for section in (data["ac_support"], data["sc_screen"], data["purity"][0]):
+            assert section["verdict"] == "inconclusive"
+            assert "too close to the spectrum" in section["reason"]
+        assert data["purity"][0]["window"] == [0.9, 1.1]
+        assert data["purity"][0]["offending_points"] == []
 
     def test_config_error_exit_code(self, tmp_path):
         bad = dict(T1_CONFIG, domain={"kind": "halfline", "h": -1.0, "L": 3.0})

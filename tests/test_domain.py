@@ -87,7 +87,7 @@ class TestPotentials:
 
     def test_tabulated_roundtrip(self, t1):
         dom, _ = t1
-        q = tabulated_potential(dom, [0.5, -0.25], [0.0])
+        q = tabulated_potential(dom, [0.5, -0.25])
         assert q.bound == 0.5
         op = assemble_operator(dom, q)
         assert op.a_ii[0, 0] == 2.5
@@ -95,7 +95,7 @@ class TestPotentials:
     def test_tabulated_wrong_length(self, t1):
         dom, _ = t1
         with pytest.raises(DomainError):
-            tabulated_potential(dom, [1.0], [0.0])
+            tabulated_potential(dom, [1.0])
 
 
 class TestOperatorAssembly:

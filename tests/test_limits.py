@@ -10,6 +10,7 @@ from dtnlab import (
     richardson_extrapolate,
     slim_eta_M,
 )
+from dtnlab.limits import decay_exponent
 
 G = np.array([1.0 + 0j])
 
@@ -33,11 +34,27 @@ class TestEtaSchedule:
         with pytest.raises(ValueError):
             EtaSchedule(-1.0)
         with pytest.raises(ValueError):
+            EtaSchedule(float("nan"))
+        with pytest.raises(ValueError):
             EtaSchedule(1e-2, ratio=1.5)
         with pytest.raises(ValueError):
             EtaSchedule(1e-2, count=2)
         with pytest.raises(ValueError):
             EtaSchedule(1e-2, floor=2e-2)
+        with pytest.raises(ValueError):
+            EtaSchedule(1e-2, floor=float("nan"))
+
+
+class TestDecayExponent:
+    @pytest.mark.parametrize("k", [-1.0, 0.0, 0.5, 2.0])
+    def test_slope_of_power_law(self, k):
+        etas = EtaSchedule(1e-2, 0.5, 8).samples()
+        assert decay_exponent(etas, 3.0 * etas ** k) == pytest.approx(k, abs=1e-12)
+
+    def test_none_below_two_samples(self):
+        etas = EtaSchedule(1e-2, 0.5, 8).samples()
+        assert decay_exponent(etas, np.zeros(8)) is None
+        assert decay_exponent(etas, [1.0] + [1e-300] * 7) is None
 
 
 class TestRichardson:
