@@ -316,16 +316,23 @@ def classify_point(op: DirichletOperator, x: float, cfg: ClassifyConfig,
         raise Inconclusive(f"solver failures along the eta schedule at x={x}")
 
     # analytic continuation through *some* real neighborhood suffices, so the
-    # window shrinks when a nearby (but non-matching) pole spoils the first try
+    # window shrinks when a nearby pole or a sample on the spectrum spoils a try
+    failure = None
     for shrink in (1.0, 4.0, 16.0):
-        ana = analyticity_test(
-            op, x, cfg.window_half_width / shrink, probes, sched,
-            n_window=cfg.n_window, fit_degree=cfg.fit_degree,
-            slim_rel_tol=cfg.tau_eig_rel, im_rel_tol=cfg.tau_ac, fit_tol=cfg.fit_tol,
-        )
+        try:
+            ana = analyticity_test(
+                op, x, cfg.window_half_width / shrink, probes, sched,
+                n_window=cfg.n_window, fit_degree=cfg.fit_degree,
+                slim_rel_tol=cfg.tau_eig_rel, im_rel_tol=cfg.tau_ac, fit_tol=cfg.fit_tol,
+            )
+        except NearSpectrum as exc:
+            failure = exc
+            continue
         evidence["analyticity"] = ana
         if ana.ok:
             return PointVerdict(x=x, verdict=RESOLVENT_SET, evidence=evidence)
+    if failure is not None:
+        raise failure
     return PointVerdict(x=x, verdict=CONTINUOUS, evidence=evidence)
 
 

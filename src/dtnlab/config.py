@@ -24,8 +24,9 @@ noted; unknown keys anywhere are rejected with a suggestion):
     }
 
 Null thresholds are derived from the grid step (pole_match_radius = step / 2,
-window_half_width = step).  "threads" must be at least 1 and has no effect:
-the sweep runs on one thread.
+window_half_width = step).  Stone intervals need lo < hi, one zeta sample must
+be non-real, and the convergence h_values and L must be positive.  "threads"
+must be at least 1 and has no effect: the sweep runs on one thread.
 """
 
 from __future__ import annotations
@@ -76,6 +77,10 @@ def _require(cond, message):
 def _is_number(value) -> bool:
     """A finite JSON number (the parser accepts NaN and Infinity)."""
     return isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
 
 
 def _require_numbers(section, values, keys):
@@ -218,9 +223,22 @@ def config_from_dict(data: dict) -> RunConfig:
 
     meas = {"stone_intervals": [], "zeta_samples": [[0.0, 1.0], [0.0, 2.0]]}
     meas.update(data.get("measures", {}))
+    intervals, zetas = meas["stone_intervals"], meas["zeta_samples"]
+    _require(isinstance(intervals, list) and all(_is_pair(p) and p[0] < p[1] for p in intervals),
+             "measures.stone_intervals must be [lo, hi] pairs of finite numbers, lo < hi")
+    _require(isinstance(zetas, list) and all(map(_is_pair, zetas))
+             and any(im != 0 for _, im in zetas),
+             "measures.zeta_samples must be [re, im] pairs of finite numbers, one with im != 0")
     conv = {"x_values": [0.5, 1.0, 2.0], "eta": 0.1,
             "h_values": [0.01, 0.005], "L": 200.0}
     conv.update(data.get("convergence", {}))
+    _require_numbers("convergence", conv, ("eta", "L"))
+    _require(conv["L"] > 0, "convergence.L must be positive")
+    _require(isinstance(conv["x_values"], list) and all(map(_is_number, conv["x_values"])),
+             "convergence.x_values must be a list of finite numbers")
+    _require(isinstance(conv["h_values"], list)
+             and all(_is_number(h) and h > 0 for h in conv["h_values"]),
+             "convergence.h_values must be a list of positive numbers")
 
     threads = int(data.get("threads", 1))
     _require(threads >= 1, "threads must be at least 1")

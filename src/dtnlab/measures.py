@@ -3,8 +3,8 @@
 A finite model has a purely atomic spectral measure supported on the oracle
 eigenvalues.  This module builds those measures, evaluates their Borel
 transforms, recovers atoms and local densities from boundary behaviour, and
-realizes spectral projections through Stone's formula with adaptive quadrature
-and extrapolation in the regularization parameter.
+realizes spectral projections through Stone's formula, as a Riesz contour
+integral plus two edge integrals, extrapolated in the regularization parameter.
 """
 
 from __future__ import annotations
@@ -131,49 +131,29 @@ class StoneResult:
     panels: int
 
 
-def _imag_resolvent_matrix(op: DirichletOperator, t: float, delta: float) -> np.ndarray:
-    """(R(z) - R(conj z)) / 2i as a dense matrix, z = t + i*delta."""
-    solver = op.factorize(t + 1j * delta)
-    r = solver.solve(np.eye(op.n, dtype=complex))
-    # A is real symmetric, so R(conj z) = conj(R(z))
-    return r.imag
-
-
-def _adaptive_panel(f, a, b, nodes, weights, tol, depth, counter):
-    mid = 0.5 * (a + b)
-
-    def gauss(lo, hi):
-        half = 0.5 * (hi - lo)
-        ts = lo + half * (nodes + 1.0)
-        acc = None
-        for t, w in zip(ts, weights):
-            val = w * f(t)
-            acc = val if acc is None else acc + val
-        return acc * half
-
-    coarse = gauss(a, b)
-    fine = gauss(a, mid) + gauss(mid, b)
-    err = np.max(np.abs(fine - coarse))
-    counter[0] += 2
-    if err <= tol or depth >= 24:
-        return fine
-    left = _adaptive_panel(f, a, mid, nodes, weights, tol / 2, depth + 1, counter)
-    right = _adaptive_panel(f, mid, b, nodes, weights, tol / 2, depth + 1, counter)
-    return left + right
+_ASPECT = 0.3               # vertical over horizontal semi-axis of the contour ellipse
+_FIRST_NODES, _MAX_NODES = 16, 4096   # smallest trapezoid node count compared; the cap
+_EDGE_NODES = 4             # Gauss-Legendre nodes per piece [delta_(k+1), delta_k] of an edge
 
 
 def stone_projection(op: DirichletOperator, a: float, b: float,
                      eig: EigenSystem | None = None,
                      delta0: float = 1e-2, ratio: float = 0.5, count: int = 6,
-                     nodes_per_unit: int = 64, quad_tol: float = 1e-10) -> StoneResult:
+                     quad_tol: float = 1e-10) -> StoneResult:
     """Spectral projector onto (a, b) via Stone's formula.
 
-    For each delta in a geometric schedule the integral
-    (1/pi) int_a^b Im R(t + i delta) dt is evaluated by adaptive composite
-    Gauss-Legendre quadrature (panels bisect until the refinement error falls
-    below quad_tol), then the family is extrapolated to delta -> 0; the
-    delta-dependence is an odd analytic series, so polynomial extrapolation is
-    accurate.  Endpoints must stay away from eigenvalues.
+    For each delta of a geometric schedule, deforming the Stone segment into
+    the rectangle around (a, b) (Kato, Perturbation Theory, III.6) gives
+    (1/pi) int_a^b Im R(t + i delta) dt
+        = P + (1/pi) int_0^delta Re[R(b + i s) - R(a + i s)] ds,
+    with P = (-1/2 pi i) oint R(z) dz the Riesz projector: the trapezoid rule
+    on the ellipse through a and b, its nodes doubled until two successive
+    values agree to quad_tol (or the cap).  The edges, smooth as the endpoints
+    stay off the spectrum, are Gauss-Legendre on the pieces between successive
+    deltas.  The family is extrapolated to delta -> 0 (an odd analytic series);
+    extrapolation_error is the last extrapolation step, or the last contour
+    refinement step if larger (at the cap).  eig only guards the endpoints;
+    panels counts the resolvent evaluations.
     """
     if not b > a:
         raise ValueError("need a < b")
@@ -184,21 +164,33 @@ def stone_projection(op: DirichletOperator, a: float, b: float,
             raise EndpointOnEigenvalue(
                 f"interval endpoint of ({a}, {b}) lies on an eigenvalue")
 
-    n_nodes = max(8, int(np.ceil(nodes_per_unit * (b - a) / 8)))
-    nodes, weights = roots_legendre(n_nodes)
+    eye = np.eye(op.n, dtype=complex)
+
+    def contour_term(t):  # the nodes z(t), z(-t) = conj z(t) add 2i Im(R(z) z') to the sum
+        u, du = np.cos(t) + 1j * _ASPECT * np.sin(t), -np.sin(t) + 1j * _ASPECT * np.cos(t)
+        return (op.factorize(0.5 * (a + b + (b - a) * u)).solve(eye) * 0.5 * (b - a) * du).imag
+
+    n, total = 2, contour_term(0.0) + contour_term(np.pi)
+    projector = -total / n  # -(1/2 pi i) (2 pi / n) sum_j R(z_j) z'(t_j)
+    while n < _MAX_NODES:
+        total += 2 * sum(contour_term(np.pi * (2 * j + 1) / n) for j in range(n // 2))
+        n *= 2
+        previous, projector = projector, -total / n
+        if (gap := np.max(np.abs(projector - previous))) <= quad_tol and n > _FIRST_NODES:
+            break
+
     deltas = delta0 * ratio ** np.arange(count)
-    counter = [0]
-    approximants = []
-    for delta in deltas:
-        integral = _adaptive_panel(
-            lambda t: _imag_resolvent_matrix(op, t, delta),
-            a, b, nodes, weights, quad_tol, 0, counter,
-        )
-        approximants.append(integral / np.pi)
-    value, err = richardson_extrapolate(deltas, approximants)
+    nodes, weights = roots_legendre(_EDGE_NODES)
+    approximants = [projector]  # the Stone integral at delta = 0, then upwards
+    for lo, hi in zip(np.append(0.0, deltas[::-1]), deltas[::-1]):
+        half = 0.5 * (hi - lo)
+        approximants.insert(0, approximants[0] + half / np.pi * sum(
+            w * (op.factorize(b + 1j * s).solve(eye) - op.factorize(a + 1j * s).solve(eye)).real
+            for s, w in zip(lo + half * (nodes + 1.0), weights)))
+    value, err = richardson_extrapolate(deltas, approximants[:-1])
     return StoneResult(interval=(float(a), float(b)), projector=value.real,
-                       deltas=deltas, extrapolation_error=float(err),
-                       panels=counter[0])
+                       deltas=deltas, extrapolation_error=max(float(err), float(gap)),
+                       panels=n // 2 + 1 + 2 * count * _EDGE_NODES)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from dtnlab import (
     Exterior2D,
@@ -9,6 +11,18 @@ from dtnlab import (
     well_potential,
     zero_potential,
 )
+
+# derandomized property tests that keep no example database: the same draws
+# on every run
+settings.register_profile("dtnlab", derandomize=True, database=None, deadline=None)
+settings.load_profile("dtnlab")
+
+
+def pytest_configure(config):
+    """Hypothesis caches the constants it reads from the sources on disk: keep
+    that cache in pytest's cache directory, not in a .hypothesis/ here."""
+    if hasattr(config, "cache"):
+        set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
 
 
 @pytest.fixture(scope="session")

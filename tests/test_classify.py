@@ -7,6 +7,7 @@ from dtnlab import (
     Exterior2D,
     GridSet,
     HalfLine1D,
+    NearSpectrum,
     ac_support,
     assemble_operator,
     build_domain,
@@ -92,6 +93,16 @@ class TestClassifyPoint:
         assert v.refined_lambda == pytest.approx(1.0, abs=1e-7)
         assert v.multiplicity == 1
         assert v.residue.r[0, 0] == pytest.approx(0.5, abs=1e-8)
+
+    def test_window_sample_on_spectrum_spoils_only_its_window(self, t1):
+        # eta0 = 1e-13: the widest window around 0.9 and 1.1 samples the level
+        # at 1 within the solver's distance threshold; the narrower ones do not
+        _, op = t1
+        cfg = ClassifyConfig(eta0=1e-13, pole_match_radius=0.05, window_half_width=0.1)
+        assert classify_point(op, 0.9, cfg).verdict == "resolvent"
+        assert classify_point(op, 1.1, cfg).verdict == "resolvent"
+        with pytest.raises(NearSpectrum):
+            classify_point(op, 1.0, cfg)
 
     def test_continuum_point_is_continuous(self, freeline):
         _, op = freeline

@@ -157,12 +157,31 @@ class TestCli:
         rows = json.loads((tmp_path / "convergence.json").read_text())["rows"]
         assert rows[0]["err_vs_continuum"] > rows[1]["err_vs_continuum"]
 
-    def _rejected(self, tmp_path, bad, match):
+    def _rejected(self, tmp_path, bad, match, command="classify"):
         with pytest.raises(ConfigError, match=match):
             config_from_dict(bad)
-        code = main(["classify", "--config", _write_config(tmp_path, bad),
+        code = main([command, "--config", _write_config(tmp_path, bad),
                      "--out", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize("intervals", [[[1.5, 0.5]], [[float("nan"), 1.5]], [[0.5]]])
+    def test_bad_stone_interval_is_config_error(self, tmp_path, intervals):
+        bad = dict(T1_CONFIG, measures={"stone_intervals": intervals})
+        self._rejected(tmp_path, bad, "measures.stone_intervals", "measures")
+
+    def test_real_zeta_samples_are_config_error(self, tmp_path):
+        bad = dict(T1_CONFIG, measures={"zeta_samples": [[0.0, 0.0]]})
+        self._rejected(tmp_path, bad, "measures.zeta_samples", "measures")
+
+    @pytest.mark.parametrize("conv, match", [
+        ({"h_values": [-0.1]}, "convergence.h_values"),
+        ({"eta": float("inf")}, "convergence.eta"),
+        ({"x_values": [float("nan")]}, "convergence.x_values"),
+        ({"L": 0.0}, "convergence.L"),
+    ])
+    def test_bad_convergence_is_config_error(self, tmp_path, conv, match):
+        bad = dict(T1_CONFIG, convergence=conv)
+        self._rejected(tmp_path, bad, match, "convergence")
 
     def test_infinite_eta0_is_config_error(self, tmp_path):
         bad = dict(T1_CONFIG, eta={"eta0": float("inf")})

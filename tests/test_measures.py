@@ -3,6 +3,7 @@ import pytest
 
 from dtnlab import (
     AtomHit,
+    DirichletOperator,
     EndpointOnEigenvalue,
     EtaSchedule,
     SpectralMeasure,
@@ -98,6 +99,19 @@ class TestPointMass:
         assert point_mass(mu, x, EtaSchedule(1e-5, 0.5, 10)) == pytest.approx(1e-4, abs=1e-8)
 
 
+def _count_factorizations(monkeypatch):
+    """Record the z of every DirichletOperator.factorize call."""
+    calls = []
+    factorize = DirichletOperator.factorize
+
+    def counting(op, z):
+        calls.append(z)
+        return factorize(op, z)
+
+    monkeypatch.setattr(DirichletOperator, "factorize", counting)
+    return calls
+
+
 class TestStone:
     def test_t1_first_eigenspace(self, t1):
         _, op = t1
@@ -110,6 +124,37 @@ class TestStone:
         eig = oracle_eigendecomposition(op)
         res = stone_projection(op, 1.5, 2.5, eig)
         assert np.max(np.abs(res.projector)) <= 1e-3
+
+    def test_t1_level_resolved_with_few_factorizations(self, t1, monkeypatch):
+        _, op = t1
+        eig = oracle_eigendecomposition(op)
+        calls = _count_factorizations(monkeypatch)
+        res = stone_projection(op, 0.5, 1.5, eig)
+        assert np.max(np.abs(res.projector - oracle_projector(eig, 0.5, 1.5))) <= 1e-12
+        assert res.panels == len(calls) <= 200
+
+    def test_panels_count_factorizations(self, reduced_annulus, monkeypatch):
+        _, op = reduced_annulus
+        eig = oracle_eigendecomposition(op)
+        calls = _count_factorizations(monkeypatch)
+        res = stone_projection(op, 0.99, 1.2, eig)
+        assert res.panels == len(calls) > 0
+        assert np.max(np.abs(res.projector - oracle_projector(eig, 0.99, 1.2))) <= 1e-10
+
+    def test_endpoint_near_level_shows_in_extrapolation_error(self, t1):
+        # the delta-schedule starts at 1e-2 and cannot resolve an endpoint
+        # 1e-3 below the level at 1
+        _, op = t1
+        res = stone_projection(op, 0.5, 0.999, oracle_eigendecomposition(op))
+        assert res.extrapolation_error > 1e-3
+
+    def test_contour_cap_shows_in_extrapolation_error(self, t1):
+        # 1e-5 below the level the contour stops unconverged at its node cap
+        _, op = t1
+        eig = oracle_eigendecomposition(op)
+        res = stone_projection(op, 0.5, 0.99999, eig)
+        defect = np.max(np.abs(res.projector - oracle_projector(eig, 0.5, 0.99999)))
+        assert res.extrapolation_error >= defect > 1e-3
 
     def test_endpoint_guard(self, t1):
         _, op = t1

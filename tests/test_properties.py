@@ -1,0 +1,80 @@
+"""Property tests: the boundary-triple identities on random models.
+
+Models are half-lines with random mesh, length and well or tabulated
+potential, and small square annuli.  The profile registered in conftest.py
+makes the draws deterministic.
+"""
+
+import numpy as np
+from hypothesis import assume, given, strategies as st
+
+from dtnlab import (
+    Exterior2D,
+    HalfLine1D,
+    assemble_operator,
+    boundary_adjoint,
+    build_domain,
+    dtn_matrix,
+    identity_suite,
+    poisson_solve,
+    tabulated_potential,
+    well_potential,
+    zero_potential,
+)
+
+
+@st.composite
+def halflines(draw):
+    h = draw(st.floats(0.05, 1.0))
+    dom = build_domain(HalfLine1D(h=h, L=draw(st.integers(3, 120)) * h))
+    if draw(st.booleans()):
+        q = well_potential(dom, depth=draw(st.floats(-5.0, 5.0)),
+                           width=draw(st.floats(h, dom.interior_coords[-1, 0])))
+    else:
+        q = tabulated_potential(dom, draw(st.lists(
+            st.floats(-10.0, 10.0), min_size=dom.n_interior, max_size=dom.n_interior)))
+    return dom, assemble_operator(dom, q)
+
+
+@st.composite
+def annuli(draw):
+    dom = build_domain(Exterior2D(h=1.0, a=draw(st.sampled_from([1.5, 2.5])),
+                                  L=draw(st.sampled_from([4.5, 5.5, 6.5]))))
+    return dom, assemble_operator(dom, zero_potential(dom))
+
+
+models = st.one_of(halflines(), annuli())
+
+
+def upper(lo=0.2):
+    """Spectral parameters with Im z in [lo, 2], a distance lo off the real spectrum."""
+    return st.builds(complex, st.floats(-4.0, 4.0), st.floats(lo, 2.0))
+
+
+@given(models, upper(), upper(), upper())
+def test_four_identities(model, lam, zeta, nu_bar):
+    _, op = model
+    nu = np.conj(nu_bar)
+    assume(abs(nu - np.conj(zeta)) > 1e-3)
+    assert identity_suite(op, lam, zeta, nu).max_residual <= 1e-10
+
+
+@given(models, upper(0.05), st.data())
+def test_herglotz_identity(model, lam, data):
+    # Im (M g, g) = -Im(lam) ||gamma g||^2, criterion 2's identity
+    dom, op = model
+    parts = st.lists(st.floats(-1.0, 1.0), min_size=dom.n_boundary, max_size=dom.n_boundary)
+    g = np.array(data.draw(parts)) + 1j * np.array(data.draw(parts))
+    assume(np.linalg.norm(g) > 1e-3)
+    lhs = dom.boundary_inner(dtn_matrix(op, lam).m @ g, g).imag
+    rhs = -lam.imag * dom.interior_norm(poisson_solve(op, lam, g)) ** 2
+    assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
+
+
+@given(models, upper(0.05))
+def test_conjugate_symmetry(model, lam):
+    # M(conj z) = M(z)* in the weighted boundary product
+    dom, op = model
+    m = dtn_matrix(op, lam).m
+    defect = np.max(np.abs(dtn_matrix(op, np.conj(lam)).m - boundary_adjoint(dom, m)))
+    assert defect <= 1e-12 * max(np.max(np.abs(m)), 1.0)
