@@ -39,6 +39,7 @@ from .dtn import (
     PoissonMatrix,
     RobinMap,
     boundary_adjoint,
+    dtn_matrices,
     dtn_matrix,
     gamma_adjoint,
     identity_suite,

@@ -26,7 +26,10 @@ noted; unknown keys anywhere are rejected with a suggestion):
 Null thresholds are derived from the grid step (pole_match_radius = step / 2,
 window_half_width = step).  Stone intervals need lo < hi, one zeta sample must
 be non-real, and the convergence h_values and L must be positive.  "threads"
-must be at least 1 and has no effect: the sweep runs on one thread.
+must be at least 1 and has no effect: the sweep runs on one thread.  Numbers
+must be finite JSON numbers (true and false are not numbers).  Two work caps
+bound a run: eta.count is at most MAX_ETA_COUNT and the window holds at most
+MAX_GRID_POINTS grid points.
 """
 
 from __future__ import annotations
@@ -40,9 +43,16 @@ from .classify import ClassifyConfig
 from .domain import Exterior2D, HalfLine1D, build_domain
 from .errors import ConfigError, DomainError
 
-__all__ = ["RunConfig", "parse_config", "config_from_dict"]
+__all__ = ["RunConfig", "parse_config", "config_from_dict", "MAX_ETA_COUNT", "MAX_GRID_POINTS"]
 
 SCHEMA_TAG = "dtnlab-report-v1"
+
+# Work caps, checked here so that a runaway config exits 1 instead of failing
+# deep in the sweep.  An analyticity window holds 17 x eta.count DtN matrices
+# at once, and 64 halvings of eta already span a factor 1e19; every grid point
+# costs one classification of many M(z) evaluations.
+MAX_ETA_COUNT = 64
+MAX_GRID_POINTS = 10_000
 
 _SECTIONS = {
     "domain", "potential", "window", "eta", "probes", "thresholds",
@@ -75,8 +85,9 @@ def _require(cond, message):
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number (the parser accepts NaN and Infinity)."""
-    return isinstance(value, (int, float)) and math.isfinite(value)
+    """A finite JSON number (the parser accepts NaN and Infinity; bool is an int)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _is_pair(value) -> bool:
@@ -186,6 +197,10 @@ def config_from_dict(data: dict) -> RunConfig:
              "window.lo must be < window.hi")
     _require(_is_number(win.get("grid_step")) and win["grid_step"] > 0,
              "window.grid_step must be positive")
+    # window_grid places round(steps) + 1 points
+    steps = (win["hi"] - win["lo"]) / win["grid_step"]
+    _require(steps < MAX_GRID_POINTS - 0.5,
+             f"window.grid_step gives more than {MAX_GRID_POINTS} grid points")
 
     eta = {"eta0": 0.01, "ratio": 0.5, "count": 8,
            "floor_mode": "none", "floor_const": 0.0, "floor_factor": 5.0}
@@ -193,7 +208,8 @@ def config_from_dict(data: dict) -> RunConfig:
     _require_numbers("eta", eta, ("eta0", "ratio", "count", "floor_const", "floor_factor"))
     _require(eta["eta0"] > 0, "eta.eta0 must be positive")
     _require(0 < eta["ratio"] < 1, "eta.ratio must lie in (0, 1)")
-    _require(int(eta["count"]) >= 3, "eta.count must be at least 3")
+    _require(3 <= int(eta["count"]) <= MAX_ETA_COUNT,
+             f"eta.count must lie in [3, {MAX_ETA_COUNT}]")
     eta["count"] = int(eta["count"])
     _require(eta["floor_mode"] in ("none", "constant", "halfline_auto"),
              "eta.floor_mode must be 'none', 'constant' or 'halfline_auto'")

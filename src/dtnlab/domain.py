@@ -17,6 +17,7 @@ what makes the discrete Green identity exact, corners included).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,6 +42,11 @@ __all__ = [
     "oracle_eigendecomposition",
     "oracle_projector",
 ]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +108,15 @@ class DiscreteDomain:
         """Base boundary weight h^(d-1) (per adjacency pair)."""
         return self.h ** (self.dimension - 1)
 
-    @property
+    @cached_property
     def neighbor_counts(self) -> np.ndarray:
-        return np.array([len(a) for a in self.boundary_adjacency])
+        """Inward neighbor count k_b per boundary node (read-only, built on first use)."""
+        return _read_only(np.array([len(a) for a in self.boundary_adjacency]))
 
-    @property
+    @cached_property
     def boundary_node_weights(self) -> np.ndarray:
-        """Per-node boundary weights k_b * h^(d-1)."""
-        return self.neighbor_counts * self.boundary_weight
+        """Per-node boundary weights k_b * h^(d-1) (read-only, built on first use)."""
+        return _read_only(self.neighbor_counts * self.boundary_weight)
 
     # -- weighted products -------------------------------------------------
 
@@ -120,13 +127,15 @@ class DiscreteDomain:
     def interior_norm(self, u) -> float:
         return float(np.sqrt(self.interior_weight) * np.linalg.norm(u))
 
-    def boundary_inner(self, f, g) -> complex:
-        w = self.boundary_node_weights
-        return complex(np.sum(w * np.asarray(f) * np.conj(g)))
+    def boundary_inner(self, f, g):
+        """(f, g) over the last axis: a complex for two vectors, an array for stacks."""
+        inner = np.sum(self.boundary_node_weights * np.asarray(f) * np.conj(g), axis=-1)
+        return complex(inner) if inner.ndim == 0 else inner
 
-    def boundary_norm(self, f) -> float:
-        w = self.boundary_node_weights
-        return float(np.sqrt(np.sum(w * np.abs(np.asarray(f)) ** 2)))
+    def boundary_norm(self, f):
+        """Norm over the last axis: a float for a vector, an array for a stack."""
+        norm = np.sqrt(np.sum(self.boundary_node_weights * np.abs(np.asarray(f)) ** 2, axis=-1))
+        return float(norm) if norm.ndim == 0 else norm
 
     # -- invariants --------------------------------------------------------
 
@@ -332,6 +341,24 @@ class DirichletOperator:
             self._cache[key] = value
         return self._cache[key]
 
+    def cached_many(self, keys, build):
+        """cached() for many keys at once: build(missing) gives, in order, the
+        values of the keys not yet stored."""
+        missing = [key for key in keys if key not in self._cache]
+        if missing:
+            for key, value in zip(missing, build(missing)):
+                self.cached(key, lambda v=value: v)
+
+    @property
+    def tridiagonal(self) -> tuple:
+        """(diagonal, off-diagonal) of a tridiagonal A_II, read once per operator."""
+        return self.cached("tridiagonal", lambda: (_read_only(self.a_ii.diagonal()),
+                                                   _read_only(self.a_ii.diagonal(1))))
+
+    def certified(self, z):
+        """Whether |Im z| alone proves z off the spectrum (see ShiftedSolver); elementwise."""
+        return np.abs(np.imag(z)) >= _CERTIFIED_GAP * _REL_DIST_THRESHOLD * self.a_norm
+
     def factorize(self, z: complex) -> "ShiftedSolver":
         """Factor A_II - z, raising NearSpectrum if z is too close to an eigenvalue."""
         return ShiftedSolver(self, complex(z))
@@ -382,6 +409,9 @@ def assemble_operator(dom: DiscreteDomain, q: PotentialField) -> DirichletOperat
 # ---------------------------------------------------------------------------
 
 _REL_DIST_THRESHOLD = 1e-10
+# |Im z| >= _CERTIFIED_GAP * _REL_DIST_THRESHOLD * ||A_II||_1 skips the distance
+# estimate; the factor 2 leaves room for the rounding of the estimate
+_CERTIFIED_GAP = 2.0
 _GTTRF, _GTTRS = get_lapack_funcs(("gttrf", "gttrs"), dtype=complex)
 
 
@@ -391,27 +421,40 @@ class ShiftedSolver:
     A tridiagonal A_II (the half-line) keeps LAPACK's gttrf factors and solves
     with gttrs; every other operator keeps a sparse LU (splu) of the CSC matrix,
     as does the two-node half-line, whose size SciPy's gttrf wrapper rejects.
-    Plain and adjoint solves reuse the same factors.  Near-spectrum detection
-    runs a few fixed-start power iterations on the inverse; no randomness, no
-    oracle.
+    Plain and adjoint solves reuse the same factors.
+
+    Near-spectrum detection runs a few fixed-start power iterations on the
+    inverse (no randomness, no oracle) and raises NearSpectrum when the
+    estimate of sigma_min(A_II - z) falls below 1e-10 * ||A_II||_1.  It is
+    skipped for a certified z, one with |Im z| at least twice that threshold
+    (``DirichletOperator.certified``): A_II is real symmetric, so
+    sigma_min(A_II - z) = min_j |lambda_j - z| >= |Im z|, and the power
+    iteration never estimates sigma_min from below (||y|| <= sigma_min^-2 for
+    a unit start), so the test could not fire; only at huge |z|, where the
+    iterates underflow, did it raise, far from the spectrum.  ``dist_estimate``
+    is then |Im z|, a lower bound on the distance; for every other z (real and
+    near-real z: residue-contour crossings, Newton iterates, Stone endpoints)
+    it is the power-iteration estimate.
     """
 
     def __init__(self, op: DirichletOperator, z: complex):
         self.z = z
         self.op = op
-        a = op.a_ii
         self._n = op.n
         self._lu = self._tri = None
         if op.domain.dimension == 1 and self._n > 2:
-            *self._tri, info = _GTTRF(a.diagonal(-1).astype(complex), a.diagonal() - z,
-                                      a.diagonal(1).astype(complex))
+            diag, off = op.tridiagonal
+            *self._tri, info = _GTTRF(off, diag - z, off)
             if info > 0:
                 raise NearSpectrum(z, 0.0)
         else:
             try:
-                self._lu = spla.splu((a - z * sp.identity(self._n, format="csr")).tocsc())
+                self._lu = spla.splu((op.a_ii - z * sp.identity(self._n, format="csr")).tocsc())
             except RuntimeError:  # exactly singular
                 raise NearSpectrum(z, 0.0) from None
+        if op.certified(z):
+            self.dist_estimate = abs(z.imag)
+            return
         dist = self._distance_estimate()
         if not np.isfinite(dist) or dist < _REL_DIST_THRESHOLD * op.a_norm:
             raise NearSpectrum(z, dist)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import DirichletOperator, DiscreteDomain
-from .errors import DegenerateParameters, SingularRobinPencil
+from .errors import DegenerateParameters, NearSpectrum, SingularRobinPencil
 
 __all__ = [
     "PoissonMatrix",
@@ -35,6 +35,7 @@ __all__ = [
     "poisson_matrix",
     "normal_derivative",
     "dtn_matrix",
+    "dtn_matrices",
     "gamma_adjoint",
     "boundary_adjoint",
     "identity_suite",
@@ -143,6 +144,56 @@ def dtn_matrix(op: DirichletOperator, lam: complex) -> DtnMatrix:
     lam = complex(lam)
     m = op.cached(lam, lambda: _dtn_from_gamma(op, poisson_matrix(op, lam).gamma))
     return DtnMatrix(lam=lam, m=m)
+
+
+def _continued_fraction(op: DirichletOperator, zs: np.ndarray) -> np.ndarray:
+    """M(z) = 1/h - [(A_II - z)^-1]_11 / h^3 on the half-line, vectorized over zs.
+
+    [(A_II - z)^-1]_11 = 1/t_1 for the backward continued fraction
+    t_n = d_n - z, t_i = d_i - z - e_i^2 / t_(i+1) of the tridiagonal A_II
+    (Golub & Meurant, *Matrices, Moments and Quadrature*, ch. 3).  Each pivot
+    has Im t_i <= -Im z for Im z > 0 (>= for Im z < 0), so none vanishes off
+    the real axis.
+    """
+    diag, off = op.tridiagonal
+    h = op.domain.h
+    t = diag[-1] - zs
+    for d, e2 in zip(diag[-2::-1].tolist(), (off[::-1] ** 2).tolist()):
+        t = d - zs - e2 / t
+    return 1.0 / h - 1.0 / (h ** 3 * t)
+
+
+def dtn_matrices(op: DirichletOperator, zs):
+    """M(z) over a (rows, k) array of z whose rows are profiles, e.g. x + i*etas.
+
+    Returns (m, lengths, failures): m[r, :lengths[r]] holds M(z) along row r,
+    which stops at its first z where dtn_matrix raises NearSpectrum;
+    failures[r] is that exception, or None for a complete row.
+
+    Every entry comes from the M(z) table.  On the half-line the certified z
+    (``DirichletOperator.certified``) that the table lacks are entered first,
+    all at once, by the continued fraction, which cannot fail there; every
+    other z, and every z in 2D, is left to dtn_matrix and its LU, so
+    NearSpectrum is raised where dtn_matrix raises it.
+    """
+    zs = np.atleast_2d(np.asarray(zs, dtype=complex))
+    if op.domain.dimension == 1:
+        distinct = np.unique(zs)
+        op.cached_many(distinct[op.certified(distinct)].tolist(), lambda fresh:
+                       _continued_fraction(op, np.array(fresh))[:, None, None])
+    n_b = op.domain.n_boundary
+    m = np.zeros(zs.shape + (n_b, n_b), dtype=complex)
+    lengths = np.zeros(len(zs), dtype=int)
+    failures = [None] * len(zs)
+    for r, row in enumerate(zs.tolist()):
+        for z in row:
+            try:
+                m[r, lengths[r]] = dtn_matrix(op, z).m
+            except NearSpectrum as exc:
+                failures[r] = exc
+                break
+            lengths[r] += 1
+    return m, lengths, failures
 
 
 def _factor_at(op: DirichletOperator, z: complex):

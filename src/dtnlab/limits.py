@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import DirichletOperator
-from .dtn import dtn_matrix
+from .dtn import dtn_matrices, dtn_matrix
 from .errors import ContourTouchesSpectrum, NearSpectrum
 
 __all__ = [
@@ -167,19 +167,12 @@ def decay_exponent(etas, norms) -> float | None:
 
 def dtn_profile(op: DirichletOperator, x: float, g: np.ndarray, sched: EtaSchedule):
     """(etas, M(x + i*eta) g, failure) along the schedule; partial on NearSpectrum."""
-    etas, applied = [], []
-    failure = None
-    for eta in sched.samples():
-        try:
-            m = dtn_matrix(op, x + 1j * eta).m
-        except NearSpectrum as exc:
-            failure = exc
-            break
-        etas.append(float(eta))
-        applied.append(m @ g)
-    if not etas:
-        raise failure if failure is not None else NearSpectrum(x)
-    return etas, applied, failure
+    etas = sched.samples()
+    m, lengths, failures = dtn_matrices(op, x + 1j * etas)
+    n = lengths[0]
+    if n == 0:
+        raise failures[0]
+    return etas[:n].tolist(), [mk @ g for mk in m[0, :n]], failures[0]
 
 
 def slim_eta_M(op: DirichletOperator, x: float, g: np.ndarray,
@@ -290,32 +283,55 @@ def analyticity_test(op: DirichletOperator, x: float, half_width: float,
     True iff across (x - w, x + w): the eta*M limits vanish for all probes,
     the imaginary parts of the boundary values vanish, and the sampled values
     of (M g, g) just above the axis admit a low-degree polynomial fit in z.
+
+    The window is one block.  dtn_matrices gives M at every window point and
+    eta; each point's profile stops at its first NearSpectrum, as in
+    dtn_profile, and the first point that fails at eta0 re-raises it.  Points
+    with equal profile lengths are then taken together, per probe, in array
+    arithmetic: slim_eta_M's meta["relative"], boundary_value_M's value and
+    its last sample, the one that enters the fit.  The result equals
+    composing those two functions point by point.
     """
     xs = np.linspace(x - half_width, x + half_width, n_window)
+    etas = sched.samples()
+    m, lengths, failures = dtn_matrices(op, xs[:, None] + 1j * etas)
+    if not lengths.all():
+        raise failures[int(np.argmin(lengths))]
 
-    slim_max = 0.0
-    im_max = 0.0
-    fit_misfit = 0.0
-    for g in probes:
-        g = np.asarray(g, dtype=complex)
-        fit_vals = np.empty(n_window, dtype=complex)
-        for j, xj in enumerate(xs):
-            slim_max = max(slim_max, slim_eta_M(op, xj, g, sched).meta["relative"])
-            bv = boundary_value_M(op, xj, g, sched)
-            im_max = max(im_max, abs(complex(bv.value).imag) / max(abs(complex(bv.value)), 1.0))
+    dom = op.domain
+    relative = np.empty((len(probes), n_window))
+    im_rel = np.empty((len(probes), n_window))
+    fit_vals = np.empty((len(probes), n_window), dtype=complex)
+    for n in np.unique(lengths):
+        rows = lengths == n
+        eta = etas[:n]
+        for p, g in enumerate(probes):
+            g = np.asarray(g, dtype=complex)
+            mg = m[rows, :n] @ g                                  # (points, eta, n_B)
+            limit, _ = extrapolate_tail(eta, eta[:, None, None] * mg.swapaxes(0, 1))
+            relative[p, rows] = dom.boundary_norm(limit) / np.maximum(
+                dom.boundary_norm(mg[:, 0]), 1e-300)
+            q = dom.boundary_inner(mg, g)                         # (points, eta)
+            value = q[:, -1] if sched.floored else extrapolate_tail(eta, q.T)[0]
+            # hypot rounds as abs() of a Python complex does; np.abs may not
+            im_rel[p, rows] = np.abs(value.imag) / np.maximum(np.hypot(value.real, value.imag), 1.0)
             # sample just above the axis at the smallest admissible eta
-            fit_vals[j] = bv.samples[-1][1]
-        deg = min(fit_degree, n_window - 2)
-        fit = np.polynomial.Polynomial.fit(xs, fit_vals, deg)
-        resid = np.max(np.abs(fit_vals - fit(xs))) / max(np.max(np.abs(fit_vals)), 1e-300)
+            fit_vals[p, rows] = q[:, -1]
+
+    deg = min(fit_degree, n_window - 2)
+    fit_misfit = 0.0
+    for vals in fit_vals:
+        fit = np.polynomial.Polynomial.fit(xs, vals, deg)
+        resid = np.max(np.abs(vals - fit(xs))) / max(np.max(np.abs(vals)), 1e-300)
         fit_misfit = max(fit_misfit, float(resid))
 
+    slim_max, im_max = float(relative.max()), float(im_rel.max())
     ok = slim_max <= slim_rel_tol and im_max <= im_rel_tol and fit_misfit <= fit_tol
     return AnalyticityReport(
         ok=ok,
         window=(x - half_width, x + half_width),
-        slim_max=float(slim_max),
-        im_max=float(im_max),
+        slim_max=slim_max,
+        im_max=im_max,
         fit_misfit=fit_misfit,
         thresholds={"slim": slim_rel_tol, "im": im_rel_tol, "fit": fit_tol},
     )

@@ -4,6 +4,7 @@ import pytest
 import dtnlab.dtn
 from dtnlab import (
     ClassifyConfig,
+    DirichletOperator,
     Exterior2D,
     GridSet,
     HalfLine1D,
@@ -12,6 +13,7 @@ from dtnlab import (
     assemble_operator,
     build_domain,
     classify_point,
+    config_from_dict,
     dtn_matrix,
     eigenspace_via_tau,
     essential_closure,
@@ -19,6 +21,7 @@ from dtnlab import (
     oracle_eigendecomposition,
     purity_filter,
     refine_pole,
+    run_sweep,
     sc_screen,
     well_potential,
     zero_potential,
@@ -240,3 +243,23 @@ class TestDtnTable:
         fresh = assemble_operator(dom, zero_potential(dom))
         for z in reached:
             assert np.array_equal(dtn_matrix(op, z).m, dtn_matrix(fresh, z).m)
+
+    def test_reduced_well_sweep_factorization_count(self, monkeypatch):
+        # Every M(z) of this sweep has Im z >= 7.8e-5, certified off the
+        # spectrum, so the continued fraction gives all of them; the 12
+        # factorizations left are the Newton iterates of purity_filter's pole
+        # scan.  Evaluating M(z) by LU, the sweep factorized 740 times.
+        factored = []
+        factorize = DirichletOperator.factorize
+
+        def counting(op_, z):
+            factored.append(z)
+            return factorize(op_, z)
+
+        monkeypatch.setattr(DirichletOperator, "factorize", counting)
+        cfg = config_from_dict({
+            "domain": {"kind": "halfline", "h": 0.05, "L": 20.0},
+            "potential": {"kind": "well", "depth": 2.0, "width": 1.0},
+            "window": {"lo": 0.3, "hi": 0.4, "grid_step": 0.05}})
+        assert len(run_sweep(cfg).data["points"]) == 3
+        assert len(factored) <= 12

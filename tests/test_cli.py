@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dtnlab import ConfigError, config_from_dict, parse_config
+from dtnlab.config import MAX_ETA_COUNT, MAX_GRID_POINTS
 from dtnlab.classify import window_grid
 from dtnlab.cli import main
 from dtnlab.report import emit_csv, emit_report, parse_report, run_sweep
@@ -219,6 +220,28 @@ class TestCli:
             assert "too close to the spectrum" in section["reason"]
         assert data["purity"][0]["window"] == [0.9, 1.1]
         assert data["purity"][0]["offending_points"] == []
+
+    @pytest.mark.parametrize("section, value, match, command", [
+        ("domain", {"kind": "halfline", "h": True, "L": 3.0}, "domain.h", "classify"),
+        ("window", {"lo": 0.0, "hi": 4.0, "grid_step": True}, "window.grid_step", "classify"),
+        ("measures", {"stone_intervals": [[False, True]]}, "measures.stone_intervals",
+         "measures"),
+    ])
+    def test_boolean_is_not_a_number(self, tmp_path, section, value, match, command):
+        self._rejected(tmp_path, dict(T1_CONFIG, **{section: value}), match, command)
+
+    def test_eta_count_cap(self, tmp_path):
+        config_from_dict(dict(T1_CONFIG, eta={"count": MAX_ETA_COUNT}))
+        for count in (MAX_ETA_COUNT + 1, 100_000_000):
+            self._rejected(tmp_path, dict(T1_CONFIG, eta={"count": count}), "eta.count")
+
+    def test_grid_point_cap(self, tmp_path):
+        fits = {"lo": 0.0, "hi": 1.0, "grid_step": 1.0 / (MAX_GRID_POINTS - 1)}
+        assert len(window_grid((0.0, 1.0), fits["grid_step"])) == MAX_GRID_POINTS
+        config_from_dict(dict(T1_CONFIG, window=fits))
+        for step in (1.0 / MAX_GRID_POINTS, 1e-300):
+            bad = dict(T1_CONFIG, window={"lo": 0.0, "hi": 1.0, "grid_step": step})
+            self._rejected(tmp_path, bad, "window.grid_step")
 
     def test_config_error_exit_code(self, tmp_path):
         bad = dict(T1_CONFIG, domain={"kind": "halfline", "h": -1.0, "L": 3.0})

@@ -15,6 +15,7 @@ from dtnlab import (
     well_potential,
     zero_potential,
 )
+from dtnlab.domain import ShiftedSolver
 
 
 class TestHalfLineGeometry:
@@ -159,6 +160,28 @@ class TestShiftedSolver:
             op.factorize(1.0)
         with pytest.raises(NearSpectrum):
             op.factorize(3.0 + 1e-14j)
+
+    @pytest.mark.parametrize("model", ["t1", "well1d", "reduced_annulus"])
+    def test_certified_z_skips_distance_estimate(self, request, model, monkeypatch):
+        # sigma_min(A_II - z) >= |Im z| for real symmetric A_II, so a certified
+        # z needs no power iteration: factorize makes no solve at all
+        _, op = request.getfixturevalue(model)
+        solves = []
+        solve = ShiftedSolver.solve
+
+        def counting(self, rhs, adjoint=False):
+            solves.append(self.z)
+            return solve(self, rhs, adjoint)
+
+        monkeypatch.setattr(ShiftedSolver, "solve", counting)
+        for z in (0.7 + 0.3j, -0.4 - 1e-3j, 5.0 + 1e-5j):
+            assert op.certified(z)
+            assert op.factorize(z).dist_estimate == abs(z.imag)
+        assert solves == []
+        near_real = -3.0 + 1e-12j            # below every spectrum here
+        assert not op.certified(near_real)
+        op.factorize(near_real)
+        assert solves == [near_real] * 8     # four power steps, two solves each
 
     def test_away_from_spectrum_ok(self, t1):
         _, op = t1

@@ -4,7 +4,11 @@ import pytest
 from dtnlab import (
     ContourTouchesSpectrum,
     EtaSchedule,
+    NearSpectrum,
     analyticity_test,
+    assemble_operator,
+    dtn_matrices,
+    make_probes,
     boundary_value_M,
     residue_contour,
     richardson_extrapolate,
@@ -150,3 +154,80 @@ class TestAnalyticity:
         _, op = t1
         rep = analyticity_test(op, -1.0, 0.3, [G], EtaSchedule(1e-2))
         assert rep.ok
+
+
+def _pointwise_analyticity(op, x, half_width, probes, sched, n_window=17, fit_degree=10):
+    """(slim_max, im_max, fit_misfit) composed point by point from slim_eta_M
+    and boundary_value_M, the way analyticity_test is specified."""
+    xs = np.linspace(x - half_width, x + half_width, n_window)
+    slim_max = im_max = fit_misfit = 0.0
+    for g in probes:
+        fit_vals = np.empty(n_window, dtype=complex)
+        for j, xj in enumerate(xs):
+            slim_max = max(slim_max, slim_eta_M(op, xj, g, sched).meta["relative"])
+            bv = boundary_value_M(op, xj, g, sched)
+            im_max = max(im_max, abs(complex(bv.value).imag) / max(abs(complex(bv.value)), 1.0))
+            fit_vals[j] = bv.samples[-1][1]
+        fit = np.polynomial.Polynomial.fit(xs, fit_vals, min(fit_degree, n_window - 2))
+        resid = np.max(np.abs(fit_vals - fit(xs))) / max(np.max(np.abs(fit_vals)), 1e-300)
+        fit_misfit = max(fit_misfit, float(resid))
+    return slim_max, im_max, fit_misfit
+
+
+def _block_and_pointwise(model, x, half_width, sched):
+    """Both evaluations, each on a fresh operator (its own M(z) table); a
+    NearSpectrum becomes its message."""
+    dom, op = model
+    probes = make_probes(dom, "basis")
+
+    def block(fresh):
+        rep = analyticity_test(fresh, x, half_width, probes, sched)
+        return rep.slim_max, rep.im_max, rep.fit_misfit
+
+    def pointwise(fresh):
+        return _pointwise_analyticity(fresh, x, half_width, probes, sched)
+
+    results = []
+    for evaluate in (block, pointwise):
+        try:
+            results.append(evaluate(assemble_operator(dom, op.potential)))
+        except NearSpectrum as exc:
+            results.append(str(exc))
+    return results
+
+
+class TestAnalyticityBlock:
+    @pytest.mark.parametrize("x, half_width, sched", [
+        (0.5, 0.25, EtaSchedule(1e-2)),
+        (0.93, 0.25, EtaSchedule(1e-2)),
+        (1.0, 0.5, EtaSchedule(1e-2)),
+        (0.75, 0.0625, EtaSchedule(1e-1, floor=2e-2)),
+    ])
+    def test_bitwise_in_2d(self, reduced_annulus, x, half_width, sched):
+        block, pointwise = _block_and_pointwise(reduced_annulus, x, half_width, sched)
+        assert block == pointwise
+
+    @pytest.mark.parametrize("model, x, half_width, sched", [
+        ("well1d", 0.35, 0.05, EtaSchedule(1e-2)),
+        ("well1d", 0.55, 0.0125, EtaSchedule(1e-2)),
+        ("t1", 2.0, 0.2, EtaSchedule(1e-1, floor=2e-2)),
+        ("t1", 1.0, 0.1, EtaSchedule(1e-9)),      # ragged: the point at 1 keeps 2 samples
+        ("t1", 0.9, 0.025, EtaSchedule(1e-13)),
+    ])
+    def test_matches_pointwise_in_1d(self, request, model, x, half_width, sched):
+        block, pointwise = _block_and_pointwise(request.getfixturevalue(model), x,
+                                                half_width, sched)
+        assert np.allclose(block, pointwise, rtol=1e-10, atol=0)
+
+    def test_ragged_profiles(self, t1):
+        _, op = t1
+        xs = np.linspace(0.9, 1.1, 17)
+        _, lengths, failures = dtn_matrices(op, xs[:, None] + 1j * EtaSchedule(1e-9).samples())
+        assert lengths[8] == 2 and set(np.delete(lengths, 8)) == {8}
+        assert isinstance(failures[8], NearSpectrum)
+
+    def test_failure_at_eta0_reraised(self, t1):
+        # eta0 = 1e-13 puts the window point 1.0 on the level: both raise there
+        block, pointwise = _block_and_pointwise(t1, 1.1, 0.1, EtaSchedule(1e-13))
+        assert block == pointwise
+        assert "(1+1e-13j) is too close to the spectrum" in block
