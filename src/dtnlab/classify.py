@@ -3,7 +3,7 @@ recovery through the normal-derivative trace, AC support sets and the SC screen.
 
 Grid sets are finite unions of closed intervals with endpoints on the sampling
 grid; the essential (absolutely continuous) closure is computed exactly on
-those unions.  All thresholds are scale-free and configurable.
+those unions.  All thresholds are scale-free.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .domain import DirichletOperator, EigenSystem
 from .dtn import normal_derivative
 from .errors import Inconclusive, NearSpectrum
 from .limits import (
+    DECAY_CUT,
     EtaSchedule,
     ResidueMatrix,
     analyticity_test,
@@ -24,6 +25,7 @@ from .limits import (
     decay_exponent,
     residue_contour,
     slim_eta_M,
+    vanishes,
 )
 
 __all__ = [
@@ -53,6 +55,9 @@ PURE_AC = "PureAC"
 PURE_SC = "PureSC"
 NO_SPECTRUM = "NoSpectrum"
 MIXED_UNKNOWN = "Mixed/Unknown"
+
+_NEWTON_TOL, _NEWTON_MAXITER = 1e-11, 60   # refine_pole: relative step that ends it, cap
+_TAU_NODES = 64                            # trapezoid nodes of eigenspace_via_tau's contour
 
 
 # ---------------------------------------------------------------------------
@@ -144,18 +149,12 @@ class ClassifyConfig:
     tau_eig_rel: float = 1e-6
     tau_ac: float = 1e-6
     null_fraction: float = 0.01
-    slim_decay_cut: float = 0.5       # decay exponent below which the limit is nonzero
 
     window_half_width: float = 0.1
-    n_window: int = 17
-    fit_degree: int = 10
     fit_tol: float = 1e-5
 
     pole_match_radius: float = 0.1
-    newton_tol: float = 1e-11
-    newton_maxiter: int = 60
     residue_rho: float = 0.25
-    residue_nodes: int = 32
 
     def level_spacing(self, x: float) -> float:
         if self.floor_mode == "halfline_auto":
@@ -165,8 +164,9 @@ class ClassifyConfig:
         return 0.0
 
     def slim_nonzero(self, relative: float, slope: float | None) -> bool:
-        """Whether an eta*M limit of this relative size and decay slope is nonzero."""
-        return relative > self.tau_eig_rel and (slope is None or slope < self.slim_decay_cut)
+        """Whether an eta*M limit of this relative size and decay slope is nonzero;
+        a slope of None does not veto it, so this is not `not vanishes(slope)`."""
+        return relative > self.tau_eig_rel and (slope is None or slope < DECAY_CUT)
 
     def schedule(self, x: float) -> EtaSchedule:
         if self.floor_mode == "constant":
@@ -208,17 +208,19 @@ def _quadratic_form_terms(op: DirichletOperator, g: np.ndarray):
     return const, v, scale
 
 
-def refine_pole(op: DirichletOperator, x: float, g: np.ndarray,
-                eta_start: float, tol: float = 1e-11, maxiter: int = 60):
+def refine_pole(op: DirichletOperator, x: float, g: np.ndarray, eta_start: float):
     """Newton iteration on 1/(M(z) g, g) from x + i*eta_start; None on failure.
 
     Near a simple real pole the reciprocal of the quadratic form is an analytic
     function with a simple zero, so the iteration converges quadratically.
+    Every pole lies in [-||A_II||_1, ||A_II||_1], so an iterate farther than
+    10 (||A_II||_1 + |x|) from x has diverged: None, without factorizing there.
     """
     const, v, scale = _quadratic_form_terms(op, g)
     z = complex(x, eta_start)
     ref = max(abs(x), 1.0)
-    for _ in range(maxiter):
+    reach = 10 * (op.a_norm + abs(x))
+    for _ in range(_NEWTON_MAXITER):
         try:
             solver = op.factorize(z)
         except NearSpectrum:
@@ -233,7 +235,9 @@ def refine_pole(op: DirichletOperator, x: float, g: np.ndarray,
             return None
         step = q / dq
         z = z + step
-        if abs(step) <= tol * max(abs(z), ref):
+        if abs(z - x) > reach:
+            return None
+        if abs(step) <= _NEWTON_TOL * max(abs(z), ref):
             if abs(z.imag) > 1e-6 * max(abs(z.real), 1.0):
                 return None
             return float(z.real)
@@ -298,13 +302,12 @@ def classify_point(op: DirichletOperator, x: float, cfg: ClassifyConfig,
 
     if any(flagged):
         g = best[1]
-        lam0 = refine_pole(op, x, g, eta_start=sched.eta0 / 4,
-                           tol=cfg.newton_tol, maxiter=cfg.newton_maxiter)
+        lam0 = refine_pole(op, x, g, eta_start=sched.eta0 / 4)
         if lam0 is None:
             raise Inconclusive(f"eta*M limit nonzero at x={x} but pole refinement failed")
         evidence["refined_lambda"] = lam0
         if abs(lam0 - x) <= cfg.pole_match_radius:
-            res = residue_contour(op, lam0, cfg.residue_rho, cfg.residue_nodes)
+            res = residue_contour(op, lam0, cfg.residue_rho)
             basis, rank = _weighted_column_basis(dom, res.r)
             return PointVerdict(
                 x=x, verdict=EIGENVALUE, refined_lambda=lam0,
@@ -322,7 +325,6 @@ def classify_point(op: DirichletOperator, x: float, cfg: ClassifyConfig,
         try:
             ana = analyticity_test(
                 op, x, cfg.window_half_width / shrink, probes, sched,
-                n_window=cfg.n_window, fit_degree=cfg.fit_degree,
                 slim_rel_tol=cfg.tau_eig_rel, im_rel_tol=cfg.tau_ac, fit_tol=cfg.fit_tol,
             )
         except NearSpectrum as exc:
@@ -350,9 +352,9 @@ class TauReport:
     residue_rank: int
 
 
-def eigenspace_via_tau(op: DirichletOperator, lam0: float, eig: EigenSystem,
-                       rho: float | None = None, n_nodes: int = 64) -> TauReport:
-    """Compare traces of the oracle eigenvectors at lam0 with the residue range of M."""
+def eigenspace_via_tau(op: DirichletOperator, lam0: float, eig: EigenSystem) -> TauReport:
+    """Compare traces of the oracle eigenvectors at lam0 with the residue range of M,
+    on a contour of radius 0.45 x the gap to the nearest other level (or 0.45)."""
     dom = op.domain
     vecs = eig.eigenspace(lam0)
     if vecs.shape[1] == 0:
@@ -369,11 +371,9 @@ def eigenspace_via_tau(op: DirichletOperator, lam0: float, eig: EigenSystem,
     sv = np.linalg.svd(gram, compute_uv=False)
     ratio = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
 
-    if rho is None:
-        others = eig.values[np.abs(eig.values - lam0) > eig.degeneracy_tol]
-        gap = float(np.min(np.abs(others - lam0))) if others.size else 1.0
-        rho = 0.45 * gap
-    res = residue_contour(op, lam0, rho, n_nodes)
+    others = eig.values[np.abs(eig.values - lam0) > eig.degeneracy_tol]
+    gap = float(np.min(np.abs(others - lam0))) if others.size else 1.0
+    res = residue_contour(op, lam0, 0.45 * gap, _TAU_NODES)
     basis, rank = _weighted_column_basis(dom, res.r)
 
     w = np.sqrt(dom.boundary_node_weights)
@@ -462,9 +462,8 @@ def sc_screen(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
             sched = cfg.schedule(x)
             bv = boundary_value_M(op, x, g, sched)
             div[i, j] = bv.diverging
-            slope = decay_exponent([eta for eta, _ in bv.samples],
-                                   [abs(eta * q) for eta, q in bv.samples])
-            yzero[i, j] = slope is None or slope >= cfg.slim_decay_cut
+            yzero[i, j] = vanishes(decay_exponent([eta for eta, _ in bv.samples],
+                                                  [abs(eta * q) for eta, q in bv.samples]))
     both = np.any(div & yzero, axis=0)
     flagged = GridSet.from_flags(xs, both)
     excluded = essential_closure(flagged).is_empty
@@ -481,7 +480,6 @@ class PurityVerdict:
     window: tuple
     verdict: str
     offending_points: tuple = ()
-    evidence: dict = field(default_factory=dict)
 
 
 def purity_filter(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
@@ -492,7 +490,8 @@ def purity_filter(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
     violating it force Mixed/Unknown.  On unfloored schedules (genuine finite
     models) a Newton pole scan from every grid point backs this up, so an
     eigenvalue strictly inside the window is caught even when no grid point
-    lands on it.
+    lands on it.  The other verdicts come from analyticity_test, ac_support
+    (PureSC: ac_free) and sc_screen (PureAC: no diverging run of positive length).
     """
     xs = window_grid(window, grid_step)
     lo, hi = float(window[0]), float(window[1])
@@ -501,49 +500,29 @@ def purity_filter(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
     if not cfg.schedule(xs[0]).floored:
         for x in xs:
             for g in probes:
-                lam0 = refine_pole(op, x, g, eta_start=cfg.eta0 / 4,
-                                   tol=cfg.newton_tol, maxiter=cfg.newton_maxiter)
+                lam0 = refine_pole(op, x, g, eta_start=cfg.eta0 / 4)
                 if lam0 is not None and lo < lam0 < hi:
                     offending.append(float(lam0))
-    im_nonzero = np.zeros(len(xs), dtype=bool)
-    diverging = np.zeros(len(xs), dtype=bool)
-    for j, x in enumerate(xs):
+    for x in xs:
         sched = cfg.schedule(x)
         for g in probes:
             est = slim_eta_M(op, x, g, sched)
             if cfg.slim_nonzero(est.meta["relative"], est.decay_exponent):
                 offending.append(float(x))
-            bv = boundary_value_M(op, x, g, sched)
-            if abs(complex(bv.value).imag) > cfg.tau_ac:
-                im_nonzero[j] = True
-            if bv.diverging:
-                diverging[j] = True
     if offending:
         distinct = []
         for v in sorted(offending):
             if not distinct or abs(v - distinct[-1]) > 1e-6 * max(1.0, abs(v)):
                 distinct.append(v)
-        return PurityVerdict(window=tuple(window), verdict=MIXED_UNKNOWN,
-                             offending_points=tuple(distinct))
+        return PurityVerdict(tuple(window), MIXED_UNKNOWN, tuple(distinct))
 
-    analytic_everywhere = True
-    for x in xs:
-        ana = analyticity_test(
-            op, x, cfg.window_half_width, probes, cfg.schedule(x),
-            n_window=cfg.n_window, fit_degree=cfg.fit_degree,
-            slim_rel_tol=cfg.tau_eig_rel, im_rel_tol=cfg.tau_ac, fit_tol=cfg.fit_tol,
-        )
-        if not ana.ok:
-            analytic_everywhere = False
-            break
-    evidence = {
-        "im_nonzero_fraction": float(np.mean(im_nonzero)) if len(xs) else 0.0,
-        "diverging_fraction": float(np.mean(diverging)) if len(xs) else 0.0,
-    }
-    if analytic_everywhere:
-        return PurityVerdict(tuple(window), NO_SPECTRUM, evidence=evidence)
-    if evidence["im_nonzero_fraction"] <= cfg.null_fraction:
-        return PurityVerdict(tuple(window), PURE_SC, evidence=evidence)
+    if all(analyticity_test(op, x, cfg.window_half_width, probes, cfg.schedule(x),
+                            slim_rel_tol=cfg.tau_eig_rel, im_rel_tol=cfg.tau_ac,
+                            fit_tol=cfg.fit_tol).ok for x in xs):
+        return PurityVerdict(tuple(window), NO_SPECTRUM)
+    if ac_support(op, window, probes, cfg, grid_step).ac_free:
+        return PurityVerdict(tuple(window), PURE_SC)
+    diverging = np.any(sc_screen(op, window, probes, cfg, grid_step).diverging, axis=0)
     if essential_closure(GridSet.from_flags(xs, diverging)).is_empty:
-        return PurityVerdict(tuple(window), PURE_AC, evidence=evidence)
-    return PurityVerdict(tuple(window), MIXED_UNKNOWN, evidence=evidence)
+        return PurityVerdict(tuple(window), PURE_AC)
+    return PurityVerdict(tuple(window), MIXED_UNKNOWN)

@@ -27,9 +27,11 @@ Null thresholds are derived from the grid step (pole_match_radius = step / 2,
 window_half_width = step).  Stone intervals need lo < hi, one zeta sample must
 be non-real, and the convergence h_values and L must be positive.  "threads"
 must be at least 1 and has no effect: the sweep runs on one thread.  Numbers
-must be finite JSON numbers (true and false are not numbers).  Two work caps
-bound a run: eta.count is at most MAX_ETA_COUNT and the window holds at most
-MAX_GRID_POINTS grid points.
+must be finite JSON numbers (true and false are not numbers), and eta.count,
+probes.count, probes.seed (at least 0) and threads integer-valued ones (3.0,
+not 2.7).  Three work caps bound a run: eta.count is at most MAX_ETA_COUNT,
+probes.count at most MAX_PROBES, and the window holds at most MAX_GRID_POINTS
+grid points.
 """
 
 from __future__ import annotations
@@ -37,22 +39,25 @@ from __future__ import annotations
 import difflib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .classify import ClassifyConfig
 from .domain import Exterior2D, HalfLine1D, build_domain
 from .errors import ConfigError, DomainError
 
-__all__ = ["RunConfig", "parse_config", "config_from_dict", "MAX_ETA_COUNT", "MAX_GRID_POINTS"]
+__all__ = ["RunConfig", "parse_config", "config_from_dict", "MAX_ETA_COUNT", "MAX_GRID_POINTS",
+           "MAX_PROBES"]
 
 SCHEMA_TAG = "dtnlab-report-v1"
 
 # Work caps, checked here so that a runaway config exits 1 instead of failing
 # deep in the sweep.  An analyticity window holds 17 x eta.count DtN matrices
 # at once, and 64 halvings of eta already span a factor 1e19; every grid point
-# costs one classification of many M(z) evaluations.
+# costs one classification of many M(z) evaluations per probe.
 MAX_ETA_COUNT = 64
 MAX_GRID_POINTS = 10_000
+MAX_PROBES = 1000
 
 _SECTIONS = {
     "domain", "potential", "window", "eta", "probes", "thresholds",
@@ -85,9 +90,17 @@ def _require(cond, message):
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number (the parser accepts NaN and Infinity; bool is an int)."""
+    """A finite JSON number (the parser accepts NaN, Infinity and integers past
+    the float range; bool is an int)."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
+
+
+def _integer(value, lo, hi, name) -> int:
+    """value as an int; ConfigError unless it is an integer-valued number in [lo, hi]."""
+    _require(_is_number(value) and float(value).is_integer() and lo <= value <= hi,
+             f"{name} must be an integer in [{lo}, {hi}]")
+    return int(value)
 
 
 def _is_pair(value) -> bool:
@@ -205,12 +218,10 @@ def config_from_dict(data: dict) -> RunConfig:
     eta = {"eta0": 0.01, "ratio": 0.5, "count": 8,
            "floor_mode": "none", "floor_const": 0.0, "floor_factor": 5.0}
     eta.update(data.get("eta", {}))
-    _require_numbers("eta", eta, ("eta0", "ratio", "count", "floor_const", "floor_factor"))
+    _require_numbers("eta", eta, ("eta0", "ratio", "floor_const", "floor_factor"))
     _require(eta["eta0"] > 0, "eta.eta0 must be positive")
     _require(0 < eta["ratio"] < 1, "eta.ratio must lie in (0, 1)")
-    _require(3 <= int(eta["count"]) <= MAX_ETA_COUNT,
-             f"eta.count must lie in [3, {MAX_ETA_COUNT}]")
-    eta["count"] = int(eta["count"])
+    eta["count"] = _integer(eta["count"], 3, MAX_ETA_COUNT, "eta.count")
     _require(eta["floor_mode"] in ("none", "constant", "halfline_auto"),
              "eta.floor_mode must be 'none', 'constant' or 'halfline_auto'")
     _require(eta["floor_const"] >= 0, "eta.floor_const must be nonnegative")
@@ -220,9 +231,8 @@ def config_from_dict(data: dict) -> RunConfig:
     probes.update(data.get("probes", {}))
     _require(probes["kind"] in ("basis", "random"),
              "probes.kind must be 'basis' or 'random'")
-    probes["count"] = int(probes["count"])
-    probes["seed"] = int(probes["seed"])
-    _require(probes["count"] >= 1, "probes.count must be at least 1")
+    probes["count"] = _integer(probes["count"], 1, MAX_PROBES, "probes.count")
+    probes["seed"] = _integer(probes["seed"], 0, math.inf, "probes.seed")
 
     thr = {"tau_eig": 1e-6, "tau_ac": 1e-6, "null_fraction": 0.01,
            "fit_tol": 1e-5, "pole_match_radius": None, "window_half_width": None}
@@ -256,8 +266,7 @@ def config_from_dict(data: dict) -> RunConfig:
              and all(_is_number(h) and h > 0 for h in conv["h_values"]),
              "convergence.h_values must be a list of positive numbers")
 
-    threads = int(data.get("threads", 1))
-    _require(threads >= 1, "threads must be at least 1")
+    threads = _integer(data.get("threads", 1), 1, math.inf, "threads")
 
     return RunConfig(
         domain=dom, potential=pot, window=(float(win["lo"]), float(win["hi"])),

@@ -26,6 +26,7 @@ __all__ = [
     "richardson_extrapolate",
     "extrapolate_tail",
     "decay_exponent",
+    "vanishes",
     "slim_eta_M",
     "boundary_value_M",
     "dtn_profile",
@@ -38,6 +39,9 @@ __all__ = [
 # DIVERGENCE_GROWTH across the schedule.
 DIVERGENCE_SLOPE = -0.5
 DIVERGENCE_GROWTH = 10.0
+DECAY_CUT = 0.5                   # y*F -> 0 when |y*F| decays at least like eta^DECAY_CUT
+_LIMIT_TOL = 1e-8                 # relative extrapolation error of a converged limit
+_N_WINDOW, _FIT_DEGREE = 17, 10   # analyticity window: sample points, polynomial degree
 
 
 @dataclass(frozen=True)
@@ -160,6 +164,11 @@ def decay_exponent(etas, norms) -> float | None:
     return float(slope)
 
 
+def vanishes(slope: float | None) -> bool:
+    """Whether a decay_exponent slope says y*F -> 0 (None: |y*F| underflowed)."""
+    return slope is None or slope >= DECAY_CUT
+
+
 # ---------------------------------------------------------------------------
 # limits of M
 # ---------------------------------------------------------------------------
@@ -176,7 +185,7 @@ def dtn_profile(op: DirichletOperator, x: float, g: np.ndarray, sched: EtaSchedu
 
 
 def slim_eta_M(op: DirichletOperator, x: float, g: np.ndarray,
-               sched: EtaSchedule, tol: float = 1e-8) -> LimitEstimate:
+               sched: EtaSchedule) -> LimitEstimate:
     """Extrapolated limit of eta * M(x + i*eta) g (zero off the point spectrum).
 
     meta["relative"] is its norm over ||M(x + i*eta0) g||.
@@ -190,7 +199,7 @@ def slim_eta_M(op: DirichletOperator, x: float, g: np.ndarray,
     exponent = decay_exponent(etas, norms)
     value, err = extrapolate_tail(etas, samples)
     scale = max(norms + [1e-300])
-    converged = failure is None and err <= tol * max(scale, 1.0)
+    converged = failure is None and err <= _LIMIT_TOL * max(scale, 1.0)
     return LimitEstimate(
         value=value,
         error=err,
@@ -203,7 +212,7 @@ def slim_eta_M(op: DirichletOperator, x: float, g: np.ndarray,
 
 
 def boundary_value_M(op: DirichletOperator, x: float, g: np.ndarray,
-                     sched: EtaSchedule, tol: float = 1e-8) -> LimitEstimate:
+                     sched: EtaSchedule) -> LimitEstimate:
     """Boundary value (M(x + i0) g, g) in the weighted boundary product.
 
     On a floored schedule the value at the floor is reported instead of an
@@ -231,7 +240,7 @@ def boundary_value_M(op: DirichletOperator, x: float, g: np.ndarray,
         value, err = extrapolate_tail(etas, samples)
         value = complex(value)
         scale = max(abs(value), max(abs(s) for s in samples), 1.0)
-        converged = failure is None and err <= tol * scale and not diverging
+        converged = failure is None and err <= _LIMIT_TOL * scale and not diverging
     return LimitEstimate(
         value=value,
         error=float(err),
@@ -275,8 +284,7 @@ def residue_contour(op: DirichletOperator, lam0: float, rho: float, n: int = 32)
 # ---------------------------------------------------------------------------
 
 def analyticity_test(op: DirichletOperator, x: float, half_width: float,
-                     probes, sched: EtaSchedule, n_window: int = 17,
-                     fit_degree: int = 10, slim_rel_tol: float = 1e-6,
+                     probes, sched: EtaSchedule, slim_rel_tol: float = 1e-6,
                      im_rel_tol: float = 1e-6, fit_tol: float = 1e-5) -> AnalyticityReport:
     """Decide whether M(.) continues analytically through the window around x.
 
@@ -292,16 +300,16 @@ def analyticity_test(op: DirichletOperator, x: float, half_width: float,
     its last sample, the one that enters the fit.  The result equals
     composing those two functions point by point.
     """
-    xs = np.linspace(x - half_width, x + half_width, n_window)
+    xs = np.linspace(x - half_width, x + half_width, _N_WINDOW)
     etas = sched.samples()
     m, lengths, failures = dtn_matrices(op, xs[:, None] + 1j * etas)
     if not lengths.all():
         raise failures[int(np.argmin(lengths))]
 
     dom = op.domain
-    relative = np.empty((len(probes), n_window))
-    im_rel = np.empty((len(probes), n_window))
-    fit_vals = np.empty((len(probes), n_window), dtype=complex)
+    relative = np.empty((len(probes), _N_WINDOW))
+    im_rel = np.empty((len(probes), _N_WINDOW))
+    fit_vals = np.empty((len(probes), _N_WINDOW), dtype=complex)
     for n in np.unique(lengths):
         rows = lengths == n
         eta = etas[:n]
@@ -318,10 +326,9 @@ def analyticity_test(op: DirichletOperator, x: float, half_width: float,
             # sample just above the axis at the smallest admissible eta
             fit_vals[p, rows] = q[:, -1]
 
-    deg = min(fit_degree, n_window - 2)
     fit_misfit = 0.0
     for vals in fit_vals:
-        fit = np.polynomial.Polynomial.fit(xs, vals, deg)
+        fit = np.polynomial.Polynomial.fit(xs, vals, _FIT_DEGREE)
         resid = np.max(np.abs(vals - fit(xs))) / max(np.max(np.abs(vals)), 1e-300)
         fit_misfit = max(fit_misfit, float(resid))
 

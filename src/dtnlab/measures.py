@@ -16,7 +16,8 @@ from scipy.special import roots_legendre
 
 from .domain import DirichletOperator, EigenSystem
 from .errors import AtomHit, EndpointOnEigenvalue
-from .limits import EtaSchedule, decay_exponent, extrapolate_tail, richardson_extrapolate
+from .limits import (EtaSchedule, decay_exponent, extrapolate_tail, richardson_extrapolate,
+                     vanishes)
 from .dtn import poisson_matrix
 
 __all__ = [
@@ -34,6 +35,9 @@ __all__ = [
 ]
 
 _ATOM_TOL = 1e-12
+_SUPPORT_TAU = 1e-6         # an AC point has Im F(x + i0) in (tau, 1/tau)
+_DIVERGENCE_RATIO = 1e3     # growth of |Im F| down the schedule read as Im F -> infinity
+_RANK_TOL = 1e-10           # relative singular value cut of simplicity_rank
 
 
 @dataclass(frozen=True)
@@ -134,11 +138,11 @@ class StoneResult:
 _ASPECT = 0.3               # vertical over horizontal semi-axis of the contour ellipse
 _FIRST_NODES, _MAX_NODES = 16, 4096   # smallest trapezoid node count compared; the cap
 _EDGE_NODES = 4             # Gauss-Legendre nodes per piece [delta_(k+1), delta_k] of an edge
+_DELTA0, _DELTA_RATIO, _DELTA_COUNT = 1e-2, 0.5, 6   # Stone's delta_k = delta0 * ratio^k
 
 
 def stone_projection(op: DirichletOperator, a: float, b: float,
                      eig: EigenSystem | None = None,
-                     delta0: float = 1e-2, ratio: float = 0.5, count: int = 6,
                      quad_tol: float = 1e-10) -> StoneResult:
     """Spectral projector onto (a, b) via Stone's formula.
 
@@ -179,7 +183,7 @@ def stone_projection(op: DirichletOperator, a: float, b: float,
         if (gap := np.max(np.abs(projector - previous))) <= quad_tol and n > _FIRST_NODES:
             break
 
-    deltas = delta0 * ratio ** np.arange(count)
+    deltas = _DELTA0 * _DELTA_RATIO ** np.arange(_DELTA_COUNT)
     nodes, weights = roots_legendre(_EDGE_NODES)
     approximants = [projector]  # the Stone integral at delta = 0, then upwards
     for lo, hi in zip(np.append(0.0, deltas[::-1]), deltas[::-1]):
@@ -190,7 +194,7 @@ def stone_projection(op: DirichletOperator, a: float, b: float,
     value, err = richardson_extrapolate(deltas, approximants[:-1])
     return StoneResult(interval=(float(a), float(b)), projector=value.real,
                        deltas=deltas, extrapolation_error=max(float(err), float(gap)),
-                       panels=n // 2 + 1 + 2 * count * _EDGE_NODES)
+                       panels=n // 2 + 1 + 2 * _DELTA_COUNT * _EDGE_NODES)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +213,7 @@ class SupportReport:
     y_limit_zero: np.ndarray
 
 
-def ac_sc_supports(measure: SpectralMeasure, sched: EtaSchedule, grid,
-                   tau: float = 1e-6, divergence_ratio: float = 1e3) -> SupportReport:
+def ac_sc_supports(measure: SpectralMeasure, sched: EtaSchedule, grid) -> SupportReport:
     """Candidate AC support (essentially closed) and SC support set of a measure.
 
     For each grid point the Borel transform is followed down the schedule:
@@ -235,11 +238,10 @@ def ac_sc_supports(measure: SpectralMeasure, sched: EtaSchedule, grid,
         else:
             limit, _ = extrapolate_tail(etas, ims)
             im_values[j] = float(np.real(limit))
-        diverging[j] = abs(ims[-1]) > divergence_ratio * max(abs(ims[0]), 1e-300) \
+        diverging[j] = abs(ims[-1]) > _DIVERGENCE_RATIO * max(abs(ims[0]), 1e-300) \
             and abs(ims[-1]) > 1e-10
-        slope = decay_exponent(etas, np.abs(etas * fs))
-        yzero[j] = slope is None or slope >= 0.5
-        ac_flags[j] = (tau < im_values[j] < 1.0 / tau) and not diverging[j]
+        yzero[j] = vanishes(decay_exponent(etas, np.abs(etas * fs)))
+        ac_flags[j] = (_SUPPORT_TAU < im_values[j] < 1.0 / _SUPPORT_TAU) and not diverging[j]
     ac_set = essential_closure(GridSet.from_flags(grid, ac_flags))
     sc_set = GridSet.from_flags(grid, diverging & yzero)
     return SupportReport(grid=grid, ac_set=ac_set, sc_set=sc_set,
@@ -257,7 +259,7 @@ class SimplicityReport:
         return self.rank == self.interior_dim
 
 
-def simplicity_rank(op: DirichletOperator, zetas, rel_tol: float = 1e-10) -> SimplicityReport:
+def simplicity_rank(op: DirichletOperator, zetas) -> SimplicityReport:
     """Numerical rank of the stacked Poisson columns [gamma(zeta_1) ... gamma(zeta_k)].
 
     Rank equal to the interior dimension certifies that boundary data at the
@@ -270,6 +272,6 @@ def simplicity_rank(op: DirichletOperator, zetas, rel_tol: float = 1e-10) -> Sim
         raise ValueError("need at least one non-real zeta sample")
     cols = np.hstack([poisson_matrix(op, z).gamma for z in zetas])
     s = np.linalg.svd(cols, compute_uv=False)
-    rank = 0 if s.size == 0 or s[0] == 0 else int(np.sum(s > rel_tol * s[0]))
+    rank = 0 if s.size == 0 or s[0] == 0 else int(np.sum(s > _RANK_TOL * s[0]))
     return SimplicityReport(rank=rank, interior_dim=op.domain.n_interior,
                             singular_values=s)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dtnlab.classify
 import dtnlab.dtn
 from dtnlab import (
     ClassifyConfig,
@@ -26,6 +27,7 @@ from dtnlab import (
     well_potential,
     zero_potential,
 )
+from dtnlab.limits import DECAY_CUT, vanishes
 
 T1_CFG = ClassifyConfig(eta0=1e-2, pole_match_radius=0.25, residue_rho=0.25,
                         window_half_width=0.2)
@@ -65,11 +67,16 @@ class TestSlimNonzero:
         assert T1_CFG.slim_nonzero(2 * T1_CFG.tau_eig_rel, 0.0)
 
     def test_decaying_limit_is_zero(self):
-        assert not T1_CFG.slim_nonzero(1.0, T1_CFG.slim_decay_cut)
+        assert not T1_CFG.slim_nonzero(1.0, DECAY_CUT)
         assert not T1_CFG.slim_nonzero(1.0, 1.0)
 
     def test_slope_none_does_not_veto(self):
         assert T1_CFG.slim_nonzero(1.0, None)
+
+    def test_vanishes(self):
+        # the y*F -> 0 rule of sc_screen and ac_sc_supports: None reads as vanished
+        assert vanishes(None) and vanishes(0.5)
+        assert not vanishes(0.49)
 
 
 class TestRefinePole:
@@ -78,6 +85,22 @@ class TestRefinePole:
         g = np.array([1.0 + 0j])
         assert refine_pole(op, 1.05, g, 1e-2) == pytest.approx(1.0, abs=1e-7)
         assert refine_pole(op, 2.9, g, 1e-2) == pytest.approx(3.0, abs=1e-7)
+
+    def test_diverging_iterate_stops(self, reduced_annulus, monkeypatch):
+        # from 0.5 + 2.5e-3i on basis probe 0 the iterates run off towards
+        # |z| ~ 1e203; past 10 (||A_II||_1 + |x|) no further z is factorized
+        dom, op = reduced_annulus
+        factored = []
+        factorize = DirichletOperator.factorize
+
+        def counting(op_, z):
+            factored.append(z)
+            return factorize(op_, z)
+
+        monkeypatch.setattr(DirichletOperator, "factorize", counting)
+        assert refine_pole(op, 0.5, make_probes(dom, "basis")[0], 2.5e-3) is None
+        assert len(factored) <= 4
+        assert all(abs(z - 0.5) <= 10 * (op.a_norm + 0.5) for z in factored)
 
 
 class TestClassifyPoint:
@@ -189,6 +212,18 @@ class TestPurity:
         probes = make_probes(op.domain, "basis")
         assert purity_filter(op, (1.5, 2.5), probes, T1_CFG, 0.25).verdict == "NoSpectrum"
 
+    def test_no_spectrum_takes_no_boundary_values(self, t1, monkeypatch):
+        # the boundary values belong to the AC and SC stages, which a window
+        # that M continues through never reaches
+        _, op = t1
+        calls = []
+        boundary_value_M = dtnlab.classify.boundary_value_M
+        monkeypatch.setattr(dtnlab.classify, "boundary_value_M",
+                            lambda *args: calls.append(args) or boundary_value_M(*args))
+        probes = make_probes(op.domain, "basis")
+        assert purity_filter(op, (1.5, 2.5), probes, T1_CFG, 0.25).verdict == "NoSpectrum"
+        assert calls == []
+
     def test_eigenvalue_window_mixed(self, t1):
         _, op = t1
         probes = make_probes(op.domain, "basis")
@@ -200,6 +235,15 @@ class TestPurity:
         _, op = freeline
         probes = make_probes(op.domain, "basis")
         assert purity_filter(op, (0.25, 4.0), probes, FREE_CFG, 0.25).verdict == "PureAC"
+
+    def test_pure_sc_branch(self, t1):
+        # no pole inside (0.6, 0.9) and eta*M -> 0, but the analyticity window
+        # at 0.9 reaches the level 1; Im M(x + i0) vanishes on the grid
+        _, op = t1
+        probes = make_probes(op.domain, "basis")
+        v = purity_filter(op, (0.6, 0.9), probes, T1_CFG, 0.1)
+        assert v.verdict == "PureSC"
+        assert v.offending_points == ()
 
 
 class TestProbes:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dtnlab import ConfigError, config_from_dict, parse_config
-from dtnlab.config import MAX_ETA_COUNT, MAX_GRID_POINTS
+from dtnlab.config import MAX_ETA_COUNT, MAX_GRID_POINTS, MAX_PROBES
 from dtnlab.classify import window_grid
 from dtnlab.cli import main
 from dtnlab.report import emit_csv, emit_report, parse_report, run_sweep
@@ -232,8 +232,34 @@ class TestCli:
 
     def test_eta_count_cap(self, tmp_path):
         config_from_dict(dict(T1_CONFIG, eta={"count": MAX_ETA_COUNT}))
-        for count in (MAX_ETA_COUNT + 1, 100_000_000):
+        for count in (MAX_ETA_COUNT + 1, 100_000_000, 8.5):
             self._rejected(tmp_path, dict(T1_CONFIG, eta={"count": count}), "eta.count")
+
+    @pytest.mark.parametrize("probes, match", [
+        ({"kind": "random", "count": 1e12}, "probes.count"),
+        ({"kind": "random", "count": MAX_PROBES + 1}, "probes.count"),
+        ({"kind": "random", "count": True}, "probes.count"),
+        ({"kind": "random", "count": 2.7}, "probes.count"),
+        ({"kind": "random", "count": float("inf")}, "probes.count"),
+        ({"kind": "random", "seed": "x"}, "probes.seed"),
+        ({"kind": "random", "seed": 1.5}, "probes.seed"),
+        ({"kind": "random", "seed": -1}, "probes.seed"),
+    ])
+    def test_bad_probes_is_config_error(self, tmp_path, probes, match):
+        self._rejected(tmp_path, dict(T1_CONFIG, probes=probes), match)
+
+    @pytest.mark.parametrize("threads", ["3", 2.7, True, 0])
+    def test_bad_threads_is_config_error(self, tmp_path, threads):
+        self._rejected(tmp_path, dict(T1_CONFIG, threads=threads), "threads")
+
+    def test_integer_valued_counts_accepted(self):
+        cfg = config_from_dict(dict(T1_CONFIG, threads=2.0, eta={"count": 8.0},
+                                    probes={"kind": "random", "count": float(MAX_PROBES),
+                                            "seed": 7.0}))
+        assert cfg.probes == {"kind": "random", "count": MAX_PROBES, "seed": 7}
+        assert cfg.threads == 2 and cfg.eta["count"] == 8
+        assert all(isinstance(v, int) for v in (cfg.threads, cfg.eta["count"],
+                                                cfg.probes["count"], cfg.probes["seed"]))
 
     def test_grid_point_cap(self, tmp_path):
         fits = {"lo": 0.0, "hi": 1.0, "grid_step": 1.0 / (MAX_GRID_POINTS - 1)}
