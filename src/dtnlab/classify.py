@@ -141,8 +141,7 @@ class ClassifyConfig:
     eta0: float
     eta_ratio: float = 0.5
     eta_count: int = 8
-    floor_mode: str = "none"          # none | constant | halfline_auto
-    floor_const: float = 0.0
+    floor_mode: str = "none"          # none | halfline_auto
     floor_factor: float = 5.0         # multiples of the local level spacing
     halfline_length: float = 0.0      # L, needed for halfline_auto
 
@@ -155,6 +154,10 @@ class ClassifyConfig:
 
     pole_match_radius: float = 0.1
     residue_rho: float = 0.25
+
+    def __post_init__(self):
+        if self.floor_mode not in ("none", "halfline_auto"):
+            raise ValueError(f"unknown floor_mode {self.floor_mode!r}")
 
     def level_spacing(self, x: float) -> float:
         if self.floor_mode == "halfline_auto":
@@ -169,12 +172,7 @@ class ClassifyConfig:
         return relative > self.tau_eig_rel and (slope is None or slope < DECAY_CUT)
 
     def schedule(self, x: float) -> EtaSchedule:
-        if self.floor_mode == "constant":
-            floor = self.floor_const
-        elif self.floor_mode == "halfline_auto":
-            floor = self.floor_factor * self.level_spacing(x)
-        else:
-            floor = 0.0
+        floor = self.floor_factor * self.level_spacing(x)
         if floor >= self.eta0:
             floor = 0.9 * self.eta0
         return EtaSchedule(self.eta0, self.eta_ratio, self.eta_count, floor=floor)
@@ -202,7 +200,7 @@ def make_probes(dom, kind: str = "basis", count: int = 0, seed: int = 0):
 def _quadratic_form_terms(op: DirichletOperator, g: np.ndarray):
     """Constant part and injected vector of z -> (M(z) g, g)_B."""
     dom = op.domain
-    v = op.incidence @ g
+    v = dom.incidence @ g
     const = dom.boundary_inner(g, g) / dom.h
     scale = dom.h ** (dom.dimension - 4)
     return const, v, scale
@@ -490,24 +488,28 @@ def purity_filter(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
     violating it force Mixed/Unknown.  On unfloored schedules (genuine finite
     models) a Newton pole scan from every grid point backs this up, so an
     eigenvalue strictly inside the window is caught even when no grid point
-    lands on it.  The other verdicts come from analyticity_test, ac_support
-    (PureSC: ac_free) and sc_screen (PureAC: no diverging run of positive length).
+    lands on it; a grid point within pole_match_radius of a pole found there
+    is not listed beside it, so each level is listed once.  The other verdicts
+    come from analyticity_test, ac_support (PureSC: ac_free) and sc_screen
+    (PureAC: no diverging run of positive length).
     """
     xs = window_grid(window, grid_step)
     lo, hi = float(window[0]), float(window[1])
 
-    offending = []
+    poles = []
     if not cfg.schedule(xs[0]).floored:
         for x in xs:
             for g in probes:
                 lam0 = refine_pole(op, x, g, eta_start=cfg.eta0 / 4)
                 if lam0 is not None and lo < lam0 < hi:
-                    offending.append(float(lam0))
+                    poles.append(float(lam0))
+    offending = list(poles)
     for x in xs:
         sched = cfg.schedule(x)
         for g in probes:
             est = slim_eta_M(op, x, g, sched)
-            if cfg.slim_nonzero(est.meta["relative"], est.decay_exponent):
+            if cfg.slim_nonzero(est.meta["relative"], est.decay_exponent) and not any(
+                    abs(lam0 - x) <= cfg.pole_match_radius for lam0 in poles):
                 offending.append(float(x))
     if offending:
         distinct = []

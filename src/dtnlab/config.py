@@ -11,7 +11,9 @@ noted; unknown keys anywhere are rejected with a suggestion):
                    # or {"kind": "tabulated", "interior_values": [...]}
       "window":    {"lo": 0.0, "hi": 4.0, "grid_step": 0.1},        # required
       "eta":       {"eta0": 0.01, "ratio": 0.5, "count": 8,
-                    "floor_mode": "none", "floor_const": 0.0, "floor_factor": 5.0},
+                    "floor_mode": "none", "floor_factor": 5.0},
+                   # floor_mode "none" (a finite model) or "halfline_auto": eta
+                   # floored at floor_factor x the level spacing 2 pi sqrt(x) / L
       "probes":    {"kind": "basis"},   # or {"kind": "random", "count": 4, "seed": 0}
       "thresholds": {"tau_eig": 1e-6, "tau_ac": 1e-6, "null_fraction": 0.01,
                      "fit_tol": 1e-5, "pole_match_radius": null,
@@ -67,7 +69,7 @@ _KEYS = {
     "domain": {"kind", "h", "L", "a"},
     "potential": {"kind", "depth", "width", "interior_values"},
     "window": {"lo", "hi", "grid_step"},
-    "eta": {"eta0", "ratio", "count", "floor_mode", "floor_const", "floor_factor"},
+    "eta": {"eta0", "ratio", "count", "floor_mode", "floor_factor"},
     "probes": {"kind", "count", "seed"},
     "thresholds": {"tau_eig", "tau_ac", "null_fraction", "fit_tol",
                    "pole_match_radius", "window_half_width"},
@@ -162,8 +164,7 @@ class RunConfig:
             half_width = self.grid_step
         return ClassifyConfig(
             eta0=e["eta0"], eta_ratio=e["ratio"], eta_count=e["count"],
-            floor_mode=e["floor_mode"], floor_const=e["floor_const"],
-            floor_factor=e["floor_factor"],
+            floor_mode=e["floor_mode"], floor_factor=e["floor_factor"],
             halfline_length=self.domain.get("L", 0.0),
             tau_eig_rel=t["tau_eig"], tau_ac=t["tau_ac"],
             null_fraction=t["null_fraction"], fit_tol=t["fit_tol"],
@@ -216,15 +217,14 @@ def config_from_dict(data: dict) -> RunConfig:
              f"window.grid_step gives more than {MAX_GRID_POINTS} grid points")
 
     eta = {"eta0": 0.01, "ratio": 0.5, "count": 8,
-           "floor_mode": "none", "floor_const": 0.0, "floor_factor": 5.0}
+           "floor_mode": "none", "floor_factor": 5.0}
     eta.update(data.get("eta", {}))
-    _require_numbers("eta", eta, ("eta0", "ratio", "floor_const", "floor_factor"))
+    _require_numbers("eta", eta, ("eta0", "ratio", "floor_factor"))
     _require(eta["eta0"] > 0, "eta.eta0 must be positive")
     _require(0 < eta["ratio"] < 1, "eta.ratio must lie in (0, 1)")
     eta["count"] = _integer(eta["count"], 3, MAX_ETA_COUNT, "eta.count")
-    _require(eta["floor_mode"] in ("none", "constant", "halfline_auto"),
-             "eta.floor_mode must be 'none', 'constant' or 'halfline_auto'")
-    _require(eta["floor_const"] >= 0, "eta.floor_const must be nonnegative")
+    _require(eta["floor_mode"] in ("none", "halfline_auto"),
+             "eta.floor_mode must be 'none' or 'halfline_auto'")
     _require(eta["floor_factor"] > 0, "eta.floor_factor must be positive")
 
     probes = {"kind": "basis", "count": 1, "seed": 0}

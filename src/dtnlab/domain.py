@@ -76,7 +76,10 @@ class DiscreteDomain:
 
     Node coordinates are stored as integer lattice multi-indices scaled by h.
     ``boundary_adjacency[b]`` lists the interior indices of the inward
-    neighbors of boundary node b (at lattice distance one).
+    neighbors of boundary node b (at lattice distance one).  The stencil is
+    derived from these once: ``interior_neighbors`` gives A_II and the
+    connectivity check, ``incidence`` gives B = P / h^2 and the trace part of
+    the normal derivative.
     """
 
     dimension: int
@@ -111,12 +114,29 @@ class DiscreteDomain:
     @cached_property
     def neighbor_counts(self) -> np.ndarray:
         """Inward neighbor count k_b per boundary node (read-only, built on first use)."""
-        return _read_only(np.array([len(a) for a in self.boundary_adjacency]))
+        return _read_only(np.array([len(a) for a in self.boundary_adjacency], dtype=int))
 
     @cached_property
     def boundary_node_weights(self) -> np.ndarray:
         """Per-node boundary weights k_b * h^(d-1) (read-only, built on first use)."""
         return _read_only(self.neighbor_counts * self.boundary_weight)
+
+    # -- stencil -----------------------------------------------------------
+
+    @cached_property
+    def interior_neighbors(self) -> np.ndarray:
+        """(n_I, 2d) interior index of each interior node's neighbor at +e_0, -e_0,
+        +e_1, -e_1, ...; -1 where it is not interior (read-only, built on first use)."""
+        return _read_only(_neighbors(self.interior_lattice, self.interior_lattice))
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Dense adjacency incidence P (interior x boundary), one count per adjacency
+        pair; B = P / h^2 (read-only, built on first use)."""
+        p = np.zeros((self.n_interior, self.n_boundary))
+        rows = np.array([i for nbrs in self.boundary_adjacency for i in nbrs], dtype=int)
+        np.add.at(p, (rows, np.repeat(np.arange(self.n_boundary), self.neighbor_counts)), 1.0)
+        return _read_only(p)
 
     # -- weighted products -------------------------------------------------
 
@@ -142,40 +162,51 @@ class DiscreteDomain:
     def validate(self) -> None:
         if self.h <= 0:
             raise DomainError("mesh spacing h must be positive")
-        sets = [self.interior_lattice, self.boundary_lattice, self.truncation_lattice]
-        seen = set()
-        for arr in sets:
-            for row in map(tuple, arr):
-                if row in seen:
-                    raise DomainError(f"node {row} appears in more than one node set")
-                seen.add(row)
-        interior_index = {tuple(r): i for i, r in enumerate(self.interior_lattice)}
-        for b, nbrs in enumerate(self.boundary_adjacency):
-            if not nbrs:
-                raise DomainError(f"boundary node {b} has no interior neighbor")
-            bl = self.boundary_lattice[b]
-            for i in nbrs:
-                if int(np.abs(self.interior_lattice[i] - bl).sum()) != 1:
-                    raise DomainError(
-                        f"listed neighbor {i} of boundary node {b} is not at distance h"
-                    )
-        # interior adjacency graph must be connected
-        n = self.n_interior
-        if n == 0:
+        nodes = np.concatenate([self.interior_lattice, self.boundary_lattice,
+                                self.truncation_lattice])
+        distinct, counts = np.unique(nodes, axis=0, return_counts=True)
+        if np.any(counts > 1):
+            row = tuple(distinct[np.argmax(counts > 1)].tolist())
+            raise DomainError(f"node {row} appears in more than one node set")
+        if self.n_interior == 0:
             raise DomainError("empty interior")
-        rows, cols = [], []
-        for i, r in enumerate(self.interior_lattice):
-            for axis in range(self.dimension):
-                nb = r.copy()
-                nb[axis] += 1
-                j = interior_index.get(tuple(nb))
-                if j is not None:
-                    rows.append(i)
-                    cols.append(j)
-        graph = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+        if len(self.boundary_adjacency) != self.n_boundary:
+            raise DomainError("boundary_adjacency needs one entry per boundary node")
+        if np.any(self.neighbor_counts == 0):
+            b = int(np.argmin(self.neighbor_counts))
+            raise DomainError(f"boundary node {b} has no interior neighbor")
+        if not all(0 <= i < self.n_interior for nbrs in self.boundary_adjacency for i in nbrs):
+            raise DomainError("boundary_adjacency lists an index outside the interior")
+        b, i = np.nonzero(self.incidence.T)
+        far = np.abs(self.interior_lattice[i] - self.boundary_lattice[b]).sum(axis=1) != 1
+        if np.any(far):
+            k = np.argmax(far)
+            raise DomainError(
+                f"listed neighbor {i[k]} of boundary node {b[k]} is not at distance h"
+            )
+        # interior adjacency graph must be connected
+        nbrs = self.interior_neighbors
+        rows, cols = np.nonzero(nbrs >= 0)[0], nbrs[nbrs >= 0]
+        graph = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(self.n_interior,) * 2)
         ncomp, _ = connected_components(graph, directed=False)
         if ncomp != 1:
             raise DomainError("interior adjacency graph is not connected")
+
+
+def _neighbors(lattice: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """(len(nodes), 2d) index into lattice of each node's neighbor at +e_0, -e_0,
+    +e_1, -e_1, ...; -1 where the lattice has no such node.
+
+    One index box over the lattice, padded by a node on every side, is read at
+    the shifted nodes.
+    """
+    both = np.concatenate([lattice, nodes])
+    lo = both.min(axis=0) - 1
+    box = np.full(both.max(axis=0) + 2 - lo, -1, dtype=int)
+    box[tuple((lattice - lo).T)] = np.arange(len(lattice))
+    d = lattice.shape[1]
+    steps = np.repeat(np.eye(d, dtype=int), 2, axis=0) * np.tile([1, -1], d)[:, None]
+    return box[tuple(np.moveaxis(nodes[:, None, :] + steps - lo, -1, 0))]
 
 
 def build_domain(spec) -> DiscreteDomain:
@@ -223,30 +254,13 @@ def _build_exterior2d(spec: Exterior2D) -> DiscreteDomain:
     if nL < na + 2:
         raise DomainError("no interior nodes between obstacle and truncation box")
 
-    interior, boundary, trunc = [], [], []
-    for i in range(-nL, nL + 1):
-        for j in range(-nL, nL + 1):
-            m = max(abs(i), abs(j))
-            if m == na:
-                boundary.append((i, j))
-            elif na < m < nL:
-                interior.append((i, j))
-            elif m == nL:
-                trunc.append((i, j))
-            # m < na: enclosed obstacle nodes, not part of the model
-    interior = np.array(sorted(interior), dtype=int)
-    boundary = np.array(sorted(boundary), dtype=int)
-    trunc = np.array(sorted(trunc), dtype=int)
-
-    interior_index = {tuple(r): k for k, r in enumerate(interior)}
-    adjacency = []
-    for i, j in boundary:
-        nbrs = []
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            k = interior_index.get((i + di, j + dj))
-            if k is not None:
-                nbrs.append(k)
-        adjacency.append(tuple(nbrs))
+    ij = np.mgrid[-nL:nL + 1, -nL:nL + 1].reshape(2, -1).T   # lexicographic order
+    ring = np.abs(ij).max(axis=1)
+    # ring < na: enclosed obstacle nodes, not part of the model
+    interior = ij[(na < ring) & (ring < nL)]
+    boundary = ij[ring == na]
+    trunc = ij[ring == nL]
+    adjacency = [tuple(int(k) for k in row if k >= 0) for row in _neighbors(interior, boundary)]
     return DiscreteDomain(
         dimension=2,
         h=spec.h,
@@ -323,11 +337,6 @@ class DirichletOperator:
     def a_norm(self) -> float:
         return self.cached("a1", lambda: spla.norm(self.a_ii, 1))
 
-    @property
-    def incidence(self) -> np.ndarray:
-        """Dense adjacency incidence P (interior x boundary, entries 1); B = P / h^2."""
-        return self.cached("P", lambda: (self.b * self.domain.h ** 2).toarray())
-
     def cached(self, key, build):
         """build() on the first request for key, stored (arrays read-only) unless it raises.
 
@@ -372,31 +381,13 @@ def assemble_operator(dom: DiscreteDomain, q: PotentialField) -> DirichletOperat
     q.validate(dom)
     n = dom.n_interior
     h2 = dom.h ** 2
-    interior_index = {tuple(r): i for i, r in enumerate(dom.interior_lattice)}
-
-    rows, cols, vals = [], [], []
-    for i, r in enumerate(dom.interior_lattice):
-        rows.append(i)
-        cols.append(i)
-        vals.append(2 * dom.dimension / h2 + q.interior_values[i])
-        for axis in range(dom.dimension):
-            for step in (1, -1):
-                nb = r.copy()
-                nb[axis] += step
-                j = interior_index.get(tuple(nb))
-                if j is not None:
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(-1.0 / h2)
+    nbrs = dom.interior_neighbors
+    rows = np.concatenate([np.arange(n), np.nonzero(nbrs >= 0)[0]])
+    cols = np.concatenate([np.arange(n), nbrs[nbrs >= 0]])
+    vals = np.concatenate([2 * dom.dimension / h2 + q.interior_values,
+                           np.full(len(rows) - n, -1.0 / h2)])
     a_ii = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-    brows, bcols, bvals = [], [], []
-    for b_idx, nbrs in enumerate(dom.boundary_adjacency):
-        for i in nbrs:
-            brows.append(i)
-            bcols.append(b_idx)
-            bvals.append(1.0 / h2)
-    b = sp.csr_matrix((bvals, (brows, bcols)), shape=(n, dom.n_boundary))
+    b = sp.csr_matrix(dom.incidence / h2)
 
     asym = abs(a_ii - a_ii.T)
     if asym.nnz and asym.max() > 0:

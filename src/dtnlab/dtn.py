@@ -119,20 +119,16 @@ def normal_derivative(dom: DiscreteDomain, g: np.ndarray, u: np.ndarray) -> np.n
         raise ValueError("boundary data has wrong length")
     if u.shape != (dom.n_interior,):
         raise ValueError("interior field has wrong length")
-    out = np.empty(dom.n_boundary, dtype=complex)
-    for b, nbrs in enumerate(dom.boundary_adjacency):
-        out[b] = (len(nbrs) * g[b] - sum(u[i] for i in nbrs)) / (len(nbrs) * dom.h)
-    return out
+    return g / dom.h - _trace_part(dom, u[:, None])[:, 0]
 
 
-def _trace_part(op: DirichletOperator, u_cols: np.ndarray) -> np.ndarray:
+def _trace_part(dom: DiscreteDomain, u_cols: np.ndarray) -> np.ndarray:
     """Apply (1/(k_b h)) P^T to interior columns (the u-part of the normal derivative)."""
-    k = op.domain.neighbor_counts
-    return (op.incidence.T @ u_cols) / (k[:, None] * op.domain.h)
+    return (dom.incidence.T @ u_cols) / (dom.neighbor_counts[:, None] * dom.h)
 
 
 def _dtn_from_gamma(op: DirichletOperator, gamma: np.ndarray) -> np.ndarray:
-    return np.eye(op.domain.n_boundary, dtype=complex) / op.domain.h - _trace_part(op, gamma)
+    return np.eye(op.domain.n_boundary, dtype=complex) / op.domain.h - _trace_part(op.domain, gamma)
 
 
 def dtn_matrix(op: DirichletOperator, lam: complex) -> DtnMatrix:

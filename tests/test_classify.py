@@ -231,6 +231,16 @@ class TestPurity:
         assert v.verdict == "Mixed/Unknown"
         assert v.offending_points[0] == pytest.approx(1.0, abs=1e-6)
 
+    def test_each_level_listed_once(self, annulus2d):
+        # the grid point 0.75 lies 7.9e-4 above the level 0.749213, whose pole
+        # the scan finds: its nonzero eta*M limit does not list the level again
+        _, op = annulus2d
+        cfg = ClassifyConfig(eta0=1e-2, pole_match_radius=0.125, window_half_width=0.25)
+        v = purity_filter(op, (0.5, 1.0), make_probes(op.domain, "basis"), cfg, 0.25)
+        assert v.verdict == "Mixed/Unknown"
+        assert v.offending_points == pytest.approx((0.749213076625244, 0.9946893379517004),
+                                                   abs=1e-9)
+
     def test_free_halfline_pure_ac(self, freeline):
         _, op = freeline
         probes = make_probes(op.domain, "basis")
@@ -244,6 +254,13 @@ class TestPurity:
         v = purity_filter(op, (0.6, 0.9), probes, T1_CFG, 0.1)
         assert v.verdict == "PureSC"
         assert v.offending_points == ()
+
+
+class TestClassifyConfig:
+    def test_unknown_floor_mode_rejected(self):
+        # an unknown mode would otherwise run unfloored without a word
+        with pytest.raises(ValueError, match="floor_mode"):
+            ClassifyConfig(eta0=1e-2, floor_mode="constant")
 
 
 class TestProbes:

@@ -27,8 +27,7 @@ class TestConfig:
     def test_defaults_filled(self):
         cfg = config_from_dict(T1_CONFIG)
         assert cfg.eta == {"eta0": 0.01, "ratio": 0.5, "count": 8,
-                           "floor_mode": "none", "floor_const": 0.0,
-                           "floor_factor": 5.0}
+                           "floor_mode": "none", "floor_factor": 5.0}
         assert cfg.probes["kind"] == "basis"
         assert cfg.threads == 1
 
@@ -234,6 +233,13 @@ class TestCli:
         config_from_dict(dict(T1_CONFIG, eta={"count": MAX_ETA_COUNT}))
         for count in (MAX_ETA_COUNT + 1, 100_000_000, 8.5):
             self._rejected(tmp_path, dict(T1_CONFIG, eta={"count": count}), "eta.count")
+
+    @pytest.mark.parametrize("eta, match", [
+        ({"floor_mode": "constant"}, "eta.floor_mode"),
+        ({"floor_const": 0.0}, "floor_const"),
+    ])
+    def test_constant_floor_is_config_error(self, tmp_path, eta, match):
+        self._rejected(tmp_path, dict(T1_CONFIG, eta=eta), match)
 
     @pytest.mark.parametrize("probes, match", [
         ({"kind": "random", "count": 1e12}, "probes.count"),

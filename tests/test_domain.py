@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dtnlab import (
+    DiscreteDomain,
     DomainError,
     EndpointOnEigenvalue,
     Exterior2D,
@@ -76,6 +77,76 @@ class TestExteriorGeometry:
     def test_no_room_between_obstacle_and_box(self):
         with pytest.raises(DomainError):
             build_domain(Exterior2D(h=1.0, a=1.5, L=2.5))
+
+
+def _halfline(interior=(1, 2), boundary=(0,), truncation=(3,), adjacency=((0,),)):
+    """Hand-built 1D domain, h = 1, from lattice indices."""
+    def lattice(nodes):
+        return np.array(nodes, dtype=int).reshape(-1, 1)
+    return DiscreteDomain(dimension=1, h=1.0, interior_lattice=lattice(interior),
+                          boundary_lattice=lattice(boundary),
+                          truncation_lattice=lattice(truncation),
+                          boundary_adjacency=adjacency)
+
+
+class TestValidate:
+    def test_valid_hand_built(self):
+        _halfline().validate()
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"truncation": (2,)}, "more than one node set"),
+        ({"adjacency": ()}, "one entry per boundary node"),
+        ({"adjacency": ((),)}, "has no interior neighbor"),
+        ({"adjacency": ((-1,),)}, "outside the interior"),
+        ({"adjacency": ((2,),)}, "outside the interior"),
+        ({"adjacency": ((1,),)}, "is not at distance h"),
+        ({"interior": (), "boundary": (), "adjacency": ()}, "empty interior"),
+        ({"interior": (1, 3), "truncation": (4,)}, "not connected"),
+    ])
+    def test_each_check_fires(self, kwargs, match):
+        with pytest.raises(DomainError, match=match):
+            _halfline(**kwargs).validate()
+
+
+def _reference_stencil(dom, q):
+    """A_II and P from the L1 lattice distances of every node pair."""
+    interior, boundary = dom.interior_lattice, dom.boundary_lattice
+    d_ii = np.abs(interior[:, None, :] - interior[None, :, :]).sum(axis=-1)
+    d_ib = np.abs(interior[:, None, :] - boundary[None, :, :]).sum(axis=-1)
+    h2 = dom.h ** 2
+    a_ii = np.where(d_ii == 1, -1.0 / h2, 0.0)
+    a_ii[np.diag_indices(dom.n_interior)] = 2 * dom.dimension / h2 + q.interior_values
+    return a_ii, np.where(d_ib == 1, 1.0, 0.0)
+
+
+class TestStencil:
+    @pytest.mark.parametrize("spec", [HalfLine1D(h=1.0, L=3.0), Exterior2D(h=1.0, a=1.5, L=4.5),
+                                      Exterior2D(h=0.5, a=1.5, L=7.5)],
+                             ids=["t1", "reduced_annulus", "annulus_h0.5"])
+    def test_matches_lattice_distances(self, spec):
+        dom = build_domain(spec)
+        op = assemble_operator(dom, zero_potential(dom))
+        a_ii, p = _reference_stencil(dom, op.potential)
+        assert np.array_equal(op.a_ii.toarray(), a_ii)
+        assert np.array_equal(dom.incidence, p)
+        assert np.array_equal(op.b.toarray(), p / dom.h ** 2)
+
+    def test_neighbor_table_directions(self, annulus2d):
+        dom, _ = annulus2d
+        nbrs = dom.interior_neighbors
+        assert nbrs.shape == (dom.n_interior, 4) and not nbrs.flags.writeable
+        steps = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
+        for k, step in enumerate(steps):
+            has = nbrs[:, k] >= 0
+            moved = dom.interior_lattice[has] + step
+            assert np.array_equal(dom.interior_lattice[nbrs[has, k]], moved)
+            ring = np.abs(dom.interior_lattice[~has] + step).max(axis=1)
+            assert set(ring.tolist()) == {1, 7}    # obstacle boundary or truncation ring
+
+    def test_incidence_exact_at_h03(self):
+        # B = P / h^2 is built from P, not P from B: (1 / h^2) * h^2 is not 1 at h = 0.3
+        dom = build_domain(Exterior2D(h=0.3, a=0.9, L=2.1))
+        assert set(np.unique(dom.incidence).tolist()) == {0.0, 1.0}
 
 
 class TestPotentials:

@@ -89,6 +89,16 @@ class TestDtnMatrix:
         u = poisson_solve(op, lam, g)
         assert np.allclose(dtn_matrix(op, lam).m @ g, normal_derivative(dom, g, u))
 
+    def test_normal_derivative_matches_node_loop(self, annulus2d, rng):
+        # the per-node one-sided quotient of the module docstring, averaged
+        # over each boundary node's inward neighbors
+        dom, _ = annulus2d
+        g = rng.standard_normal(dom.n_boundary) + 1j * rng.standard_normal(dom.n_boundary)
+        u = rng.standard_normal(dom.n_interior) + 1j * rng.standard_normal(dom.n_interior)
+        loop = [np.mean([(g[b] - u[i]) / dom.h for i in nbrs])
+                for b, nbrs in enumerate(dom.boundary_adjacency)]
+        assert np.allclose(normal_derivative(dom, g, u), loop, rtol=1e-14, atol=0)
+
     def test_weighted_conjugate_symmetry_2d(self, annulus2d):
         # entrywise transpose symmetry fails at corners; the weighted adjoint is exact
         dom, op = annulus2d
