@@ -50,6 +50,7 @@ from .dtn import (
 )
 from .limits import (
     AnalyticityReport,
+    BoundaryValue,
     EtaSchedule,
     LimitEstimate,
     ResidueMatrix,

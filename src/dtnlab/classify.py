@@ -9,6 +9,7 @@ those unions.  All thresholds are scale-free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 import scipy.linalg as sla
@@ -22,10 +23,8 @@ from .limits import (
     ResidueMatrix,
     analyticity_test,
     boundary_value_M,
-    decay_exponent,
     residue_contour,
     slim_eta_M,
-    vanishes,
 )
 
 __all__ = [
@@ -89,10 +88,6 @@ class GridSet:
 
     def contains(self, x: float) -> bool:
         return any(lo <= x <= hi for lo, hi in self.intervals)
-
-    @staticmethod
-    def empty() -> "GridSet":
-        return GridSet(intervals=())
 
     @staticmethod
     def from_flags(xs, flags) -> "GridSet":
@@ -166,16 +161,23 @@ class ClassifyConfig:
             return 2 * np.pi * np.sqrt(x) / self.halfline_length
         return 0.0
 
-    def slim_nonzero(self, relative: float, slope: float | None) -> bool:
-        """Whether an eta*M limit of this relative size and decay slope is nonzero;
-        a slope of None does not veto it, so this is not `not vanishes(slope)`."""
-        return relative > self.tau_eig_rel and (slope is None or slope < DECAY_CUT)
+    def slim_nonzero(self, relative, slope):
+        """Whether eta*M limits of these relative sizes and decay slopes are nonzero;
+        a slope of None or nan does not veto it, so this is not `not vanishes(slope)`."""
+        slope = np.nan if slope is None else np.asarray(slope)
+        return (np.asarray(relative) > self.tau_eig_rel) & ~(slope >= DECAY_CUT)
 
     def schedule(self, x: float) -> EtaSchedule:
         floor = self.floor_factor * self.level_spacing(x)
         if floor >= self.eta0:
             floor = 0.9 * self.eta0
         return EtaSchedule(self.eta0, self.eta_ratio, self.eta_count, floor=floor)
+
+    def schedule_runs(self, xs):
+        """(schedule, indices) for each run of consecutive grid points that share
+        an eta schedule; one run unless floor_mode is halfline_auto."""
+        for sched, run in groupby(range(len(xs)), key=lambda j: self.schedule(xs[j])):
+            yield sched, list(run)
 
 
 def make_probes(dom, kind: str = "basis", count: int = 0, seed: int = 0):
@@ -253,8 +255,7 @@ class PointVerdict:
     refined_lambda: float | None = None
     multiplicity: int = 0
     residue: ResidueMatrix | None = None
-    tau_range: np.ndarray | None = None
-    evidence: dict = field(default_factory=dict)
+    evidence: dict = field(default_factory=dict)   # slim_rel, decay_exponent: per probe
 
 
 def _weighted_column_basis(dom, matrix: np.ndarray, rel_tol: float = 1e-8):
@@ -276,44 +277,24 @@ def classify_point(op: DirichletOperator, x: float, cfg: ClassifyConfig,
     sched = cfg.schedule(x)
     probes = make_probes(dom, "basis") if probes is None else probes
 
-    slim_rels, slopes, flagged = [], [], []
-    best = (-1.0, None)
-    partial = False
-    for g in probes:
-        est = slim_eta_M(op, x, g, sched)
-        partial = partial or est.meta.get("partial", False)
-        rel = est.meta["relative"]
-        slim_rels.append(float(rel))
-        slopes.append(est.decay_exponent)
-        flag = cfg.slim_nonzero(rel, est.decay_exponent)
-        flagged.append(flag)
-        if flag and rel > best[0]:
-            best = (rel, g)
+    est = slim_eta_M(op, x, probes, sched)
+    evidence = {"slim_rel": est.relative, "decay_exponent": est.decay_exponent}
+    flagged = cfg.slim_nonzero(est.relative, est.decay_exponent)
 
-    evidence = {
-        "slim_rel": slim_rels,
-        "decay_exponent": slopes,
-        "tau_eig_rel": cfg.tau_eig_rel,
-        "eta0": sched.eta0,
-        "floored": sched.floored,
-    }
-
-    if any(flagged):
-        g = best[1]
+    if flagged.any():
+        # the probe with the largest flagged limit, the first of equals
+        g = probes[int(np.argmax(np.where(flagged, est.relative, -1.0)))]
         lam0 = refine_pole(op, x, g, eta_start=sched.eta0 / 4)
         if lam0 is None:
             raise Inconclusive(f"eta*M limit nonzero at x={x} but pole refinement failed")
-        evidence["refined_lambda"] = lam0
         if abs(lam0 - x) <= cfg.pole_match_radius:
             res = residue_contour(op, lam0, cfg.residue_rho)
-            basis, rank = _weighted_column_basis(dom, res.r)
-            return PointVerdict(
-                x=x, verdict=EIGENVALUE, refined_lambda=lam0,
-                multiplicity=rank, residue=res, tau_range=basis, evidence=evidence,
-            )
+            _, rank = _weighted_column_basis(dom, res.r)
+            return PointVerdict(x=x, verdict=EIGENVALUE, refined_lambda=lam0,
+                                multiplicity=rank, residue=res, evidence=evidence)
         # a pole exists nearby but not at this grid point; fall through
 
-    if partial:
+    if est.partial.any():
         raise Inconclusive(f"solver failures along the eta schedule at x={x}")
 
     # analytic continuation through *some* real neighborhood suffices, so the
@@ -328,7 +309,6 @@ def classify_point(op: DirichletOperator, x: float, cfg: ClassifyConfig,
         except NearSpectrum as exc:
             failure = exc
             continue
-        evidence["analyticity"] = ana
         if ana.ok:
             return PointVerdict(x=x, verdict=RESOLVENT_SET, evidence=evidence)
     if failure is not None:
@@ -393,8 +373,7 @@ def eigenspace_via_tau(op: DirichletOperator, lam0: float, eig: EigenSystem) -> 
 class ACSupportSet:
     window: tuple
     grid: np.ndarray
-    per_probe: tuple                  # GridSet per probe, before closure
-    per_probe_closed: tuple
+    per_probe_closed: tuple           # GridSet per probe
     closed_union: GridSet
     ac_free: bool
     boundary_values: np.ndarray       # (n_probes, n_grid) complex
@@ -412,25 +391,16 @@ def ac_support(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
     """Grid sets where 0 < -Im(M(x+i0)g, g) < infinity, essentially closed and unioned."""
     xs = window_grid(window, grid_step)
     bvals = np.empty((len(probes), len(xs)), dtype=complex)
-    per_probe, per_probe_closed = [], []
-    for i, g in enumerate(probes):
-        flags = np.zeros(len(xs), dtype=bool)
-        for j, x in enumerate(xs):
-            est = boundary_value_M(op, x, g, cfg.schedule(x))
-            bvals[i, j] = complex(est.value)
-            neg_im = -bvals[i, j].imag
-            flags[j] = cfg.tau_ac < neg_im < 1.0 / cfg.tau_ac
-        raw = GridSet.from_flags(xs, flags)
-        per_probe.append(raw)
-        per_probe_closed.append(essential_closure(raw))
-    union = essential_closure(GridSet.union(*per_probe_closed)) if per_probe_closed \
-        else GridSet.empty()
+    for sched, run in cfg.schedule_runs(xs):
+        bvals[:, run] = boundary_value_M(op, xs[run], probes, sched).value
+    flags = (cfg.tau_ac < -bvals.imag) & (-bvals.imag < 1.0 / cfg.tau_ac)
+    per_probe_closed = [essential_closure(GridSet.from_flags(xs, f)) for f in flags]
+    union = essential_closure(GridSet.union(*per_probe_closed))
     nonzero_im = np.abs(bvals.imag) > cfg.tau_ac
     frac = float(np.mean(np.any(nonzero_im, axis=0))) if len(xs) else 0.0
     return ACSupportSet(
-        window=tuple(window), grid=xs, per_probe=tuple(per_probe),
-        per_probe_closed=tuple(per_probe_closed), closed_union=union,
-        ac_free=frac <= cfg.null_fraction, boundary_values=bvals,
+        window=tuple(window), grid=xs, per_probe_closed=tuple(per_probe_closed),
+        closed_union=union, ac_free=frac <= cfg.null_fraction, boundary_values=bvals,
     )
 
 
@@ -455,13 +425,9 @@ def sc_screen(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
     xs = window_grid(window, grid_step)
     div = np.zeros((len(probes), len(xs)), dtype=bool)
     yzero = np.zeros((len(probes), len(xs)), dtype=bool)
-    for i, g in enumerate(probes):
-        for j, x in enumerate(xs):
-            sched = cfg.schedule(x)
-            bv = boundary_value_M(op, x, g, sched)
-            div[i, j] = bv.diverging
-            yzero[i, j] = vanishes(decay_exponent([eta for eta, _ in bv.samples],
-                                                  [abs(eta * q) for eta, q in bv.samples]))
+    for sched, run in cfg.schedule_runs(xs):
+        bv = boundary_value_M(op, xs[run], probes, sched)
+        div[:, run], yzero[:, run] = bv.diverging, bv.y_limit_zero
     both = np.any(div & yzero, axis=0)
     flagged = GridSet.from_flags(xs, both)
     excluded = essential_closure(flagged).is_empty
@@ -488,10 +454,11 @@ def purity_filter(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
     violating it force Mixed/Unknown.  On unfloored schedules (genuine finite
     models) a Newton pole scan from every grid point backs this up, so an
     eigenvalue strictly inside the window is caught even when no grid point
-    lands on it; a grid point within pole_match_radius of a pole found there
-    is not listed beside it, so each level is listed once.  The other verdicts
-    come from analyticity_test, ac_support (PureSC: ac_free) and sc_screen
-    (PureAC: no diverging run of positive length).
+    lands on it; the eta*M test skips the grid points within
+    pole_match_radius of a pole found there, so each level is listed once.
+    The other verdicts come from analyticity_test, ac_support and sc_screen:
+    PureSC needs the AC stage's ac_free and a flagged SC run of positive
+    length, PureAC no diverging run of positive length.
     """
     xs = window_grid(window, grid_step)
     lo, hi = float(window[0]), float(window[1])
@@ -504,13 +471,13 @@ def purity_filter(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
                 if lam0 is not None and lo < lam0 < hi:
                     poles.append(float(lam0))
     offending = list(poles)
-    for x in xs:
-        sched = cfg.schedule(x)
-        for g in probes:
-            est = slim_eta_M(op, x, g, sched)
-            if cfg.slim_nonzero(est.meta["relative"], est.decay_exponent) and not any(
-                    abs(lam0 - x) <= cfg.pole_match_radius for lam0 in poles):
-                offending.append(float(x))
+    for sched, run in cfg.schedule_runs(xs):
+        run = [j for j in run
+               if not any(abs(lam0 - xs[j]) <= cfg.pole_match_radius for lam0 in poles)]
+        if run:
+            est = slim_eta_M(op, xs[run], probes, sched)
+            hit = cfg.slim_nonzero(est.relative, est.decay_exponent).any(axis=0)
+            offending += xs[run][hit].tolist()
     if offending:
         distinct = []
         for v in sorted(offending):
@@ -522,9 +489,13 @@ def purity_filter(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
                             slim_rel_tol=cfg.tau_eig_rel, im_rel_tol=cfg.tau_ac,
                             fit_tol=cfg.fit_tol).ok for x in xs):
         return PurityVerdict(tuple(window), NO_SPECTRUM)
-    if ac_support(op, window, probes, cfg, grid_step).ac_free:
-        return PurityVerdict(tuple(window), PURE_SC)
-    diverging = np.any(sc_screen(op, window, probes, cfg, grid_step).diverging, axis=0)
-    if essential_closure(GridSet.from_flags(xs, diverging)).is_empty:
+    ac_free = ac_support(op, window, probes, cfg, grid_step).ac_free
+    scr = sc_screen(op, window, probes, cfg, grid_step)
+    if ac_free:
+        # without AC spectrum, PureSC still needs a flagged run: an AC-free
+        # window with none may hold a level the scan missed (finite models
+        # have no SC spectrum)
+        return PurityVerdict(tuple(window), MIXED_UNKNOWN if scr.excluded else PURE_SC)
+    if essential_closure(GridSet.from_flags(xs, np.any(scr.diverging, axis=0))).is_empty:
         return PurityVerdict(tuple(window), PURE_AC)
     return PurityVerdict(tuple(window), MIXED_UNKNOWN)

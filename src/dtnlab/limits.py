@@ -10,7 +10,7 @@ of extrapolating past what the finite model can resolve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .errors import ContourTouchesSpectrum, NearSpectrum
 __all__ = [
     "EtaSchedule",
     "LimitEstimate",
+    "BoundaryValue",
     "ResidueMatrix",
     "AnalyticityReport",
     "richardson_extrapolate",
@@ -40,7 +41,6 @@ __all__ = [
 DIVERGENCE_SLOPE = -0.5
 DIVERGENCE_GROWTH = 10.0
 DECAY_CUT = 0.5                   # y*F -> 0 when |y*F| decays at least like eta^DECAY_CUT
-_LIMIT_TOL = 1e-8                 # relative extrapolation error of a converged limit
 _N_WINDOW, _FIT_DEGREE = 17, 10   # analyticity window: sample points, polynomial degree
 
 
@@ -78,15 +78,30 @@ class EtaSchedule:
 
 @dataclass(frozen=True)
 class LimitEstimate:
-    """An extrapolated eta -> 0 limit with its evidence."""
+    """eta -> 0 limit of eta * M(x + i*eta) g, one entry per probe and point.
 
-    value: object                    # complex scalar or boundary vector
-    error: float
-    samples: tuple                   # ((eta, sample), ...) as computed
-    converged: bool
-    diverging: bool = False
-    decay_exponent: float | None = None
-    meta: dict = field(default_factory=dict)
+    Every field has the shape g.shape[:-1] + shape(x), value one more axis
+    of length n_B.
+    """
+
+    value: np.ndarray                # the extrapolated boundary vector
+    relative: np.ndarray             # its norm over ||M(x + i*eta0) g||
+    decay_exponent: np.ndarray       # log-log slope of ||eta * M g||, nan if it underflowed
+    partial: np.ndarray              # the profile stopped at a NearSpectrum
+
+
+@dataclass(frozen=True)
+class BoundaryValue:
+    """Boundary value (M(x + i0) g, g), one entry per probe and point.
+
+    Every field has the shape g.shape[:-1] + shape(x).
+    """
+
+    value: np.ndarray                # extrapolant, or the sample at the floor
+    last: np.ndarray                 # sample at the smallest eta reached
+    diverging: np.ndarray            # Im -> -infinity
+    y_limit_zero: np.ndarray         # eta * (M g, g) -> 0
+    partial: np.ndarray              # the profile stopped at a NearSpectrum
 
 
 @dataclass(frozen=True)
@@ -106,7 +121,6 @@ class AnalyticityReport:
     slim_max: float
     im_max: float
     fit_misfit: float
-    thresholds: dict
 
 
 # ---------------------------------------------------------------------------
@@ -150,23 +164,31 @@ def extrapolate_tail(etas, values):
     return richardson_extrapolate(etas[-_TAIL:], values[-_TAIL:])
 
 
-def decay_exponent(etas, norms) -> float | None:
-    """Least-squares slope of log|f| against log(eta).
+def decay_exponent(etas, norms):
+    """Least-squares slope of log|f| against log(eta), over the last axis of norms.
 
-    None when fewer than two samples of |f| exceed 1e-290, i.e. f has vanished.
+    Only samples of |f| above 1e-290 enter.  Where fewer than two do (f has
+    vanished) the slope is nan, or None when norms is a single profile.
     """
-    mask = np.asarray(norms) > 1e-290
-    if mask.sum() < 2:
-        return None
-    x = np.log(np.asarray(etas)[mask])
-    y = np.log(np.asarray(norms)[mask])
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope)
+    norms = np.asarray(norms, dtype=float)
+    keep = norms > 1e-290
+    count = keep.sum(axis=-1)
+    fit = count >= 2
+    n = np.maximum(count, 1)[..., None]
+    x = np.where(keep, np.log(np.asarray(etas, dtype=float)), 0.0)
+    y = np.log(np.where(keep, norms, 1.0))
+    dx = np.where(keep, x - x.sum(axis=-1, keepdims=True) / n, 0.0)
+    dy = y - y.sum(axis=-1, keepdims=True) / n
+    slope = np.where(fit, (dx * dy).sum(axis=-1) / np.where(fit, (dx * dx).sum(axis=-1), 1.0),
+                     np.nan)
+    if norms.ndim == 1:
+        return None if count < 2 else float(slope)
+    return slope
 
 
-def vanishes(slope: float | None) -> bool:
-    """Whether a decay_exponent slope says y*F -> 0 (None: |y*F| underflowed)."""
-    return slope is None or slope >= DECAY_CUT
+def vanishes(slope):
+    """Whether a decay_exponent slope says y*F -> 0 (None or nan: |y*F| underflowed)."""
+    return slope is None or ~(np.asarray(slope) < DECAY_CUT)
 
 
 # ---------------------------------------------------------------------------
@@ -174,81 +196,90 @@ def vanishes(slope: float | None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def dtn_profile(op: DirichletOperator, x: float, g: np.ndarray, sched: EtaSchedule):
-    """(etas, M(x + i*eta) g, failure) along the schedule; partial on NearSpectrum."""
-    etas = sched.samples()
-    m, lengths, failures = dtn_matrices(op, x + 1j * etas)
-    n = lengths[0]
-    if n == 0:
-        raise failures[0]
-    return etas[:n].tolist(), [mk @ g for mk in m[0, :n]], failures[0]
+def dtn_profile(op: DirichletOperator, x, g, sched: EtaSchedule):
+    """M(x + i*eta) g along the schedule, for a point or an array of points and
+    a probe or a stack of probes.
 
-
-def slim_eta_M(op: DirichletOperator, x: float, g: np.ndarray,
-               sched: EtaSchedule) -> LimitEstimate:
-    """Extrapolated limit of eta * M(x + i*eta) g (zero off the point spectrum).
-
-    meta["relative"] is its norm over ||M(x + i*eta0) g||.
+    Yields (rows, etas, mg) per group of points whose profiles have equal
+    length: rows indexes the points of x flattened, etas is the profile, and
+    mg has the shape g.shape[:-1] + (len(rows), len(etas), n_B).  A profile
+    stops at its first NearSpectrum (dtn_matrices); the first point that
+    fails at eta0 re-raises it before anything is yielded.
     """
-    dom = op.domain
-    g = np.asarray(g, dtype=complex)
-    etas, applied, failure = dtn_profile(op, x, g, sched)
-    samples = [eta * mg for eta, mg in zip(etas, applied)]
-
-    norms = [dom.boundary_norm(s) for s in samples]
-    exponent = decay_exponent(etas, norms)
-    value, err = extrapolate_tail(etas, samples)
-    scale = max(norms + [1e-300])
-    converged = failure is None and err <= _LIMIT_TOL * max(scale, 1.0)
-    return LimitEstimate(
-        value=value,
-        error=err,
-        samples=tuple(zip(etas, samples)),
-        converged=converged,
-        decay_exponent=exponent,
-        meta={"partial": failure is not None,
-              "relative": dom.boundary_norm(value) / max(dom.boundary_norm(applied[0]), 1e-300)},
-    )
+    etas = sched.samples()
+    m, lengths, failures = dtn_matrices(op, np.reshape(x, (-1, 1)) + 1j * etas)
+    if not lengths.all():
+        raise failures[int(np.argmin(lengths))]
+    g = np.asarray(g, dtype=complex)[..., None, None, :, None]
+    for n in np.unique(lengths):
+        rows = np.flatnonzero(lengths == n)
+        # one matrix-vector product per probe, point and eta
+        yield rows, etas[:n], (m[rows, :n] @ g)[..., 0]
 
 
-def boundary_value_M(op: DirichletOperator, x: float, g: np.ndarray,
-                     sched: EtaSchedule) -> LimitEstimate:
-    """Boundary value (M(x + i0) g, g) in the weighted boundary product.
+def _slim_fields(dom, etas, mg, g, floored, slopes):
+    """LimitEstimate's fields of one dtn_profile group; decay_exponent with slopes."""
+    samples = etas[:, None] * mg
+    limit, _ = extrapolate_tail(etas, [samples[..., k, :] for k in range(etas.size)])
+    scale = np.maximum(dom.boundary_norm(mg[..., 0, :]), 1e-300)
+    out = {"value": limit, "relative": dom.boundary_norm(limit) / scale}
+    if slopes:
+        out["decay_exponent"] = decay_exponent(etas, dom.boundary_norm(samples))
+    return out
+
+
+def _bv_fields(dom, etas, mg, g, floored, slopes):
+    """BoundaryValue's fields of one dtn_profile group; the flags with slopes."""
+    q = dom.boundary_inner(mg, g[..., None, None, :])
+    out = {"value": q[..., -1] if floored else extrapolate_tail(etas, np.moveaxis(q, -1, 0))[0],
+           "last": q[..., -1]}
+    if slopes:
+        im, yq = np.abs(q.imag), etas * q
+        out["diverging"] = ((decay_exponent(etas, im) <= DIVERGENCE_SLOPE)
+                            & (im[..., -1] > DIVERGENCE_GROWTH * np.maximum(im[..., 0], 1e-300))
+                            & (im[..., -1] > 1e-10))
+        # hypot rounds as abs() of a Python complex does; np.abs may not
+        out["y_limit_zero"] = vanishes(decay_exponent(etas, np.hypot(yq.real, yq.imag)))
+    return out
+
+
+def _limits(op: DirichletOperator, x, g, sched: EtaSchedule, *kinds, slopes=True):
+    """One pass over dtn_profile's groups.  Per kind (_slim_fields,
+    _bv_fields) a dict of its fields and "partial" over all points, each of
+    shape g.shape[:-1] + shape(x), a vector field with a trailing n_B axis;
+    slopes=False leaves out the fields that need a decay_exponent."""
+    x, g = np.asarray(x, dtype=float), np.asarray(g, dtype=complex)
+    lead, full = g.ndim - 1, sched.samples().size
+    outs = [{} for _ in kinds]
+    for rows, etas, mg in dtn_profile(op, x, g, sched):
+        at = (slice(None),) * lead + (rows,)
+        for fields, out in zip(kinds, outs):
+            group = fields(op.domain, etas, mg, g, sched.floored, slopes)
+            group["partial"] = np.full(mg.shape[:-2], etas.size < full)
+            for key, val in group.items():
+                if key not in out:
+                    out[key] = np.empty(val.shape[:lead] + (x.size,) + val.shape[lead + 1:],
+                                        val.dtype)
+                out[key][at] = val
+    return [{key: val.reshape(val.shape[:lead] + x.shape + val.shape[lead + 1:])[()]
+             for key, val in out.items()} for out in outs]
+
+
+def slim_eta_M(op: DirichletOperator, x, g, sched: EtaSchedule) -> LimitEstimate:
+    """Extrapolated limit of eta * M(x + i*eta) g (zero off the point spectrum),
+    for a point or an array of points and a probe or a stack of probes."""
+    return LimitEstimate(**_limits(op, x, g, sched, _slim_fields)[0])
+
+
+def boundary_value_M(op: DirichletOperator, x, g, sched: EtaSchedule) -> BoundaryValue:
+    """Boundary value (M(x + i0) g, g) in the weighted boundary product, for a
+    point or an array of points and a probe or a stack of probes.
 
     On a floored schedule the value at the floor is reported instead of an
     extrapolant (limiting absorption on a finite model is only meaningful
-    above the level spacing).  The diverging flag is the scale-free ratio
-    test for Im -> -infinity.
+    above the level spacing).
     """
-    dom = op.domain
-    g = np.asarray(g, dtype=complex)
-    etas, applied, failure = dtn_profile(op, x, g, sched)
-    samples = [dom.boundary_inner(mg, g) for mg in applied]
-
-    im0, im_last = abs(samples[0].imag), abs(samples[-1].imag)
-    im_slope = decay_exponent(etas, [abs(s.imag) for s in samples])
-    diverging = (
-        im_slope is not None and im_slope <= DIVERGENCE_SLOPE
-        and im_last > DIVERGENCE_GROWTH * max(im0, 1e-300) and im_last > 1e-10
-    )
-
-    if sched.floored:
-        value = samples[-1]
-        err = abs(samples[-1] - samples[-2]) if len(samples) > 1 else np.inf
-        converged = failure is None
-    else:
-        value, err = extrapolate_tail(etas, samples)
-        value = complex(value)
-        scale = max(abs(value), max(abs(s) for s in samples), 1.0)
-        converged = failure is None and err <= _LIMIT_TOL * scale and not diverging
-    return LimitEstimate(
-        value=value,
-        error=float(err),
-        samples=tuple(zip(etas, samples)),
-        converged=converged,
-        diverging=diverging,
-        meta={"partial": failure is not None, "floored": sched.floored},
-    )
+    return BoundaryValue(**_limits(op, x, g, sched, _bv_fields)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -292,47 +323,24 @@ def analyticity_test(op: DirichletOperator, x: float, half_width: float,
     the imaginary parts of the boundary values vanish, and the sampled values
     of (M g, g) just above the axis admit a low-degree polynomial fit in z.
 
-    The window is one block.  dtn_matrices gives M at every window point and
-    eta; each point's profile stops at its first NearSpectrum, as in
-    dtn_profile, and the first point that fails at eta0 re-raises it.  Points
-    with equal profile lengths are then taken together, per probe, in array
-    arithmetic: slim_eta_M's meta["relative"], boundary_value_M's value and
-    its last sample, the one that enters the fit.  The result equals
-    composing those two functions point by point.
+    The window is one block: both limits come from one pass of _limits over
+    every window point and probe, so the result equals slim_eta_M and
+    boundary_value_M point by point; the fit takes boundary_value_M's last
+    sample.
     """
     xs = np.linspace(x - half_width, x + half_width, _N_WINDOW)
-    etas = sched.samples()
-    m, lengths, failures = dtn_matrices(op, xs[:, None] + 1j * etas)
-    if not lengths.all():
-        raise failures[int(np.argmin(lengths))]
-
-    dom = op.domain
-    relative = np.empty((len(probes), _N_WINDOW))
-    im_rel = np.empty((len(probes), _N_WINDOW))
-    fit_vals = np.empty((len(probes), _N_WINDOW), dtype=complex)
-    for n in np.unique(lengths):
-        rows = lengths == n
-        eta = etas[:n]
-        for p, g in enumerate(probes):
-            g = np.asarray(g, dtype=complex)
-            mg = m[rows, :n] @ g                                  # (points, eta, n_B)
-            limit, _ = extrapolate_tail(eta, eta[:, None, None] * mg.swapaxes(0, 1))
-            relative[p, rows] = dom.boundary_norm(limit) / np.maximum(
-                dom.boundary_norm(mg[:, 0]), 1e-300)
-            q = dom.boundary_inner(mg, g)                         # (points, eta)
-            value = q[:, -1] if sched.floored else extrapolate_tail(eta, q.T)[0]
-            # hypot rounds as abs() of a Python complex does; np.abs may not
-            im_rel[p, rows] = np.abs(value.imag) / np.maximum(np.hypot(value.real, value.imag), 1.0)
-            # sample just above the axis at the smallest admissible eta
-            fit_vals[p, rows] = q[:, -1]
+    slim, bv = _limits(op, xs, probes, sched, _slim_fields, _bv_fields, slopes=False)
+    value = bv["value"]
+    # hypot rounds as abs() of a Python complex does; np.abs may not
+    im_rel = np.abs(value.imag) / np.maximum(np.hypot(value.real, value.imag), 1.0)
 
     fit_misfit = 0.0
-    for vals in fit_vals:
+    for vals in bv["last"]:
         fit = np.polynomial.Polynomial.fit(xs, vals, _FIT_DEGREE)
         resid = np.max(np.abs(vals - fit(xs))) / max(np.max(np.abs(vals)), 1e-300)
         fit_misfit = max(fit_misfit, float(resid))
 
-    slim_max, im_max = float(relative.max()), float(im_rel.max())
+    slim_max, im_max = float(slim["relative"].max()), float(im_rel.max())
     ok = slim_max <= slim_rel_tol and im_max <= im_rel_tol and fit_misfit <= fit_tol
     return AnalyticityReport(
         ok=ok,
@@ -340,5 +348,4 @@ def analyticity_test(op: DirichletOperator, x: float, half_width: float,
         slim_max=slim_max,
         im_max=im_max,
         fit_misfit=fit_misfit,
-        thresholds={"slim": slim_rel_tol, "im": im_rel_tol, "fit": fit_tol},
     )

@@ -82,26 +82,24 @@ def _point_entry(x, ccfg, op, probes):
             "verdict": verdict,
             "refined_lambda": v.refined_lambda,
             "multiplicity": v.multiplicity,
-            "slim_rel": [float(r) for r in v.evidence.get("slim_rel", [])],
-            "decay_exponent": [None if s is None else float(s)
-                               for s in v.evidence.get("decay_exponent", [])],
+            "slim_rel": [float(r) for r in v.evidence["slim_rel"]],
+            "decay_exponent": [None if np.isnan(s) else float(s)
+                               for s in v.evidence["decay_exponent"]],
         }
     except DtnLabError as exc:
         verdict = INCONCLUSIVE
         entry = {"x": float(x), "verdict": verdict, "refined_lambda": None,
                  "multiplicity": 0, "reason": str(exc)}
 
-    rows = []
-    sched = ccfg.schedule(x)
-    for pid, g in enumerate(probes):
-        try:
-            etas, applied, _ = dtn_profile(op, x, np.asarray(g, complex), sched)
-        except DtnLabError:
-            continue
-        for eta, mg in zip(etas, applied):
-            q = dom.boundary_inner(mg, g)
-            rows.append((float(x), float(eta), pid, float(q.real), float(q.imag),
-                         float(eta * dom.boundary_norm(mg)), verdict))
+    try:
+        [(_, etas, mg)] = dtn_profile(op, x, probes, ccfg.schedule(x))  # one point, one group
+    except DtnLabError:
+        return entry, []
+    probes = np.asarray(probes)
+    q = dom.boundary_inner(mg[:, 0], probes[:, None, :])          # (probe, eta)
+    slim = etas * dom.boundary_norm(mg[:, 0])
+    rows = [(float(x), float(eta), pid, float(qk.real), float(qk.imag), float(s), verdict)
+            for pid in range(len(probes)) for eta, qk, s in zip(etas, q[pid], slim[pid])]
     return entry, rows
 
 

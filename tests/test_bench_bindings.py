@@ -1,9 +1,11 @@
 """The benchmark's tracer wraps dtnlab functions at the names its callers look
 up (perfbench/spans.py), and its workloads are dtnlab configs
 (perfbench/workloads.py).  A rename in the package would leave such a binding
-dangling, and a deleted config key would reject a workload; either breaks a
-benchmark run, and this catches it in the test suite."""
+dangling, a call path that bypasses one would leave a count the smoke check
+requires at 0, and a deleted config key would reject a workload; each breaks
+a benchmark run, and this catches it in the test suite."""
 
+import functools
 import importlib
 import importlib.util
 import os
@@ -11,7 +13,7 @@ import os
 import pytest
 
 from dtnlab import config_from_dict
-from dtnlab.report import build_model
+from dtnlab.report import build_model, run_sweep
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "dtnlab")
@@ -66,3 +68,39 @@ def test_every_workload_config_builds(seed, smoke):
         cfg.classify_config()
         dom, op = build_model(cfg)
         assert op.n == dom.n_interior > 0, name
+
+
+@pytest.mark.parametrize("workload", ["well1d-sweep", "annulus2d-sweep"])
+def test_sweep_reaches_every_traced_count(workload):
+    """Every *.calls count the smoke check requires of a sweep is reached through
+    the bindings spans.py wraps, so a refactor that bypasses one fails here."""
+    spans, workloads = _spans(), _load("workloads")
+    names = [m[:-len(".calls")] for m in _load("smoke").NONZERO[workload]
+             if m.endswith(".calls")]
+    assert names
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name):
+        def wrap(fn):
+            @functools.wraps(fn)
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+        return wrap
+
+    patches = spans.Patches()
+    try:
+        for name in names:
+            if name in spans._METHODS:
+                module_name, cls_name, attr = spans._METHODS[name]
+                patches.replace(getattr(importlib.import_module(module_name), cls_name),
+                                attr, counting(name))
+            else:
+                for module_name, attr in spans._FUNCTIONS[name]:
+                    patches.replace(module_name, attr, counting(name))
+        _, data, _ = workloads.make_config(workload, 0, smoke=True)
+        run_sweep(config_from_dict(data))
+    finally:
+        patches.restore()
+    assert all(calls.values()), calls

@@ -72,11 +72,15 @@ class TestSlimNonzero:
 
     def test_slope_none_does_not_veto(self):
         assert T1_CFG.slim_nonzero(1.0, None)
+        # arrays of limits: nan, an underflowed row, reads as None
+        flags = T1_CFG.slim_nonzero(np.array([1.0, 1.0, 1e-9]), np.array([np.nan, 0.6, 0.0]))
+        assert flags.tolist() == [True, False, False]
 
     def test_vanishes(self):
         # the y*F -> 0 rule of sc_screen and ac_sc_supports: None reads as vanished
         assert vanishes(None) and vanishes(0.5)
         assert not vanishes(0.49)
+        assert vanishes(np.array([np.nan, 0.5, 0.49])).tolist() == [True, True, False]
 
 
 class TestRefinePole:
@@ -246,14 +250,25 @@ class TestPurity:
         probes = make_probes(op.domain, "basis")
         assert purity_filter(op, (0.25, 4.0), probes, FREE_CFG, 0.25).verdict == "PureAC"
 
-    def test_pure_sc_branch(self, t1):
-        # no pole inside (0.6, 0.9) and eta*M -> 0, but the analyticity window
-        # at 0.9 reaches the level 1; Im M(x + i0) vanishes on the grid
-        _, op = t1
-        probes = make_probes(op.domain, "basis")
-        v = purity_filter(op, (0.6, 0.9), probes, T1_CFG, 0.1)
-        assert v.verdict == "PureSC"
-        assert v.offending_points == ()
+    def test_pure_sc_branch(self, request):
+        # finite models have no SC spectrum.  No pole is found inside these
+        # windows and eta*M -> 0, but M does not continue through every
+        # analyticity window and Im M(x + i0) vanishes on the grid, so the AC
+        # stage finds the window AC-free; with no flagged SC run the verdict
+        # is Mixed/Unknown, not PureSC
+        cases = [
+            # the analyticity window at 0.9 reaches the level 1
+            ("t1", (0.6, 0.9), 0.1, T1_CFG),
+            ("well1d", (0.6, 0.7), 0.05,
+             ClassifyConfig(eta0=1e-2, pole_match_radius=0.025, window_half_width=0.05)),
+            # holds the level 0.929221, which the Newton scan misses
+            ("reduced_annulus", (0.5, 1.0), 0.25,
+             ClassifyConfig(eta0=1e-2, pole_match_radius=0.125, window_half_width=0.25)),
+        ]
+        for model, window, step, cfg in cases:
+            _, op = request.getfixturevalue(model)
+            v = purity_filter(op, window, make_probes(op.domain, "basis"), cfg, step)
+            assert (v.verdict, v.offending_points) == ("Mixed/Unknown", ()), model
 
 
 class TestClassifyConfig:

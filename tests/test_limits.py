@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,24 @@ class TestDecayExponent:
         assert decay_exponent(etas, np.zeros(8)) is None
         assert decay_exponent(etas, [1.0] + [1e-300] * 7) is None
 
+    def test_rows_match_polyfit(self):
+        etas = EtaSchedule(1e-2, 0.5, 8).samples()
+        rng = np.random.default_rng(7)
+        norms = np.exp(rng.normal(size=(6, 8))) * etas ** rng.uniform(-2, 2, size=(6, 1))
+        norms[3, 5:] = 1e-300          # partial underflow: five samples enter
+        norms[4, 1:] = 0.0             # one sample left: no slope
+        norms[5] = 0.0
+        slopes = decay_exponent(etas, norms)
+        assert slopes.shape == (6,)
+        for row, slope in zip(norms, slopes):
+            keep = row > 1e-290
+            if keep.sum() < 2:
+                assert np.isnan(slope) and decay_exponent(etas, row) is None
+                continue
+            ref = np.polyfit(np.log(etas[keep]), np.log(row[keep]), 1)[0]
+            assert abs(slope - ref) <= 1e-13
+            assert decay_exponent(etas, row) == slope
+
 
 class TestRichardson:
     def test_polynomial_exact(self):
@@ -89,7 +109,7 @@ class TestSlim:
         est = slim_eta_M(op, 2.0, G, EtaSchedule(1e-2))
         assert abs(complex(est.value[0])) <= 1e-10
         assert est.decay_exponent > 0.5
-        assert est.converged
+        assert not est.partial
 
 
 class TestBoundaryValue:
@@ -97,7 +117,7 @@ class TestBoundaryValue:
         _, op = t1
         est = boundary_value_M(op, 2.0, G, EtaSchedule(1e-2))
         assert complex(est.value) == pytest.approx(1.0, abs=1e-9)
-        assert est.converged and not est.diverging
+        assert not est.partial and not est.diverging
 
     def test_divergence_flag_at_pole(self, t1):
         _, op = t1
@@ -111,7 +131,36 @@ class TestBoundaryValue:
         from dtnlab import dtn_matrix
         direct = dtn_matrix(op, 2.0 + 2e-2j).m[0, 0]
         assert complex(est.value) == pytest.approx(direct)
-        assert est.meta["floored"]
+        assert est.value == est.last
+
+
+class TestLimitBlocks:
+    @pytest.mark.parametrize("model, xs, sched", [
+        ("t1", np.linspace(0.9, 1.1, 17), EtaSchedule(1e-9)),   # ragged: 1.0 keeps 2 samples
+        ("t1", np.linspace(1.5, 2.5, 5), EtaSchedule(1e-1, floor=2e-2)),
+        ("well1d", np.linspace(0.3, 0.4, 3), EtaSchedule(1e-2)),
+        ("reduced_annulus", np.array([0.5, 0.75, 0.93]), EtaSchedule(1e-2)),
+        ("reduced_annulus", np.array([0.5, 0.75]), EtaSchedule(1e-1, floor=2e-2)),
+    ])
+    def test_block_equals_pointwise(self, request, model, xs, sched):
+        # every field of a (probe, point) block is bitwise the per-point call
+        dom, op = request.getfixturevalue(model)
+        probes = np.array(make_probes(dom, "random", count=3, seed=5))
+        for limit in (slim_eta_M, boundary_value_M):
+            block = limit(op, xs, probes, sched)
+            assert block.partial.shape == (3, len(xs))
+            for k, g in enumerate(probes):
+                for j, x in enumerate(xs):
+                    single = limit(op, x, g, sched)
+                    for f in fields(block):
+                        assert np.array_equal(getattr(block, f.name)[k, j],
+                                              getattr(single, f.name), equal_nan=True), \
+                            (limit.__name__, f.name, k, x)
+
+    def test_ragged_block_is_partial_at_the_level(self, t1):
+        _, op = t1
+        est = slim_eta_M(op, np.linspace(0.9, 1.1, 17), G, EtaSchedule(1e-9))
+        assert np.flatnonzero(est.partial).tolist() == [8]
 
 
 class TestResidue:
@@ -164,10 +213,10 @@ def _pointwise_analyticity(op, x, half_width, probes, sched, n_window=17, fit_de
     for g in probes:
         fit_vals = np.empty(n_window, dtype=complex)
         for j, xj in enumerate(xs):
-            slim_max = max(slim_max, slim_eta_M(op, xj, g, sched).meta["relative"])
+            slim_max = max(slim_max, slim_eta_M(op, xj, g, sched).relative)
             bv = boundary_value_M(op, xj, g, sched)
             im_max = max(im_max, abs(complex(bv.value).imag) / max(abs(complex(bv.value)), 1.0))
-            fit_vals[j] = bv.samples[-1][1]
+            fit_vals[j] = bv.last
         fit = np.polynomial.Polynomial.fit(xs, fit_vals, min(fit_degree, n_window - 2))
         resid = np.max(np.abs(fit_vals - fit(xs))) / max(np.max(np.abs(fit_vals)), 1e-300)
         fit_misfit = max(fit_misfit, float(resid))
