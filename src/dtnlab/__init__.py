@@ -74,6 +74,7 @@ from .classify import (
     eigenspace_via_tau,
     essential_closure,
     make_probes,
+    pole_scan,
     purity_filter,
     refine_pole,
     sc_screen,
@@ -94,12 +95,14 @@ from .measures import (
 from .config import RunConfig, config_from_dict, parse_config
 from .report import (
     ClassificationReport,
+    WindowSweep,
     build_model,
     emit_csv,
     emit_plot_data,
     emit_report,
     parse_report,
     run_sweep,
+    sweep_window,
 )
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import scipy.linalg as sla
 
 from .domain import DirichletOperator, EigenSystem
 from .dtn import normal_derivative
-from .errors import Inconclusive, NearSpectrum
+from .errors import DtnLabError, Inconclusive, NearSpectrum
 from .limits import (
     DECAY_CUT,
     EtaSchedule,
@@ -39,6 +39,7 @@ __all__ = [
     "window_grid",
     "classify_point",
     "refine_pole",
+    "pole_scan",
     "eigenspace_via_tau",
     "ac_support",
     "sc_screen",
@@ -92,20 +93,9 @@ class GridSet:
     @staticmethod
     def from_flags(xs, flags) -> "GridSet":
         """Runs of consecutive flagged grid points become closed intervals."""
-        xs = np.asarray(xs, dtype=float)
-        flags = np.asarray(flags, dtype=bool)
-        intervals = []
-        i = 0
-        while i < len(xs):
-            if flags[i]:
-                j = i
-                while j + 1 < len(xs) and flags[j + 1]:
-                    j += 1
-                intervals.append((float(xs[i]), float(xs[j])))
-                i = j + 1
-            else:
-                i += 1
-        return GridSet(intervals=tuple(intervals))
+        runs = (list(run) for flagged, run in groupby(range(len(xs)), key=lambda i: bool(flags[i]))
+                if flagged)
+        return GridSet(intervals=tuple((float(xs[run[0]]), float(xs[run[-1]])) for run in runs))
 
     @staticmethod
     def union(*sets: "GridSet") -> "GridSet":
@@ -155,11 +145,9 @@ class ClassifyConfig:
             raise ValueError(f"unknown floor_mode {self.floor_mode!r}")
 
     def level_spacing(self, x: float) -> float:
-        if self.floor_mode == "halfline_auto":
-            if x <= 0 or self.halfline_length <= 0:
-                return 0.0
-            return 2 * np.pi * np.sqrt(x) / self.halfline_length
-        return 0.0
+        if self.floor_mode != "halfline_auto" or x <= 0 or self.halfline_length <= 0:
+            return 0.0
+        return 2 * np.pi * np.sqrt(x) / self.halfline_length
 
     def slim_nonzero(self, relative, slope):
         """Whether eta*M limits of these relative sizes and decay slopes are nonzero;
@@ -199,15 +187,6 @@ def make_probes(dom, kind: str = "basis", count: int = 0, seed: int = 0):
 # pole refinement
 # ---------------------------------------------------------------------------
 
-def _quadratic_form_terms(op: DirichletOperator, g: np.ndarray):
-    """Constant part and injected vector of z -> (M(z) g, g)_B."""
-    dom = op.domain
-    v = dom.incidence @ g
-    const = dom.boundary_inner(g, g) / dom.h
-    scale = dom.h ** (dom.dimension - 4)
-    return const, v, scale
-
-
 def refine_pole(op: DirichletOperator, x: float, g: np.ndarray, eta_start: float):
     """Newton iteration on 1/(M(z) g, g) from x + i*eta_start; None on failure.
 
@@ -216,7 +195,10 @@ def refine_pole(op: DirichletOperator, x: float, g: np.ndarray, eta_start: float
     Every pole lies in [-||A_II||_1, ||A_II||_1], so an iterate farther than
     10 (||A_II||_1 + |x|) from x has diverged: None, without factorizing there.
     """
-    const, v, scale = _quadratic_form_terms(op, g)
+    dom = op.domain
+    # (M(z) g, g)_B = const - scale * (v, (A_II - z)^-1 v)
+    v = dom.incidence @ g
+    const, scale = dom.boundary_inner(g, g) / dom.h, dom.h ** (dom.dimension - 4)
     z = complex(x, eta_start)
     ref = max(abs(x), 1.0)
     reach = 10 * (op.a_norm + abs(x))
@@ -256,6 +238,7 @@ class PointVerdict:
     multiplicity: int = 0
     residue: ResidueMatrix | None = None
     evidence: dict = field(default_factory=dict)   # slim_rel, decay_exponent: per probe
+    half_width: float | None = None   # of the analyticity window a resolvent point passed
 
 
 def _weighted_column_basis(dom, matrix: np.ndarray, rel_tol: float = 1e-8):
@@ -310,7 +293,8 @@ def classify_point(op: DirichletOperator, x: float, cfg: ClassifyConfig,
             failure = exc
             continue
         if ana.ok:
-            return PointVerdict(x=x, verdict=RESOLVENT_SET, evidence=evidence)
+            return PointVerdict(x=x, verdict=RESOLVENT_SET, evidence=evidence,
+                                half_width=cfg.window_half_width / shrink)
     if failure is not None:
         raise failure
     return PointVerdict(x=x, verdict=CONTINUOUS, evidence=evidence)
@@ -366,7 +350,7 @@ def eigenspace_via_tau(op: DirichletOperator, lam0: float, eig: EigenSystem) -> 
 
 
 # ---------------------------------------------------------------------------
-# AC support and SC screen
+# window stages: pole scan, AC support, SC screen
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -386,6 +370,19 @@ def window_grid(window, step):
     return a + step * np.arange(n + 1)
 
 
+def pole_scan(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
+              grid_step: float) -> tuple:
+    """Poles inside the window that refine_pole reaches from a grid point and
+    probe, so a level is caught where no grid point lands on it; () on floored
+    schedules, which emulate continuous spectrum."""
+    xs = window_grid(window, grid_step)
+    if cfg.schedule(xs[0]).floored:
+        return ()
+    lo, hi = window
+    found = (refine_pole(op, x, g, eta_start=cfg.eta0 / 4) for x in xs for g in probes)
+    return tuple(float(lam0) for lam0 in found if lam0 is not None and lo < lam0 < hi)
+
+
 def ac_support(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
                grid_step: float) -> ACSupportSet:
     """Grid sets where 0 < -Im(M(x+i0)g, g) < infinity, essentially closed and unioned."""
@@ -396,8 +393,7 @@ def ac_support(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
     flags = (cfg.tau_ac < -bvals.imag) & (-bvals.imag < 1.0 / cfg.tau_ac)
     per_probe_closed = [essential_closure(GridSet.from_flags(xs, f)) for f in flags]
     union = essential_closure(GridSet.union(*per_probe_closed))
-    nonzero_im = np.abs(bvals.imag) > cfg.tau_ac
-    frac = float(np.mean(np.any(nonzero_im, axis=0))) if len(xs) else 0.0
+    frac = float(np.mean(np.any(np.abs(bvals.imag) > cfg.tau_ac, axis=0)))
     return ACSupportSet(
         window=tuple(window), grid=xs, per_probe_closed=tuple(per_probe_closed),
         closed_union=union, ac_free=frac <= cfg.null_fraction, boundary_values=bvals,
@@ -446,56 +442,46 @@ class PurityVerdict:
     offending_points: tuple = ()
 
 
-def purity_filter(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
-                  grid_step: float) -> PurityVerdict:
-    """Classify a window as NoSpectrum / PureAC / PureSC / Mixed-Unknown.
+def _result(stage):
+    """A stage's result; the DtnLabError it failed with is raised again."""
+    if isinstance(stage, DtnLabError):
+        raise stage
+    return stage
 
-    The hypothesis that eta*M -> 0 across the window is checked first; points
-    violating it force Mixed/Unknown.  On unfloored schedules (genuine finite
-    models) a Newton pole scan from every grid point backs this up, so an
-    eigenvalue strictly inside the window is caught even when no grid point
-    lands on it; the eta*M test skips the grid points within
-    pole_match_radius of a pole found there, so each level is listed once.
-    The other verdicts come from analyticity_test, ac_support and sc_screen:
-    PureSC needs the AC stage's ac_free and a flagged SC run of positive
-    length, PureAC no diverging run of positive length.
-    """
-    xs = window_grid(window, grid_step)
-    lo, hi = float(window[0]), float(window[1])
 
-    poles = []
-    if not cfg.schedule(xs[0]).floored:
-        for x in xs:
-            for g in probes:
-                lam0 = refine_pole(op, x, g, eta_start=cfg.eta0 / 4)
-                if lam0 is not None and lo < lam0 < hi:
-                    poles.append(float(lam0))
+def purity_filter(window, points, poles, acs, scr, cfg: ClassifyConfig) -> PurityVerdict:
+    """NoSpectrum / PureAC / PureSC / Mixed-Unknown from a window's stage results,
+    without evaluating M: (x, classify_point's verdict) per grid point, then the
+    results of pole_scan, ac_support and sc_screen.  A DtnLabError among them
+    is raised again where the rule needs it: an inconclusive point with no pole
+    within pole_match_radius makes the window inconclusive.  The poles, and the
+    points away from them with a nonzero eta*M limit, give Mixed/Unknown (each
+    level once); NoSpectrum needs every point resolvent at the full
+    window_half_width, PureSC an AC-free window with a flagged SC run of
+    positive length, PureAC no diverging run of positive length."""
+    window, poles = tuple(window), _result(poles)
     offending = list(poles)
-    for sched, run in cfg.schedule_runs(xs):
-        run = [j for j in run
-               if not any(abs(lam0 - xs[j]) <= cfg.pole_match_radius for lam0 in poles)]
-        if run:
-            est = slim_eta_M(op, xs[run], probes, sched)
-            hit = cfg.slim_nonzero(est.relative, est.decay_exponent).any(axis=0)
-            offending += xs[run][hit].tolist()
+    for x, v in points:
+        if not any(abs(lam0 - x) <= cfg.pole_match_radius for lam0 in poles):
+            evidence = _result(v).evidence
+            if cfg.slim_nonzero(evidence["slim_rel"], evidence["decay_exponent"]).any():
+                offending.append(float(x))
     if offending:
         distinct = []
         for v in sorted(offending):
             if not distinct or abs(v - distinct[-1]) > 1e-6 * max(1.0, abs(v)):
                 distinct.append(v)
-        return PurityVerdict(tuple(window), MIXED_UNKNOWN, tuple(distinct))
+        return PurityVerdict(window, MIXED_UNKNOWN, tuple(distinct))
 
-    if all(analyticity_test(op, x, cfg.window_half_width, probes, cfg.schedule(x),
-                            slim_rel_tol=cfg.tau_eig_rel, im_rel_tol=cfg.tau_ac,
-                            fit_tol=cfg.fit_tol).ok for x in xs):
-        return PurityVerdict(tuple(window), NO_SPECTRUM)
-    ac_free = ac_support(op, window, probes, cfg, grid_step).ac_free
-    scr = sc_screen(op, window, probes, cfg, grid_step)
-    if ac_free:
+    if all(v.verdict == RESOLVENT_SET and v.half_width == cfg.window_half_width
+           for _, v in points):
+        return PurityVerdict(window, NO_SPECTRUM)
+    acs, scr = _result(acs), _result(scr)
+    if acs.ac_free:
         # without AC spectrum, PureSC still needs a flagged run: an AC-free
         # window with none may hold a level the scan missed (finite models
         # have no SC spectrum)
-        return PurityVerdict(tuple(window), MIXED_UNKNOWN if scr.excluded else PURE_SC)
-    if essential_closure(GridSet.from_flags(xs, np.any(scr.diverging, axis=0))).is_empty:
-        return PurityVerdict(tuple(window), PURE_AC)
-    return PurityVerdict(tuple(window), MIXED_UNKNOWN)
+        return PurityVerdict(window, MIXED_UNKNOWN if scr.excluded else PURE_SC)
+    if essential_closure(GridSet.from_flags(scr.grid, np.any(scr.diverging, axis=0))).is_empty:
+        return PurityVerdict(window, PURE_AC)
+    return PurityVerdict(window, MIXED_UNKNOWN)

@@ -22,7 +22,8 @@ import numpy as np
 
 from .classify import window_grid
 from .config import RunConfig, parse_config
-from .domain import oracle_eigendecomposition
+from .domain import (HalfLine1D, assemble_operator, build_domain, oracle_eigendecomposition,
+                     zero_potential)
 from .dtn import dtn_matrix, identity_suite
 from .errors import ConfigError, DtnLabError
 from .limits import EtaSchedule
@@ -83,6 +84,13 @@ def _cmd_classify(cfg: RunConfig, out_dir: str, seed: int) -> int:
     verdicts = [p["verdict"] for p in report.data["points"]]
     print(f"classified {len(verdicts)} grid points: "
           + ", ".join(f"{v}={verdicts.count(v)}" for v in sorted(set(verdicts))))
+    for pur in report.data["purity"]:
+        offending = ", ".join(f"{x:.6f}" for x in pur["offending_points"])
+        detail = pur.get("reason") or offending and f"offending points {offending}"
+        print(f"purity of {pur['window']}: {pur['verdict']}" + (detail and f", {detail}"))
+    levels = [c["detected"] for c in report.data["oracle_crosscheck"]]
+    print(f"oracle levels in the window detected by no grid point: "
+          f"{levels.count(False)} of {len(levels)}")
     return 0
 
 
@@ -141,8 +149,6 @@ def _free_halfline_m(x: float, eta: float, h: float) -> complex:
 
 
 def _cmd_convergence(cfg: RunConfig, out_dir: str, seed: int) -> int:
-    from .domain import HalfLine1D, assemble_operator, build_domain, zero_potential
-
     conv = cfg.convergence
     rows = []
     for h in conv["h_values"]:

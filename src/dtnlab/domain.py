@@ -25,7 +25,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import get_lapack_funcs
 from scipy.sparse.csgraph import connected_components
 
-from .errors import DomainError, NearSpectrum
+from .errors import DomainError, EndpointOnEigenvalue, NearSpectrum
 
 __all__ = [
     "DiscreteDomain",
@@ -493,8 +493,7 @@ class EigenSystem:
     interior_weight: float
 
     def multiplicity(self, lam0: float, tol: float | None = None) -> int:
-        tol = self.degeneracy_tol if tol is None else tol
-        return int(np.sum(np.abs(self.values - lam0) <= tol))
+        return self.eigenspace(lam0, tol).shape[1]
 
     def eigenspace(self, lam0: float, tol: float | None = None) -> np.ndarray:
         tol = self.degeneracy_tol if tol is None else tol
@@ -512,12 +511,9 @@ def oracle_eigendecomposition(op: DirichletOperator) -> EigenSystem:
 
     diameter = float(values[-1] - values[0]) if len(values) > 1 else 1.0
     tol = 1e-8 * max(diameter, 1.0)
-    groups = []
-    start = 0
-    for k in range(1, len(values) + 1):
-        if k == len(values) or values[k] - values[k - 1] > tol:
-            groups.append(tuple(range(start, k)))
-            start = k
+    # a group ends where the next value lies more than tol above
+    breaks = np.flatnonzero(np.diff(values) > tol) + 1
+    groups = [tuple(g.tolist()) for g in np.split(np.arange(len(values)), breaks)]
     return EigenSystem(
         values=values,
         vectors=vectors,
@@ -529,8 +525,6 @@ def oracle_eigendecomposition(op: DirichletOperator) -> EigenSystem:
 
 def oracle_projector(eig: EigenSystem, a: float, b: float) -> np.ndarray:
     """w_I-orthogonal projector onto the span of eigenspaces with eigenvalue in (a, b)."""
-    from .errors import EndpointOnEigenvalue
-
     if not a < b:
         raise ValueError("need a < b")
     for endpoint in (a, b):

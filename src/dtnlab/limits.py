@@ -140,7 +140,6 @@ def richardson_extrapolate(etas, values):
         raise ValueError("no samples")
     if n == 1:
         return table[0], np.inf
-    prev_top = table[0]
     for m in range(1, n):
         new = []
         for i in range(n - m):
@@ -149,8 +148,7 @@ def richardson_extrapolate(etas, values):
         prev_top = table[0]
         table = new
     limit = table[0]
-    err = float(np.max(np.abs(limit - prev_top))) if n > 1 else np.inf
-    return limit, err
+    return limit, float(np.max(np.abs(limit - prev_top)))
 
 
 _TAIL = 5  # extrapolate from the smallest samples only, where f is analytic

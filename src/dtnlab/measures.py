@@ -78,13 +78,8 @@ def spectral_measure(op: DirichletOperator, eig: EigenSystem, u: np.ndarray) -> 
         raise ValueError("vector has wrong length")
     coeffs = np.array([dom.interior_inner(u, eig.vectors[:, j])
                        for j in range(eig.vectors.shape[1])])
-    atoms, weights = [], []
-    for group in eig.groups:
-        idx = list(group)
-        atoms.append(float(np.mean(eig.values[idx])))
-        weights.append(float(np.sum(np.abs(coeffs[idx]) ** 2)))
-    atoms = np.asarray(atoms)
-    weights = np.asarray(weights)
+    atoms = np.array([np.mean(eig.values[list(g)]) for g in eig.groups])
+    weights = np.array([np.sum(np.abs(coeffs[list(g)]) ** 2) for g in eig.groups])
     mass = dom.interior_norm(u) ** 2
     keep = weights > 1e-14 * max(mass, 1e-300)
     return SpectralMeasure(atoms[keep], weights[keep])
@@ -226,9 +221,7 @@ def ac_sc_supports(measure: SpectralMeasure, sched: EtaSchedule, grid) -> Suppor
 
     grid = np.asarray(grid, dtype=float)
     etas = sched.samples()
-    ac_flags = np.zeros(grid.size, dtype=bool)
-    diverging = np.zeros(grid.size, dtype=bool)
-    yzero = np.zeros(grid.size, dtype=bool)
+    ac_flags, diverging, yzero = np.zeros((3, grid.size), dtype=bool)
     im_values = np.empty(grid.size)
     for j, x in enumerate(grid):
         fs = np.array([borel_transform(measure, x + 1j * y) for y in etas])

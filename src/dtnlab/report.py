@@ -1,5 +1,9 @@
 """Sweep orchestration and bit-stable serialization of reports and plot data.
 
+sweep_window runs classify_point at each grid point and each window stage once;
+a point or stage that raises a DtnLabError keeps it as its result (an
+'inconclusive' report entry), and purity_filter decides from those results.
+
 The sweep runs on one thread in grid order (the "threads" setting has no
 effect).  The JSON report is emitted with sorted keys and shortest round-trip
 float representation (Python's repr), so identical runs produce byte-identical
@@ -19,6 +23,7 @@ from .classify import (
     ac_support,
     classify_point,
     make_probes,
+    pole_scan,
     purity_filter,
     sc_screen,
     window_grid,
@@ -37,7 +42,9 @@ from .limits import dtn_profile
 
 __all__ = [
     "ClassificationReport",
+    "WindowSweep",
     "build_model",
+    "sweep_window",
     "run_sweep",
     "emit_report",
     "parse_report",
@@ -71,36 +78,55 @@ class ClassificationReport:
     samples: tuple   # rows (x, eta, probe_id, re_Mgg, im_Mgg, abs_etaMg, verdict)
 
 
-def _point_entry(x, ccfg, op, probes):
-    """Verdict entry and CSV rows for one grid point."""
-    dom = op.domain
-    try:
-        v = classify_point(op, x, ccfg, probes)
-        verdict = v.verdict
-        entry = {
-            "x": float(x),
-            "verdict": verdict,
-            "refined_lambda": v.refined_lambda,
-            "multiplicity": v.multiplicity,
-            "slim_rel": [float(r) for r in v.evidence["slim_rel"]],
-            "decay_exponent": [None if np.isnan(s) else float(s)
-                               for s in v.evidence["decay_exponent"]],
-        }
-    except DtnLabError as exc:
-        verdict = INCONCLUSIVE
-        entry = {"x": float(x), "verdict": verdict, "refined_lambda": None,
-                 "multiplicity": 0, "reason": str(exc)}
+@dataclass(frozen=True)
+class WindowSweep:
+    """(x, classify_point's verdict) per grid point, then the window stages'
+    results; a failed point or stage holds the DtnLabError it raised."""
 
+    points: tuple
+    poles: object
+    ac_support: object
+    sc_screen: object
+    purity: object
+
+
+def _attempt(stage, *args):
+    try:
+        return stage(*args)
+    except DtnLabError as exc:
+        return exc
+
+
+def sweep_window(op, window, probes, ccfg, step) -> WindowSweep:
+    """Every grid point of the window, then every window stage, each once."""
+    points = tuple((x, _attempt(classify_point, op, x, ccfg, probes))
+                   for x in window_grid(window, step))
+    poles, acs, scr = (_attempt(stage, op, window, probes, ccfg, step)
+                       for stage in (pole_scan, ac_support, sc_screen))
+    return WindowSweep(points, poles, acs, scr,
+                       _attempt(purity_filter, window, points, poles, acs, scr, ccfg))
+
+
+def _sample_rows(op, x, probes, ccfg, verdict):
+    """CSV rows of one grid point: (M g, g) and |eta M g| along its schedule."""
+    dom = op.domain
     try:
         [(_, etas, mg)] = dtn_profile(op, x, probes, ccfg.schedule(x))  # one point, one group
     except DtnLabError:
-        return entry, []
+        return []
     probes = np.asarray(probes)
     q = dom.boundary_inner(mg[:, 0], probes[:, None, :])          # (probe, eta)
     slim = etas * dom.boundary_norm(mg[:, 0])
-    rows = [(float(x), float(eta), pid, float(qk.real), float(qk.imag), float(s), verdict)
+    return [(float(x), float(eta), pid, float(qk.real), float(qk.imag), float(s), verdict)
             for pid in range(len(probes)) for eta, qk, s in zip(etas, q[pid], slim[pid])]
-    return entry, rows
+
+
+def _point_json(v):
+    return {"verdict": v.verdict, "refined_lambda": v.refined_lambda,
+            "multiplicity": v.multiplicity,
+            "slim_rel": [float(r) for r in v.evidence["slim_rel"]],
+            "decay_exponent": [None if np.isnan(s) else float(s)
+                               for s in v.evidence["decay_exponent"]]}
 
 
 def _gridset_json(s):
@@ -122,12 +148,11 @@ def _purity_json(pur):
     return {"verdict": pur.verdict, "offending_points": list(pur.offending_points)}
 
 
-def _stage_json(stage, to_json, *args):
-    """Report section of one window stage; a numerical failure stays in it."""
-    try:
-        return to_json(stage(*args))
-    except DtnLabError as exc:
-        return {"verdict": INCONCLUSIVE, "reason": str(exc)}
+def _stage_json(result, to_json):
+    """Report entry of one grid point or window stage; a numerical failure stays in it."""
+    if isinstance(result, DtnLabError):
+        return {"verdict": INCONCLUSIVE, "reason": str(result)}
+    return to_json(result)
 
 
 def run_sweep(cfg: RunConfig) -> ClassificationReport:
@@ -141,11 +166,11 @@ def run_sweep(cfg: RunConfig) -> ClassificationReport:
     probes = make_probes(dom, cfg.probes["kind"], cfg.probes["count"],
                          cfg.probes["seed"])
     lo, hi = cfg.window
-    xs = window_grid(cfg.window, cfg.grid_step)
-    results = [_point_entry(x, ccfg, op, probes) for x in xs]
-    points = [entry for entry, _ in results]
-    samples = tuple(row for _, rows in results for row in rows)
-    stage_args = (op, cfg.window, probes, ccfg, cfg.grid_step)
+    sweep = sweep_window(op, cfg.window, probes, ccfg, cfg.grid_step)
+    points = [{"x": float(x), "refined_lambda": None, "multiplicity": 0,
+               **_stage_json(v, _point_json)} for x, v in sweep.points]
+    samples = tuple(row for p in points
+                    for row in _sample_rows(op, p["x"], probes, ccfg, p["verdict"]))
 
     crosscheck = []
     if dom.n_interior <= _ORACLE_DIM_CAP:
@@ -154,21 +179,13 @@ def run_sweep(cfg: RunConfig) -> ClassificationReport:
         # each detected pole is credited to its nearest level only; the first
         # pole in grid order that a level gets is the one reported
         credited = {}
-        for p in points:
-            lam_d = p["refined_lambda"]
-            if p["verdict"] != EIGENVALUE or lam_d is None:
-                continue
+        for lam_d in (p["refined_lambda"] for p in points if p["verdict"] == EIGENVALUE):
             k = int(np.argmin(np.abs(levels - lam_d)))
             if abs(levels[k] - lam_d) <= ccfg.pole_match_radius:
-                credited.setdefault(k, lam_d)
-        for k, lam in enumerate(levels):
-            if lo < lam < hi:
-                crosscheck.append({
-                    "lambda_oracle": float(lam),
-                    "multiplicity": eig.multiplicity(float(lam)),
-                    "detected": k in credited,
-                    "lambda_detected": float(credited[k]) if k in credited else None,
-                })
+                credited.setdefault(k, float(lam_d))
+        crosscheck = [{"lambda_oracle": float(lam), "multiplicity": eig.multiplicity(float(lam)),
+                       "detected": k in credited, "lambda_detected": credited.get(k)}
+                      for k, lam in enumerate(levels) if lo < lam < hi]
 
     data = {
         "schema": SCHEMA_TAG,
@@ -176,10 +193,10 @@ def run_sweep(cfg: RunConfig) -> ClassificationReport:
         "window": [lo, hi],
         "grid_step": cfg.grid_step,
         "points": points,
-        "ac_support": _stage_json(ac_support, _ac_json, *stage_args),
-        "sc_screen": _stage_json(sc_screen, _sc_json, *stage_args),
+        "ac_support": _stage_json(sweep.ac_support, _ac_json),
+        "sc_screen": _stage_json(sweep.sc_screen, _sc_json),
         "purity": [{"window": [lo, hi], "offending_points": [],
-                    **_stage_json(purity_filter, _purity_json, *stage_args)}],
+                    **_stage_json(sweep.purity, _purity_json)}],
         "oracle_crosscheck": crosscheck,
     }
     return ClassificationReport(data=data, samples=samples)

@@ -32,11 +32,11 @@ from dtnlab import (
     oracle_projector,
     point_mass,
     poisson_solve,
-    purity_filter,
     sc_screen,
     simplicity_rank,
     spectral_measure,
     stone_projection,
+    sweep_window,
     zero_potential,
 )
 from dtnlab.cli import _free_halfline_m
@@ -207,9 +207,9 @@ def test_criterion_07_pure_point(t1, well1d):
     scr1 = sc_screen(op1, (0.0, 4.0), probes1, T1_CFG, 0.1)
     assert acs1.closed_union.is_empty
     assert scr1.excluded
-    assert purity_filter(op1, (1.5, 2.5), probes1, T1_CFG, 0.25).verdict == "NoSpectrum"
+    assert sweep_window(op1, (1.5, 2.5), probes1, T1_CFG, 0.25).purity.verdict == "NoSpectrum"
     for win in ((0.5, 1.5), (2.5, 3.5)):
-        assert purity_filter(op1, win, probes1, T1_CFG, 0.25).verdict == "Mixed/Unknown"
+        assert sweep_window(op1, win, probes1, T1_CFG, 0.25).purity.verdict == "Mixed/Unknown"
 
     dom, op = well1d
     eig = oracle_eigendecomposition(op)
@@ -223,8 +223,8 @@ def test_criterion_07_pure_point(t1, well1d):
     assert scr.excluded
     gap = (l1 + 0.3 * (l2 - l1), l1 + 0.7 * (l2 - l1))
     eigwin = (l1 - 0.3 * (l2 - l1), l1 + 0.3 * (l2 - l1))
-    pv_gap = purity_filter(op, gap, probes, cfg, (gap[1] - gap[0]) / 4)
-    pv_eig = purity_filter(op, eigwin, probes, cfg, (eigwin[1] - eigwin[0]) / 4)
+    pv_gap = sweep_window(op, gap, probes, cfg, (gap[1] - gap[0]) / 4).purity
+    pv_eig = sweep_window(op, eigwin, probes, cfg, (eigwin[1] - eigwin[0]) / 4).purity
     assert pv_gap.verdict == "NoSpectrum"
     assert pv_eig.verdict == "Mixed/Unknown"
     _report("7", True, "T1 and well: AC support empty, SC excluded, purity "

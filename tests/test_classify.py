@@ -3,13 +3,19 @@ import pytest
 
 import dtnlab.classify
 import dtnlab.dtn
+import dtnlab.limits
+import dtnlab.report
 from dtnlab import (
+    ACSupportSet,
     ClassifyConfig,
     DirichletOperator,
     Exterior2D,
     GridSet,
     HalfLine1D,
+    Inconclusive,
     NearSpectrum,
+    PointVerdict,
+    SCReport,
     ac_support,
     assemble_operator,
     build_domain,
@@ -24,6 +30,7 @@ from dtnlab import (
     refine_pole,
     run_sweep,
     sc_screen,
+    sweep_window,
     well_potential,
     zero_potential,
 )
@@ -210,28 +217,18 @@ class TestSCScreen:
         assert scr.excluded
 
 
+def _purity(op, window, cfg, step):
+    return sweep_window(op, window, make_probes(op.domain, "basis"), cfg, step).purity
+
+
 class TestPurity:
     def test_gap_window_no_spectrum(self, t1):
         _, op = t1
-        probes = make_probes(op.domain, "basis")
-        assert purity_filter(op, (1.5, 2.5), probes, T1_CFG, 0.25).verdict == "NoSpectrum"
-
-    def test_no_spectrum_takes_no_boundary_values(self, t1, monkeypatch):
-        # the boundary values belong to the AC and SC stages, which a window
-        # that M continues through never reaches
-        _, op = t1
-        calls = []
-        boundary_value_M = dtnlab.classify.boundary_value_M
-        monkeypatch.setattr(dtnlab.classify, "boundary_value_M",
-                            lambda *args: calls.append(args) or boundary_value_M(*args))
-        probes = make_probes(op.domain, "basis")
-        assert purity_filter(op, (1.5, 2.5), probes, T1_CFG, 0.25).verdict == "NoSpectrum"
-        assert calls == []
+        assert _purity(op, (1.5, 2.5), T1_CFG, 0.25).verdict == "NoSpectrum"
 
     def test_eigenvalue_window_mixed(self, t1):
         _, op = t1
-        probes = make_probes(op.domain, "basis")
-        v = purity_filter(op, (0.5, 1.5), probes, T1_CFG, 0.25)
+        v = _purity(op, (0.5, 1.5), T1_CFG, 0.25)
         assert v.verdict == "Mixed/Unknown"
         assert v.offending_points[0] == pytest.approx(1.0, abs=1e-6)
 
@@ -240,15 +237,14 @@ class TestPurity:
         # the scan finds: its nonzero eta*M limit does not list the level again
         _, op = annulus2d
         cfg = ClassifyConfig(eta0=1e-2, pole_match_radius=0.125, window_half_width=0.25)
-        v = purity_filter(op, (0.5, 1.0), make_probes(op.domain, "basis"), cfg, 0.25)
+        v = _purity(op, (0.5, 1.0), cfg, 0.25)
         assert v.verdict == "Mixed/Unknown"
         assert v.offending_points == pytest.approx((0.749213076625244, 0.9946893379517004),
                                                    abs=1e-9)
 
     def test_free_halfline_pure_ac(self, freeline):
         _, op = freeline
-        probes = make_probes(op.domain, "basis")
-        assert purity_filter(op, (0.25, 4.0), probes, FREE_CFG, 0.25).verdict == "PureAC"
+        assert _purity(op, (0.25, 4.0), FREE_CFG, 0.25).verdict == "PureAC"
 
     def test_pure_sc_branch(self, request):
         # finite models have no SC spectrum.  No pole is found inside these
@@ -267,8 +263,127 @@ class TestPurity:
         ]
         for model, window, step, cfg in cases:
             _, op = request.getfixturevalue(model)
-            v = purity_filter(op, window, make_probes(op.domain, "basis"), cfg, step)
+            v = _purity(op, window, cfg, step)
             assert (v.verdict, v.offending_points) == ("Mixed/Unknown", ()), model
+
+    def test_sweep_runs_each_stage_once(self, monkeypatch):
+        # free half-line, floored schedules in three runs of grid points: the
+        # AC and SC stages take one boundary_value_M call per run, and the
+        # eta*M limits are classify_point's, one per grid point.  Purity
+        # evaluates no M(z): it reads the stages' results.
+        calls = {}
+
+        def counting(module, name):
+            fn = getattr(module, name)
+            calls[name] = 0
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("boundary_value_M", "slim_eta_M"):
+            counting(dtnlab.classify, name)
+        for name in ("pole_scan", "ac_support", "sc_screen"):
+            counting(dtnlab.report, name)
+
+        def refuse(*args):
+            raise AssertionError("purity_filter evaluated M(z)")
+
+        purity_filter = dtnlab.report.purity_filter
+        calls["purity_filter"] = 0
+
+        def sealed(*args):
+            calls["purity_filter"] += 1
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(DirichletOperator, "factorize", refuse)
+                for module in (dtnlab.dtn, dtnlab.limits):
+                    m.setattr(module, "dtn_matrices", refuse)
+                    m.setattr(module, "dtn_matrix", refuse)
+                return purity_filter(*args)
+
+        monkeypatch.setattr(dtnlab.report, "purity_filter", sealed)
+        report = run_sweep(config_from_dict({
+            "domain": {"kind": "halfline", "h": 0.05, "L": 60.0},
+            "window": {"lo": 0.25, "hi": 4.0, "grid_step": 0.25},
+            "eta": {"eta0": 0.4, "floor_mode": "halfline_auto"}}))
+        assert len(report.data["points"]) == 16
+        assert report.data["purity"][0]["verdict"] == "PureAC"
+        assert calls == {"boundary_value_M": 6, "slim_eta_M": 16, "pole_scan": 1,
+                         "ac_support": 1, "sc_screen": 1, "purity_filter": 1}
+
+
+class TestPurityRule:
+    """purity_filter on hand-built stage results: no operator is involved."""
+
+    CFG = ClassifyConfig(eta0=1e-2, pole_match_radius=0.1, window_half_width=0.1)
+    WINDOW = (0.0, 1.0)
+    XS = (0.0, 0.5, 1.0)
+    QUIET = {"slim_rel": np.array([0.0]), "decay_exponent": np.array([np.nan])}
+
+    def resolvent(self, x, half_width=0.1):
+        return PointVerdict(x=x, verdict="resolvent", evidence=self.QUIET,
+                            half_width=half_width)
+
+    def stages(self, ac_free=True):
+        grid = np.array(self.XS)
+        acs = ACSupportSet(window=self.WINDOW, grid=grid, per_probe_closed=(GridSet(()),),
+                           closed_union=GridSet(()), ac_free=ac_free,
+                           boundary_values=np.zeros((1, 3), dtype=complex))
+        scr = SCReport(window=self.WINDOW, grid=grid, diverging=np.zeros((1, 3), bool),
+                       y_limit_zero=np.zeros((1, 3), bool), flagged_set=GridSet(()),
+                       excluded=True)
+        return acs, scr
+
+    def purity(self, points, poles=(), acs=None, scr=None):
+        ac_default, sc_default = self.stages()
+        return purity_filter(self.WINDOW, points, poles, ac_default if acs is None else acs,
+                             sc_default if scr is None else scr, self.CFG)
+
+    def test_inconclusive_point_away_from_poles_raises_its_error(self):
+        err = NearSpectrum("M(0.5 + i eta) hit the spectrum")
+        points = [(0.0, self.resolvent(0.0)), (0.5, err), (1.0, self.resolvent(1.0))]
+        with pytest.raises(NearSpectrum) as info:
+            self.purity(points)
+        assert info.value is err
+        # a pole farther than pole_match_radius does not explain it
+        with pytest.raises(NearSpectrum):
+            self.purity(points, poles=(0.8,))
+
+    def test_inconclusive_point_next_to_a_pole_is_mixed(self):
+        points = [(0.0, self.resolvent(0.0)), (0.5, NearSpectrum("at 0.5")),
+                  (1.0, self.resolvent(1.0))]
+        v = self.purity(points, poles=(0.55,))
+        assert (v.verdict, v.offending_points) == ("Mixed/Unknown", (0.55,))
+
+    def test_nonzero_limit_away_from_poles_is_offending(self):
+        loud = PointVerdict(x=0.5, verdict="continuous",
+                            evidence={"slim_rel": np.array([0.3]),
+                                      "decay_exponent": np.array([0.0])})
+        points = [(0.0, self.resolvent(0.0)), (0.5, loud), (1.0, self.resolvent(1.0))]
+        assert self.purity(points).offending_points == (0.5,)
+        # next to a pole the point is that pole; the level is listed once
+        assert self.purity(points, poles=(0.52,)).offending_points == (0.52,)
+
+    def test_no_spectrum_needs_the_full_half_width(self):
+        points = [(x, self.resolvent(x)) for x in self.XS]
+        assert self.purity(points).verdict == "NoSpectrum"
+        # resolvent only in a window shrunk to a quarter: M may not continue
+        # through the full analyticity window, so the AC and SC stages decide
+        points[1] = (0.5, self.resolvent(0.5, half_width=0.025))
+        assert self.purity(points).verdict == "Mixed/Unknown"
+        acs, scr = self.stages(ac_free=False)
+        assert self.purity(points, acs=acs, scr=scr).verdict == "PureAC"
+
+    def test_failed_ac_stage_raised_only_when_needed(self):
+        err = Inconclusive("AC stage failed")
+        points = [(x, self.resolvent(x)) for x in self.XS]
+        assert self.purity(points, acs=err).verdict == "NoSpectrum"
+        assert self.purity(points, poles=(0.5,), acs=err).verdict == "Mixed/Unknown"
+        points[1] = (0.5, self.resolvent(0.5, half_width=0.025))
+        with pytest.raises(Inconclusive) as info:
+            self.purity(points, acs=err)
+        assert info.value is err
 
 
 class TestClassifyConfig:
@@ -323,8 +438,9 @@ class TestDtnTable:
     def test_reduced_well_sweep_factorization_count(self, monkeypatch):
         # Every M(z) of this sweep has Im z >= 7.8e-5, certified off the
         # spectrum, so the continued fraction gives all of them; the 12
-        # factorizations left are the Newton iterates of purity_filter's pole
-        # scan.  Evaluating M(z) by LU, the sweep factorized 740 times.
+        # factorizations left are the Newton iterates of the window's pole
+        # scan, classify.pole_scan.  Evaluating M(z) by LU, the sweep
+        # factorized 740 times.
         factored = []
         factorize = DirichletOperator.factorize
 

@@ -205,9 +205,10 @@ class TestCli:
 
     def test_window_stage_failure_stays_local(self, tmp_path):
         # eta0 = 1e-13 puts M(1 + i*eta0) within the solver's distance
-        # threshold of the level at 1: the AC and SC stages hit NearSpectrum.
-        # Purity does not sample the grid point 1.0, next to the level its
-        # Newton scan finds, so it stays conclusive.
+        # threshold of the level at 1: the AC and SC stages hit NearSpectrum,
+        # and so does the grid point 1.0.  Purity reads that point's error as
+        # the level that classify.pole_scan finds next to it, so it stays
+        # conclusive.
         cfg = dict(T1_CONFIG, window={"lo": 0.9, "hi": 1.1, "grid_step": 0.1},
                    eta={"eta0": 1e-13})
         code = main(["classify", "--config", _write_config(tmp_path, cfg),
@@ -223,6 +224,22 @@ class TestCli:
         assert purity["window"] == [0.9, 1.1]
         assert purity["verdict"] == "Mixed/Unknown"
         assert purity["offending_points"] == [pytest.approx(1.0, abs=1e-6)]
+
+    def test_classify_prints_purity_and_missed_levels(self, tmp_path, capsys):
+        # the well sweep credits none of its six levels to a grid point; purity
+        # lists the five that the pole scan finds, all but 0.019519
+        cfg = {"domain": {"kind": "halfline", "h": 0.05, "L": 20.0},
+               "potential": {"kind": "well", "depth": 2.0, "width": 1.0},
+               "window": {"lo": 0.0, "hi": 1.0, "grid_step": 0.05}}
+        code = main(["classify", "--config", _write_config(tmp_path, cfg),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:] == [
+            "purity of [0.0, 1.0]: Mixed/Unknown, offending points "
+            "0.080892, 0.188820, 0.346166, 0.554152, 0.813240",
+            "oracle levels in the window detected by no grid point: 6 of 6",
+        ]
 
     @pytest.mark.parametrize("section, value, match, command", [
         ("domain", {"kind": "halfline", "h": True, "L": 3.0}, "domain.h", "classify"),
