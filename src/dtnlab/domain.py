@@ -364,6 +364,49 @@ class DirichletOperator:
         return self.cached("tridiagonal", lambda: (_read_only(self.a_ii.diagonal()),
                                                    _read_only(self.a_ii.diagonal(1))))
 
+    @property
+    def reduction(self) -> tuple:
+        """(diagonal, off-diagonal, Q^T P) of an orthogonal reduction Q^T A_II Q = T
+        to symmetric tridiagonal form, built on first use (see _tridiagonalize)."""
+        return self.cached("reduction", lambda: tuple(
+            _read_only(a) for a in _tridiagonalize(self.a_ii.toarray(), self.domain.incidence)))
+
+    @property
+    def shiftable(self) -> tuple:
+        """(read-only complex CSC copy of A_II with sorted indices, positions of
+        its diagonal in the copy's data): A_II - z is that matrix with z
+        subtracted there, on a copy of the data that shares the index arrays."""
+        def build():
+            csc = sp.csc_matrix(self.a_ii, dtype=complex)
+            csc.sort_indices()
+            for a in (csc.data, csc.indices, csc.indptr):
+                _read_only(a)
+            cols = np.repeat(np.arange(self.n), np.diff(csc.indptr))
+            return csc, _read_only(np.flatnonzero(csc.indices == cols))
+        return self.cached("shiftable", build)
+
+    def trace_resolvent(self, zs) -> np.ndarray:
+        """P^T (A_II - z)^-1 P for each z of zs, as C^T (T - z)^-1 C through the
+        reduction Q^T A_II Q = T, C = Q^T P (``reduction``): one pivoted
+        tridiagonal LU, LAPACK gttrf/gttrs, per z.
+
+        The Householder reduction and the pivoted LU are both backward stable
+        (Golub & Van Loan, *Matrix Computations*, 8.3 and 4.3), so this differs
+        from the sparse LU's solve by rounding and, beside a pole, by the
+        first-order term u*||A_II||_1*||(A_II - z)^-1 P||^2.  A pivot vanishes
+        only where T - z is singular to working precision; NearSpectrum is
+        raised there, as in ShiftedSolver.
+        """
+        diag, off, qtp = self.reduction
+        c = qtp.astype(complex)
+        out = np.empty((len(zs), c.shape[1], c.shape[1]), dtype=complex)
+        for k, z in enumerate(zs):
+            *factors, info = _GTTRF(off, diag - z, off)
+            if info > 0:
+                raise NearSpectrum(z, 0.0)
+            out[k] = c.T @ _GTTRS(*factors, c)[0]
+        return out
+
     def certified(self, z):
         """Whether |Im z| alone proves z off the spectrum (see ShiftedSolver); elementwise."""
         return np.abs(np.imag(z)) >= _CERTIFIED_GAP * _REL_DIST_THRESHOLD * self.a_norm
@@ -404,14 +447,35 @@ _REL_DIST_THRESHOLD = 1e-10
 # estimate; the factor 2 leaves room for the rounding of the estimate
 _CERTIFIED_GAP = 2.0
 _GTTRF, _GTTRS = get_lapack_funcs(("gttrf", "gttrs"), dtype=complex)
+_SYTRD, _SYTRD_LWORK = get_lapack_funcs(("sytrd", "sytrd_lwork"), dtype=float)
+
+
+def _tridiagonalize(a: np.ndarray, p: np.ndarray) -> tuple:
+    """(d, e, Q^T p) for the Householder reduction Q^T a Q = tridiag(e, d, e) of a
+    real symmetric a (LAPACK sytrd, lower triangle; Golub & Van Loan, *Matrix
+    Computations*, 8.3.1).
+
+    sytrd returns Q = H_1 ... H_(n-1) as reflectors H_i = I - tau_i v_i v_i^T,
+    v_i = (1, c[i+2:, i]) on rows i+1 onwards, so Q^T p = H_(n-1) ... H_1 p.
+    """
+    lwork, _ = _SYTRD_LWORK(len(a), lower=1)    # the blocked algorithm's workspace
+    c, d, e, tau, _ = _SYTRD(a, lower=1, lwork=int(lwork))
+    qtp = np.array(p, dtype=float)
+    for i, t in enumerate(tau):
+        v = np.concatenate(([1.0], c[i + 2:, i]))
+        rows = qtp[i + 1:]
+        rows -= t * np.outer(v, v @ rows)
+    return d, e, qtp
 
 
 class ShiftedSolver:
     """A_II - z factored once, with a deterministic conditioning estimate.
 
     A tridiagonal A_II (the half-line) keeps LAPACK's gttrf factors and solves
-    with gttrs; every other operator keeps a sparse LU (splu) of the CSC matrix,
-    as does the two-node half-line, whose size SciPy's gttrf wrapper rejects.
+    with gttrs; every other operator keeps a sparse LU (splu) of A_II - z, as
+    does the two-node half-line, whose size SciPy's gttrf wrapper rejects.
+    A_II - z is the operator's stored complex CSC A_II with z subtracted at the
+    diagonal positions of a copy of its data (``DirichletOperator.shiftable``).
     Plain and adjoint solves reuse the same factors.
 
     Near-spectrum detection runs a few fixed-start power iterations on the
@@ -439,8 +503,12 @@ class ShiftedSolver:
             if info > 0:
                 raise NearSpectrum(z, 0.0)
         else:
+            csc, diagonal = op.shiftable
+            data = csc.data.copy()
+            data[diagonal] -= z
             try:
-                self._lu = spla.splu((op.a_ii - z * sp.identity(self._n, format="csr")).tocsc())
+                self._lu = spla.splu(sp.csc_matrix((data, csc.indices, csc.indptr),
+                                                   shape=csc.shape))
             except RuntimeError:  # exactly singular
                 raise NearSpectrum(z, 0.0) from None
         if op.certified(z):

@@ -156,7 +156,16 @@ def _continued_fraction(op: DirichletOperator, zs: np.ndarray) -> np.ndarray:
     t = diag[-1] - zs
     for d, e2 in zip(diag[-2::-1].tolist(), (off[::-1] ** 2).tolist()):
         t = d - zs - e2 / t
-    return 1.0 / h - 1.0 / (h ** 3 * t)
+    return (1.0 / h - 1.0 / (h ** 3 * t))[:, None, None]
+
+
+def _reduced_dtn(op: DirichletOperator, zs: np.ndarray) -> np.ndarray:
+    """M(z) = I/h - diag(1/(k_b h^3)) P^T (A_II - z)^-1 P in 2D, vectorized over zs,
+    with P^T (A_II - z)^-1 P through the tridiagonal reduction of A_II
+    (``DirichletOperator.trace_resolvent``)."""
+    dom = op.domain
+    scale = 1.0 / (dom.neighbor_counts[:, None] * dom.h ** 3)
+    return np.eye(dom.n_boundary) / dom.h - scale * op.trace_resolvent(zs)
 
 
 def dtn_matrices(op: DirichletOperator, zs):
@@ -166,17 +175,18 @@ def dtn_matrices(op: DirichletOperator, zs):
     which stops at its first z where dtn_matrix raises NearSpectrum;
     failures[r] is that exception, or None for a complete row.
 
-    Every entry comes from the M(z) table.  On the half-line the certified z
+    Every entry comes from the M(z) table.  The certified z
     (``DirichletOperator.certified``) that the table lacks are entered first,
-    all at once, by the continued fraction, which cannot fail there; every
-    other z, and every z in 2D, is left to dtn_matrix and its LU, so
+    all at once: on the half-line by the continued fraction of the tridiagonal
+    A_II, in 2D through its tridiagonal reduction (_reduced_dtn); neither
+    fails there.  Every other z is left to dtn_matrix and its LU, so
     NearSpectrum is raised where dtn_matrix raises it.
     """
     zs = np.atleast_2d(np.asarray(zs, dtype=complex))
-    if op.domain.dimension == 1:
-        distinct = np.unique(zs)
-        op.cached_many(distinct[op.certified(distinct)].tolist(), lambda fresh:
-                       _continued_fraction(op, np.array(fresh))[:, None, None])
+    distinct = np.unique(zs)
+    fill = _continued_fraction if op.domain.dimension == 1 else _reduced_dtn
+    op.cached_many(distinct[op.certified(distinct)].tolist(),
+                   lambda fresh: fill(op, np.array(fresh)))
     n_b = op.domain.n_boundary
     m = np.zeros(zs.shape + (n_b, n_b), dtype=complex)
     lengths = np.zeros(len(zs), dtype=int)

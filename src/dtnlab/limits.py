@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import DirichletOperator
-from .dtn import dtn_matrices, dtn_matrix
-from .errors import ContourTouchesSpectrum, NearSpectrum
+from .dtn import dtn_matrices, dtn_matrix  # noqa: F401 (perfbench/spans.py traces dtn_matrix here)
+from .errors import ContourTouchesSpectrum
 
 __all__ = [
     "EtaSchedule",
@@ -288,24 +288,23 @@ def residue_contour(op: DirichletOperator, lam0: float, rho: float, n: int = 32)
     """Residue of M at lam0 by the trapezoid rule on the circle |z - lam0| = rho.
 
     Spectrally accurate for meromorphic M; equals the sum of residues at all
-    poles strictly inside the circle.
+    poles strictly inside the circle.  The nodes come from one dtn_matrices
+    call, one row per node; a node that raises NearSpectrum raises
+    ContourTouchesSpectrum from it.
     """
     if n < 16 or n % 2:
         raise ValueError("need an even number of nodes, at least 16")
     if rho <= 0:
         raise ValueError("radius must be positive")
-    n_b = op.domain.n_boundary
-    acc = np.zeros((n_b, n_b), dtype=complex)
-    for j in range(n):
-        w = np.exp(2j * np.pi * j / n)
-        try:
-            m = dtn_matrix(op, lam0 + rho * w).m
-        except NearSpectrum as exc:
-            raise ContourTouchesSpectrum(
-                f"contour node {lam0 + rho * w} touches the spectrum"
-            ) from exc
-        acc += m * w
-    return ResidueMatrix(lam0=float(lam0), rho=float(rho), r=acc * rho / n, n_nodes=n)
+    w = np.exp(2j * np.pi * np.arange(n) / n)
+    nodes = lam0 + rho * w
+    m, lengths, failures = dtn_matrices(op, nodes[:, None])
+    if not lengths.all():
+        j = int(np.argmin(lengths))
+        raise ContourTouchesSpectrum(
+            f"contour node {nodes[j]} touches the spectrum") from failures[j]
+    r = (m[:, 0] * w[:, None, None]).sum(axis=0)
+    return ResidueMatrix(lam0=float(lam0), rho=float(rho), r=r * rho / n, n_nodes=n)
 
 
 # ---------------------------------------------------------------------------

@@ -414,26 +414,68 @@ class TestProbes:
 
 class TestDtnTable:
     def test_each_z_materialized_once(self, monkeypatch):
+        # a z enters the M(z) table once, by the tridiagonal reduction if it is
+        # certified and by the LU (poisson_matrix) otherwise, and its value is
+        # the one the same path gives on a fresh operator
         dom = build_domain(Exterior2D(h=1.0, a=1.5, L=4.5))
         op = assemble_operator(dom, zero_potential(dom))
-        reached = []
-        poisson_matrix = dtnlab.dtn.poisson_matrix
+        by_lu, by_reduction = [], []
+        poisson_matrix, reduced = dtnlab.dtn.poisson_matrix, dtnlab.dtn._reduced_dtn
 
-        def counting(op_, lam):
-            reached.append(complex(lam))
+        def counting_lu(op_, lam):
+            by_lu.append(complex(lam))
             return poisson_matrix(op_, lam)
 
-        monkeypatch.setattr(dtnlab.dtn, "poisson_matrix", counting)
+        def counting_reduction(op_, zs):
+            by_reduction.extend(complex(z) for z in zs)
+            return reduced(op_, zs)
+
+        monkeypatch.setattr(dtnlab.dtn, "poisson_matrix", counting_lu)
+        monkeypatch.setattr(dtnlab.dtn, "_reduced_dtn", counting_reduction)
         cfg = ClassifyConfig(eta0=1e-2, pole_match_radius=0.25, window_half_width=0.25)
-        classify_point(op, 1.0, cfg, make_probes(dom, "basis"))
-        assert reached and len(set(reached)) == len(reached)
+        # the level 0.929221: the residue contour crosses the real axis
+        assert classify_point(op, 0.93, cfg, make_probes(dom, "basis")).verdict == "eigenvalue"
+        entered = by_lu + by_reduction
+        assert by_lu and by_reduction and len(set(entered)) == len(entered)
+        assert not any(op.certified(z) for z in by_lu)
+        assert all(op.certified(z) for z in by_reduction)
         table = {key for key in op._cache if isinstance(key, complex)}
-        assert table == set(reached)
+        assert table == set(entered)
 
         monkeypatch.undo()
         fresh = assemble_operator(dom, zero_potential(dom))
-        for z in reached:
+        for z in by_lu:
             assert np.array_equal(dtn_matrix(op, z).m, dtn_matrix(fresh, z).m)
+        for z in by_reduction:
+            assert np.array_equal(dtn_matrix(op, z).m, dtnlab.dtn._reduced_dtn(fresh, [z])[0])
+
+    def test_reduced_annulus_sweep_factorization_count(self, monkeypatch):
+        # Certified z come from the tridiagonal reduction, so every
+        # factorization left is a Newton iterate of refine_pole or an
+        # uncertified z: 100 here, all Newton iterates.  Evaluating every
+        # M(z) by LU, the sweep factorized 588 times.
+        factored, newton = [], []
+        factorize, refine_pole = DirichletOperator.factorize, dtnlab.classify.refine_pole
+
+        def counting(op_, z):
+            factored.append((z, bool(newton) or not op_.certified(z)))
+            return factorize(op_, z)
+
+        def refining(*args, **kwargs):
+            newton.append(True)
+            try:
+                return refine_pole(*args, **kwargs)
+            finally:
+                newton.pop()
+
+        monkeypatch.setattr(DirichletOperator, "factorize", counting)
+        monkeypatch.setattr(dtnlab.classify, "refine_pole", refining)
+        cfg = config_from_dict({
+            "domain": {"kind": "exterior2d", "h": 1.0, "a": 1.5, "L": 4.5},
+            "window": {"lo": 0.5, "hi": 1.0, "grid_step": 0.5}})
+        assert len(run_sweep(cfg).data["points"]) == 2
+        assert all(allowed for _, allowed in factored)
+        assert len(factored) <= 100
 
     def test_reduced_well_sweep_factorization_count(self, monkeypatch):
         # Every M(z) of this sweep has Im z >= 7.8e-5, certified off the

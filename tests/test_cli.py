@@ -241,6 +241,21 @@ class TestCli:
             "oracle levels in the window detected by no grid point: 6 of 6",
         ]
 
+    def test_classify_floored_schedule_counts_no_missed_levels(self, tmp_path, capsys):
+        # the truncated free half-line emulates continuous spectrum: its floored
+        # schedule is not meant to resolve the 29 levels in the window
+        cfg = {"domain": {"kind": "halfline", "h": 0.05, "L": 60.0},
+               "window": {"lo": 0.25, "hi": 4.0, "grid_step": 0.25},
+               "eta": {"eta0": 0.4, "floor_mode": "halfline_auto"}}
+        code = main(["classify", "--config", _write_config(tmp_path, cfg),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "oracle levels in the window: 29, not counted as missed: a floored eta "
+            "schedule emulates continuous spectrum and does not resolve levels")
+        crosscheck = parse_report(str(tmp_path / "report.json"))["oracle_crosscheck"]
+        assert len(crosscheck) == 29 and not any(c["detected"] for c in crosscheck)
+
     @pytest.mark.parametrize("section, value, match, command", [
         ("domain", {"kind": "halfline", "h": True, "L": 3.0}, "domain.h", "classify"),
         ("window", {"lo": 0.0, "hi": 4.0, "grid_step": True}, "window.grid_step", "classify"),

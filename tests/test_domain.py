@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from dtnlab import (
     DiscreteDomain,
@@ -217,6 +219,35 @@ class TestShiftedSolver:
         assert np.linalg.norm(u - dense) <= 1e-12 * np.linalg.norm(dense)
         assert np.linalg.norm(op.factorize(z).solve(rhs[:, 0], adjoint=adjoint)
                               - dense[:, 0]) <= 1e-12 * np.linalg.norm(dense[:, 0])
+
+    @pytest.mark.parametrize("z", [0.7 + 0j, 0.7 + 1e-12j, 0.7 + 0.3j],
+                             ids=["real", "near_real", "complex"])
+    def test_shifted_copy_factors_as_sparse_arithmetic(self, annulus2d, z, rng):
+        # A_II - z as the stored complex CSC A_II with z subtracted on a copy of
+        # its data: the same factors and solves, bit for bit, as SciPy's
+        # (A_II - z I).tocsc()
+        _, op = annulus2d
+        lu = op.factorize(z)._lu
+        ref = spla.splu((op.a_ii - z * sp.identity(op.n, format="csr")).tocsc())
+        assert np.array_equal(lu.perm_r, ref.perm_r) and np.array_equal(lu.perm_c, ref.perm_c)
+        assert np.array_equal(lu.L.toarray(), ref.L.toarray())
+        assert np.array_equal(lu.U.toarray(), ref.U.toarray())
+        rhs = rng.standard_normal((op.n, 3)) + 1j * rng.standard_normal((op.n, 3))
+        for adjoint, trans in ((False, "N"), (True, "H")):
+            assert np.array_equal(op.factorize(z).solve(rhs, adjoint), ref.solve(rhs, trans))
+
+    def test_tridiagonal_reduction(self, annulus2d):
+        # Q^T A_II Q = T with C = Q^T P: C^T (T - z)^-1 C = P^T (A_II - z)^-1 P
+        dom, op = annulus2d
+        diag, off, qtp = op.reduction
+        assert not any(a.flags.writeable for a in op.reduction)
+        t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.allclose(np.linalg.eigvalsh(t), np.linalg.eigvalsh(op.a_ii.toarray()),
+                           rtol=0, atol=1e-12)
+        assert np.allclose(qtp.T @ qtp, dom.incidence.T @ dom.incidence, rtol=0, atol=1e-12)
+        z = 0.7 + 0.3j
+        ref = dom.incidence.T @ op.solve(z, dom.incidence.astype(complex))
+        assert np.allclose(op.trace_resolvent([z])[0], ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("model", ["t1", "well1d", "reduced_annulus"])
     def test_factorize_at_oracle_eigenvalue_raises(self, request, model):

@@ -10,12 +10,15 @@ from dtnlab import (
     analyticity_test,
     assemble_operator,
     dtn_matrices,
+    dtn_matrix,
     make_probes,
     boundary_value_M,
+    oracle_eigendecomposition,
     residue_contour,
     richardson_extrapolate,
     slim_eta_M,
 )
+from dtnlab.classify import _weighted_column_basis
 from dtnlab.limits import decay_exponent
 
 G = np.array([1.0 + 0j])
@@ -176,8 +179,23 @@ class TestResidue:
 
     def test_contour_touching_spectrum(self, t1):
         _, op = t1
-        with pytest.raises(ContourTouchesSpectrum):
-            residue_contour(op, 2.0, 1.0)   # nodes land on 1.0 and 3.0
+        with pytest.raises(ContourTouchesSpectrum, match=r"node \(3\+0j\)") as exc:
+            residue_contour(op, 2.0, 1.0)   # nodes land on 1.0 and 3.0, the first on 3.0
+        assert isinstance(exc.value.__cause__, NearSpectrum)
+
+    @pytest.mark.parametrize("rho", [0.05, 0.25])
+    def test_annulus_residue_matches_lu(self, annulus2d, rho):
+        # the certified nodes come from the tridiagonal reduction, the two on
+        # the real axis from the LU; dtn_matrix on a fresh operator is the LU
+        dom, op = annulus2d
+        eig = oracle_eigendecomposition(op)
+        lam0 = eig.values[np.argmin(np.abs(eig.values - 0.749213))]
+        res = residue_contour(op, lam0, rho)
+        fresh = assemble_operator(dom, op.potential)
+        w = np.exp(2j * np.pi * np.arange(32) / 32)
+        ref = sum(dtn_matrix(fresh, lam0 + rho * wj).m * wj for wj in w) * rho / 32
+        assert np.linalg.norm(res.r - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert _weighted_column_basis(dom, res.r)[1] == _weighted_column_basis(dom, ref)[1]
 
     def test_parameter_validation(self, t1):
         _, op = t1
