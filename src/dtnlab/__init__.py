@@ -65,6 +65,7 @@ from .classify import (
     ACSupportSet,
     ClassifyConfig,
     GridSet,
+    Level,
     PointVerdict,
     PurityVerdict,
     SCReport,
@@ -74,10 +75,10 @@ from .classify import (
     eigenspace_via_tau,
     essential_closure,
     make_probes,
-    pole_scan,
     purity_filter,
     refine_pole,
     sc_screen,
+    window_levels,
 )
 from .measures import (
     SimplicityReport,

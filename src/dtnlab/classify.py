@@ -1,5 +1,6 @@
-"""Spectral verdicts from boundary limits of M: point classification, eigenspace
-recovery through the normal-derivative trace, AC support sets and the SC screen.
+"""Spectral verdicts from boundary limits of M: the levels of a window, point
+classification, eigenspace recovery through the normal-derivative trace, AC
+support sets and the SC screen.
 
 Grid sets are finite unions of closed intervals with endpoints on the sampling
 grid; the essential (absolutely continuous) closure is computed exactly on
@@ -23,6 +24,8 @@ from .limits import (
     ResidueMatrix,
     analyticity_test,
     boundary_value_M,
+    contour_sums,
+    ellipse,
     residue_contour,
     slim_eta_M,
 )
@@ -30,6 +33,7 @@ from .limits import (
 __all__ = [
     "GridSet",
     "PointVerdict",
+    "Level",
     "ACSupportSet",
     "SCReport",
     "TauReport",
@@ -39,8 +43,9 @@ __all__ = [
     "window_grid",
     "classify_point",
     "refine_pole",
-    "pole_scan",
+    "window_levels",
     "eigenspace_via_tau",
+    "trace_invisible",
     "ac_support",
     "sc_screen",
     "purity_filter",
@@ -58,6 +63,11 @@ MIXED_UNKNOWN = "Mixed/Unknown"
 
 _NEWTON_TOL, _NEWTON_MAXITER = 1e-11, 60   # refine_pole: relative step that ends it, cap
 _TAU_NODES = 64                            # trapezoid nodes of eigenspace_via_tau's contour
+_GAP_FRACTION = 0.45                       # residue radius over the gap to the nearest other level
+_LEVEL_NODES = 128                         # trapezoid nodes of window_levels' ellipse
+_LEVEL_BLOCKS = (8, 16)                    # Hankel block counts tried: 16 moments, then 32
+_PENCIL_TOL = 1e-12                        # kept singular values of H0, over max|moment| bound
+_RESIDUE_TOL = 1e-8                        # counted residue singular values, over their bound
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +148,6 @@ class ClassifyConfig:
     fit_tol: float = 1e-5
 
     pole_match_radius: float = 0.1
-    residue_rho: float = 0.25
 
     def __post_init__(self):
         if self.floor_mode not in ("none", "halfline_auto"):
@@ -227,6 +236,83 @@ def refine_pole(op: DirichletOperator, x: float, g: np.ndarray, eta_start: float
 
 
 # ---------------------------------------------------------------------------
+# levels of a window: poles of M by contour moments
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Level:
+    """A confirmed pole of M: its value, the rank of its residue, the residue."""
+
+    lam: float
+    multiplicity: int
+    residue: ResidueMatrix
+
+
+def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) -> tuple:
+    """The levels of M around the window (lo, hi), ascending; () on floored schedules.
+
+    M is meromorphic on a finite model, so the moments (1/2 pi i) oint T_k(u)
+    (M g_l, g_j) dz, T_k Chebyshev in u = (z - c)/r on an ellipse through
+    lo - 2w and hi + 2w (w = window_half_width), make a block Hankel-type
+    pencil whose eigenvalues are the poles inside and whose eigenvectors hold
+    their residues' ranges (Beyn, LAA 436 (2012); Sakurai & Sugiura, JCAM 159
+    (2003)).  Its rank must stay at most half its size, else the block count
+    doubles, up to 32 moments, then Inconclusive.  refine_pole polishes each
+    pole in (lo - w, hi + w); values within the oracle's degeneracy rule merge.
+    A value is a level when its residue on a circle of _GAP_FRACTION x the gap
+    to the nearest other pole has weighted singular values above _RESIDUE_TOL
+    x rho max ||M||; their count is its multiplicity.  As -i eta M(lam + i eta)
+    tends to that residue, this is the nonzero eta*M-limit test.
+    """
+    lo, hi = window
+    if cfg.schedule(lo).floored:
+        return ()
+    dom, w, size = op.domain, cfg.window_half_width, 2 * _LEVEL_BLOCKS[-1]
+    a, b = lo - 2 * w, hi + 2 * w
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    u, du = ellipse(2 * np.pi * (np.arange(_LEVEL_NODES) + 0.5) / _LEVEL_NODES)
+    cheb = np.polynomial.chebyshev.chebvander(u, size - 1).T    # T_k(u) at the nodes
+    m, m_max = contour_sums(op, centre + half * u, cheb * du * half / (1j * u.size))
+    gs = np.array(probes).T                                     # (n_B, probes)
+    moments = (gs.conj().T * dom.boundary_node_weights) @ m @ gs
+    scale = half * m_max * np.abs(cheb).max() * np.max(dom.boundary_norm(gs.T)) ** 2
+
+    p = gs.shape[1]
+    for k in _LEVEL_BLOCKS:
+        # T_i T_j = (T_(i+j) + T_|i-j|)/2 and u T_m = (T_(m+1) + T_|m-1|)/2
+        i, j = np.indices((k, k))
+        h0 = (moments[i + j] + moments[abs(i - j)]) / 2
+        h1 = (moments[i + j + 1] + moments[abs(i + j - 1)] + moments[abs(i - j + 1)]
+              + moments[abs(i - j - 1)]) / 4
+        h0, h1 = (h.transpose(0, 2, 1, 3).reshape(k * p, k * p) for h in (h0, h1))
+        left, sv, right = np.linalg.svd(h0)
+        rank = int(np.sum(sv > _PENCIL_TOL * scale))
+        if 2 * rank <= k * p:
+            break
+    else:
+        raise Inconclusive(f"more levels around {tuple(window)} than {size} contour "
+                           f"moments resolve")
+    left, right = left[:, :rank], right[:rank].conj().T
+    vals, vecs = np.linalg.eig(left.conj().T @ h1 @ right / sv[:rank])
+    estimates = (centre + half * vals).real
+    near = (lo - w < estimates) & (estimates < hi + w)
+    starts = zip(estimates[near], (gs @ (left @ vecs)[:p]).T[near])   # a residue range each
+    polished = sorted(lam for lam in (refine_pole(op, x, g, op.certified_height)
+                                      for x, g in starts) if lam is not None)
+    tol = 1e-8 * max(op.a_norm, 1.0)
+    values = [lam for lam, prev in zip(polished, [-np.inf] + polished) if lam - prev > tol]
+    poles = np.array(values + list(estimates[~near]) + [a, b])
+    levels = []
+    for lam in values:
+        gap = np.min(np.abs(poles[np.abs(poles - lam) > tol] - lam))
+        res = residue_contour(op, lam, _GAP_FRACTION * gap)
+        mult = int(np.sum(dom.boundary_singular_values(res.r) > _RESIDUE_TOL * res.bound))
+        if mult:
+            levels.append(Level(lam=lam, multiplicity=mult, residue=res))
+    return tuple(levels)
+
+
+# ---------------------------------------------------------------------------
 # point classification
 # ---------------------------------------------------------------------------
 
@@ -238,7 +324,6 @@ class PointVerdict:
     multiplicity: int = 0
     residue: ResidueMatrix | None = None
     evidence: dict = field(default_factory=dict)   # slim_rel, decay_exponent: per probe
-    half_width: float | None = None   # of the analyticity window a resolvent point passed
 
 
 def _weighted_column_basis(dom, matrix: np.ndarray, rel_tol: float = 1e-8):
@@ -251,53 +336,46 @@ def _weighted_column_basis(dom, matrix: np.ndarray, rel_tol: float = 1e-8):
     return u[:, :rank] / w[:, None], rank
 
 
+def _result(stage):
+    """A stage's result; the DtnLabError it failed with is raised again."""
+    if isinstance(stage, DtnLabError):
+        raise stage
+    return stage
+
+
 def classify_point(op: DirichletOperator, x: float, cfg: ClassifyConfig,
-                   probes=None) -> PointVerdict:
-    """Decision tree: nonzero eta*M limit -> Eigenvalue (with refined pole and
-    residue); else analytic continuation through a window -> ResolventSet;
-    else ContinuousSpectrum.  Raises Inconclusive instead of guessing."""
+                   probes=None, levels=None) -> PointVerdict:
+    """Decision tree on window_levels' levels (by default those of (x - w, x + w),
+    w = window_half_width; none on floored schedules, and a DtnLabError for
+    levels is raised again): within pole_match_radius of a level -> Eigenvalue,
+    as the nearest level; else analytic continuation through the window of
+    half-width min(w, d/4), d the distance to the nearest level -> ResolventSet;
+    else ContinuousSpectrum.  The eta*M limits are taken first, as evidence."""
     dom = op.domain
     sched = cfg.schedule(x)
     probes = make_probes(dom, "basis") if probes is None else probes
 
     est = slim_eta_M(op, x, probes, sched)
     evidence = {"slim_rel": est.relative, "decay_exponent": est.decay_exponent}
-    flagged = cfg.slim_nonzero(est.relative, est.decay_exponent)
 
-    if flagged.any():
-        # the probe with the largest flagged limit, the first of equals
-        g = probes[int(np.argmax(np.where(flagged, est.relative, -1.0)))]
-        lam0 = refine_pole(op, x, g, eta_start=sched.eta0 / 4)
-        if lam0 is None:
-            raise Inconclusive(f"eta*M limit nonzero at x={x} but pole refinement failed")
-        if abs(lam0 - x) <= cfg.pole_match_radius:
-            res = residue_contour(op, lam0, cfg.residue_rho)
-            _, rank = _weighted_column_basis(dom, res.r)
-            return PointVerdict(x=x, verdict=EIGENVALUE, refined_lambda=lam0,
-                                multiplicity=rank, residue=res, evidence=evidence)
-        # a pole exists nearby but not at this grid point; fall through
+    w = cfg.window_half_width
+    if sched.floored:
+        levels = ()
+    elif levels is None:
+        levels = window_levels(op, (x - w, x + w), probes, cfg)
+    gaps = [abs(level.lam - x) for level in _result(levels)]
+    d = min(gaps, default=np.inf)
+    if d <= cfg.pole_match_radius:
+        near = levels[int(np.argmin(gaps))]
+        return PointVerdict(x=x, verdict=EIGENVALUE, refined_lambda=near.lam,
+                            multiplicity=near.multiplicity, residue=near.residue,
+                            evidence=evidence)
 
     if est.partial.any():
         raise Inconclusive(f"solver failures along the eta schedule at x={x}")
-
-    # analytic continuation through *some* real neighborhood suffices, so the
-    # window shrinks when a nearby pole or a sample on the spectrum spoils a try
-    failure = None
-    for shrink in (1.0, 4.0, 16.0):
-        try:
-            ana = analyticity_test(
-                op, x, cfg.window_half_width / shrink, probes, sched,
-                slim_rel_tol=cfg.tau_eig_rel, im_rel_tol=cfg.tau_ac, fit_tol=cfg.fit_tol,
-            )
-        except NearSpectrum as exc:
-            failure = exc
-            continue
-        if ana.ok:
-            return PointVerdict(x=x, verdict=RESOLVENT_SET, evidence=evidence,
-                                half_width=cfg.window_half_width / shrink)
-    if failure is not None:
-        raise failure
-    return PointVerdict(x=x, verdict=CONTINUOUS, evidence=evidence)
+    ana = analyticity_test(op, x, min(w, d / 4), probes, sched, slim_rel_tol=cfg.tau_eig_rel,
+                           im_rel_tol=cfg.tau_ac, fit_tol=cfg.fit_tol)
+    return PointVerdict(x=x, verdict=RESOLVENT_SET if ana.ok else CONTINUOUS, evidence=evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +392,16 @@ class TauReport:
     residue_rank: int
 
 
+def trace_invisible(dom, eig: EigenSystem) -> list:
+    """Per oracle level (eig.groups), whether the traces tau_j of its eigenvectors
+    vanish: none above _RESIDUE_TOL times the largest trace of any eigenvector.
+    The residue of M there, g -> sum_j tau_j (g, tau_j), vanishes with them, so
+    such a level is no pole of M and no verdict read off M can see it."""
+    taus = normal_derivative(dom, np.zeros((dom.n_boundary, eig.values.size)), eig.vectors)
+    norms = dom.boundary_norm(taus.T)
+    return [bool(norms[list(g)].max() <= _RESIDUE_TOL * norms.max()) for g in eig.groups]
+
+
 def eigenspace_via_tau(op: DirichletOperator, lam0: float, eig: EigenSystem) -> TauReport:
     """Compare traces of the oracle eigenvectors at lam0 with the residue range of M,
     on a contour of radius 0.45 x the gap to the nearest other level (or 0.45)."""
@@ -322,20 +410,14 @@ def eigenspace_via_tau(op: DirichletOperator, lam0: float, eig: EigenSystem) -> 
     if vecs.shape[1] == 0:
         raise ValueError(f"{lam0} is not an oracle eigenvalue")
 
-    taus = np.column_stack([
-        normal_derivative(dom, np.zeros(dom.n_boundary), vecs[:, j])
-        for j in range(vecs.shape[1])
-    ])
-    gram = np.array([
-        [dom.boundary_inner(taus[:, i], taus[:, j]) for j in range(taus.shape[1])]
-        for i in range(taus.shape[1])
-    ])
+    taus = normal_derivative(dom, np.zeros((dom.n_boundary, vecs.shape[1])), vecs)
+    gram = dom.boundary_inner(taus.T[:, None], taus.T[None])
     sv = np.linalg.svd(gram, compute_uv=False)
     ratio = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
 
     others = eig.values[np.abs(eig.values - lam0) > eig.degeneracy_tol]
     gap = float(np.min(np.abs(others - lam0))) if others.size else 1.0
-    res = residue_contour(op, lam0, 0.45 * gap, _TAU_NODES)
+    res = residue_contour(op, lam0, _GAP_FRACTION * gap, _TAU_NODES)
     basis, rank = _weighted_column_basis(dom, res.r)
 
     w = np.sqrt(dom.boundary_node_weights)
@@ -350,7 +432,7 @@ def eigenspace_via_tau(op: DirichletOperator, lam0: float, eig: EigenSystem) -> 
 
 
 # ---------------------------------------------------------------------------
-# window stages: pole scan, AC support, SC screen
+# window stages: AC support, SC screen
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -368,19 +450,6 @@ def window_grid(window, step):
     a, b = window
     n = int(round((b - a) / step))
     return a + step * np.arange(n + 1)
-
-
-def pole_scan(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
-              grid_step: float) -> tuple:
-    """Poles inside the window that refine_pole reaches from a grid point and
-    probe, so a level is caught where no grid point lands on it; () on floored
-    schedules, which emulate continuous spectrum."""
-    xs = window_grid(window, grid_step)
-    if cfg.schedule(xs[0]).floored:
-        return ()
-    lo, hi = window
-    found = (refine_pole(op, x, g, eta_start=cfg.eta0 / 4) for x in xs for g in probes)
-    return tuple(float(lam0) for lam0 in found if lam0 is not None and lo < lam0 < hi)
 
 
 def ac_support(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
@@ -442,30 +511,27 @@ class PurityVerdict:
     offending_points: tuple = ()
 
 
-def _result(stage):
-    """A stage's result; the DtnLabError it failed with is raised again."""
-    if isinstance(stage, DtnLabError):
-        raise stage
-    return stage
-
-
-def purity_filter(window, points, poles, acs, scr, cfg: ClassifyConfig) -> PurityVerdict:
+def purity_filter(window, points, levels, acs, scr, cfg: ClassifyConfig) -> PurityVerdict:
     """NoSpectrum / PureAC / PureSC / Mixed-Unknown from a window's stage results,
     without evaluating M: (x, classify_point's verdict) per grid point, then the
-    results of pole_scan, ac_support and sc_screen.  A DtnLabError among them
-    is raised again where the rule needs it: an inconclusive point with no pole
-    within pole_match_radius makes the window inconclusive.  The poles, and the
-    points away from them with a nonzero eta*M limit, give Mixed/Unknown (each
-    level once); NoSpectrum needs every point resolvent at the full
-    window_half_width, PureSC an AC-free window with a flagged SC run of
-    positive length, PureAC no diverging run of positive length."""
-    window, poles = tuple(window), _result(poles)
-    offending = list(poles)
+    results of window_levels, ac_support and sc_screen.  A DtnLabError among
+    them is raised again where the rule needs it: an inconclusive point with
+    no level within pole_match_radius makes the window inconclusive.  The
+    levels inside the window, and the points away from every level with a
+    nonzero eta*M limit, give Mixed/Unknown (each level once); NoSpectrum needs
+    every point away from the levels resolvent, PureSC an AC-free window with a
+    flagged SC run of positive length, PureAC no diverging run of positive
+    length."""
+    window, levels = tuple(window), [level.lam for level in _result(levels)]
+    offending = [lam for lam in levels if window[0] < lam < window[1]]
+    resolvent = True
     for x, v in points:
-        if not any(abs(lam0 - x) <= cfg.pole_match_radius for lam0 in poles):
-            evidence = _result(v).evidence
-            if cfg.slim_nonzero(evidence["slim_rel"], evidence["decay_exponent"]).any():
-                offending.append(float(x))
+        if any(abs(lam - x) <= cfg.pole_match_radius for lam in levels):
+            continue    # the level explains the point
+        v = _result(v)
+        if cfg.slim_nonzero(v.evidence["slim_rel"], v.evidence["decay_exponent"]).any():
+            offending.append(float(x))
+        resolvent &= v.verdict == RESOLVENT_SET
     if offending:
         distinct = []
         for v in sorted(offending):
@@ -473,14 +539,12 @@ def purity_filter(window, points, poles, acs, scr, cfg: ClassifyConfig) -> Purit
                 distinct.append(v)
         return PurityVerdict(window, MIXED_UNKNOWN, tuple(distinct))
 
-    if all(v.verdict == RESOLVENT_SET and v.half_width == cfg.window_half_width
-           for _, v in points):
+    if resolvent:
         return PurityVerdict(window, NO_SPECTRUM)
     acs, scr = _result(acs), _result(scr)
     if acs.ac_free:
-        # without AC spectrum, PureSC still needs a flagged run: an AC-free
-        # window with none may hold a level the scan missed (finite models
-        # have no SC spectrum)
+        # without AC spectrum, PureSC still needs a flagged run (finite
+        # models have no SC spectrum)
         return PurityVerdict(window, MIXED_UNKNOWN if scr.excluded else PURE_SC)
     if essential_closure(GridSet.from_flags(scr.grid, np.any(scr.diverging, axis=0))).is_empty:
         return PurityVerdict(window, PURE_AC)

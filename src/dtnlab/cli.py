@@ -88,15 +88,18 @@ def _cmd_classify(cfg: RunConfig, out_dir: str, seed: int) -> int:
         offending = ", ".join(f"{x:.6f}" for x in pur["offending_points"])
         detail = pur.get("reason") or offending and f"offending points {offending}"
         print(f"purity of {pur['window']}: {pur['verdict']}" + (detail and f", {detail}"))
-    levels = [c["detected"] for c in report.data["oracle_crosscheck"]]
+    checks = report.data["oracle_crosscheck"]
     ccfg = cfg.classify_config()
     if any(ccfg.schedule(x).floored for x in window_grid(cfg.window, cfg.grid_step)):
-        print(f"oracle levels in the window: {len(levels)}, not counted as missed: "
+        print(f"oracle levels in the window: {len(checks)}, not counted as missed: "
               f"a floored eta schedule emulates continuous spectrum and does not "
               f"resolve levels")
     else:
-        print(f"oracle levels in the window detected by no grid point: "
-              f"{levels.count(False)} of {len(levels)}")
+        found = sum(c["detected"] for c in checks)
+        invisible = sum(c["invisible"] and not c["detected"] for c in checks)
+        print(f"oracle levels in the window: {len(checks)}; found {found}, "
+              f"missed {len(checks) - found - invisible}, invisible from the boundary "
+              f"{invisible}")
     return 0
 
 

@@ -157,6 +157,12 @@ class DiscreteDomain:
         norm = np.sqrt(np.sum(self.boundary_node_weights * np.abs(np.asarray(f)) ** 2, axis=-1))
         return float(norm) if norm.ndim == 0 else norm
 
+    def boundary_singular_values(self, m):
+        """Singular values of boundary matrices over the last two axes, as maps of
+        the weighted boundary space (descending, one row per matrix of a stack)."""
+        w = np.sqrt(self.boundary_node_weights)
+        return np.linalg.svd(np.asarray(m) * w[:, None] / w, compute_uv=False)
+
     # -- invariants --------------------------------------------------------
 
     def validate(self) -> None:
@@ -407,9 +413,14 @@ class DirichletOperator:
             out[k] = c.T @ _GTTRS(*factors, c)[0]
         return out
 
+    @property
+    def certified_height(self) -> float:
+        """The |Im z| from which z is certified off the spectrum (see ShiftedSolver)."""
+        return _CERTIFIED_GAP * _REL_DIST_THRESHOLD * self.a_norm
+
     def certified(self, z):
-        """Whether |Im z| alone proves z off the spectrum (see ShiftedSolver); elementwise."""
-        return np.abs(np.imag(z)) >= _CERTIFIED_GAP * _REL_DIST_THRESHOLD * self.a_norm
+        """Whether |Im z| alone proves z off the spectrum; elementwise."""
+        return np.abs(np.imag(z)) >= self.certified_height
 
     def factorize(self, z: complex) -> "ShiftedSolver":
         """Factor A_II - z, raising NearSpectrum if z is too close to an eigenvalue."""

@@ -112,14 +112,15 @@ def poisson_matrix(op: DirichletOperator, lam: complex) -> PoissonMatrix:
 
 
 def normal_derivative(dom: DiscreteDomain, g: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Discrete outward normal derivative of the field with trace g and interior values u."""
+    """Discrete outward normal derivative of the field with trace g and interior values u;
+    for matrices g and u, of the field of each column pair."""
     g = np.asarray(g, dtype=complex)
     u = np.asarray(u, dtype=complex)
-    if g.shape != (dom.n_boundary,):
+    if g.shape[:1] != (dom.n_boundary,):
         raise ValueError("boundary data has wrong length")
-    if u.shape != (dom.n_interior,):
+    if u.shape[:1] != (dom.n_interior,) or u.shape[1:] != g.shape[1:]:
         raise ValueError("interior field has wrong length")
-    return g / dom.h - _trace_part(dom, u[:, None])[:, 0]
+    return g / dom.h - _trace_part(dom, u.reshape(dom.n_interior, -1)).reshape(g.shape)
 
 
 def _trace_part(dom: DiscreteDomain, u_cols: np.ndarray) -> np.ndarray:

@@ -31,6 +31,8 @@ __all__ = [
     "slim_eta_M",
     "boundary_value_M",
     "dtn_profile",
+    "ellipse",
+    "contour_sums",
     "residue_contour",
     "analyticity_test",
 ]
@@ -42,6 +44,7 @@ DIVERGENCE_SLOPE = -0.5
 DIVERGENCE_GROWTH = 10.0
 DECAY_CUT = 0.5                   # y*F -> 0 when |y*F| decays at least like eta^DECAY_CUT
 _N_WINDOW, _FIT_DEGREE = 17, 10   # analyticity window: sample points, polynomial degree
+_ASPECT = 0.3                     # vertical over horizontal semi-axis of the contour ellipses
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,7 @@ class ResidueMatrix:
     rho: float
     r: np.ndarray
     n_nodes: int
+    bound: float     # rho * the largest weighted norm of M on the nodes, a bound of ||r||
 
 
 @dataclass(frozen=True)
@@ -284,27 +288,39 @@ def boundary_value_M(op: DirichletOperator, x, g, sched: EtaSchedule) -> Boundar
 # residues
 # ---------------------------------------------------------------------------
 
+def ellipse(t):
+    """Point u(t) = cos t + i _ASPECT sin t of the ellipse through -1 and 1, and u'(t);
+    the contour ellipse through the real points a < b is (a + b + (b - a) u) / 2."""
+    return np.cos(t) + 1j * _ASPECT * np.sin(t), -np.sin(t) + 1j * _ASPECT * np.cos(t)
+
+
+def contour_sums(op: DirichletOperator, nodes, weights):
+    """(sum_n weights[k, n] M(nodes[n]) for each row k, max_n ||M(nodes[n])||) in
+    the weighted boundary product; M at every node from one dtn_matrices call,
+    and a node that raises NearSpectrum raises ContourTouchesSpectrum from it."""
+    m, lengths, failures = dtn_matrices(op, np.asarray(nodes)[:, None])
+    if not lengths.all():
+        j = int(np.argmin(lengths))
+        raise ContourTouchesSpectrum(
+            f"contour node {nodes[j]} touches the spectrum") from failures[j]
+    m = m[:, 0]
+    return (np.einsum("kn,nij->kij", weights, m),
+            float(op.domain.boundary_singular_values(m)[:, 0].max()))
+
+
 def residue_contour(op: DirichletOperator, lam0: float, rho: float, n: int = 32) -> ResidueMatrix:
     """Residue of M at lam0 by the trapezoid rule on the circle |z - lam0| = rho.
 
     Spectrally accurate for meromorphic M; equals the sum of residues at all
-    poles strictly inside the circle.  The nodes come from one dtn_matrices
-    call, one row per node; a node that raises NearSpectrum raises
-    ContourTouchesSpectrum from it.
+    poles strictly inside the circle.  The nodes come from contour_sums.
     """
     if n < 16 or n % 2:
         raise ValueError("need an even number of nodes, at least 16")
     if rho <= 0:
         raise ValueError("radius must be positive")
     w = np.exp(2j * np.pi * np.arange(n) / n)
-    nodes = lam0 + rho * w
-    m, lengths, failures = dtn_matrices(op, nodes[:, None])
-    if not lengths.all():
-        j = int(np.argmin(lengths))
-        raise ContourTouchesSpectrum(
-            f"contour node {nodes[j]} touches the spectrum") from failures[j]
-    r = (m[:, 0] * w[:, None, None]).sum(axis=0)
-    return ResidueMatrix(lam0=float(lam0), rho=float(rho), r=r * rho / n, n_nodes=n)
+    (r,), m_max = contour_sums(op, lam0 + rho * w, w[None] * rho / n)
+    return ResidueMatrix(lam0=float(lam0), rho=float(rho), r=r, n_nodes=n, bound=rho * m_max)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from scipy.special import roots_legendre
 
 from .domain import DirichletOperator, EigenSystem
 from .errors import AtomHit, EndpointOnEigenvalue
-from .limits import (EtaSchedule, decay_exponent, extrapolate_tail, richardson_extrapolate,
-                     vanishes)
+from .limits import (EtaSchedule, decay_exponent, ellipse, extrapolate_tail,
+                     richardson_extrapolate, vanishes)
 from .dtn import poisson_matrix
 
 __all__ = [
@@ -130,7 +130,6 @@ class StoneResult:
     panels: int
 
 
-_ASPECT = 0.3               # vertical over horizontal semi-axis of the contour ellipse
 _FIRST_NODES, _MAX_NODES = 16, 4096   # smallest trapezoid node count compared; the cap
 _EDGE_NODES = 4             # Gauss-Legendre nodes per piece [delta_(k+1), delta_k] of an edge
 _DELTA0, _DELTA_RATIO, _DELTA_COUNT = 1e-2, 0.5, 6   # Stone's delta_k = delta0 * ratio^k
@@ -151,22 +150,24 @@ def stone_projection(op: DirichletOperator, a: float, b: float,
     stay off the spectrum, are Gauss-Legendre on the pieces between successive
     deltas.  The family is extrapolated to delta -> 0 (an odd analytic series);
     extrapolation_error is the last extrapolation step, or the last contour
-    refinement step if larger (at the cap).  eig only guards the endpoints;
-    panels counts the resolvent evaluations.
+    refinement step if larger (at the cap).  eig guards the endpoints and
+    starts the schedule at no more than half their distance to the nearest
+    level, so the edges resolve it; panels counts the resolvent evaluations.
     """
     if not b > a:
         raise ValueError("need a < b")
+    delta0 = _DELTA0
     if eig is not None:
-        gaps = np.abs(eig.values[:, None] - np.array([a, b])[None, :])
-        tol = 1e-8 * max(1.0, float(np.max(np.abs(eig.values))))
-        if np.any(gaps <= tol):
+        gap = float(np.min(np.abs(eig.values[:, None] - np.array([a, b])[None, :])))
+        if gap <= 1e-8 * max(1.0, float(np.max(np.abs(eig.values)))):
             raise EndpointOnEigenvalue(
                 f"interval endpoint of ({a}, {b}) lies on an eigenvalue")
+        delta0 = min(delta0, gap / 2)
 
     eye = np.eye(op.n, dtype=complex)
 
     def contour_term(t):  # the nodes z(t), z(-t) = conj z(t) add 2i Im(R(z) z') to the sum
-        u, du = np.cos(t) + 1j * _ASPECT * np.sin(t), -np.sin(t) + 1j * _ASPECT * np.cos(t)
+        u, du = ellipse(t)
         return (op.factorize(0.5 * (a + b + (b - a) * u)).solve(eye) * 0.5 * (b - a) * du).imag
 
     n, total = 2, contour_term(0.0) + contour_term(np.pi)
@@ -178,7 +179,7 @@ def stone_projection(op: DirichletOperator, a: float, b: float,
         if (gap := np.max(np.abs(projector - previous))) <= quad_tol and n > _FIRST_NODES:
             break
 
-    deltas = _DELTA0 * _DELTA_RATIO ** np.arange(_DELTA_COUNT)
+    deltas = delta0 * _DELTA_RATIO ** np.arange(_DELTA_COUNT)
     nodes, weights = roots_legendre(_EDGE_NODES)
     approximants = [projector]  # the Stone integral at delta = 0, then upwards
     for lo, hi in zip(np.append(0.0, deltas[::-1]), deltas[::-1]):

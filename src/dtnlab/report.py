@@ -1,8 +1,9 @@
 """Sweep orchestration and bit-stable serialization of reports and plot data.
 
-sweep_window runs classify_point at each grid point and each window stage once;
-a point or stage that raises a DtnLabError keeps it as its result (an
-'inconclusive' report entry), and purity_filter decides from those results.
+sweep_window runs the level stage, then classify_point at each grid point, then
+the other window stages, each once; a point or stage that raises a DtnLabError
+keeps it as its result (an 'inconclusive' report entry), and purity_filter
+decides from those results.
 
 The sweep runs on one thread in grid order (the "threads" setting has no
 effect).  The JSON report is emitted with sorted keys and shortest round-trip
@@ -19,14 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import (
-    EIGENVALUE,
     ac_support,
     classify_point,
     make_probes,
-    pole_scan,
     purity_filter,
     sc_screen,
+    trace_invisible,
     window_grid,
+    window_levels,
 )
 from .config import SCHEMA_TAG, RunConfig
 from .domain import (
@@ -84,7 +85,7 @@ class WindowSweep:
     results; a failed point or stage holds the DtnLabError it raised."""
 
     points: tuple
-    poles: object
+    levels: object
     ac_support: object
     sc_screen: object
     purity: object
@@ -98,13 +99,14 @@ def _attempt(stage, *args):
 
 
 def sweep_window(op, window, probes, ccfg, step) -> WindowSweep:
-    """Every grid point of the window, then every window stage, each once."""
-    points = tuple((x, _attempt(classify_point, op, x, ccfg, probes))
+    """The window's levels, every grid point, then the AC and SC stages, each once."""
+    levels = _attempt(window_levels, op, window, probes, ccfg)
+    points = tuple((x, _attempt(classify_point, op, x, ccfg, probes, levels))
                    for x in window_grid(window, step))
-    poles, acs, scr = (_attempt(stage, op, window, probes, ccfg, step)
-                       for stage in (pole_scan, ac_support, sc_screen))
-    return WindowSweep(points, poles, acs, scr,
-                       _attempt(purity_filter, window, points, poles, acs, scr, ccfg))
+    acs, scr = (_attempt(stage, op, window, probes, ccfg, step)
+                for stage in (ac_support, sc_screen))
+    return WindowSweep(points, levels, acs, scr,
+                       _attempt(purity_filter, window, points, levels, acs, scr, ccfg))
 
 
 def _sample_rows(op, x, probes, ccfg, verdict):
@@ -127,6 +129,11 @@ def _point_json(v):
             "slim_rel": [float(r) for r in v.evidence["slim_rel"]],
             "decay_exponent": [None if np.isnan(s) else float(s)
                                for s in v.evidence["decay_exponent"]]}
+
+
+def _levels_json(lo, hi):
+    return lambda levels: [{"lambda": level.lam, "multiplicity": level.multiplicity}
+                           for level in levels if lo < level.lam < hi]
 
 
 def _gridset_json(s):
@@ -172,19 +179,22 @@ def run_sweep(cfg: RunConfig) -> ClassificationReport:
     samples = tuple(row for p in points
                     for row in _sample_rows(op, p["x"], probes, ccfg, p["verdict"]))
 
+    data_levels = _stage_json(sweep.levels, _levels_json(lo, hi))
+    found = data_levels if isinstance(data_levels, list) else []
     crosscheck = []
     if dom.n_interior <= _ORACLE_DIM_CAP:
         eig = oracle_eigendecomposition(op)
         levels = np.array([eig.values[g[0]] for g in eig.groups])
-        # each detected pole is credited to its nearest level only; the first
-        # pole in grid order that a level gets is the one reported
+        # each reported level is credited to its nearest oracle level only
         credited = {}
-        for lam_d in (p["refined_lambda"] for p in points if p["verdict"] == EIGENVALUE):
+        for lam_d in (level["lambda"] for level in found):
             k = int(np.argmin(np.abs(levels - lam_d)))
             if abs(levels[k] - lam_d) <= ccfg.pole_match_radius:
-                credited.setdefault(k, float(lam_d))
-        crosscheck = [{"lambda_oracle": float(lam), "multiplicity": eig.multiplicity(float(lam)),
-                       "detected": k in credited, "lambda_detected": credited.get(k)}
+                credited.setdefault(k, lam_d)
+        invisible = trace_invisible(dom, eig)
+        crosscheck = [{"lambda_oracle": float(lam), "multiplicity": len(eig.groups[k]),
+                       "detected": k in credited, "lambda_detected": credited.get(k),
+                       "invisible": invisible[k]}
                       for k, lam in enumerate(levels) if lo < lam < hi]
 
     data = {
@@ -193,6 +203,7 @@ def run_sweep(cfg: RunConfig) -> ClassificationReport:
         "window": [lo, hi],
         "grid_step": cfg.grid_step,
         "points": points,
+        "levels": data_levels,
         "ac_support": _stage_json(sweep.ac_support, _ac_json),
         "sc_screen": _stage_json(sweep.sc_screen, _sc_json),
         "purity": [{"window": [lo, hi], "offending_points": [],
@@ -238,7 +249,7 @@ def emit_csv(report: ClassificationReport, out_dir: str) -> str:
 
 
 def emit_plot_data(report: ClassificationReport, out_dir: str):
-    """Plain-text plot files: boundary density trace and pole markers."""
+    """Plain-text plot files: boundary density trace and the levels of the window."""
     density_path = os.path.join(out_dir, "plot_density.dat")
     by_key = {}
     for x, eta, pid, re_q, im_q, _, _ in report.samples:
@@ -250,9 +261,9 @@ def emit_plot_data(report: ClassificationReport, out_dir: str):
             fh.write(f"{x!r} {pid} {-im_q!r}\n")
 
     poles_path = os.path.join(out_dir, "plot_poles.dat")
+    levels = report.data["levels"]
     with open(poles_path, "w", encoding="utf-8") as fh:
-        fh.write("# refined_lambda  multiplicity\n")
-        for p in report.data["points"]:
-            if p["verdict"] == EIGENVALUE and p["refined_lambda"] is not None:
-                fh.write(f"{p['refined_lambda']!r} {p['multiplicity']}\n")
+        fh.write("# lambda  multiplicity\n")
+        for level in levels if isinstance(levels, list) else ():
+            fh.write(f"{level['lambda']!r} {level['multiplicity']}\n")
     return density_path, poles_path

@@ -42,8 +42,7 @@ from dtnlab import (
 from dtnlab.cli import _free_halfline_m
 from dtnlab.report import emit_csv, emit_report, parse_report, run_sweep
 
-T1_CFG = ClassifyConfig(eta0=1e-2, pole_match_radius=0.25, residue_rho=0.25,
-                        window_half_width=0.2)
+T1_CFG = ClassifyConfig(eta0=1e-2, pole_match_radius=0.25, window_half_width=0.2)
 FREE_CFG = ClassifyConfig(eta0=0.4, floor_mode="halfline_auto", halfline_length=60.0,
                           window_half_width=0.1)
 
@@ -94,8 +93,7 @@ def test_criterion_03_well_eigenvalue_recovery(well1d):
     dom, op = well1d
     eig = oracle_eigendecomposition(op)
     below = [float(v) for v in eig.values if v < 0]
-    cfg = ClassifyConfig(eta0=1e-3, pole_match_radius=0.05, residue_rho=0.02,
-                         window_half_width=0.01)
+    cfg = ClassifyConfig(eta0=1e-3, pole_match_radius=0.05, window_half_width=0.01)
     probes = make_probes(dom, "basis")
     worst_lam, worst_slim = 0.0, 0.0
     for lam in below:
@@ -215,8 +213,7 @@ def test_criterion_07_pure_point(t1, well1d):
     eig = oracle_eigendecomposition(op)
     l1, l2 = float(eig.values[0]), float(eig.values[1])
     probes = make_probes(dom, "basis")
-    cfg = ClassifyConfig(eta0=1e-3, pole_match_radius=0.01, residue_rho=0.01,
-                         window_half_width=0.1 * (l2 - l1))
+    cfg = ClassifyConfig(eta0=1e-3, pole_match_radius=0.01, window_half_width=0.1 * (l2 - l1))
     acs = ac_support(op, (-0.5, 0.5), probes, cfg, 0.02)
     scr = sc_screen(op, (-0.5, 0.5), probes, cfg, 0.02)
     assert acs.closed_union.is_empty

@@ -3,16 +3,19 @@ up (perfbench/spans.py), and its workloads are dtnlab configs
 (perfbench/workloads.py).  A rename in the package would leave such a binding
 dangling, a call path that bypasses one would leave a count the smoke check
 requires at 0, and a deleted config key would reject a workload; each breaks
-a benchmark run, and this catches it in the test suite."""
+a benchmark run, and this catches it in the test suite.  The benchmark's own
+oracle check (perfbench/checks.py) also runs here on the sweeps' reports."""
 
 import functools
 import importlib
 import importlib.util
+import json
 import os
 
 import pytest
 
 from dtnlab import config_from_dict
+from dtnlab.cli import main
 from dtnlab.report import build_model, run_sweep
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -20,7 +23,8 @@ PACKAGE = os.path.join(ROOT, "src", "dtnlab")
 
 
 def _load(name):
-    # spans.py and workloads.py import only the standard library at module level
+    # spans.py and workloads.py import only the standard library at module
+    # level, checks.py numpy and dtnlab
     spec = importlib.util.spec_from_file_location(
         f"perfbench_{name}", os.path.join(ROOT, "perfbench", f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
@@ -104,3 +108,18 @@ def test_sweep_reaches_every_traced_count(workload):
     finally:
         patches.restore()
     assert all(calls.values()), calls
+
+
+@pytest.mark.parametrize("smoke", [False, True], ids=["full", "reduced"])
+@pytest.mark.parametrize("workload", ["well1d-sweep", "annulus2d-sweep"])
+def test_sweep_passes_the_benchmark_check_without_defects(tmp_path, workload, smoke):
+    """Every level of the sweep is detected and no verdict contradicts the
+    oracle: the benchmark's check finds nothing, with no documented defect."""
+    workloads, checks = _load("workloads"), _load("checks")
+    command, data, _ = workloads.make_config(workload, 0, smoke)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    attempted = workloads.expected_operations(command, data)
+    result = checks.check_classify(str(cfg_path), str(tmp_path), attempted, workloads.NO_DEFECTS)
+    assert (result["failed"], result["known"], result["wrong"]) == (0, 0, 0), result["detail"]

@@ -13,6 +13,7 @@ from dtnlab import (
     GridSet,
     HalfLine1D,
     Inconclusive,
+    Level,
     NearSpectrum,
     PointVerdict,
     SCReport,
@@ -32,12 +33,12 @@ from dtnlab import (
     sc_screen,
     sweep_window,
     well_potential,
+    window_levels,
     zero_potential,
 )
 from dtnlab.limits import DECAY_CUT, vanishes
 
-T1_CFG = ClassifyConfig(eta0=1e-2, pole_match_radius=0.25, residue_rho=0.25,
-                        window_half_width=0.2)
+T1_CFG = ClassifyConfig(eta0=1e-2, pole_match_radius=0.25, window_half_width=0.2)
 
 FREE_CFG = ClassifyConfig(eta0=0.4, floor_mode="halfline_auto", halfline_length=60.0,
                           window_half_width=0.1)
@@ -116,13 +117,17 @@ class TestRefinePole:
 
 class TestClassifyPoint:
     def test_t1_verdicts(self, t1):
+        # 0.9 lies within pole_match_radius (0.25) of the level 1, so it is
+        # that level; 0.7 does not, and its analyticity window stops short of it
         _, op = t1
         probes = make_probes(op.domain, "basis")
         expected = {1.0: "eigenvalue", 3.0: "eigenvalue", 2.0: "resolvent",
-                    -1.0: "resolvent", 0.9: "resolvent"}
+                    -1.0: "resolvent", 0.9: "eigenvalue", 0.7: "resolvent"}
         for x, verdict in expected.items():
             v = classify_point(op, x, T1_CFG, probes)
             assert v.verdict == verdict, x
+        assert classify_point(op, 0.9, T1_CFG, probes).refined_lambda == pytest.approx(1.0,
+                                                                                     abs=1e-12)
 
     def test_eigenvalue_details(self, t1):
         _, op = t1
@@ -132,8 +137,9 @@ class TestClassifyPoint:
         assert v.residue.r[0, 0] == pytest.approx(0.5, abs=1e-8)
 
     def test_window_sample_on_spectrum_spoils_only_its_window(self, t1):
-        # eta0 = 1e-13: the widest window around 0.9 and 1.1 samples the level
-        # at 1 within the solver's distance threshold; the narrower ones do not
+        # eta0 = 1e-13: a window of the full half-width 0.1 around 0.9 or 1.1
+        # would sample the level at 1 within the solver's distance threshold;
+        # the level stage finds it, so their windows stop short of it
         _, op = t1
         cfg = ClassifyConfig(eta0=1e-13, pole_match_radius=0.05, window_half_width=0.1)
         assert classify_point(op, 0.9, cfg).verdict == "resolvent"
@@ -152,8 +158,7 @@ class TestClassifyPoint:
         eig = oracle_eigendecomposition(op)
         lam = eig.values[0]
         assert lam < 0
-        cfg = ClassifyConfig(eta0=1e-3, pole_match_radius=0.05, residue_rho=0.05,
-                             window_half_width=0.02)
+        cfg = ClassifyConfig(eta0=1e-3, pole_match_radius=0.05, window_half_width=0.02)
         v = classify_point(op, float(lam), cfg)
         assert v.verdict == "eigenvalue"
         assert v.refined_lambda == pytest.approx(lam, abs=1e-6)
@@ -233,41 +238,45 @@ class TestPurity:
         assert v.offending_points[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_each_level_listed_once(self, annulus2d):
-        # the grid point 0.75 lies 7.9e-4 above the level 0.749213, whose pole
-        # the scan finds: its nonzero eta*M limit does not list the level again
+        # the grid point 0.75 lies 7.9e-4 above the level 0.749213: its nonzero
+        # eta*M limit does not list the level again, and the double levels
+        # 0.651945 and 0.915290 are listed once each; 0.951083, whose
+        # eigenvector has no trace, is no pole of M
         _, op = annulus2d
         cfg = ClassifyConfig(eta0=1e-2, pole_match_radius=0.125, window_half_width=0.25)
         v = _purity(op, (0.5, 1.0), cfg, 0.25)
         assert v.verdict == "Mixed/Unknown"
-        assert v.offending_points == pytest.approx((0.749213076625244, 0.9946893379517004),
-                                                   abs=1e-9)
+        assert v.offending_points == pytest.approx(
+            (0.6519449374416, 0.749213076625244, 0.915290191023935, 0.994689338208813), abs=1e-9)
 
     def test_free_halfline_pure_ac(self, freeline):
         _, op = freeline
         assert _purity(op, (0.25, 4.0), FREE_CFG, 0.25).verdict == "PureAC"
 
     def test_pure_sc_branch(self, request):
-        # finite models have no SC spectrum.  No pole is found inside these
-        # windows and eta*M -> 0, but M does not continue through every
-        # analyticity window and Im M(x + i0) vanishes on the grid, so the AC
-        # stage finds the window AC-free; with no flagged SC run the verdict
-        # is Mixed/Unknown, not PureSC
+        # finite models have no SC spectrum, and the level stage leaves the
+        # purity rule no window to call PureSC.  The levels 1 (t1) and
+        # 0.554152 (well) lie outside their windows: the point 0.9 is the
+        # level 1, and the analyticity window at 0.6 stops short of 0.554152,
+        # so those windows are NoSpectrum; the reduced annulus window holds
+        # the level 0.929221, which the former Newton scan missed
         cases = [
-            # the analyticity window at 0.9 reaches the level 1
-            ("t1", (0.6, 0.9), 0.1, T1_CFG),
+            ("t1", (0.6, 0.9), 0.1, T1_CFG, ("NoSpectrum", ())),
             ("well1d", (0.6, 0.7), 0.05,
-             ClassifyConfig(eta0=1e-2, pole_match_radius=0.025, window_half_width=0.05)),
-            # holds the level 0.929221, which the Newton scan misses
+             ClassifyConfig(eta0=1e-2, pole_match_radius=0.025, window_half_width=0.05),
+             ("NoSpectrum", ())),
             ("reduced_annulus", (0.5, 1.0), 0.25,
-             ClassifyConfig(eta0=1e-2, pole_match_radius=0.125, window_half_width=0.25)),
+             ClassifyConfig(eta0=1e-2, pole_match_radius=0.125, window_half_width=0.25),
+             ("Mixed/Unknown", (pytest.approx(0.929220688, abs=1e-9),))),
         ]
-        for model, window, step, cfg in cases:
+        for model, window, step, cfg, expected in cases:
             _, op = request.getfixturevalue(model)
             v = _purity(op, window, cfg, step)
-            assert (v.verdict, v.offending_points) == ("Mixed/Unknown", ()), model
+            assert (v.verdict, v.offending_points) == expected, model
 
     def test_sweep_runs_each_stage_once(self, monkeypatch):
         # free half-line, floored schedules in three runs of grid points: the
+        # level stage runs once (and finds none on a floored schedule), the
         # AC and SC stages take one boundary_value_M call per run, and the
         # eta*M limits are classify_point's, one per grid point.  Purity
         # evaluates no M(z): it reads the stages' results.
@@ -284,7 +293,7 @@ class TestPurity:
 
         for name in ("boundary_value_M", "slim_eta_M"):
             counting(dtnlab.classify, name)
-        for name in ("pole_scan", "ac_support", "sc_screen"):
+        for name in ("window_levels", "ac_support", "sc_screen"):
             counting(dtnlab.report, name)
 
         def refuse(*args):
@@ -309,7 +318,7 @@ class TestPurity:
             "eta": {"eta0": 0.4, "floor_mode": "halfline_auto"}}))
         assert len(report.data["points"]) == 16
         assert report.data["purity"][0]["verdict"] == "PureAC"
-        assert calls == {"boundary_value_M": 6, "slim_eta_M": 16, "pole_scan": 1,
+        assert calls == {"boundary_value_M": 6, "slim_eta_M": 16, "window_levels": 1,
                          "ac_support": 1, "sc_screen": 1, "purity_filter": 1}
 
 
@@ -321,9 +330,12 @@ class TestPurityRule:
     XS = (0.0, 0.5, 1.0)
     QUIET = {"slim_rel": np.array([0.0]), "decay_exponent": np.array([np.nan])}
 
-    def resolvent(self, x, half_width=0.1):
-        return PointVerdict(x=x, verdict="resolvent", evidence=self.QUIET,
-                            half_width=half_width)
+    def resolvent(self, x, verdict="resolvent"):
+        return PointVerdict(x=x, verdict=verdict, evidence=self.QUIET)
+
+    @staticmethod
+    def levels(*lams):
+        return tuple(Level(lam=lam, multiplicity=1, residue=None) for lam in lams)
 
     def stages(self, ac_free=True):
         grid = np.array(self.XS)
@@ -335,9 +347,10 @@ class TestPurityRule:
                        excluded=True)
         return acs, scr
 
-    def purity(self, points, poles=(), acs=None, scr=None):
+    def purity(self, points, lams=(), acs=None, scr=None):
         ac_default, sc_default = self.stages()
-        return purity_filter(self.WINDOW, points, poles, ac_default if acs is None else acs,
+        return purity_filter(self.WINDOW, points, self.levels(*lams),
+                             ac_default if acs is None else acs,
                              sc_default if scr is None else scr, self.CFG)
 
     def test_inconclusive_point_away_from_poles_raises_its_error(self):
@@ -346,14 +359,14 @@ class TestPurityRule:
         with pytest.raises(NearSpectrum) as info:
             self.purity(points)
         assert info.value is err
-        # a pole farther than pole_match_radius does not explain it
+        # a level farther than pole_match_radius does not explain it
         with pytest.raises(NearSpectrum):
-            self.purity(points, poles=(0.8,))
+            self.purity(points, lams=(0.8,))
 
     def test_inconclusive_point_next_to_a_pole_is_mixed(self):
         points = [(0.0, self.resolvent(0.0)), (0.5, NearSpectrum("at 0.5")),
                   (1.0, self.resolvent(1.0))]
-        v = self.purity(points, poles=(0.55,))
+        v = self.purity(points, lams=(0.55,))
         assert (v.verdict, v.offending_points) == ("Mixed/Unknown", (0.55,))
 
     def test_nonzero_limit_away_from_poles_is_offending(self):
@@ -362,15 +375,25 @@ class TestPurityRule:
                                       "decay_exponent": np.array([0.0])})
         points = [(0.0, self.resolvent(0.0)), (0.5, loud), (1.0, self.resolvent(1.0))]
         assert self.purity(points).offending_points == (0.5,)
-        # next to a pole the point is that pole; the level is listed once
-        assert self.purity(points, poles=(0.52,)).offending_points == (0.52,)
+        # next to a level the point is that level; the level is listed once
+        assert self.purity(points, lams=(0.52,)).offending_points == (0.52,)
 
-    def test_no_spectrum_needs_the_full_half_width(self):
+    def test_levels_outside_the_window_are_not_offending(self):
+        # the level 1.05 explains the inconclusive point 1.0 beside it, and
+        # neither it nor -0.3 lies inside the window
+        points = [(0.0, self.resolvent(0.0)), (0.5, self.resolvent(0.5)),
+                  (1.0, NearSpectrum("at 1.0"))]
+        assert self.purity(points, lams=(1.05, -0.3)).verdict == "NoSpectrum"
+        points[1] = (0.5, self.resolvent(0.5, verdict="continuous"))
+        v = self.purity(points, lams=(1.05, -0.3))
+        assert (v.verdict, v.offending_points) == ("Mixed/Unknown", ())
+
+    def test_no_spectrum_needs_every_point_resolvent(self):
         points = [(x, self.resolvent(x)) for x in self.XS]
         assert self.purity(points).verdict == "NoSpectrum"
-        # resolvent only in a window shrunk to a quarter: M may not continue
-        # through the full analyticity window, so the AC and SC stages decide
-        points[1] = (0.5, self.resolvent(0.5, half_width=0.025))
+        # a point M does not continue through: the AC and SC stages decide,
+        # and without AC spectrum or a flagged SC run that is Mixed/Unknown
+        points[1] = (0.5, self.resolvent(0.5, verdict="continuous"))
         assert self.purity(points).verdict == "Mixed/Unknown"
         acs, scr = self.stages(ac_free=False)
         assert self.purity(points, acs=acs, scr=scr).verdict == "PureAC"
@@ -379,11 +402,54 @@ class TestPurityRule:
         err = Inconclusive("AC stage failed")
         points = [(x, self.resolvent(x)) for x in self.XS]
         assert self.purity(points, acs=err).verdict == "NoSpectrum"
-        assert self.purity(points, poles=(0.5,), acs=err).verdict == "Mixed/Unknown"
-        points[1] = (0.5, self.resolvent(0.5, half_width=0.025))
+        assert self.purity(points, lams=(0.5,), acs=err).verdict == "Mixed/Unknown"
+        points[1] = (0.5, self.resolvent(0.5, verdict="continuous"))
         with pytest.raises(Inconclusive) as info:
             self.purity(points, acs=err)
         assert info.value is err
+
+    def test_failed_level_stage_raised(self):
+        err = Inconclusive("level stage failed")
+        points = [(x, self.resolvent(x)) for x in self.XS]
+        with pytest.raises(Inconclusive) as info:
+            purity_filter(self.WINDOW, points, err, *self.stages(), self.CFG)
+        assert info.value is err
+
+
+class TestLevels:
+    def test_annulus_simple_level_has_multiplicity_one(self):
+        # a residue radius fixed at 0.25 enclosed the neighbours of the simple
+        # level 0.749213 and reported multiplicity 8 (= n_B)
+        report = run_sweep(config_from_dict({
+            "domain": {"kind": "exterior2d", "h": 1.0, "a": 1.5, "L": 7.5},
+            "window": {"lo": 0.5, "hi": 1.0, "grid_step": 0.25}}))
+        point = report.data["points"][1]
+        assert (point["x"], point["verdict"], point["multiplicity"]) == (0.75, "eigenvalue", 1)
+        assert point["refined_lambda"] == pytest.approx(0.749213076625, abs=1e-12)
+
+    def test_reduced_annulus_point_multiplicity(self, reduced_annulus):
+        # the same fixed radius reported the simple level 0.929221 with multiplicity 4
+        dom, op = reduced_annulus
+        cfg = ClassifyConfig(eta0=1e-2, pole_match_radius=0.25, window_half_width=0.25)
+        v = classify_point(op, 0.93, cfg, make_probes(dom, "basis"))
+        assert (v.verdict, v.multiplicity) == ("eigenvalue", 1)
+        assert v.refined_lambda == pytest.approx(0.929220687319, abs=1e-12)
+        assert v.residue.rho == pytest.approx(0.45 * (1.049329420488 - 0.929220687319))
+
+    def test_floored_schedule_has_no_levels(self, freeline):
+        _, op = freeline
+        assert window_levels(op, (0.25, 4.0), make_probes(op.domain, "basis"), FREE_CFG) == ()
+
+    def test_failed_level_stage_makes_points_inconclusive(self, well1d):
+        # 11 levels of the well lie inside the contour through -0.5 and 3.0,
+        # more than 32 contour moments of a 1x1 M resolve: the stage and every
+        # point carry its Inconclusive, and the sweep finishes
+        _, op = well1d
+        cfg = ClassifyConfig(eta0=1e-2, pole_match_radius=0.125, window_half_width=0.25)
+        sweep = sweep_window(op, (0.0, 2.5), make_probes(op.domain, "basis"), cfg, 0.5)
+        assert isinstance(sweep.levels, Inconclusive)
+        assert all(v is sweep.levels for _, v in sweep.points)
+        assert sweep.purity is sweep.levels
 
 
 class TestClassifyConfig:
@@ -452,8 +518,11 @@ class TestDtnTable:
     def test_reduced_annulus_sweep_factorization_count(self, monkeypatch):
         # Certified z come from the tridiagonal reduction, so every
         # factorization left is a Newton iterate of refine_pole or an
-        # uncertified z: 100 here, all Newton iterates.  Evaluating every
-        # M(z) by LU, the sweep factorized 588 times.
+        # uncertified z: 18 here, 10 Newton iterates polishing the level
+        # stage's 5 pole estimates in (0, 1.5) and the 2 real nodes of each
+        # of its 4 residue contours.  With a Newton scan from every grid point
+        # and probe the sweep factorized 100 times; evaluating every M(z) by
+        # LU as well, 588.
         factored, newton = [], []
         factorize, refine_pole = DirichletOperator.factorize, dtnlab.classify.refine_pole
 
@@ -475,14 +544,15 @@ class TestDtnTable:
             "window": {"lo": 0.5, "hi": 1.0, "grid_step": 0.5}})
         assert len(run_sweep(cfg).data["points"]) == 2
         assert all(allowed for _, allowed in factored)
-        assert len(factored) <= 100
+        assert len(factored) <= 18
 
     def test_reduced_well_sweep_factorization_count(self, monkeypatch):
-        # Every M(z) of this sweep has Im z >= 7.8e-5, certified off the
-        # spectrum, so the continued fraction gives all of them; the 12
-        # factorizations left are the Newton iterates of the window's pole
-        # scan, classify.pole_scan.  Evaluating M(z) by LU, the sweep
-        # factorized 740 times.
+        # The eta profiles and the level stage's ellipse are certified off
+        # the spectrum, so the continued fraction gives all of them; the 4
+        # factorizations left are 2 Newton iterates polishing the level
+        # 0.346166 and the 2 real nodes of its residue contour.  With a Newton
+        # scan from every grid point the sweep factorized 12 times; evaluating
+        # M(z) by LU as well, 740.
         factored = []
         factorize = DirichletOperator.factorize
 
@@ -496,4 +566,4 @@ class TestDtnTable:
             "potential": {"kind": "well", "depth": 2.0, "width": 1.0},
             "window": {"lo": 0.3, "hi": 0.4, "grid_step": 0.05}})
         assert len(run_sweep(cfg).data["points"]) == 3
-        assert len(factored) <= 12
+        assert len(factored) <= 4

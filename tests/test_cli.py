@@ -102,17 +102,24 @@ class TestSweep:
 
 
 def test_crosscheck_credits_each_pole_to_its_nearest_level():
-    # the pole at 0.749213 lies within pole_match_radius (0.125) of the
-    # level 0.651945 too, but is nearest to the level 0.749213
+    # the reported level 0.749213 lies within pole_match_radius (0.125) of the
+    # oracle levels 0.651945 and 0.915290 too, but is credited to its nearest
+    # one; 0.951083 has an eigenvector with no trace on the boundary, so it is
+    # no pole of M: invisible, not missed
     report = run_sweep(config_from_dict({
         "domain": {"kind": "exterior2d", "h": 1.0, "a": 1.5, "L": 7.5},
         "window": {"lo": 0.5, "hi": 1.0, "grid_step": 0.25},
     }))
+    assert [(round(level["lambda"], 6), level["multiplicity"])
+            for level in report.data["levels"]] == [(0.651945, 2), (0.749213, 1),
+                                                    (0.91529, 2), (0.994689, 1)]
     checks = {round(c["lambda_oracle"], 6): c for c in report.data["oracle_crosscheck"]}
-    assert not checks[0.651945]["detected"]
-    assert checks[0.651945]["lambda_detected"] is None
-    assert checks[0.749213]["detected"]
-    assert checks[0.749213]["lambda_detected"] == pytest.approx(0.749213, abs=1e-6)
+    assert sorted(checks) == [0.651945, 0.749213, 0.91529, 0.951083, 0.994689]
+    for lam, c in checks.items():
+        assert c["detected"] == (lam != 0.951083) and c["invisible"] == (lam == 0.951083)
+        if c["detected"]:
+            assert c["lambda_detected"] == pytest.approx(c["lambda_oracle"], abs=1e-12)
+    assert checks[0.951083]["lambda_detected"] is None
 
 
 class TestCli:
@@ -130,7 +137,7 @@ class TestCli:
         for name in ("report.json", "samples.csv", "plot_density.dat", "plot_poles.dat"):
             assert (tmp_path / name).exists(), name
         poles = (tmp_path / "plot_poles.dat").read_text().splitlines()
-        assert len(poles) == 3   # header + two detected poles
+        assert len(poles) == 3   # header + the levels 1 and 3
 
     def test_oracle(self, tmp_path):
         code = main(["oracle", "--config", _write_config(tmp_path),
@@ -207,7 +214,7 @@ class TestCli:
         # eta0 = 1e-13 puts M(1 + i*eta0) within the solver's distance
         # threshold of the level at 1: the AC and SC stages hit NearSpectrum,
         # and so does the grid point 1.0.  Purity reads that point's error as
-        # the level that classify.pole_scan finds next to it, so it stays
+        # the level that the level stage finds next to it, so it stays
         # conclusive.
         cfg = dict(T1_CONFIG, window={"lo": 0.9, "hi": 1.1, "grid_step": 0.1},
                    eta={"eta0": 1e-13})
@@ -226,8 +233,8 @@ class TestCli:
         assert purity["offending_points"] == [pytest.approx(1.0, abs=1e-6)]
 
     def test_classify_prints_purity_and_missed_levels(self, tmp_path, capsys):
-        # the well sweep credits none of its six levels to a grid point; purity
-        # lists the five that the pole scan finds, all but 0.019519
+        # the level stage finds all six levels of the well sweep, 0.019519
+        # included, and purity lists each of them
         cfg = {"domain": {"kind": "halfline", "h": 0.05, "L": 20.0},
                "potential": {"kind": "well", "depth": 2.0, "width": 1.0},
                "window": {"lo": 0.0, "hi": 1.0, "grid_step": 0.05}}
@@ -237,8 +244,8 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert out[1:] == [
             "purity of [0.0, 1.0]: Mixed/Unknown, offending points "
-            "0.080892, 0.188820, 0.346166, 0.554152, 0.813240",
-            "oracle levels in the window detected by no grid point: 6 of 6",
+            "0.019519, 0.080892, 0.188820, 0.346166, 0.554152, 0.813240",
+            "oracle levels in the window: 6; found 6, missed 0, invisible from the boundary 0",
         ]
 
     def test_classify_floored_schedule_counts_no_missed_levels(self, tmp_path, capsys):

@@ -142,11 +142,24 @@ class TestStone:
         assert np.max(np.abs(res.projector - oracle_projector(eig, 0.99, 1.2))) <= 1e-10
 
     def test_endpoint_near_level_shows_in_extrapolation_error(self, t1):
-        # the delta-schedule starts at 1e-2 and cannot resolve an endpoint
-        # 1e-3 below the level at 1
+        # an endpoint 1e-3 below the level at 1: the delta-schedule starts at
+        # half that gap, not at 1e-2, where it could not resolve the level
         _, op = t1
-        res = stone_projection(op, 0.5, 0.999, oracle_eigendecomposition(op))
-        assert res.extrapolation_error > 1e-3
+        eig = oracle_eigendecomposition(op)
+        res = stone_projection(op, 0.5, 0.999, eig)
+        assert res.deltas[0] == pytest.approx(5e-4, rel=1e-12)
+        defect = np.max(np.abs(res.projector - oracle_projector(eig, 0.5, 0.999)))
+        assert res.extrapolation_error >= defect
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5])
+    def test_reported_error_bounds_the_defect_near_a_level(self, t1, gap):
+        # with a schedule from 1e-2 the reported error fell below the defect
+        # against the oracle projector: 0.047 against 0.15 at gap 1e-4
+        _, op = t1
+        eig = oracle_eigendecomposition(op)
+        res = stone_projection(op, 0.5, 1 - gap, eig)
+        defect = np.max(np.abs(res.projector - oracle_projector(eig, 0.5, 1 - gap)))
+        assert res.extrapolation_error >= defect
 
     def test_contour_cap_shows_in_extrapolation_error(self, t1):
         # 1e-5 below the level the contour stops unconverged at its node cap

@@ -1,5 +1,5 @@
-"""Property tests: the boundary-triple identities on random models, and the
-fast M(z) paths against the LU.
+"""Property tests: the boundary-triple identities on random models, the fast
+M(z) paths against the LU, and the level stage against the oracle.
 
 Models are half-lines with random mesh, length and well or tabulated
 potential, and small square annuli with zero or well potential.  The profile
@@ -7,9 +7,10 @@ registered in conftest.py makes the draws deterministic.
 """
 
 import numpy as np
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dtnlab import (
+    ClassifyConfig,
     Exterior2D,
     HalfLine1D,
     assemble_operator,
@@ -18,12 +19,17 @@ from dtnlab import (
     dtn_matrices,
     dtn_matrix,
     identity_suite,
+    make_probes,
+    oracle_eigendecomposition,
     poisson_solve,
     tabulated_potential,
     well_potential,
+    window_levels,
     zero_potential,
 )
 from dtnlab.dtn import _reduced_dtn
+
+WELL_DOMAIN = build_domain(HalfLine1D(h=0.05, L=20.0))
 
 
 @st.composite
@@ -130,3 +136,20 @@ def test_reduction_at_degenerate_level():
     perturbation = np.finfo(float).eps * op.a_norm * np.linalg.norm(ref.imag, 2) / z.imag
     defect = np.linalg.norm(_reduced_dtn(op, [z])[0] - ref, 2)
     assert defect <= 1e-10 * np.linalg.norm(ref, 2) + 2 * perturbation
+
+
+@settings(max_examples=20)
+@given(st.floats(0.0, 8.0), st.floats(0.3, 3.0), st.floats(-0.5, 1.0))
+def test_window_levels_are_the_oracle_levels(depth, width, lo):
+    # 1D wells as in the well sweep (h = 0.05, L = 20), a window of length 0.5:
+    # the levels inside it, to 1e-9, each with the oracle's multiplicity
+    op = assemble_operator(WELL_DOMAIN, well_potential(WELL_DOMAIN, depth=depth, width=width))
+    eig = oracle_eigendecomposition(op)
+    window = (lo, lo + 0.5)
+    assume(np.min(np.abs(eig.values[:, None] - np.array(window))) > 1e-6)
+    cfg = ClassifyConfig(eta0=1e-2, pole_match_radius=0.025, window_half_width=0.05)
+    found = [level for level in window_levels(op, window, make_probes(WELL_DOMAIN, "basis"), cfg)
+             if window[0] < level.lam < window[1]]
+    oracle = [g for g in eig.groups if window[0] < eig.values[g[0]] < window[1]]
+    assert [level.multiplicity for level in found] == [len(g) for g in oracle]
+    assert all(abs(level.lam - eig.values[g[0]]) <= 1e-9 for level, g in zip(found, oracle))
