@@ -259,23 +259,29 @@ def identity_suite(op: DirichletOperator, lam: complex, zeta: complex, nu: compl
         if abs(x - y) <= 1e-12 * scale:
             raise DegenerateParameters(f"excluded parameter combination: {what}")
 
-    # one factorization per distinct z
+    # one factorization per distinct z, and none at conj(zeta): A_II and B are
+    # real, so gamma(conj z) = conj gamma(z) and M(conj z) = conj M(z); only
+    # the solver at lam is kept
     zbar = np.conj(zeta)
     solver_lam, gamma_lam, m_lam = _factor_at(op, lam)
-    _, gamma_zeta, m_zeta = _factor_at(op, zeta)
-    _, gamma_zeta_bar, m_zeta_bar = _factor_at(op, zbar)
-    _, gamma_nu, m_nu = _factor_at(op, nu)
-    gz_star = _adjoint_from_gamma(op, gamma_zeta_bar)
+    poisson = {lam: (gamma_lam, m_lam)}
+    for z in (zeta, nu):
+        if z not in poisson:
+            poisson[z] = _factor_at(op, z)[1:]
+    (gamma_zeta, m_zeta), (gamma_nu, m_nu) = poisson[zeta], poisson[nu]
+    m_zeta_bar = op.cached(complex(zbar), lambda: m_zeta.conj())
+    gz_star = _adjoint_from_gamma(op, gamma_zeta.conj())
     m_zeta_star = boundary_adjoint(op.domain, m_zeta)
+    r_gamma_zeta = solver_lam.solve(gamma_zeta)
 
     residuals = {}
 
     # gamma(lam) = (I + (lam - zeta) R(lam)) gamma(zeta)
-    rhs = gamma_zeta + (lam - zeta) * solver_lam.solve(gamma_zeta)
+    rhs = gamma_zeta + (lam - zeta) * r_gamma_zeta
     residuals["poisson_update"] = _relative_residual(gamma_lam, rhs)
 
     # (conj(zeta) - lam) gamma(zeta)* gamma(lam) = M(lam) - M(zeta)*
-    lhs = (np.conj(zeta) - lam) * (gz_star @ gamma_lam)
+    lhs = (zbar - lam) * (gz_star @ gamma_lam)
     residuals["weyl_difference"] = _relative_residual(lhs, m_lam - m_zeta_star)
 
     # three-point identity at z = lam
@@ -289,8 +295,7 @@ def identity_suite(op: DirichletOperator, lam: complex, zeta: complex, nu: compl
 
     # Weyl representation around zeta
     re_m_zeta = 0.5 * (m_zeta + m_zeta_star)
-    inner = (lam - zeta.real) * gamma_zeta \
-        + (lam - zeta) * (lam - np.conj(zeta)) * solver_lam.solve(gamma_zeta)
+    inner = (lam - zeta.real) * gamma_zeta + (lam - zeta) * (lam - zbar) * r_gamma_zeta
     rhs_w = re_m_zeta - gz_star @ inner
     residuals["weyl_representation"] = _relative_residual(m_lam, rhs_w)
 

@@ -21,6 +21,7 @@ from dtnlab import (
     robin_to_dirichlet,
     zero_potential,
 )
+from dtnlab.domain import ShiftedSolver
 
 
 def _random_params(rng):
@@ -152,25 +153,40 @@ class TestIdentitySuite:
 
     @pytest.mark.parametrize("model", ["reduced_annulus", "well1d"])
     def test_one_factorization_per_distinct_z(self, request, model, rng, monkeypatch):
+        # none at conj(zeta), whose gamma and M are the conjugates of those at
+        # zeta; coinciding parameters are factored once
         _, op = request.getfixturevalue(model)
-        op = assemble_operator(op.domain, op.potential)
-        lam, zeta, nu = _random_params(rng)
-        factored = []
-        factorize = DirichletOperator.factorize
+        factored, columns = [], []
+        factorize, solve = DirichletOperator.factorize, ShiftedSolver.solve
 
-        def counting(op_, z):
+        def counting_factorize(op_, z):
             factored.append(complex(z))
             return factorize(op_, z)
 
-        monkeypatch.setattr(DirichletOperator, "factorize", counting)
-        rep = identity_suite(op, lam, zeta, nu)
-        monkeypatch.undo()
-        assert rep.max_residual <= 1e-10
-        assert len(factored) == 4 and set(factored) == {lam, zeta, zeta.conjugate(), nu}
-        # the M(z) it entered in the table are the ones dtn_matrix computes
-        fresh = assemble_operator(op.domain, op.potential)
-        for z in factored:
-            assert np.array_equal(op._cache[z], dtn_matrix(fresh, z).m)
+        def counting_solve(solver, rhs, adjoint=False):
+            columns.append(np.asarray(rhs).reshape(len(rhs), -1).shape[1])
+            return solve(solver, rhs, adjoint)
+
+        lam, zeta, nu = _random_params(rng)
+        for params in ((lam, zeta, nu), (lam, lam, nu), (lam, nu, nu)):
+            op = assemble_operator(op.domain, op.potential)
+            factored.clear()
+            columns.clear()
+            monkeypatch.setattr(DirichletOperator, "factorize", counting_factorize)
+            monkeypatch.setattr(ShiftedSolver, "solve", counting_solve)
+            rep = identity_suite(op, *params)
+            monkeypatch.undo()
+            distinct = set(params)
+            assert rep.max_residual <= 1e-10
+            assert len(factored) == len(distinct) and set(factored) == distinct
+            assert sum(columns) == (len(distinct) + 2) * op.domain.n_boundary
+            # the M(z) it entered in the table, the conjugate at conj(zeta) too,
+            # are the ones dtn_matrix computes
+            made = [key for key in op._cache if isinstance(key, complex)]
+            assert set(made) == distinct | {params[1].conjugate()}
+            fresh = assemble_operator(op.domain, op.potential)
+            for z in made:
+                assert np.array_equal(op._cache[z], dtn_matrix(fresh, z).m)
 
     def test_reports_all_four(self, t1):
         _, op = t1

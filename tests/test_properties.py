@@ -13,6 +13,7 @@ from dtnlab import (
     ClassifyConfig,
     Exterior2D,
     HalfLine1D,
+    NearSpectrum,
     assemble_operator,
     boundary_adjoint,
     build_domain,
@@ -27,15 +28,17 @@ from dtnlab import (
     window_levels,
     zero_potential,
 )
-from dtnlab.dtn import _reduced_dtn
+from dtnlab.dtn import _factor_at, _reduced_dtn
 
 WELL_DOMAIN = build_domain(HalfLine1D(h=0.05, L=20.0))
 
 
 @st.composite
-def halflines(draw):
+def halflines(draw, cells=st.integers(3, 120)):
+    """A half-line of `cells` cells (3: the two-node splu case) with a random well
+    or tabulated potential."""
     h = draw(st.floats(0.05, 1.0))
-    dom = build_domain(HalfLine1D(h=h, L=draw(st.integers(3, 120)) * h))
+    dom = build_domain(HalfLine1D(h=h, L=draw(cells) * h))
     if draw(st.booleans()):
         q = well_potential(dom, depth=draw(st.floats(-5.0, 5.0)),
                            width=draw(st.floats(h, dom.interior_coords[-1, 0])))
@@ -70,6 +73,35 @@ def test_four_identities(model, lam, zeta, nu_bar):
     nu = np.conj(nu_bar)
     assume(abs(nu - np.conj(zeta)) > 1e-3)
     assert identity_suite(op, lam, zeta, nu).max_residual <= 1e-10
+
+
+def _factored(op, z):
+    """(gamma(z), M(z)) from the LU at z, or None if it raises NearSpectrum."""
+    try:
+        return _factor_at(op, z)[1:]
+    except NearSpectrum:
+        return None
+
+
+@given(st.one_of(halflines(), halflines(cells=st.just(3)), annuli()),
+       st.one_of(st.floats(-4.0, 4.0), st.integers(0, 1000)),
+       st.floats(0.2, 2.0), st.floats(0.01, 0.99), st.booleans())
+def test_conjugate_parameter_factors_to_conjugates(model, x, height, fraction, near_real):
+    # A_II and B are real, so the LU at conj z gives conj gamma(z) and conj M(z)
+    # bit for bit, on the gttrs path, the splu path (2D and the two-node
+    # half-line) and for near-real z, which raise NearSpectrum at both or
+    # neither; identity_suite enters M(conj zeta) as that conjugate.  An
+    # integer x picks an eigenvalue of A_II as Re z.
+    _, op = model
+    if isinstance(x, int):
+        values = np.linalg.eigvalsh(op.a_ii.toarray())
+        x = values[x % len(values)]
+    z = complex(x, fraction * op.certified_height if near_real else height)
+    assert bool(op.certified(z)) is not near_real
+    at_z, at_zbar = _factored(op, z), _factored(op, z.conjugate())
+    assert (at_z is None) == (at_zbar is None)
+    if at_z is not None:
+        assert all(np.array_equal(a.conj(), b) for a, b in zip(at_z, at_zbar))
 
 
 @given(models, upper(0.05), st.data())
