@@ -22,6 +22,7 @@ from .limits import (
     DECAY_CUT,
     EtaSchedule,
     ResidueMatrix,
+    ac_flags,
     analyticity_test,
     boundary_value_M,
     contour_sums,
@@ -248,6 +249,15 @@ class Level:
     residue: ResidueMatrix
 
 
+def _residue_range(dom, res: ResidueMatrix):
+    """Basis of a residue's range and its rank, in the weighted boundary geometry:
+    its singular values above _RESIDUE_TOL x res.bound count."""
+    w = np.sqrt(dom.boundary_node_weights)
+    u, s, _ = np.linalg.svd(res.r * w[:, None] / w, full_matrices=False)
+    rank = int(np.sum(s > _RESIDUE_TOL * res.bound))
+    return u[:, :rank] / w[:, None], rank
+
+
 def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) -> tuple:
     """The levels of M around the window (lo, hi), ascending; () on floored schedules.
 
@@ -306,7 +316,7 @@ def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) ->
     for lam in values:
         gap = np.min(np.abs(poles[np.abs(poles - lam) > tol] - lam))
         res = residue_contour(op, lam, _GAP_FRACTION * gap)
-        mult = int(np.sum(dom.boundary_singular_values(res.r) > _RESIDUE_TOL * res.bound))
+        mult = _residue_range(dom, res)[1]
         if mult:
             levels.append(Level(lam=lam, multiplicity=mult, residue=res))
     return tuple(levels)
@@ -324,16 +334,6 @@ class PointVerdict:
     multiplicity: int = 0
     residue: ResidueMatrix | None = None
     evidence: dict = field(default_factory=dict)   # slim_rel, decay_exponent: per probe
-
-
-def _weighted_column_basis(dom, matrix: np.ndarray, rel_tol: float = 1e-8):
-    """Numerical column-space basis and rank in the weighted boundary geometry."""
-    w = np.sqrt(dom.boundary_node_weights)
-    u, s, _ = np.linalg.svd(matrix * w[:, None], full_matrices=False)
-    if s.size == 0 or s[0] == 0:
-        return np.zeros((matrix.shape[0], 0)), 0
-    rank = int(np.sum(s > rel_tol * s[0]))
-    return u[:, :rank] / w[:, None], rank
 
 
 def _result(stage):
@@ -418,7 +418,7 @@ def eigenspace_via_tau(op: DirichletOperator, lam0: float, eig: EigenSystem) -> 
     others = eig.values[np.abs(eig.values - lam0) > eig.degeneracy_tol]
     gap = float(np.min(np.abs(others - lam0))) if others.size else 1.0
     res = residue_contour(op, lam0, _GAP_FRACTION * gap, _TAU_NODES)
-    basis, rank = _weighted_column_basis(dom, res.r)
+    basis, rank = _residue_range(dom, res)
 
     w = np.sqrt(dom.boundary_node_weights)
     if rank and taus.shape[1]:
@@ -443,6 +443,8 @@ class ACSupportSet:
     closed_union: GridSet
     ac_free: bool
     boundary_values: np.ndarray       # (n_probes, n_grid) complex
+    diverging: np.ndarray             # (n_probes, n_grid) bool: Im(M g, g) -> -infinity
+    y_limit_zero: np.ndarray          # (n_probes, n_grid) bool: eta (M g, g) -> 0
 
 
 def window_grid(window, step):
@@ -454,18 +456,21 @@ def window_grid(window, step):
 
 def ac_support(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
                grid_step: float) -> ACSupportSet:
-    """Grid sets where 0 < -Im(M(x+i0)g, g) < infinity, essentially closed and unioned."""
+    """Grid sets where ac_flags accepts -Im(M(x+i0)g, g), essentially closed and unioned."""
     xs = window_grid(window, grid_step)
     bvals = np.empty((len(probes), len(xs)), dtype=complex)
+    div, yzero = np.empty((2, len(probes), len(xs)), dtype=bool)
     for sched, run in cfg.schedule_runs(xs):
-        bvals[:, run] = boundary_value_M(op, xs[run], probes, sched).value
-    flags = (cfg.tau_ac < -bvals.imag) & (-bvals.imag < 1.0 / cfg.tau_ac)
+        bv = boundary_value_M(op, xs[run], probes, sched)
+        bvals[:, run], div[:, run], yzero[:, run] = bv.value, bv.diverging, bv.y_limit_zero
+    flags = ac_flags(-bvals.imag, div, cfg.tau_ac)
     per_probe_closed = [essential_closure(GridSet.from_flags(xs, f)) for f in flags]
     union = essential_closure(GridSet.union(*per_probe_closed))
     frac = float(np.mean(np.any(np.abs(bvals.imag) > cfg.tau_ac, axis=0)))
     return ACSupportSet(
         window=tuple(window), grid=xs, per_probe_closed=tuple(per_probe_closed),
         closed_union=union, ac_free=frac <= cfg.null_fraction, boundary_values=bvals,
+        diverging=div, y_limit_zero=yzero,
     )
 
 
@@ -473,9 +478,7 @@ def ac_support(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
 class SCReport:
     window: tuple
     grid: np.ndarray
-    diverging: np.ndarray             # (n_probes, n_grid) bool
-    y_limit_zero: np.ndarray          # (n_probes, n_grid) bool
-    flagged_set: GridSet
+    flagged_set: GridSet              # ac_support's points diverging with y (M g, g) -> 0
     excluded: bool
     caveat: str = (
         "singular continuous spectrum is excluded when the flagged set is at "
@@ -484,20 +487,13 @@ class SCReport:
     )
 
 
-def sc_screen(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
-              grid_step: float) -> SCReport:
-    """Flag points where Im(Mg,g) -> -infinity while y(Mg,g) -> 0."""
-    xs = window_grid(window, grid_step)
-    div = np.zeros((len(probes), len(xs)), dtype=bool)
-    yzero = np.zeros((len(probes), len(xs)), dtype=bool)
-    for sched, run in cfg.schedule_runs(xs):
-        bv = boundary_value_M(op, xs[run], probes, sched)
-        div[:, run], yzero[:, run] = bv.diverging, bv.y_limit_zero
-    both = np.any(div & yzero, axis=0)
-    flagged = GridSet.from_flags(xs, both)
-    excluded = essential_closure(flagged).is_empty
-    return SCReport(window=tuple(window), grid=xs, diverging=div,
-                    y_limit_zero=yzero, flagged_set=flagged, excluded=excluded)
+def sc_screen(acs) -> SCReport:
+    """Flag points where Im(Mg,g) -> -infinity while y(Mg,g) -> 0, from ac_support's
+    result without evaluating M; a DtnLabError in its place is raised again."""
+    acs = _result(acs)
+    flagged = GridSet.from_flags(acs.grid, np.any(acs.diverging & acs.y_limit_zero, axis=0))
+    return SCReport(window=acs.window, grid=acs.grid, flagged_set=flagged,
+                    excluded=essential_closure(flagged).is_empty)
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +542,6 @@ def purity_filter(window, points, levels, acs, scr, cfg: ClassifyConfig) -> Puri
         # without AC spectrum, PureSC still needs a flagged run (finite
         # models have no SC spectrum)
         return PurityVerdict(window, MIXED_UNKNOWN if scr.excluded else PURE_SC)
-    if essential_closure(GridSet.from_flags(scr.grid, np.any(scr.diverging, axis=0))).is_empty:
+    if essential_closure(GridSet.from_flags(acs.grid, np.any(acs.diverging, axis=0))).is_empty:
         return PurityVerdict(window, PURE_AC)
     return PurityVerdict(window, MIXED_UNKNOWN)

@@ -28,6 +28,8 @@ __all__ = [
     "extrapolate_tail",
     "decay_exponent",
     "vanishes",
+    "boundary_limit",
+    "ac_flags",
     "slim_eta_M",
     "boundary_value_M",
     "dtn_profile",
@@ -128,7 +130,7 @@ class AnalyticityReport:
 
 
 # ---------------------------------------------------------------------------
-# extrapolation
+# extrapolation and the boundary-value rule
 # ---------------------------------------------------------------------------
 
 def richardson_extrapolate(etas, values):
@@ -193,6 +195,27 @@ def vanishes(slope):
     return slope is None or ~(np.asarray(slope) < DECAY_CUT)
 
 
+def boundary_limit(etas, q, floored: bool, slopes: bool = True) -> dict:
+    """Fields "value" (extrapolant, or the sample at the floor), "last", and with slopes
+    "diverging" (|Im q| -> infinity) and "y_limit_zero" (eta*q -> 0) of scalar Herglotz
+    profiles q(x + i*eta), sampled at the decreasing etas over the last axis."""
+    out = {"value": q[..., -1] if floored else extrapolate_tail(etas, np.moveaxis(q, -1, 0))[0],
+           "last": q[..., -1]}
+    if slopes:
+        im, yq = np.abs(q.imag), etas * q
+        out["diverging"] = ((decay_exponent(etas, im) <= DIVERGENCE_SLOPE)
+                            & (im[..., -1] > DIVERGENCE_GROWTH * np.maximum(im[..., 0], 1e-300))
+                            & (im[..., -1] > 1e-10))
+        # hypot rounds as abs() of a Python complex does; np.abs may not
+        out["y_limit_zero"] = vanishes(decay_exponent(etas, np.hypot(yq.real, yq.imag)))
+    return out
+
+
+def ac_flags(density, diverging, tau: float):
+    """AC points: a boundary density in (tau, 1/tau) of a profile that is not diverging."""
+    return (tau < density) & (density < 1.0 / tau) & ~diverging
+
+
 # ---------------------------------------------------------------------------
 # limits of M
 # ---------------------------------------------------------------------------
@@ -232,17 +255,7 @@ def _slim_fields(dom, etas, mg, g, floored, slopes):
 
 def _bv_fields(dom, etas, mg, g, floored, slopes):
     """BoundaryValue's fields of one dtn_profile group; the flags with slopes."""
-    q = dom.boundary_inner(mg, g[..., None, None, :])
-    out = {"value": q[..., -1] if floored else extrapolate_tail(etas, np.moveaxis(q, -1, 0))[0],
-           "last": q[..., -1]}
-    if slopes:
-        im, yq = np.abs(q.imag), etas * q
-        out["diverging"] = ((decay_exponent(etas, im) <= DIVERGENCE_SLOPE)
-                            & (im[..., -1] > DIVERGENCE_GROWTH * np.maximum(im[..., 0], 1e-300))
-                            & (im[..., -1] > 1e-10))
-        # hypot rounds as abs() of a Python complex does; np.abs may not
-        out["y_limit_zero"] = vanishes(decay_exponent(etas, np.hypot(yq.real, yq.imag)))
-    return out
+    return boundary_limit(etas, dom.boundary_inner(mg, g[..., None, None, :]), floored, slopes)
 
 
 def _limits(op: DirichletOperator, x, g, sched: EtaSchedule, *kinds, slopes=True):

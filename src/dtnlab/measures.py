@@ -16,8 +16,9 @@ from scipy.special import roots_legendre
 
 from .domain import DirichletOperator, EigenSystem
 from .errors import AtomHit, EndpointOnEigenvalue
-from .limits import (EtaSchedule, decay_exponent, ellipse, extrapolate_tail,
-                     richardson_extrapolate, vanishes)
+from .classify import GridSet, essential_closure
+from .limits import (EtaSchedule, ac_flags, boundary_limit, ellipse,
+                     richardson_extrapolate)
 from .dtn import poisson_matrix
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
 
 _ATOM_TOL = 1e-12
 _SUPPORT_TAU = 1e-6         # an AC point has Im F(x + i0) in (tau, 1/tau)
-_DIVERGENCE_RATIO = 1e3     # growth of |Im F| down the schedule read as Im F -> infinity
 _RANK_TOL = 1e-10           # relative singular value cut of simplicity_rank
 
 
@@ -202,9 +202,9 @@ class SupportReport:
     """Grid sets entering the Lebesgue decomposition read off from F(x + i0)."""
 
     grid: np.ndarray
-    ac_set: "GridSet"                 # clac{0 < Im F(x+i0) < infinity}
-    sc_set: "GridSet"                 # {Im F -> infinity, y F(x+iy) -> 0}
-    im_values: np.ndarray             # Im F at the smallest admissible y
+    ac_set: GridSet                   # clac{0 < Im F(x+i0) < infinity}
+    sc_set: GridSet                   # {Im F -> infinity, y F(x+iy) -> 0}
+    im_values: np.ndarray             # Im F(x + i0): the extrapolant, or at the floor
     diverging: np.ndarray
     y_limit_zero: np.ndarray
 
@@ -212,31 +212,19 @@ class SupportReport:
 def ac_sc_supports(measure: SpectralMeasure, sched: EtaSchedule, grid) -> SupportReport:
     """Candidate AC support (essentially closed) and SC support set of a measure.
 
-    For each grid point the Borel transform is followed down the schedule:
-    the AC set collects points with a finite nonzero boundary density, the SC
-    set those where Im F blows up while y*F still vanishes.  Purely atomic
-    measures yield two empty sets: off the atoms Im F -> 0, and on an atom
-    y*F tends to the (nonzero) weight.
+    The Borel transform down the schedule is read by boundary_limit, as (M g, g)
+    is: the AC set collects the points ac_flags accepts with density Im F(x + i0),
+    the SC set those where Im F blows up while y*F still vanishes.  Purely atomic
+    measures yield two empty sets: off the atoms Im F -> 0, and on an atom y*F
+    tends to the (nonzero) weight.
     """
-    from .classify import GridSet, essential_closure
-
     grid = np.asarray(grid, dtype=float)
     etas = sched.samples()
-    ac_flags, diverging, yzero = np.zeros((3, grid.size), dtype=bool)
-    im_values = np.empty(grid.size)
-    for j, x in enumerate(grid):
-        fs = np.array([borel_transform(measure, x + 1j * y) for y in etas])
-        ims = fs.imag
-        if sched.floored:
-            im_values[j] = ims[-1]
-        else:
-            limit, _ = extrapolate_tail(etas, ims)
-            im_values[j] = float(np.real(limit))
-        diverging[j] = abs(ims[-1]) > _DIVERGENCE_RATIO * max(abs(ims[0]), 1e-300) \
-            and abs(ims[-1]) > 1e-10
-        yzero[j] = vanishes(decay_exponent(etas, np.abs(etas * fs)))
-        ac_flags[j] = (_SUPPORT_TAU < im_values[j] < 1.0 / _SUPPORT_TAU) and not diverging[j]
-    ac_set = essential_closure(GridSet.from_flags(grid, ac_flags))
+    fs = np.array([[borel_transform(measure, x + 1j * y) for y in etas] for x in grid])
+    bv = boundary_limit(etas, fs, sched.floored)
+    im_values, diverging, yzero = bv["value"].imag, bv["diverging"], bv["y_limit_zero"]
+    ac_set = essential_closure(GridSet.from_flags(grid, ac_flags(im_values, diverging,
+                                                                 _SUPPORT_TAU)))
     sc_set = GridSet.from_flags(grid, diverging & yzero)
     return SupportReport(grid=grid, ac_set=ac_set, sc_set=sc_set,
                          im_values=im_values, diverging=diverging, y_limit_zero=yzero)

@@ -1,9 +1,9 @@
 """Sweep orchestration and bit-stable serialization of reports and plot data.
 
 sweep_window runs the level stage, then classify_point at each grid point, then
-the other window stages, each once; a point or stage that raises a DtnLabError
-keeps it as its result (an 'inconclusive' report entry), and purity_filter
-decides from those results.
+the AC stage, each once; a point or stage that raises a DtnLabError keeps it as
+its result (an 'inconclusive' report entry), and sc_screen and purity_filter
+decide from those results without evaluating M.
 
 The sweep runs on one thread in grid order (the "threads" setting has no
 effect).  The JSON report is emitted with sorted keys and shortest round-trip
@@ -99,12 +99,12 @@ def _attempt(stage, *args):
 
 
 def sweep_window(op, window, probes, ccfg, step) -> WindowSweep:
-    """The window's levels, every grid point, then the AC and SC stages, each once."""
+    """The window's levels, every grid point, the AC stage, then the SC screen of its pass."""
     levels = _attempt(window_levels, op, window, probes, ccfg)
     points = tuple((x, _attempt(classify_point, op, x, ccfg, probes, levels))
                    for x in window_grid(window, step))
-    acs, scr = (_attempt(stage, op, window, probes, ccfg, step)
-                for stage in (ac_support, sc_screen))
+    acs = _attempt(ac_support, op, window, probes, ccfg, step)
+    scr = _attempt(sc_screen, acs)
     return WindowSweep(points, levels, acs, scr,
                        _attempt(purity_filter, window, points, levels, acs, scr, ccfg))
 

@@ -202,7 +202,7 @@ def test_criterion_07_pure_point(t1, well1d):
     _, op1 = t1
     probes1 = make_probes(op1.domain, "basis")
     acs1 = ac_support(op1, (0.0, 4.0), probes1, T1_CFG, 0.1)
-    scr1 = sc_screen(op1, (0.0, 4.0), probes1, T1_CFG, 0.1)
+    scr1 = sc_screen(acs1)
     assert acs1.closed_union.is_empty
     assert scr1.excluded
     assert sweep_window(op1, (1.5, 2.5), probes1, T1_CFG, 0.25).purity.verdict == "NoSpectrum"
@@ -215,7 +215,7 @@ def test_criterion_07_pure_point(t1, well1d):
     probes = make_probes(dom, "basis")
     cfg = ClassifyConfig(eta0=1e-3, pole_match_radius=0.01, window_half_width=0.1 * (l2 - l1))
     acs = ac_support(op, (-0.5, 0.5), probes, cfg, 0.02)
-    scr = sc_screen(op, (-0.5, 0.5), probes, cfg, 0.02)
+    scr = sc_screen(acs)
     assert acs.closed_union.is_empty
     assert scr.excluded
     gap = (l1 + 0.3 * (l2 - l1), l1 + 0.7 * (l2 - l1))

@@ -36,6 +36,7 @@ from dtnlab import (
     window_levels,
     zero_potential,
 )
+from dtnlab.classify import trace_invisible
 from dtnlab.limits import DECAY_CUT, vanishes
 
 T1_CFG = ClassifyConfig(eta0=1e-2, pole_match_radius=0.25, window_half_width=0.2)
@@ -182,6 +183,20 @@ class TestTau:
         assert rep.residue_rank == 2
         assert np.max(rep.principal_angles) <= 1e-6
 
+    def test_trace_invisible_level_has_rank_zero(self, annulus2d):
+        # the eigenvector at 0.951083 has no trace, so M has no pole there:
+        # the residue's singular values count against its bound, as in
+        # window_levels (against its own largest one, any non-pole has rank >= 1)
+        dom, op = annulus2d
+        eig = oracle_eigendecomposition(op)
+        k = int(np.argmin([abs(np.mean(eig.values[list(g)]) - 0.951083) for g in eig.groups]))
+        lam0 = float(np.mean(eig.values[list(eig.groups[k])]))
+        assert lam0 == pytest.approx(0.951083, abs=1e-6)
+        assert trace_invisible(dom, eig)[k]
+        rep = eigenspace_via_tau(op, lam0, eig)
+        assert rep.residue_rank == 0
+        assert rep.principal_angles.tolist() == [np.pi / 2]
+
     def test_not_an_eigenvalue(self, t1):
         _, op = t1
         eig = oracle_eigendecomposition(op)
@@ -213,13 +228,20 @@ class TestACSupport:
 class TestSCScreen:
     def test_free_halfline_excluded(self, freeline):
         _, op = freeline
-        scr = sc_screen(op, (0.25, 4.0), make_probes(op.domain, "basis"), FREE_CFG, 0.25)
+        scr = sc_screen(ac_support(op, (0.25, 4.0), make_probes(op.domain, "basis"),
+                                   FREE_CFG, 0.25))
         assert scr.excluded
 
     def test_t1_excluded(self, t1):
         _, op = t1
-        scr = sc_screen(op, (0.0, 4.0), make_probes(op.domain, "basis"), T1_CFG, 0.1)
+        scr = sc_screen(ac_support(op, (0.0, 4.0), make_probes(op.domain, "basis"), T1_CFG, 0.1))
         assert scr.excluded
+
+    def test_failed_ac_stage_raised_again(self):
+        err = NearSpectrum("M(0.5 + i eta) hit the spectrum")
+        with pytest.raises(NearSpectrum) as info:
+            sc_screen(err)
+        assert info.value is err
 
 
 def _purity(op, window, cfg, step):
@@ -277,9 +299,9 @@ class TestPurity:
     def test_sweep_runs_each_stage_once(self, monkeypatch):
         # free half-line, floored schedules in three runs of grid points: the
         # level stage runs once (and finds none on a floored schedule), the
-        # AC and SC stages take one boundary_value_M call per run, and the
-        # eta*M limits are classify_point's, one per grid point.  Purity
-        # evaluates no M(z): it reads the stages' results.
+        # AC stage takes one boundary_value_M call per run, and the eta*M
+        # limits are classify_point's, one per grid point.  The SC screen and
+        # purity evaluate no M(z): they read the stages' results.
         calls = {}
 
         def counting(module, name):
@@ -293,32 +315,35 @@ class TestPurity:
 
         for name in ("boundary_value_M", "slim_eta_M"):
             counting(dtnlab.classify, name)
-        for name in ("window_levels", "ac_support", "sc_screen"):
+        for name in ("window_levels", "ac_support"):
             counting(dtnlab.report, name)
 
-        def refuse(*args):
-            raise AssertionError("purity_filter evaluated M(z)")
+        def sealing(name):
+            fn = getattr(dtnlab.report, name)
+            calls[name] = 0
 
-        purity_filter = dtnlab.report.purity_filter
-        calls["purity_filter"] = 0
+            def refuse(*args):
+                raise AssertionError(f"{name} evaluated M(z)")
 
-        def sealed(*args):
-            calls["purity_filter"] += 1
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(DirichletOperator, "factorize", refuse)
-                for module in (dtnlab.dtn, dtnlab.limits):
-                    m.setattr(module, "dtn_matrices", refuse)
-                    m.setattr(module, "dtn_matrix", refuse)
-                return purity_filter(*args)
+            def sealed(*args):
+                calls[name] += 1
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(DirichletOperator, "factorize", refuse)
+                    for module in (dtnlab.dtn, dtnlab.limits):
+                        m.setattr(module, "dtn_matrices", refuse)
+                        m.setattr(module, "dtn_matrix", refuse)
+                    return fn(*args)
+            monkeypatch.setattr(dtnlab.report, name, sealed)
 
-        monkeypatch.setattr(dtnlab.report, "purity_filter", sealed)
+        for name in ("sc_screen", "purity_filter"):
+            sealing(name)
         report = run_sweep(config_from_dict({
             "domain": {"kind": "halfline", "h": 0.05, "L": 60.0},
             "window": {"lo": 0.25, "hi": 4.0, "grid_step": 0.25},
             "eta": {"eta0": 0.4, "floor_mode": "halfline_auto"}}))
         assert len(report.data["points"]) == 16
         assert report.data["purity"][0]["verdict"] == "PureAC"
-        assert calls == {"boundary_value_M": 6, "slim_eta_M": 16, "window_levels": 1,
+        assert calls == {"boundary_value_M": 3, "slim_eta_M": 16, "window_levels": 1,
                          "ac_support": 1, "sc_screen": 1, "purity_filter": 1}
 
 
@@ -341,10 +366,9 @@ class TestPurityRule:
         grid = np.array(self.XS)
         acs = ACSupportSet(window=self.WINDOW, grid=grid, per_probe_closed=(GridSet(()),),
                            closed_union=GridSet(()), ac_free=ac_free,
-                           boundary_values=np.zeros((1, 3), dtype=complex))
-        scr = SCReport(window=self.WINDOW, grid=grid, diverging=np.zeros((1, 3), bool),
-                       y_limit_zero=np.zeros((1, 3), bool), flagged_set=GridSet(()),
-                       excluded=True)
+                           boundary_values=np.zeros((1, 3), dtype=complex),
+                           diverging=np.zeros((1, 3), bool), y_limit_zero=np.zeros((1, 3), bool))
+        scr = SCReport(window=self.WINDOW, grid=grid, flagged_set=GridSet(()), excluded=True)
         return acs, scr
 
     def purity(self, points, lams=(), acs=None, scr=None):

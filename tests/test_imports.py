@@ -1,4 +1,5 @@
-"""Package structure: no module imports another module's private name."""
+"""Package structure: no module imports another module's private name, and no
+function imports a dtnlab module (a function-local import hides a cycle)."""
 
 import ast
 from pathlib import Path
@@ -16,4 +17,24 @@ def test_no_private_name_imported_across_modules():
                 continue
             offenders += [f"{path.name}:{node.lineno} imports {alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
+    assert SRC.is_dir() and offenders == []
+
+
+def test_no_function_local_package_import():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    names = ["." * node.level + (node.module or "")]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                offenders += [f"{path.name}:{node.lineno} imports {name} in a function"
+                              for name in names
+                              if name.startswith(".") or name.split(".")[0] == "dtnlab"]
     assert SRC.is_dir() and offenders == []

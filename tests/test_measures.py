@@ -185,6 +185,20 @@ class TestSupports:
         assert rep.ac_set.is_empty
         assert rep.sc_set.is_empty
 
+    @pytest.mark.parametrize("count", [8, 10])
+    def test_atoms_diverge_on_short_schedules(self, t1, count):
+        # Im F grows like 1/y at the atoms 1 and 3, by 2^7 and 2^9 over these
+        # schedules: boundary_value_M's divergence rule flags them
+        _, op = t1
+        eig = oracle_eigendecomposition(op)
+        mu = spectral_measure(op, eig, np.array([1.0, 0.0]))
+        grid = np.linspace(0, 4, 41)
+        rep = ac_sc_supports(mu, EtaSchedule(1e-2, 0.5, count), grid)
+        assert rep.diverging[np.isclose(grid, 1.0)].all()
+        assert rep.diverging[np.isclose(grid, 3.0)].all()
+        assert rep.ac_set.is_empty
+        assert rep.sc_set.is_empty
+
     def test_synthetic_ac_density(self):
         mu = _uniform_quadrature_measure()
         sched = EtaSchedule(1e-2, 0.5, 10, floor=5e-4)
