@@ -20,6 +20,7 @@ from .dtn import normal_derivative
 from .errors import DtnLabError, Inconclusive, NearSpectrum
 from .limits import (
     DECAY_CUT,
+    RESIDUE_TOL,
     EtaSchedule,
     ResidueMatrix,
     ac_flags,
@@ -63,12 +64,10 @@ NO_SPECTRUM = "NoSpectrum"
 MIXED_UNKNOWN = "Mixed/Unknown"
 
 _NEWTON_TOL, _NEWTON_MAXITER = 1e-11, 60   # refine_pole: relative step that ends it, cap
-_TAU_NODES = 64                            # trapezoid nodes of eigenspace_via_tau's contour
 _GAP_FRACTION = 0.45                       # residue radius over the gap to the nearest other level
 _LEVEL_NODES = 128                         # trapezoid nodes of window_levels' ellipse
 _LEVEL_BLOCKS = (8, 16)                    # Hankel block counts tried: 16 moments, then 32
 _PENCIL_TOL = 1e-12                        # kept singular values of H0, over max|moment| bound
-_RESIDUE_TOL = 1e-8                        # counted residue singular values, over their bound
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +142,6 @@ class ClassifyConfig:
 
     tau_eig_rel: float = 1e-6
     tau_ac: float = 1e-6
-    null_fraction: float = 0.01
 
     window_half_width: float = 0.1
     fit_tol: float = 1e-5
@@ -200,6 +198,7 @@ def make_probes(dom, kind: str = "basis", count: int = 0, seed: int = 0):
 def refine_pole(op: DirichletOperator, x: float, g: np.ndarray, eta_start: float):
     """Newton iteration on 1/(M(z) g, g) from x + i*eta_start; None on failure.
 
+    A standalone polish of one probe's pole; the level stage does not call it.
     Near a simple real pole the reciprocal of the quadratic form is an analytic
     function with a simple zero, so the iteration converges quadratically.
     Every pole lies in [-||A_II||_1, ||A_II||_1], so an iterate farther than
@@ -251,10 +250,10 @@ class Level:
 
 def _residue_range(dom, res: ResidueMatrix):
     """Basis of a residue's range and its rank, in the weighted boundary geometry:
-    its singular values above _RESIDUE_TOL x res.bound count."""
+    its singular values above RESIDUE_TOL x res.bound count."""
     w = np.sqrt(dom.boundary_node_weights)
     u, s, _ = np.linalg.svd(res.r * w[:, None] / w, full_matrices=False)
-    rank = int(np.sum(s > _RESIDUE_TOL * res.bound))
+    rank = int(np.sum(s > RESIDUE_TOL * res.bound))
     return u[:, :rank] / w[:, None], rank
 
 
@@ -264,15 +263,15 @@ def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) ->
     M is meromorphic on a finite model, so the moments (1/2 pi i) oint T_k(u)
     (M g_l, g_j) dz, T_k Chebyshev in u = (z - c)/r on an ellipse through
     lo - 2w and hi + 2w (w = window_half_width), make a block Hankel-type
-    pencil whose eigenvalues are the poles inside and whose eigenvectors hold
-    their residues' ranges (Beyn, LAA 436 (2012); Sakurai & Sugiura, JCAM 159
-    (2003)).  Its rank must stay at most half its size, else the block count
-    doubles, up to 32 moments, then Inconclusive.  refine_pole polishes each
-    pole in (lo - w, hi + w); values within the oracle's degeneracy rule merge.
-    A value is a level when its residue on a circle of _GAP_FRACTION x the gap
-    to the nearest other pole has weighted singular values above _RESIDUE_TOL
-    x rho max ||M||; their count is its multiplicity.  As -i eta M(lam + i eta)
-    tends to that residue, this is the nonzero eta*M-limit test.
+    pencil whose eigenvalues estimate the poles inside (Beyn, LAA 436 (2012);
+    Sakurai & Sugiura, JCAM 159 (2003)).  Its rank must stay at most half its
+    size, else the block count doubles, up to 32 moments, then Inconclusive.
+    Estimates in (lo - w, hi + w) merge within the oracle's degeneracy rule;
+    the residue_contour around each, of _GAP_FRACTION x the gap to the nearest
+    other estimate, holds one pole and gives the level: its value (res.pole),
+    and as multiplicity the count of weighted singular values above
+    RESIDUE_TOL x rho max ||M||, the nonzero eta*M-limit test, as -i eta
+    M(lam + i eta) tends to that residue.  M is evaluated only by contour_sums.
     """
     lo, hi = window
     if cfg.schedule(lo).floored:
@@ -303,22 +302,19 @@ def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) ->
         raise Inconclusive(f"more levels around {tuple(window)} than {size} contour "
                            f"moments resolve")
     left, right = left[:, :rank], right[:rank].conj().T
-    vals, vecs = np.linalg.eig(left.conj().T @ h1 @ right / sv[:rank])
-    estimates = (centre + half * vals).real
+    estimates = np.sort(centre + half * np.linalg.eigvals(left.conj().T @ h1 @ right
+                                                          / sv[:rank]).real)
     near = (lo - w < estimates) & (estimates < hi + w)
-    starts = zip(estimates[near], (gs @ (left @ vecs)[:p]).T[near])   # a residue range each
-    polished = sorted(lam for lam in (refine_pole(op, x, g, op.certified_height)
-                                      for x, g in starts) if lam is not None)
     tol = 1e-8 * max(op.a_norm, 1.0)
-    values = [lam for lam, prev in zip(polished, [-np.inf] + polished) if lam - prev > tol]
-    poles = np.array(values + list(estimates[~near]) + [a, b])
+    values = estimates[near][np.diff(estimates[near], prepend=-np.inf) > tol]
+    poles = np.concatenate([values, estimates[~near], [a, b]])
     levels = []
     for lam in values:
         gap = np.min(np.abs(poles[np.abs(poles - lam) > tol] - lam))
         res = residue_contour(op, lam, _GAP_FRACTION * gap)
         mult = _residue_range(dom, res)[1]
         if mult:
-            levels.append(Level(lam=lam, multiplicity=mult, residue=res))
+            levels.append(Level(lam=res.pole, multiplicity=mult, residue=res))
     return tuple(levels)
 
 
@@ -394,12 +390,12 @@ class TauReport:
 
 def trace_invisible(dom, eig: EigenSystem) -> list:
     """Per oracle level (eig.groups), whether the traces tau_j of its eigenvectors
-    vanish: none above _RESIDUE_TOL times the largest trace of any eigenvector.
+    vanish: none above RESIDUE_TOL times the largest trace of any eigenvector.
     The residue of M there, g -> sum_j tau_j (g, tau_j), vanishes with them, so
     such a level is no pole of M and no verdict read off M can see it."""
     taus = normal_derivative(dom, np.zeros((dom.n_boundary, eig.values.size)), eig.vectors)
     norms = dom.boundary_norm(taus.T)
-    return [bool(norms[list(g)].max() <= _RESIDUE_TOL * norms.max()) for g in eig.groups]
+    return [bool(norms[list(g)].max() <= RESIDUE_TOL * norms.max()) for g in eig.groups]
 
 
 def eigenspace_via_tau(op: DirichletOperator, lam0: float, eig: EigenSystem) -> TauReport:
@@ -417,7 +413,7 @@ def eigenspace_via_tau(op: DirichletOperator, lam0: float, eig: EigenSystem) -> 
 
     others = eig.values[np.abs(eig.values - lam0) > eig.degeneracy_tol]
     gap = float(np.min(np.abs(others - lam0))) if others.size else 1.0
-    res = residue_contour(op, lam0, _GAP_FRACTION * gap, _TAU_NODES)
+    res = residue_contour(op, lam0, _GAP_FRACTION * gap)
     basis, rank = _residue_range(dom, res)
 
     w = np.sqrt(dom.boundary_node_weights)
@@ -456,7 +452,7 @@ def window_grid(window, step):
 
 def ac_support(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
                grid_step: float) -> ACSupportSet:
-    """Grid sets where ac_flags accepts -Im(M(x+i0)g, g), essentially closed and unioned."""
+    """Grid sets where ac_flags accepts -Im(M(x+i0)g, g), closed and unioned; AC-free if empty."""
     xs = window_grid(window, grid_step)
     bvals = np.empty((len(probes), len(xs)), dtype=complex)
     div, yzero = np.empty((2, len(probes), len(xs)), dtype=bool)
@@ -466,10 +462,9 @@ def ac_support(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
     flags = ac_flags(-bvals.imag, div, cfg.tau_ac)
     per_probe_closed = [essential_closure(GridSet.from_flags(xs, f)) for f in flags]
     union = essential_closure(GridSet.union(*per_probe_closed))
-    frac = float(np.mean(np.any(np.abs(bvals.imag) > cfg.tau_ac, axis=0)))
     return ACSupportSet(
         window=tuple(window), grid=xs, per_probe_closed=tuple(per_probe_closed),
-        closed_union=union, ac_free=frac <= cfg.null_fraction, boundary_values=bvals,
+        closed_union=union, ac_free=union.is_empty, boundary_values=bvals,
         diverging=div, y_limit_zero=yzero,
     )
 

@@ -15,9 +15,8 @@ noted; unknown keys anywhere are rejected with a suggestion):
                    # floor_mode "none" (a finite model) or "halfline_auto": eta
                    # floored at floor_factor x the level spacing 2 pi sqrt(x) / L
       "probes":    {"kind": "basis"},   # or {"kind": "random", "count": 4, "seed": 0}
-      "thresholds": {"tau_eig": 1e-6, "tau_ac": 1e-6, "null_fraction": 0.01,
-                     "fit_tol": 1e-5, "pole_match_radius": null,
-                     "window_half_width": null},
+      "thresholds": {"tau_eig": 1e-6, "tau_ac": 1e-6, "fit_tol": 1e-5,
+                     "pole_match_radius": null, "window_half_width": null},
       "measures":  {"stone_intervals": [[0.5, 1.5]], "zeta_samples": [[0.0, 1.0]]},
       "convergence": {"x_values": [0.5, 1.0, 2.0], "eta": 0.1,
                       "h_values": [0.01, 0.005], "L": 200.0},
@@ -71,8 +70,7 @@ _KEYS = {
     "window": {"lo", "hi", "grid_step"},
     "eta": {"eta0", "ratio", "count", "floor_mode", "floor_factor"},
     "probes": {"kind", "count", "seed"},
-    "thresholds": {"tau_eig", "tau_ac", "null_fraction", "fit_tol",
-                   "pole_match_radius", "window_half_width"},
+    "thresholds": {"tau_eig", "tau_ac", "fit_tol", "pole_match_radius", "window_half_width"},
     "measures": {"stone_intervals", "zeta_samples"},
     "convergence": {"x_values", "eta", "h_values", "L"},
 }
@@ -166,8 +164,7 @@ class RunConfig:
             eta0=e["eta0"], eta_ratio=e["ratio"], eta_count=e["count"],
             floor_mode=e["floor_mode"], floor_factor=e["floor_factor"],
             halfline_length=self.domain.get("L", 0.0),
-            tau_eig_rel=t["tau_eig"], tau_ac=t["tau_ac"],
-            null_fraction=t["null_fraction"], fit_tol=t["fit_tol"],
+            tau_eig_rel=t["tau_eig"], tau_ac=t["tau_ac"], fit_tol=t["fit_tol"],
             pole_match_radius=pole_radius, window_half_width=half_width,
         )
 
@@ -234,14 +231,12 @@ def config_from_dict(data: dict) -> RunConfig:
     probes["count"] = _integer(probes["count"], 1, MAX_PROBES, "probes.count")
     probes["seed"] = _integer(probes["seed"], 0, math.inf, "probes.seed")
 
-    thr = {"tau_eig": 1e-6, "tau_ac": 1e-6, "null_fraction": 0.01,
-           "fit_tol": 1e-5, "pole_match_radius": None, "window_half_width": None}
+    thr = {"tau_eig": 1e-6, "tau_ac": 1e-6, "fit_tol": 1e-5,
+           "pole_match_radius": None, "window_half_width": None}
     thr.update(data.get("thresholds", {}))
-    _require_numbers("thresholds", thr, ("tau_eig", "tau_ac", "null_fraction", "fit_tol"))
+    _require_numbers("thresholds", thr, ("tau_eig", "tau_ac", "fit_tol"))
     _require(thr["tau_eig"] > 0, "thresholds.tau_eig must be positive")
     _require(thr["tau_ac"] > 0, "thresholds.tau_ac must be positive")
-    _require(0 <= thr["null_fraction"] < 1,
-             "thresholds.null_fraction must lie in [0, 1)")
     for key in ("pole_match_radius", "window_half_width"):
         if thr[key] is not None:
             _require_numbers("thresholds", thr, (key,))

@@ -47,6 +47,7 @@ DIVERGENCE_GROWTH = 10.0
 DECAY_CUT = 0.5                   # y*F -> 0 when |y*F| decays at least like eta^DECAY_CUT
 _N_WINDOW, _FIT_DEGREE = 17, 10   # analyticity window: sample points, polynomial degree
 _ASPECT = 0.3                     # vertical over horizontal semi-axis of the contour ellipses
+RESIDUE_TOL = 1e-8                # residue singular values that count, over the residue's bound
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,7 @@ class ResidueMatrix:
     r: np.ndarray
     n_nodes: int
     bound: float     # rho * the largest weighted norm of M on the nodes, a bound of ||r||
+    pole: float      # lam0 + <R1, r> / <r, r>, R1 the first moment; lam0 where r counts as 0
 
 
 @dataclass(frozen=True)
@@ -325,15 +327,21 @@ def residue_contour(op: DirichletOperator, lam0: float, rho: float, n: int = 32)
     """Residue of M at lam0 by the trapezoid rule on the circle |z - lam0| = rho.
 
     Spectrally accurate for meromorphic M; equals the sum of residues at all
-    poles strictly inside the circle.  The nodes come from contour_sums.
+    poles strictly inside the circle.  The nodes come from contour_sums, which
+    also gives the first moment R1 = (1/2 pi i) oint (z - lam0) M(z) dz: it is
+    (lam - lam0) r when the circle holds one pole lam, so pole = lam is exact.
     """
     if n < 16 or n % 2:
         raise ValueError("need an even number of nodes, at least 16")
     if rho <= 0:
         raise ValueError("radius must be positive")
-    w = np.exp(2j * np.pi * np.arange(n) / n)
-    (r,), m_max = contour_sums(op, lam0 + rho * w, w[None] * rho / n)
-    return ResidueMatrix(lam0=float(lam0), rho=float(rho), r=r, n_nodes=n, bound=rho * m_max)
+    w = rho * np.exp(2j * np.pi * np.arange(n) / n)
+    (r, r1), m_max = contour_sums(op, lam0 + w, np.stack([w, w * w]) / n)
+    bound = rho * m_max
+    zero = op.domain.boundary_singular_values(r)[0] <= RESIDUE_TOL * bound
+    pole = lam0 if zero else lam0 + (np.vdot(r, r1) / np.vdot(r, r)).real
+    return ResidueMatrix(lam0=float(lam0), rho=float(rho), r=r, n_nodes=n, bound=bound,
+                         pole=float(pole))
 
 
 # ---------------------------------------------------------------------------

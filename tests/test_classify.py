@@ -220,9 +220,13 @@ class TestACSupport:
         assert acs.ac_free
 
     def test_pure_point_model_empty(self, t1):
+        # (M g, g) at the level 1.0 on the grid extrapolates to 0.75 - 12400i,
+        # diverging, which ac_flags does not accept: the windows are AC-free
         _, op = t1
-        acs = ac_support(op, (0.0, 4.0), make_probes(op.domain, "basis"), T1_CFG, 0.1)
-        assert acs.closed_union.is_empty
+        probes = make_probes(op.domain, "basis")
+        for window, step in (((0.0, 4.0), 0.1), ((0.5, 1.5), 0.25)):
+            acs = ac_support(op, window, probes, T1_CFG, step)
+            assert acs.closed_union.is_empty and acs.ac_free, window
 
 
 class TestSCScreen:
@@ -281,7 +285,7 @@ class TestPurity:
         # 0.554152 (well) lie outside their windows: the point 0.9 is the
         # level 1, and the analyticity window at 0.6 stops short of 0.554152,
         # so those windows are NoSpectrum; the reduced annulus window holds
-        # the level 0.929221, which the former Newton scan missed
+        # the level 0.929221, whose residue contour gives its value
         cases = [
             ("t1", (0.6, 0.9), 0.1, T1_CFG, ("NoSpectrum", ())),
             ("well1d", (0.6, 0.7), 0.05,
@@ -460,6 +464,19 @@ class TestLevels:
         assert v.refined_lambda == pytest.approx(0.929220687319, abs=1e-12)
         assert v.residue.rho == pytest.approx(0.45 * (1.049329420488 - 0.929220687319))
 
+    def test_well_levels_match_the_oracle(self, well1d):
+        # each value is the first moment of a residue contour that holds one
+        # pole: all six levels in (0, 1) of the well1d-sweep model lie within
+        # 5e-12 of the oracle (a Newton step from x + i h_c reached 1.1e-11)
+        _, op = well1d
+        cfg = ClassifyConfig(eta0=1e-2, pole_match_radius=0.025, window_half_width=0.05)
+        levels = window_levels(op, (0.0, 1.0), make_probes(op.domain, "basis"), cfg)
+        oracle = oracle_eigendecomposition(op).values
+        assert [level.multiplicity for level in levels] == [1] * 6
+        for level in levels:
+            assert 0.0 < level.lam < 1.0
+            assert np.min(np.abs(oracle - level.lam)) <= 5e-12, level.lam
+
     def test_floored_schedule_has_no_levels(self, freeline):
         _, op = freeline
         assert window_levels(op, (0.25, 4.0), make_probes(op.domain, "basis"), FREE_CFG) == ()
@@ -540,48 +557,40 @@ class TestDtnTable:
             assert np.array_equal(dtn_matrix(op, z).m, dtnlab.dtn._reduced_dtn(fresh, [z])[0])
 
     def test_reduced_annulus_sweep_factorization_count(self, monkeypatch):
-        # Certified z come from the tridiagonal reduction, so every
-        # factorization left is a Newton iterate of refine_pole or an
-        # uncertified z: 18 here, 10 Newton iterates polishing the level
-        # stage's 5 pole estimates in (0, 1.5) and the 2 real nodes of each
-        # of its 4 residue contours.  With a Newton scan from every grid point
-        # and probe the sweep factorized 100 times; evaluating every M(z) by
-        # LU as well, 588.
-        factored, newton = [], []
-        factorize, refine_pole = DirichletOperator.factorize, dtnlab.classify.refine_pole
-
-        def counting(op_, z):
-            factored.append((z, bool(newton) or not op_.certified(z)))
-            return factorize(op_, z)
-
-        def refining(*args, **kwargs):
-            newton.append(True)
-            try:
-                return refine_pole(*args, **kwargs)
-            finally:
-                newton.pop()
-
-        monkeypatch.setattr(DirichletOperator, "factorize", counting)
-        monkeypatch.setattr(dtnlab.classify, "refine_pole", refining)
-        cfg = config_from_dict({
-            "domain": {"kind": "exterior2d", "h": 1.0, "a": 1.5, "L": 4.5},
-            "window": {"lo": 0.5, "hi": 1.0, "grid_step": 0.5}})
-        assert len(run_sweep(cfg).data["points"]) == 2
-        assert all(allowed for _, allowed in factored)
-        assert len(factored) <= 18
-
-    def test_reduced_well_sweep_factorization_count(self, monkeypatch):
-        # The eta profiles and the level stage's ellipse are certified off
-        # the spectrum, so the continued fraction gives all of them; the 4
-        # factorizations left are 2 Newton iterates polishing the level
-        # 0.346166 and the 2 real nodes of its residue contour.  With a Newton
-        # scan from every grid point the sweep factorized 12 times; evaluating
-        # M(z) by LU as well, 740.
+        # Certified z come from the tridiagonal reduction and the level stage
+        # evaluates M only through contour_sums, so every factorization left
+        # is at an uncertified z: 8 here, the 2 real nodes of each of its 4
+        # residue contours.  Polishing the 5 pole estimates in (0, 1.5) by
+        # Newton as well, the sweep factorized 18 times; with a Newton scan
+        # from every grid point and probe, 100; evaluating every M(z) by LU
+        # as well, 588.
         factored = []
         factorize = DirichletOperator.factorize
 
         def counting(op_, z):
-            factored.append(z)
+            factored.append((z, op_.certified(z)))
+            return factorize(op_, z)
+
+        monkeypatch.setattr(DirichletOperator, "factorize", counting)
+        cfg = config_from_dict({
+            "domain": {"kind": "exterior2d", "h": 1.0, "a": 1.5, "L": 4.5},
+            "window": {"lo": 0.5, "hi": 1.0, "grid_step": 0.5}})
+        assert len(run_sweep(cfg).data["points"]) == 2
+        assert not any(certified for _, certified in factored)
+        assert len(factored) <= 8
+
+    def test_reduced_well_sweep_factorization_count(self, monkeypatch):
+        # The eta profiles and the level stage's ellipse are certified off
+        # the spectrum, so the continued fraction gives all of them; the 2
+        # factorizations left are the 2 real nodes of the residue contour of
+        # the level 0.346166.  Polishing it by Newton as well, the sweep
+        # factorized 4 times; with a Newton scan from every grid point, 12;
+        # evaluating M(z) by LU as well, 740.
+        factored = []
+        factorize = DirichletOperator.factorize
+
+        def counting(op_, z):
+            factored.append((z, op_.certified(z)))
             return factorize(op_, z)
 
         monkeypatch.setattr(DirichletOperator, "factorize", counting)
@@ -590,4 +599,5 @@ class TestDtnTable:
             "potential": {"kind": "well", "depth": 2.0, "width": 1.0},
             "window": {"lo": 0.3, "hi": 0.4, "grid_step": 0.05}})
         assert len(run_sweep(cfg).data["points"]) == 3
-        assert len(factored) <= 4
+        assert not any(certified for _, certified in factored)
+        assert len(factored) <= 2

@@ -175,6 +175,14 @@ class TestResidue:
         _, op = t1
         res = residue_contour(op, 2.0, 0.5)
         assert abs(res.r[0, 0]) <= 1e-9
+        # no pole inside: the residue counts as zero and the pole is the centre
+        assert res.pole == 2.0
+
+    def test_pole_from_first_moment(self, t1):
+        # off-centre by 1e-3, the first moment places the one pole inside
+        _, op = t1
+        res = residue_contour(op, 1.001, 0.3)
+        assert res.pole == pytest.approx(1.0, abs=1e-12)
 
     def test_contour_touching_spectrum(self, t1):
         _, op = t1
