@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .domain import DirichletOperator, EigenSystem
-from .dtn import normal_derivative
+from .dtn import fill_certified, normal_derivative
 from .errors import DtnLabError, Inconclusive, NearSpectrum
 from .limits import (
     DECAY_CUT,
@@ -26,10 +26,13 @@ from .limits import (
     ac_flags,
     analyticity_test,
     boundary_value_M,
+    circle_nodes,
     contour_sums,
     ellipse,
+    profile_nodes,
     residue_contour,
     slim_eta_M,
+    window_points,
 )
 
 __all__ = [
@@ -42,8 +45,10 @@ __all__ = [
     "PurityVerdict",
     "ClassifyConfig",
     "essential_closure",
+    "grid_steps",
     "window_grid",
     "classify_point",
+    "point_nodes",
     "refine_pole",
     "window_levels",
     "eigenspace_via_tau",
@@ -156,6 +161,10 @@ class ClassifyConfig:
         if self.floor_mode != "halfline_auto" or x <= 0 or self.halfline_length <= 0:
             return 0.0
         return 2 * np.pi * np.sqrt(x) / self.halfline_length
+
+    def analyticity_half_width(self, d: float) -> float:
+        """Half-width of the analyticity window at distance d from the nearest level."""
+        return min(self.window_half_width, d / 4)
 
     def slim_nonzero(self, relative, slope):
         """Whether eta*M limits of these relative sizes and decay slopes are nonzero;
@@ -271,7 +280,8 @@ def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) ->
     other estimate, holds one pole and gives the level: its value (res.pole),
     and as multiplicity the count of weighted singular values above
     RESIDUE_TOL x rho max ||M||, the nonzero eta*M-limit test, as -i eta
-    M(lam + i eta) tends to that residue.  M is evaluated only by contour_sums.
+    M(lam + i eta) tends to that residue.  M is evaluated only by contour_sums,
+    and the certified nodes of every residue circle are entered at once.
     """
     lo, hi = window
     if cfg.schedule(lo).floored:
@@ -308,10 +318,12 @@ def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) ->
     tol = 1e-8 * max(op.a_norm, 1.0)
     values = estimates[near][np.diff(estimates[near], prepend=-np.inf) > tol]
     poles = np.concatenate([values, estimates[~near], [a, b]])
+    rhos = [_GAP_FRACTION * np.min(np.abs(poles[np.abs(poles - lam) > tol] - lam))
+            for lam in values]
+    fill_certified(op, [circle_nodes(lam, rho)[0] for lam, rho in zip(values, rhos)])
     levels = []
-    for lam in values:
-        gap = np.min(np.abs(poles[np.abs(poles - lam) > tol] - lam))
-        res = residue_contour(op, lam, _GAP_FRACTION * gap)
+    for lam, rho in zip(values, rhos):
+        res = residue_contour(op, lam, rho)
         mult = _residue_range(dom, res)[1]
         if mult:
             levels.append(Level(lam=res.pole, multiplicity=mult, residue=res))
@@ -339,6 +351,18 @@ def _result(stage):
     return stage
 
 
+def _nearest_level(x: float, sched: EtaSchedule, levels):
+    """The level nearest to x and its distance, (None, inf) without levels; on a
+    floored schedule levels count for nothing, else a DtnLabError for them is
+    raised again."""
+    levels = () if sched.floored else _result(levels)
+    gaps = [abs(level.lam - x) for level in levels]
+    if not gaps:
+        return None, np.inf
+    k = int(np.argmin(gaps))
+    return levels[k], gaps[k]
+
+
 def classify_point(op: DirichletOperator, x: float, cfg: ClassifyConfig,
                    probes=None, levels=None) -> PointVerdict:
     """Decision tree on window_levels' levels (by default those of (x - w, x + w),
@@ -355,23 +379,36 @@ def classify_point(op: DirichletOperator, x: float, cfg: ClassifyConfig,
     evidence = {"slim_rel": est.relative, "decay_exponent": est.decay_exponent}
 
     w = cfg.window_half_width
-    if sched.floored:
-        levels = ()
-    elif levels is None:
+    if levels is None and not sched.floored:
         levels = window_levels(op, (x - w, x + w), probes, cfg)
-    gaps = [abs(level.lam - x) for level in _result(levels)]
-    d = min(gaps, default=np.inf)
+    near, d = _nearest_level(x, sched, levels)
     if d <= cfg.pole_match_radius:
-        near = levels[int(np.argmin(gaps))]
         return PointVerdict(x=x, verdict=EIGENVALUE, refined_lambda=near.lam,
                             multiplicity=near.multiplicity, residue=near.residue,
                             evidence=evidence)
 
     if est.partial.any():
         raise Inconclusive(f"solver failures along the eta schedule at x={x}")
-    ana = analyticity_test(op, x, min(w, d / 4), probes, sched, slim_rel_tol=cfg.tau_eig_rel,
-                           im_rel_tol=cfg.tau_ac, fit_tol=cfg.fit_tol)
+    ana = analyticity_test(op, x, cfg.analyticity_half_width(d), probes, sched,
+                           slim_rel_tol=cfg.tau_eig_rel, im_rel_tol=cfg.tau_ac, fit_tol=cfg.fit_tol)
     return PointVerdict(x=x, verdict=RESOLVENT_SET if ana.ok else CONTINUOUS, evidence=evidence)
+
+
+def point_nodes(op: DirichletOperator, x: float, cfg: ClassifyConfig, levels) -> np.ndarray:
+    """The z at which classify_point(op, x, cfg, probes, levels) evaluates M,
+    flattened: the eta profile and, at a point farther than pole_match_radius
+    from every level, the analyticity window, if the profile is certified and
+    so cannot stop at a NearSpectrum before the window is reached."""
+    sched = cfg.schedule(x)
+    profile = profile_nodes(x, sched)
+    try:
+        d = _nearest_level(x, sched, levels)[1]
+    except DtnLabError:
+        return profile.ravel()
+    if d <= cfg.pole_match_radius or not op.certified(profile).all():
+        return profile.ravel()
+    window = profile_nodes(window_points(x, cfg.analyticity_half_width(d)), sched)
+    return np.concatenate([profile.ravel(), window.ravel()])
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +480,16 @@ class ACSupportSet:
     y_limit_zero: np.ndarray          # (n_probes, n_grid) bool: eta (M g, g) -> 0
 
 
+def grid_steps(window, step) -> float:
+    """Whole steps that fit in the window (lo, hi): (hi - lo) / step floored, after a
+    relative 1e-9 slack so that a rounding error in the quotient keeps the step to hi."""
+    lo, hi = window
+    return float(np.floor((hi - lo) / step * (1 + 1e-9)))
+
+
 def window_grid(window, step):
-    """Grid points lo + step*k from lo to hi inclusive, window = (lo, hi)."""
-    a, b = window
-    n = int(round((b - a) / step))
-    return a + step * np.arange(n + 1)
+    """Grid points lo + step*k from lo up to hi, k = 0 .. grid_steps(window, step)."""
+    return window[0] + step * np.arange(int(grid_steps(window, step)) + 1)
 
 
 def ac_support(op: DirichletOperator, window, probes, cfg: ClassifyConfig,

@@ -43,7 +43,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .classify import ClassifyConfig
+from .classify import ClassifyConfig, grid_steps
 from .domain import Exterior2D, HalfLine1D, build_domain
 from .errors import ConfigError, DomainError
 
@@ -208,9 +208,8 @@ def config_from_dict(data: dict) -> RunConfig:
              "window.lo must be < window.hi")
     _require(_is_number(win.get("grid_step")) and win["grid_step"] > 0,
              "window.grid_step must be positive")
-    # window_grid places round(steps) + 1 points
-    steps = (win["hi"] - win["lo"]) / win["grid_step"]
-    _require(steps < MAX_GRID_POINTS - 0.5,
+    # window_grid places grid_steps + 1 points (an infinite count fails here too)
+    _require(grid_steps((win["lo"], win["hi"]), win["grid_step"]) < MAX_GRID_POINTS,
              f"window.grid_step gives more than {MAX_GRID_POINTS} grid points")
 
     eta = {"eta0": 0.01, "ratio": 0.5, "count": 8,

@@ -499,8 +499,8 @@ class ShiftedSolver:
     a unit start), so the test could not fire; only at huge |z|, where the
     iterates underflow, did it raise, far from the spectrum.  ``dist_estimate``
     is then |Im z|, a lower bound on the distance; for every other z (real and
-    near-real z: residue-contour crossings, Newton iterates, Stone endpoints)
-    it is the power-iteration estimate.
+    near-real z: residue-contour crossings, Stone endpoints) it is the
+    power-iteration estimate.
     """
 
     def __init__(self, op: DirichletOperator, z: complex):

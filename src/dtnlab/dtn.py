@@ -36,6 +36,7 @@ __all__ = [
     "normal_derivative",
     "dtn_matrix",
     "dtn_matrices",
+    "fill_certified",
     "gamma_adjoint",
     "boundary_adjoint",
     "identity_suite",
@@ -169,6 +170,20 @@ def _reduced_dtn(op: DirichletOperator, zs: np.ndarray) -> np.ndarray:
     return np.eye(dom.n_boundary) / dom.h - scale * op.trace_resolvent(zs)
 
 
+def fill_certified(op: DirichletOperator, zs) -> None:
+    """Enter M(z) in the M(z) table for every certified z of zs
+    (``DirichletOperator.certified``) that it lacks, all in one call: on the
+    half-line by the continued fraction of the tridiagonal A_II, in 2D through
+    its tridiagonal reduction (_reduced_dtn); neither fails there.  Other z
+    are skipped.  The fill's cost is per call more than per z on the
+    half-line, so a stage enters all the z it will evaluate at once.
+    """
+    distinct = np.unique(np.asarray(zs, dtype=complex))
+    fill = _continued_fraction if op.domain.dimension == 1 else _reduced_dtn
+    op.cached_many(distinct[op.certified(distinct)].tolist(),
+                   lambda fresh: fill(op, np.array(fresh)))
+
+
 def dtn_matrices(op: DirichletOperator, zs):
     """M(z) over a (rows, k) array of z whose rows are profiles, e.g. x + i*etas.
 
@@ -176,18 +191,12 @@ def dtn_matrices(op: DirichletOperator, zs):
     which stops at its first z where dtn_matrix raises NearSpectrum;
     failures[r] is that exception, or None for a complete row.
 
-    Every entry comes from the M(z) table.  The certified z
-    (``DirichletOperator.certified``) that the table lacks are entered first,
-    all at once: on the half-line by the continued fraction of the tridiagonal
-    A_II, in 2D through its tridiagonal reduction (_reduced_dtn); neither
-    fails there.  Every other z is left to dtn_matrix and its LU, so
-    NearSpectrum is raised where dtn_matrix raises it.
+    Every entry comes from the M(z) table.  The certified z that the table
+    lacks are entered first by fill_certified; every other z is left to
+    dtn_matrix and its LU, so NearSpectrum is raised where dtn_matrix raises it.
     """
     zs = np.atleast_2d(np.asarray(zs, dtype=complex))
-    distinct = np.unique(zs)
-    fill = _continued_fraction if op.domain.dimension == 1 else _reduced_dtn
-    op.cached_many(distinct[op.certified(distinct)].tolist(),
-                   lambda fresh: fill(op, np.array(fresh)))
+    fill_certified(op, zs)
     n_b = op.domain.n_boundary
     m = np.zeros(zs.shape + (n_b, n_b), dtype=complex)
     lengths = np.zeros(len(zs), dtype=int)

@@ -33,6 +33,9 @@ __all__ = [
     "slim_eta_M",
     "boundary_value_M",
     "dtn_profile",
+    "profile_nodes",
+    "window_points",
+    "circle_nodes",
     "ellipse",
     "contour_sums",
     "residue_contour",
@@ -48,6 +51,7 @@ DECAY_CUT = 0.5                   # y*F -> 0 when |y*F| decays at least like eta
 _N_WINDOW, _FIT_DEGREE = 17, 10   # analyticity window: sample points, polynomial degree
 _ASPECT = 0.3                     # vertical over horizontal semi-axis of the contour ellipses
 RESIDUE_TOL = 1e-8                # residue singular values that count, over the residue's bound
+RESIDUE_NODES = 32                # trapezoid nodes of a residue circle
 
 
 @dataclass(frozen=True)
@@ -223,6 +227,11 @@ def ac_flags(density, diverging, tau: float):
 # ---------------------------------------------------------------------------
 
 
+def profile_nodes(x, sched: EtaSchedule) -> np.ndarray:
+    """The z = x + i*eta of the schedule, one row per point of x flattened."""
+    return np.reshape(x, (-1, 1)) + 1j * sched.samples()
+
+
 def dtn_profile(op: DirichletOperator, x, g, sched: EtaSchedule):
     """M(x + i*eta) g along the schedule, for a point or an array of points and
     a probe or a stack of probes.
@@ -234,7 +243,7 @@ def dtn_profile(op: DirichletOperator, x, g, sched: EtaSchedule):
     fails at eta0 re-raises it before anything is yielded.
     """
     etas = sched.samples()
-    m, lengths, failures = dtn_matrices(op, np.reshape(x, (-1, 1)) + 1j * etas)
+    m, lengths, failures = dtn_matrices(op, profile_nodes(x, sched))
     if not lengths.all():
         raise failures[int(np.argmin(lengths))]
     g = np.asarray(g, dtype=complex)[..., None, None, :, None]
@@ -323,7 +332,14 @@ def contour_sums(op: DirichletOperator, nodes, weights):
             float(op.domain.boundary_singular_values(m)[:, 0].max()))
 
 
-def residue_contour(op: DirichletOperator, lam0: float, rho: float, n: int = 32) -> ResidueMatrix:
+def circle_nodes(lam0: float, rho: float, n: int = RESIDUE_NODES):
+    """(nodes, nodes - lam0) of the n-point trapezoid rule on |z - lam0| = rho."""
+    w = rho * np.exp(2j * np.pi * np.arange(n) / n)
+    return lam0 + w, w
+
+
+def residue_contour(op: DirichletOperator, lam0: float, rho: float,
+                    n: int = RESIDUE_NODES) -> ResidueMatrix:
     """Residue of M at lam0 by the trapezoid rule on the circle |z - lam0| = rho.
 
     Spectrally accurate for meromorphic M; equals the sum of residues at all
@@ -335,8 +351,8 @@ def residue_contour(op: DirichletOperator, lam0: float, rho: float, n: int = 32)
         raise ValueError("need an even number of nodes, at least 16")
     if rho <= 0:
         raise ValueError("radius must be positive")
-    w = rho * np.exp(2j * np.pi * np.arange(n) / n)
-    (r, r1), m_max = contour_sums(op, lam0 + w, np.stack([w, w * w]) / n)
+    nodes, w = circle_nodes(lam0, rho, n)
+    (r, r1), m_max = contour_sums(op, nodes, np.stack([w, w * w]) / n)
     bound = rho * m_max
     zero = op.domain.boundary_singular_values(r)[0] <= RESIDUE_TOL * bound
     pole = lam0 if zero else lam0 + (np.vdot(r, r1) / np.vdot(r, r)).real
@@ -347,6 +363,11 @@ def residue_contour(op: DirichletOperator, lam0: float, rho: float, n: int = 32)
 # ---------------------------------------------------------------------------
 # analytic continuation test
 # ---------------------------------------------------------------------------
+
+def window_points(x: float, half_width: float) -> np.ndarray:
+    """The real points of analyticity_test's window (x - half_width, x + half_width)."""
+    return np.linspace(x - half_width, x + half_width, _N_WINDOW)
+
 
 def analyticity_test(op: DirichletOperator, x: float, half_width: float,
                      probes, sched: EtaSchedule, slim_rel_tol: float = 1e-6,
@@ -362,7 +383,7 @@ def analyticity_test(op: DirichletOperator, x: float, half_width: float,
     boundary_value_M point by point; the fit takes boundary_value_M's last
     sample.
     """
-    xs = np.linspace(x - half_width, x + half_width, _N_WINDOW)
+    xs = window_points(x, half_width)
     slim, bv = _limits(op, xs, probes, sched, _slim_fields, _bv_fields, slopes=False)
     value = bv["value"]
     # hypot rounds as abs() of a Python complex does; np.abs may not

@@ -1,9 +1,10 @@
 """Sweep orchestration and bit-stable serialization of reports and plot data.
 
 sweep_window runs the level stage, then classify_point at each grid point, then
-the AC stage, each once; a point or stage that raises a DtnLabError keeps it as
-its result (an 'inconclusive' report entry), and sc_screen and purity_filter
-decide from those results without evaluating M.
+the AC stage, each once, and enters the certified z of each stage in one fill;
+a point or stage that raises a DtnLabError keeps it as its result (an
+'inconclusive' report entry), and sc_screen and purity_filter decide from
+those results without evaluating M.
 
 The sweep runs on one thread in grid order (the "threads" setting has no
 effect).  The JSON report is emitted with sorted keys and shortest round-trip
@@ -23,6 +24,7 @@ from .classify import (
     ac_support,
     classify_point,
     make_probes,
+    point_nodes,
     purity_filter,
     sc_screen,
     trace_invisible,
@@ -38,6 +40,7 @@ from .domain import (
     well_potential,
     zero_potential,
 )
+from .dtn import fill_certified
 from .errors import DtnLabError
 from .limits import dtn_profile
 
@@ -99,10 +102,17 @@ def _attempt(stage, *args):
 
 
 def sweep_window(op, window, probes, ccfg, step) -> WindowSweep:
-    """The window's levels, every grid point, the AC stage, then the SC screen of its pass."""
+    """The window's levels, every grid point, the AC stage, then the SC screen of its pass.
+
+    Once the levels are known, the certified z of every grid point's
+    classification (point_nodes) are entered in one fill_certified call; the AC
+    stage reads the same eta profiles.  A fill that fails stores nothing, and
+    the stage that needs those z fails on its own.
+    """
     levels = _attempt(window_levels, op, window, probes, ccfg)
-    points = tuple((x, _attempt(classify_point, op, x, ccfg, probes, levels))
-                   for x in window_grid(window, step))
+    xs = window_grid(window, step)
+    _attempt(fill_certified, op, np.concatenate([point_nodes(op, x, ccfg, levels) for x in xs]))
+    points = tuple((x, _attempt(classify_point, op, x, ccfg, probes, levels)) for x in xs)
     acs = _attempt(ac_support, op, window, probes, ccfg, step)
     scr = _attempt(sc_screen, acs)
     return WindowSweep(points, levels, acs, scr,

@@ -601,3 +601,92 @@ class TestDtnTable:
         assert len(run_sweep(cfg).data["points"]) == 3
         assert not any(certified for _, certified in factored)
         assert len(factored) <= 2
+
+
+WELL_SWEEP = {"domain": {"kind": "halfline", "h": 0.05, "L": 20.0},
+              "potential": {"kind": "well", "depth": 2.0, "width": 1.0},
+              "window": {"lo": 0.0, "hi": 1.0, "grid_step": 0.05}}
+REDUCED_WELL_SWEEP = dict(WELL_SWEEP, window={"lo": 0.3, "hi": 0.4, "grid_step": 0.05})
+ANNULUS_SWEEP = {"domain": {"kind": "exterior2d", "h": 1.0, "a": 1.5, "L": 7.5},
+                 "window": {"lo": 0.5, "hi": 1.0, "grid_step": 0.25}}
+
+
+def _counted_sweep(monkeypatch, raw):
+    """run_sweep on a config: (its operator, the z requested from dtn_matrix,
+    the number of continued-fraction fills)."""
+    ops, requested, fills = [], set(), []
+    build_model, matrix = dtnlab.report.build_model, dtnlab.dtn.dtn_matrix
+    fraction = dtnlab.dtn._continued_fraction
+
+    def keeping(cfg):
+        ops.append(build_model(cfg))
+        return ops[-1]
+
+    def requesting(op_, lam):
+        requested.add(complex(lam))
+        return matrix(op_, lam)
+
+    def counting(op_, zs):
+        fills.append(len(zs))
+        return fraction(op_, zs)
+
+    monkeypatch.setattr(dtnlab.report, "build_model", keeping)
+    monkeypatch.setattr(dtnlab.dtn, "dtn_matrix", requesting)
+    monkeypatch.setattr(dtnlab.dtn, "_continued_fraction", counting)
+    run_sweep(config_from_dict(raw))
+    monkeypatch.undo()
+    [(_, op)] = ops
+    return op, requested, len(fills)
+
+
+class TestStageFill:
+    @pytest.mark.parametrize("raw", [REDUCED_WELL_SWEEP, WELL_SWEEP])
+    def test_one_fill_per_stage(self, monkeypatch, raw):
+        # the level stage enters its ellipse, then every residue circle, and
+        # the sweep every grid point's eta profile and analyticity window, each
+        # in one continued fraction; one call per profile, analyticity window,
+        # residue circle and ellipse made 43 of them on the full sweep
+        assert _counted_sweep(monkeypatch, raw)[2] <= 3
+
+    @pytest.mark.parametrize("raw, distinct", [(WELL_SWEEP, 2408), (ANNULUS_SWEEP, 440)])
+    def test_table_holds_only_requested_z(self, monkeypatch, raw, distinct):
+        # every z that a stage fill enters is one the sweep then evaluates
+        op, requested, _ = _counted_sweep(monkeypatch, raw)
+        assert {key for key in op._cache if isinstance(key, complex)} == requested
+        assert len(requested) == distinct
+
+    @pytest.mark.parametrize("raw", [WELL_SWEEP, dict(ANNULUS_SWEEP, domain={
+        "kind": "exterior2d", "h": 1.0, "a": 1.5, "L": 4.5})])
+    def test_fill_leaves_values_unchanged(self, monkeypatch, raw):
+        # each level and grid point of the sweep, bit for bit as the level
+        # stage and classify_point give them on a fresh operator without any
+        # stage fill, where every dtn_matrices call fills its own z
+        cfg = config_from_dict(raw)
+        ccfg, step = cfg.classify_config(), cfg.grid_step
+        dom, op = dtnlab.report.build_model(cfg)
+        probes = make_probes(dom, "basis")
+        sweep = sweep_window(op, cfg.window, probes, ccfg, step)
+
+        for module in (dtnlab.classify, dtnlab.report):
+            monkeypatch.setattr(module, "fill_certified", lambda op_, zs: None)
+        fresh = dtnlab.report.build_model(cfg)[1]
+        levels = window_levels(fresh, cfg.window, probes, ccfg)
+        assert len(levels) == len(sweep.levels) > 0
+        for ours, theirs in zip(sweep.levels, levels):
+            assert (ours.lam, ours.multiplicity) == (theirs.lam, theirs.multiplicity)
+            for name in ("lam0", "rho", "bound", "pole"):
+                assert getattr(ours.residue, name) == getattr(theirs.residue, name)
+            assert ours.residue.r.tobytes() == theirs.residue.r.tobytes()
+        for x, v in sweep.points:
+            w = classify_point(fresh, x, ccfg, probes, levels)
+            assert (v.verdict, v.refined_lambda, v.multiplicity) == (
+                w.verdict, w.refined_lambda, w.multiplicity)
+            for key in ("slim_rel", "decay_exponent"):
+                assert v.evidence[key].tobytes() == w.evidence[key].tobytes()
+
+
+def test_window_grid_stops_at_hi():
+    assert np.array_equal(dtnlab.classify.window_grid((0.0, 1.0), 0.35), [0.0, 0.35, 0.7])
+    assert len(dtnlab.classify.window_grid((0.0, 4.0), 0.1)) == 41
+    assert len(dtnlab.classify.window_grid((0.3, 0.4), 0.05)) == 3
+    assert dtnlab.classify.window_grid((0.0, 1.0), 0.35)[-1] <= 1.0
