@@ -90,7 +90,9 @@ def _cmd_classify(cfg: RunConfig, out_dir: str, seed: int) -> int:
         print(f"purity of {pur['window']}: {pur['verdict']}" + (detail and f", {detail}"))
     checks = report.data["oracle_crosscheck"]
     ccfg = cfg.classify_config()
-    if any(ccfg.schedule(x).floored for x in window_grid(cfg.window, cfg.grid_step)):
+    if isinstance(checks, dict):
+        print(f"oracle cross-check {checks['verdict']}: {checks['reason']}")
+    elif any(ccfg.schedule(x).floored for x in window_grid(cfg.window, cfg.grid_step)):
         print(f"oracle levels in the window: {len(checks)}, not counted as missed: "
               f"a floored eta schedule emulates continuous spectrum and does not "
               f"resolve levels")

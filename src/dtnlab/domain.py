@@ -325,7 +325,9 @@ class DirichletOperator:
 
     A_II is the 2d+1-point stencil with homogeneous Dirichlet data on both the
     discrete boundary and the truncation ring; B carries boundary data into
-    the interior load with entries 1/h^2, one per adjacency pair.
+    the interior load with entries 1/h^2, one per adjacency pair.  Data
+    derived from A_II and B are read-only cached properties; ``_cache`` is
+    the z -> M(z) table (``cached``).
     """
 
     domain: DiscreteDomain
@@ -339,70 +341,88 @@ class DirichletOperator:
     def n(self) -> int:
         return self.domain.n_interior
 
-    @property
+    @cached_property
     def a_norm(self) -> float:
-        return self.cached("a1", lambda: spla.norm(self.a_ii, 1))
+        """||A_II||_1, computed on first use."""
+        return spla.norm(self.a_ii, 1)
 
-    def cached(self, key, build):
-        """build() on the first request for key, stored (arrays read-only) unless it raises.
+    @cached_property
+    def dense_b(self) -> np.ndarray:
+        """B as a dense complex array (read-only, built on first use)."""
+        return _read_only(self.b.toarray().astype(complex))
+
+    def cached(self, z, build):
+        """The M(z) table: build() on the first request for z, stored read-only
+        unless it raises.
 
         No lock: concurrent misses may each build, and build() must then give
         equal values.
         """
-        if key not in self._cache:
-            value = build()
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            self._cache[key] = value
-        return self._cache[key]
+        z = complex(z)
+        if z not in self._cache:
+            self._cache[z] = _read_only(build())
+        return self._cache[z]
 
-    def cached_many(self, keys, build):
-        """cached() for many keys at once: build(missing) gives, in order, the
-        values of the keys not yet stored."""
-        missing = [key for key in keys if key not in self._cache]
+    def cached_many(self, zs, build):
+        """cached() for many z at once: build(missing) gives, in order, the
+        values of the z not yet stored."""
+        missing = [z for z in zs if z not in self._cache]
         if missing:
-            for key, value in zip(missing, build(missing)):
-                self.cached(key, lambda v=value: v)
+            for z, value in zip(missing, build(missing)):
+                self.cached(z, lambda v=value: v)
 
-    @property
+    @cached_property
     def tridiagonal(self) -> tuple:
-        """(diagonal, off-diagonal) of a tridiagonal A_II, read once per operator."""
-        return self.cached("tridiagonal", lambda: (_read_only(self.a_ii.diagonal()),
-                                                   _read_only(self.a_ii.diagonal(1))))
+        """(diagonal, off-diagonal) of a tridiagonal A_II (read-only, built on first use)."""
+        return _read_only(self.a_ii.diagonal()), _read_only(self.a_ii.diagonal(1))
 
-    @property
+    @cached_property
     def reduction(self) -> tuple:
         """(diagonal, off-diagonal, Q^T P) of an orthogonal reduction Q^T A_II Q = T
-        to symmetric tridiagonal form, built on first use (see _tridiagonalize)."""
-        return self.cached("reduction", lambda: tuple(
-            _read_only(a) for a in _tridiagonalize(self.a_ii.toarray(), self.domain.incidence)))
+        to symmetric tridiagonal form (read-only, built on first use; see
+        _tridiagonalize)."""
+        return tuple(_read_only(a)
+                     for a in _tridiagonalize(self.a_ii.toarray(), self.domain.incidence))
 
-    @property
+    @cached_property
     def shiftable(self) -> tuple:
         """(read-only complex CSC copy of A_II with sorted indices, positions of
         its diagonal in the copy's data): A_II - z is that matrix with z
         subtracted there, on a copy of the data that shares the index arrays."""
-        def build():
-            csc = sp.csc_matrix(self.a_ii, dtype=complex)
-            csc.sort_indices()
-            for a in (csc.data, csc.indices, csc.indptr):
-                _read_only(a)
-            cols = np.repeat(np.arange(self.n), np.diff(csc.indptr))
-            return csc, _read_only(np.flatnonzero(csc.indices == cols))
-        return self.cached("shiftable", build)
+        csc = sp.csc_matrix(self.a_ii, dtype=complex)
+        csc.sort_indices()
+        for a in (csc.data, csc.indices, csc.indptr):
+            _read_only(a)
+        cols = np.repeat(np.arange(self.n), np.diff(csc.indptr))
+        return csc, _read_only(np.flatnonzero(csc.indices == cols))
 
     def trace_resolvent(self, zs) -> np.ndarray:
-        """P^T (A_II - z)^-1 P for each z of zs, as C^T (T - z)^-1 C through the
-        reduction Q^T A_II Q = T, C = Q^T P (``reduction``): one pivoted
-        tridiagonal LU, LAPACK gttrf/gttrs, per z.
+        """P^T (A_II - z)^-1 P for each z of zs, shape (len(zs), n_B, n_B); the
+        boundary block from which M(z) is formed.
 
-        The Householder reduction and the pivoted LU are both backward stable
-        (Golub & Van Loan, *Matrix Computations*, 8.3 and 4.3), so this differs
-        from the sparse LU's solve by rounding and, beside a pole, by the
-        first-order term u*||A_II||_1*||(A_II - z)^-1 P||^2.  A pivot vanishes
-        only where T - z is singular to working precision; NearSpectrum is
-        raised there, as in ShiftedSolver.
+        On the half-line P^T (A_II - z)^-1 P = [(A_II - z)^-1]_11 = 1/t_1 for the
+        backward continued fraction t_n = d_n - z, t_i = d_i - z - e_i^2 / t_(i+1)
+        of the tridiagonal A_II (Golub & Meurant, *Matrices, Moments and
+        Quadrature*, ch. 3), vectorized over zs.  Each pivot has
+        Im t_i <= -Im z for Im z > 0 (>= for Im z < 0), so none vanishes off
+        the real axis.
+
+        In 2D it is C^T (T - z)^-1 C through the reduction Q^T A_II Q = T,
+        C = Q^T P (``reduction``): one pivoted tridiagonal LU, LAPACK
+        gttrf/gttrs, per z.  The Householder reduction and the pivoted LU are
+        both backward stable (Golub & Van Loan, *Matrix Computations*, 8.3 and
+        4.3), so this differs from the sparse LU's solve by rounding and,
+        beside a pole, by the first-order term u*||A_II||_1*||(A_II - z)^-1 P||^2.
+        A pivot vanishes only where T - z is singular to working precision;
+        NearSpectrum is raised there, as in ShiftedSolver.
         """
+        zs = np.asarray(zs, dtype=complex)
+        if self.domain.dimension == 1:
+            diag, off = self.tridiagonal
+            t = diag[-1] - zs
+            for d, e2 in zip(diag[-2::-1].tolist(), (off[::-1] ** 2).tolist()):
+                t = d - zs - e2 / t
+            return (1.0 / t)[:, None, None]
         diag, off, qtp = self.reduction
         c = qtp.astype(complex)
         out = np.empty((len(zs), c.shape[1], c.shape[1]), dtype=complex)

@@ -105,7 +105,7 @@ def poisson_solve(op: DirichletOperator, lam: complex, g: np.ndarray) -> np.ndar
 
 def _poisson_columns(op: DirichletOperator, solver) -> np.ndarray:
     """gamma = R(z) B for the z that solver has factored."""
-    return solver.solve(op.cached("B", lambda: op.b.toarray().astype(complex)))
+    return solver.solve(op.dense_b)
 
 
 def poisson_matrix(op: DirichletOperator, lam: complex) -> PoissonMatrix:
@@ -144,44 +144,22 @@ def dtn_matrix(op: DirichletOperator, lam: complex) -> DtnMatrix:
     return DtnMatrix(lam=lam, m=m)
 
 
-def _continued_fraction(op: DirichletOperator, zs: np.ndarray) -> np.ndarray:
-    """M(z) = 1/h - [(A_II - z)^-1]_11 / h^3 on the half-line, vectorized over zs.
-
-    [(A_II - z)^-1]_11 = 1/t_1 for the backward continued fraction
-    t_n = d_n - z, t_i = d_i - z - e_i^2 / t_(i+1) of the tridiagonal A_II
-    (Golub & Meurant, *Matrices, Moments and Quadrature*, ch. 3).  Each pivot
-    has Im t_i <= -Im z for Im z > 0 (>= for Im z < 0), so none vanishes off
-    the real axis.
-    """
-    diag, off = op.tridiagonal
-    h = op.domain.h
-    t = diag[-1] - zs
-    for d, e2 in zip(diag[-2::-1].tolist(), (off[::-1] ** 2).tolist()):
-        t = d - zs - e2 / t
-    return (1.0 / h - 1.0 / (h ** 3 * t))[:, None, None]
-
-
-def _reduced_dtn(op: DirichletOperator, zs: np.ndarray) -> np.ndarray:
-    """M(z) = I/h - diag(1/(k_b h^3)) P^T (A_II - z)^-1 P in 2D, vectorized over zs,
-    with P^T (A_II - z)^-1 P through the tridiagonal reduction of A_II
-    (``DirichletOperator.trace_resolvent``)."""
-    dom = op.domain
-    scale = 1.0 / (dom.neighbor_counts[:, None] * dom.h ** 3)
-    return np.eye(dom.n_boundary) / dom.h - scale * op.trace_resolvent(zs)
-
-
 def fill_certified(op: DirichletOperator, zs) -> None:
     """Enter M(z) in the M(z) table for every certified z of zs
-    (``DirichletOperator.certified``) that it lacks, all in one call: on the
-    half-line by the continued fraction of the tridiagonal A_II, in 2D through
-    its tridiagonal reduction (_reduced_dtn); neither fails there.  Other z
-    are skipped.  The fill's cost is per call more than per z on the
+    (``DirichletOperator.certified``) that it lacks, all in one call:
+    M(z) = I/h - diag(1/(k_b h^3)) P^T (A_II - z)^-1 P with the boundary block
+    from ``DirichletOperator.trace_resolvent``, which does not fail there.
+    Other z are skipped.  The fill's cost is per call more than per z on the
     half-line, so a stage enters all the z it will evaluate at once.
     """
+    dom = op.domain
+    scale = 1.0 / (dom.neighbor_counts[:, None] * dom.h ** 3)
+
+    def dtn(fresh):
+        return np.eye(dom.n_boundary) / dom.h - scale * op.trace_resolvent(fresh)
+
     distinct = np.unique(np.asarray(zs, dtype=complex))
-    fill = _continued_fraction if op.domain.dimension == 1 else _reduced_dtn
-    op.cached_many(distinct[op.certified(distinct)].tolist(),
-                   lambda fresh: fill(op, np.array(fresh)))
+    op.cached_many(distinct[op.certified(distinct)].tolist(), dtn)
 
 
 def dtn_matrices(op: DirichletOperator, zs):
@@ -216,7 +194,7 @@ def _factor_at(op: DirichletOperator, z: complex):
     """Factor A_II - z once: (solver, gamma(z), M(z)), filling the M(z) table at z."""
     solver = op.factorize(z)
     gamma = _poisson_columns(op, solver)
-    return solver, gamma, op.cached(complex(z), lambda: _dtn_from_gamma(op, gamma))
+    return solver, gamma, op.cached(z, lambda: _dtn_from_gamma(op, gamma))
 
 
 def _adjoint_from_gamma(op: DirichletOperator, gamma_bar: np.ndarray) -> np.ndarray:
@@ -278,7 +256,7 @@ def identity_suite(op: DirichletOperator, lam: complex, zeta: complex, nu: compl
         if z not in poisson:
             poisson[z] = _factor_at(op, z)[1:]
     (gamma_zeta, m_zeta), (gamma_nu, m_nu) = poisson[zeta], poisson[nu]
-    m_zeta_bar = op.cached(complex(zbar), lambda: m_zeta.conj())
+    m_zeta_bar = op.cached(zbar, lambda: m_zeta.conj())
     gz_star = _adjoint_from_gamma(op, gamma_zeta.conj())
     m_zeta_star = boundary_adjoint(op.domain, m_zeta)
     r_gamma_zeta = solver_lam.solve(gamma_zeta)

@@ -121,7 +121,6 @@ class ResidueMatrix:
     lam0: float
     rho: float
     r: np.ndarray
-    n_nodes: int
     bound: float     # rho * the largest weighted norm of M on the nodes, a bound of ||r||
     pole: float      # lam0 + <R1, r> / <r, r>, R1 the first moment; lam0 where r counts as 0
 
@@ -332,14 +331,13 @@ def contour_sums(op: DirichletOperator, nodes, weights):
             float(op.domain.boundary_singular_values(m)[:, 0].max()))
 
 
-def circle_nodes(lam0: float, rho: float, n: int = RESIDUE_NODES):
-    """(nodes, nodes - lam0) of the n-point trapezoid rule on |z - lam0| = rho."""
-    w = rho * np.exp(2j * np.pi * np.arange(n) / n)
+def circle_nodes(lam0: float, rho: float):
+    """(nodes, nodes - lam0) of the RESIDUE_NODES-point trapezoid rule on |z - lam0| = rho."""
+    w = rho * np.exp(2j * np.pi * np.arange(RESIDUE_NODES) / RESIDUE_NODES)
     return lam0 + w, w
 
 
-def residue_contour(op: DirichletOperator, lam0: float, rho: float,
-                    n: int = RESIDUE_NODES) -> ResidueMatrix:
+def residue_contour(op: DirichletOperator, lam0: float, rho: float) -> ResidueMatrix:
     """Residue of M at lam0 by the trapezoid rule on the circle |z - lam0| = rho.
 
     Spectrally accurate for meromorphic M; equals the sum of residues at all
@@ -347,17 +345,14 @@ def residue_contour(op: DirichletOperator, lam0: float, rho: float,
     also gives the first moment R1 = (1/2 pi i) oint (z - lam0) M(z) dz: it is
     (lam - lam0) r when the circle holds one pole lam, so pole = lam is exact.
     """
-    if n < 16 or n % 2:
-        raise ValueError("need an even number of nodes, at least 16")
     if rho <= 0:
         raise ValueError("radius must be positive")
-    nodes, w = circle_nodes(lam0, rho, n)
-    (r, r1), m_max = contour_sums(op, nodes, np.stack([w, w * w]) / n)
+    nodes, w = circle_nodes(lam0, rho)
+    (r, r1), m_max = contour_sums(op, nodes, np.stack([w, w * w]) / RESIDUE_NODES)
     bound = rho * m_max
     zero = op.domain.boundary_singular_values(r)[0] <= RESIDUE_TOL * bound
     pole = lam0 if zero else lam0 + (np.vdot(r, r1) / np.vdot(r, r)).real
-    return ResidueMatrix(lam0=float(lam0), rho=float(rho), r=r, n_nodes=n, bound=bound,
-                         pole=float(pole))
+    return ResidueMatrix(lam0=float(lam0), rho=float(rho), r=r, bound=bound, pole=float(pole))
 
 
 # ---------------------------------------------------------------------------

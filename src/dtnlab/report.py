@@ -191,7 +191,8 @@ def run_sweep(cfg: RunConfig) -> ClassificationReport:
 
     data_levels = _stage_json(sweep.levels, _levels_json(lo, hi))
     found = data_levels if isinstance(data_levels, list) else []
-    crosscheck = []
+    crosscheck = {"verdict": "skipped",
+                  "reason": f"{dom.n_interior} interior nodes, above {_ORACLE_DIM_CAP}"}
     if dom.n_interior <= _ORACLE_DIM_CAP:
         eig = oracle_eigendecomposition(op)
         levels = np.array([eig.values[g[0]] for g in eig.groups])

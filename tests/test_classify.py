@@ -527,7 +527,7 @@ class TestDtnTable:
         dom = build_domain(Exterior2D(h=1.0, a=1.5, L=4.5))
         op = assemble_operator(dom, zero_potential(dom))
         by_lu, by_reduction = [], []
-        poisson_matrix, reduced = dtnlab.dtn.poisson_matrix, dtnlab.dtn._reduced_dtn
+        poisson_matrix, reduced = dtnlab.dtn.poisson_matrix, DirichletOperator.trace_resolvent
 
         def counting_lu(op_, lam):
             by_lu.append(complex(lam))
@@ -538,7 +538,7 @@ class TestDtnTable:
             return reduced(op_, zs)
 
         monkeypatch.setattr(dtnlab.dtn, "poisson_matrix", counting_lu)
-        monkeypatch.setattr(dtnlab.dtn, "_reduced_dtn", counting_reduction)
+        monkeypatch.setattr(DirichletOperator, "trace_resolvent", counting_reduction)
         cfg = ClassifyConfig(eta0=1e-2, pole_match_radius=0.25, window_half_width=0.25)
         # the level 0.929221: the residue contour crosses the real axis
         assert classify_point(op, 0.93, cfg, make_probes(dom, "basis")).verdict == "eigenvalue"
@@ -554,7 +554,8 @@ class TestDtnTable:
         for z in by_lu:
             assert np.array_equal(dtn_matrix(op, z).m, dtn_matrix(fresh, z).m)
         for z in by_reduction:
-            assert np.array_equal(dtn_matrix(op, z).m, dtnlab.dtn._reduced_dtn(fresh, [z])[0])
+            dtnlab.dtn.fill_certified(fresh, [z])
+            assert np.array_equal(dtn_matrix(op, z).m, dtn_matrix(fresh, z).m)
 
     def test_reduced_annulus_sweep_factorization_count(self, monkeypatch):
         # Certified z come from the tridiagonal reduction and the level stage
@@ -613,10 +614,10 @@ ANNULUS_SWEEP = {"domain": {"kind": "exterior2d", "h": 1.0, "a": 1.5, "L": 7.5},
 
 def _counted_sweep(monkeypatch, raw):
     """run_sweep on a config: (its operator, the z requested from dtn_matrix,
-    the number of continued-fraction fills)."""
+    the number of trace_resolvent fills)."""
     ops, requested, fills = [], set(), []
     build_model, matrix = dtnlab.report.build_model, dtnlab.dtn.dtn_matrix
-    fraction = dtnlab.dtn._continued_fraction
+    trace = DirichletOperator.trace_resolvent
 
     def keeping(cfg):
         ops.append(build_model(cfg))
@@ -628,11 +629,11 @@ def _counted_sweep(monkeypatch, raw):
 
     def counting(op_, zs):
         fills.append(len(zs))
-        return fraction(op_, zs)
+        return trace(op_, zs)
 
     monkeypatch.setattr(dtnlab.report, "build_model", keeping)
     monkeypatch.setattr(dtnlab.dtn, "dtn_matrix", requesting)
-    monkeypatch.setattr(dtnlab.dtn, "_continued_fraction", counting)
+    monkeypatch.setattr(DirichletOperator, "trace_resolvent", counting)
     run_sweep(config_from_dict(raw))
     monkeypatch.undo()
     [(_, op)] = ops
@@ -683,6 +684,26 @@ class TestStageFill:
                 w.verdict, w.refined_lambda, w.multiplicity)
             for key in ("slim_rel", "decay_exponent"):
                 assert v.evidence[key].tobytes() == w.evidence[key].tobytes()
+
+    @pytest.mark.parametrize("raw", [REDUCED_WELL_SWEEP, dict(ANNULUS_SWEEP, domain={
+        "kind": "exterior2d", "h": 1.0, "a": 1.5, "L": 4.5})])
+    def test_table_holds_only_m(self, monkeypatch, raw):
+        # the operator's table maps complex z to M(z) and nothing else; its
+        # other lazily built data are built once and read-only
+        op = _counted_sweep(monkeypatch, raw)[0]
+        assert op._cache and all(type(key) is complex for key in op._cache)
+        arrays = []
+        for name in ("a_norm", "dense_b", "tridiagonal", "reduction", "shiftable"):
+            value = getattr(op, name)
+            assert getattr(op, name) is value
+            with pytest.raises(AttributeError):
+                setattr(op, name, value)
+            arrays += value if isinstance(value, tuple) else [value]
+        csc, _ = op.shiftable
+        arrays += [csc.data, csc.indices, csc.indptr]
+        assert not any(a.flags.writeable for a in arrays if isinstance(a, np.ndarray))
+        # building them entered nothing in the table
+        assert all(type(key) is complex for key in op._cache)
 
 
 def test_window_grid_stops_at_hi():

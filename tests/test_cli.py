@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import dtnlab.report
 from dtnlab import ConfigError, config_from_dict, parse_config
 from dtnlab.config import MAX_ETA_COUNT, MAX_GRID_POINTS, MAX_PROBES
 from dtnlab.classify import window_grid
@@ -262,6 +263,17 @@ class TestCli:
             "schedule emulates continuous spectrum and does not resolve levels")
         crosscheck = parse_report(str(tmp_path / "report.json"))["oracle_crosscheck"]
         assert len(crosscheck) == 29 and not any(c["detected"] for c in crosscheck)
+
+    def test_classify_above_oracle_cap_says_skipped(self, tmp_path, capsys, monkeypatch):
+        # above the cap the dense oracle is not run: the report and the summary
+        # say the cross-check was skipped instead of counting zero levels
+        monkeypatch.setattr(dtnlab.report, "_ORACLE_DIM_CAP", 1)
+        code = main(["classify", "--config", _write_config(tmp_path), "--out", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "oracle cross-check skipped: 2 interior nodes, above 1")
+        assert parse_report(str(tmp_path / "report.json"))["oracle_crosscheck"] == {
+            "verdict": "skipped", "reason": "2 interior nodes, above 1"}
 
     @pytest.mark.parametrize("section, value, match, command", [
         ("domain", {"kind": "halfline", "h": True, "L": 3.0}, "domain.h", "classify"),

@@ -210,8 +210,6 @@ class TestResidue:
     def test_parameter_validation(self, t1):
         _, op = t1
         with pytest.raises(ValueError):
-            residue_contour(op, 1.0, 0.5, n=15)
-        with pytest.raises(ValueError):
             residue_contour(op, 1.0, -0.5)
 
 
