@@ -156,11 +156,8 @@ class ClassifyConfig:
     def __post_init__(self):
         if self.floor_mode not in ("none", "halfline_auto"):
             raise ValueError(f"unknown floor_mode {self.floor_mode!r}")
-
-    def level_spacing(self, x: float) -> float:
-        if self.floor_mode != "halfline_auto" or x <= 0 or self.halfline_length <= 0:
-            return 0.0
-        return 2 * np.pi * np.sqrt(x) / self.halfline_length
+        if self.floor_mode == "halfline_auto" and not self.halfline_length > 0:
+            raise ValueError("floor_mode 'halfline_auto' needs a positive halfline_length")
 
     def analyticity_half_width(self, d: float) -> float:
         """Half-width of the analyticity window at distance d from the nearest level."""
@@ -173,10 +170,17 @@ class ClassifyConfig:
         return (np.asarray(relative) > self.tau_eig_rel) & ~(slope >= DECAY_CUT)
 
     def schedule(self, x: float) -> EtaSchedule:
-        floor = self.floor_factor * self.level_spacing(x)
+        floor = 0.0
+        if self.floor_mode == "halfline_auto" and x > 0:    # level spacing 2 pi sqrt(x) / L
+            floor = self.floor_factor * (2 * np.pi * np.sqrt(x) / self.halfline_length)
         if floor >= self.eta0:
             floor = 0.9 * self.eta0
         return EtaSchedule(self.eta0, self.eta_ratio, self.eta_count, floor=floor)
+
+    def resolves_levels(self, window) -> bool:
+        """Whether the window (lo, hi) resolves levels: no point of it has a floored
+        schedule.  Floors grow with x, so the schedule at hi decides."""
+        return not self.schedule(window[1]).floored
 
     def schedule_runs(self, xs):
         """(schedule, indices) for each run of consecutive grid points that share
@@ -267,7 +271,7 @@ def _residue_range(dom, res: ResidueMatrix):
 
 
 def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) -> tuple:
-    """The levels of M around the window (lo, hi), ascending; () on floored schedules.
+    """The levels of M around the window (lo, hi), ascending; () unless it resolves levels.
 
     M is meromorphic on a finite model, so the moments (1/2 pi i) oint T_k(u)
     (M g_l, g_j) dz, T_k Chebyshev in u = (z - c)/r on an ellipse through
@@ -275,16 +279,16 @@ def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) ->
     pencil whose eigenvalues estimate the poles inside (Beyn, LAA 436 (2012);
     Sakurai & Sugiura, JCAM 159 (2003)).  Its rank must stay at most half its
     size, else the block count doubles, up to 32 moments, then Inconclusive.
-    Estimates in (lo - w, hi + w) merge within the oracle's degeneracy rule;
-    the residue_contour around each, of _GAP_FRACTION x the gap to the nearest
-    other estimate, holds one pole and gives the level: its value (res.pole),
-    and as multiplicity the count of weighted singular values above
+    An estimate in (lo - w, hi + w) within 1e-8 max(||A_II||_1, 1) of the one below
+    merges into it; the residue_contour around each, of _GAP_FRACTION x the gap to
+    the nearest other estimate, holds one pole and gives the level: its value
+    (res.pole), and as multiplicity the count of weighted singular values above
     RESIDUE_TOL x rho max ||M||, the nonzero eta*M-limit test, as -i eta
     M(lam + i eta) tends to that residue.  M is evaluated only by contour_sums,
     and the certified nodes of every residue circle are entered at once.
     """
     lo, hi = window
-    if cfg.schedule(lo).floored:
+    if not cfg.resolves_levels(window):
         return ()
     dom, w, size = op.domain, cfg.window_half_width, 2 * _LEVEL_BLOCKS[-1]
     a, b = lo - 2 * w, hi + 2 * w
@@ -351,11 +355,10 @@ def _result(stage):
     return stage
 
 
-def _nearest_level(x: float, sched: EtaSchedule, levels):
-    """The level nearest to x and its distance, (None, inf) without levels; on a
-    floored schedule levels count for nothing, else a DtnLabError for them is
-    raised again."""
-    levels = () if sched.floored else _result(levels)
+def _nearest_level(x: float, levels):
+    """The level nearest to x and its distance, (None, inf) without levels; a
+    DtnLabError for them is raised again."""
+    levels = _result(levels)
     gaps = [abs(level.lam - x) for level in levels]
     if not gaps:
         return None, np.inf
@@ -366,11 +369,11 @@ def _nearest_level(x: float, sched: EtaSchedule, levels):
 def classify_point(op: DirichletOperator, x: float, cfg: ClassifyConfig,
                    probes=None, levels=None) -> PointVerdict:
     """Decision tree on window_levels' levels (by default those of (x - w, x + w),
-    w = window_half_width; none on floored schedules, and a DtnLabError for
-    levels is raised again): within pole_match_radius of a level -> Eigenvalue,
-    as the nearest level; else analytic continuation through the window of
-    half-width min(w, d/4), d the distance to the nearest level -> ResolventSet;
-    else ContinuousSpectrum.  The eta*M limits are taken first, as evidence."""
+    w = window_half_width; a DtnLabError for levels is raised again): within
+    pole_match_radius of a level -> Eigenvalue, as the nearest level; else
+    analytic continuation through the window of half-width min(w, d/4), d the
+    distance to the nearest level -> ResolventSet; else ContinuousSpectrum.
+    The eta*M limits are taken first, as evidence."""
     dom = op.domain
     sched = cfg.schedule(x)
     probes = make_probes(dom, "basis") if probes is None else probes
@@ -379,9 +382,9 @@ def classify_point(op: DirichletOperator, x: float, cfg: ClassifyConfig,
     evidence = {"slim_rel": est.relative, "decay_exponent": est.decay_exponent}
 
     w = cfg.window_half_width
-    if levels is None and not sched.floored:
+    if levels is None:
         levels = window_levels(op, (x - w, x + w), probes, cfg)
-    near, d = _nearest_level(x, sched, levels)
+    near, d = _nearest_level(x, levels)
     if d <= cfg.pole_match_radius:
         return PointVerdict(x=x, verdict=EIGENVALUE, refined_lambda=near.lam,
                             multiplicity=near.multiplicity, residue=near.residue,
@@ -402,7 +405,7 @@ def point_nodes(op: DirichletOperator, x: float, cfg: ClassifyConfig, levels) ->
     sched = cfg.schedule(x)
     profile = profile_nodes(x, sched)
     try:
-        d = _nearest_level(x, sched, levels)[1]
+        d = _nearest_level(x, levels)[1]
     except DtnLabError:
         return profile.ravel()
     if d <= cfg.pole_match_radius or not op.certified(profile).all():

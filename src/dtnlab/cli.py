@@ -89,13 +89,8 @@ def _cmd_classify(cfg: RunConfig, out_dir: str, seed: int) -> int:
         detail = pur.get("reason") or offending and f"offending points {offending}"
         print(f"purity of {pur['window']}: {pur['verdict']}" + (detail and f", {detail}"))
     checks = report.data["oracle_crosscheck"]
-    ccfg = cfg.classify_config()
     if isinstance(checks, dict):
         print(f"oracle cross-check {checks['verdict']}: {checks['reason']}")
-    elif any(ccfg.schedule(x).floored for x in window_grid(cfg.window, cfg.grid_step)):
-        print(f"oracle levels in the window: {len(checks)}, not counted as missed: "
-              f"a floored eta schedule emulates continuous spectrum and does not "
-              f"resolve levels")
     else:
         found = sum(c["detected"] for c in checks)
         invisible = sum(c["invisible"] and not c["detected"] for c in checks)

@@ -12,8 +12,8 @@ noted; unknown keys anywhere are rejected with a suggestion):
       "window":    {"lo": 0.0, "hi": 4.0, "grid_step": 0.1},        # required
       "eta":       {"eta0": 0.01, "ratio": 0.5, "count": 8,
                     "floor_mode": "none", "floor_factor": 5.0},
-                   # floor_mode "none" (a finite model) or "halfline_auto": eta
-                   # floored at floor_factor x the level spacing 2 pi sqrt(x) / L
+                   # floor_mode "none" (a finite model) or "halfline_auto" (halfline
+                   # only): eta floored at floor_factor x the level spacing 2 pi sqrt(x) / L
       "probes":    {"kind": "basis"},   # or {"kind": "random", "count": 4, "seed": 0}
       "thresholds": {"tau_eig": 1e-6, "tau_ac": 1e-6, "fit_tol": 1e-5,
                      "pole_match_radius": null, "window_half_width": null},
@@ -221,6 +221,8 @@ def config_from_dict(data: dict) -> RunConfig:
     eta["count"] = _integer(eta["count"], 3, MAX_ETA_COUNT, "eta.count")
     _require(eta["floor_mode"] in ("none", "halfline_auto"),
              "eta.floor_mode must be 'none' or 'halfline_auto'")
+    _require(eta["floor_mode"] != "halfline_auto" or kind == "halfline",
+             "eta.floor_mode 'halfline_auto' needs domain.kind 'halfline'")
     _require(eta["floor_factor"] > 0, "eta.floor_factor must be positive")
 
     probes = {"kind": "basis", "count": 1, "seed": 0}

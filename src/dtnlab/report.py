@@ -190,15 +190,18 @@ def run_sweep(cfg: RunConfig) -> ClassificationReport:
                     for row in _sample_rows(op, p["x"], probes, ccfg, p["verdict"]))
 
     data_levels = _stage_json(sweep.levels, _levels_json(lo, hi))
-    found = data_levels if isinstance(data_levels, list) else []
     crosscheck = {"verdict": "skipped",
                   "reason": f"{dom.n_interior} interior nodes, above {_ORACLE_DIM_CAP}"}
-    if dom.n_interior <= _ORACLE_DIM_CAP:
+    if not ccfg.resolves_levels(cfg.window):
+        crosscheck["reason"] = "a floored eta schedule does not resolve levels"
+    elif isinstance(sweep.levels, DtnLabError):
+        crosscheck["reason"] = f"the level stage was inconclusive: {sweep.levels}"
+    elif dom.n_interior <= _ORACLE_DIM_CAP:
         eig = oracle_eigendecomposition(op)
         levels = np.array([eig.values[g[0]] for g in eig.groups])
         # each reported level is credited to its nearest oracle level only
         credited = {}
-        for lam_d in (level["lambda"] for level in found):
+        for lam_d in (level["lambda"] for level in data_levels):
             k = int(np.argmin(np.abs(levels - lam_d)))
             if abs(levels[k] - lam_d) <= ccfg.pole_match_radius:
                 credited.setdefault(k, lam_d)

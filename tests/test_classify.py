@@ -499,6 +499,11 @@ class TestClassifyConfig:
         with pytest.raises(ValueError, match="floor_mode"):
             ClassifyConfig(eta0=1e-2, floor_mode="constant")
 
+    def test_halfline_floor_needs_a_length(self):
+        # without L there is no level spacing: it would run unfloored without a word
+        with pytest.raises(ValueError, match="halfline_length"):
+            ClassifyConfig(eta0=1e-2, floor_mode="halfline_auto")
+
 
 class TestProbes:
     def test_basis_probes(self, annulus2d):

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +123,16 @@ def test_crosscheck_credits_each_pole_to_its_nearest_level():
         if c["detected"]:
             assert c["lambda_detected"] == pytest.approx(c["lambda_oracle"], abs=1e-12)
     assert checks[0.951083]["lambda_detected"] is None
+
+
+def test_readme_example_config_classifies(tmp_path):
+    # the config that README.md documents stays valid and runs
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"```json\n(.*?)```", readme, re.S)
+    data = json.loads(block)
+    config_from_dict(data)
+    assert main(["classify", "--config", _write_config(tmp_path, data),
+                 "--out", str(tmp_path)]) == 0
 
 
 class TestCli:
@@ -251,7 +263,8 @@ class TestCli:
 
     def test_classify_floored_schedule_counts_no_missed_levels(self, tmp_path, capsys):
         # the truncated free half-line emulates continuous spectrum: its floored
-        # schedule is not meant to resolve the 29 levels in the window
+        # schedule is not meant to resolve the 29 levels in the window, so the
+        # cross-check is skipped and counts none of them as missed
         cfg = {"domain": {"kind": "halfline", "h": 0.05, "L": 60.0},
                "window": {"lo": 0.25, "hi": 4.0, "grid_step": 0.25},
                "eta": {"eta0": 0.4, "floor_mode": "halfline_auto"}}
@@ -259,10 +272,43 @@ class TestCli:
                      "--out", str(tmp_path)])
         assert code == 0
         assert capsys.readouterr().out.splitlines()[-1] == (
-            "oracle levels in the window: 29, not counted as missed: a floored eta "
-            "schedule emulates continuous spectrum and does not resolve levels")
-        crosscheck = parse_report(str(tmp_path / "report.json"))["oracle_crosscheck"]
-        assert len(crosscheck) == 29 and not any(c["detected"] for c in crosscheck)
+            "oracle cross-check skipped: a floored eta schedule does not resolve levels")
+        assert parse_report(str(tmp_path / "report.json"))["oracle_crosscheck"] == {
+            "verdict": "skipped", "reason": "a floored eta schedule does not resolve levels"}
+
+    def test_window_reaching_a_floor_has_no_levels(self):
+        # the window starts below the band edge 0, where the schedule is not
+        # floored, but its floored part is continuum emulation: no level stage
+        # runs, so it cannot fail on the many levels there and spoil the points
+        # below 0 and the purity
+        report = run_sweep(config_from_dict({
+            "domain": {"kind": "halfline", "h": 0.05, "L": 60.0},
+            "window": {"lo": -0.5, "hi": 1.0, "grid_step": 0.25},
+            "eta": {"eta0": 0.4, "floor_mode": "halfline_auto"}})).data
+        # the analyticity windows of -0.25 and 0 reach the band edge
+        assert [p["verdict"] for p in report["points"]] == ["resolvent"] + ["continuous"] * 6
+        assert report["levels"] == []
+        assert report["purity"][0]["verdict"] == "PureAC"
+        assert report["ac_support"]["closed_union"] == [[0.0, 1.0]]
+        assert report["oracle_crosscheck"] == {
+            "verdict": "skipped", "reason": "a floored eta schedule does not resolve levels"}
+
+    def test_classify_failed_level_stage_says_skipped(self, tmp_path, capsys):
+        # 11 levels of the well lie inside the level stage's contour, more than
+        # it resolves: the cross-check is skipped with the stage's reason
+        # instead of counting every level in the window as missed
+        cfg = {"domain": {"kind": "halfline", "h": 0.05, "L": 20.0},
+               "potential": {"kind": "well", "depth": 2.0, "width": 1.0},
+               "window": {"lo": 0.0, "hi": 2.5, "grid_step": 0.5},
+               "thresholds": {"window_half_width": 0.25}}
+        code = main(["classify", "--config", _write_config(tmp_path, cfg),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        reason = ("the level stage was inconclusive: more levels around (0.0, 2.5) than "
+                  "32 contour moments resolve")
+        assert capsys.readouterr().out.splitlines()[-1] == f"oracle cross-check skipped: {reason}"
+        assert parse_report(str(tmp_path / "report.json"))["oracle_crosscheck"] == {
+            "verdict": "skipped", "reason": reason}
 
     def test_classify_above_oracle_cap_says_skipped(self, tmp_path, capsys, monkeypatch):
         # above the cap the dense oracle is not run: the report and the summary
@@ -295,6 +341,14 @@ class TestCli:
     ])
     def test_constant_floor_is_config_error(self, tmp_path, eta, match):
         self._rejected(tmp_path, dict(T1_CONFIG, eta=eta), match)
+
+    def test_halfline_floor_on_exterior_is_config_error(self, tmp_path):
+        # the level spacing 2 pi sqrt(x) / L is the half-line's: the annulus would
+        # be floored with its box half-width and a finite model read as PureAC
+        bad = {"domain": {"kind": "exterior2d", "h": 1.0, "a": 1.5, "L": 4.5},
+               "window": {"lo": 0.5, "hi": 1.0, "grid_step": 0.5},
+               "eta": {"eta0": 0.4, "floor_mode": "halfline_auto"}}
+        self._rejected(tmp_path, bad, r"eta\.floor_mode .*domain\.kind")
 
     @pytest.mark.parametrize("probes, match", [
         ({"kind": "random", "count": 1e12}, "probes.count"),
