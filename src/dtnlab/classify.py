@@ -169,18 +169,17 @@ class ClassifyConfig:
         slope = np.nan if slope is None else np.asarray(slope)
         return (np.asarray(relative) > self.tau_eig_rel) & ~(slope >= DECAY_CUT)
 
+    @property
+    def level_edge(self) -> float:
+        """Above this x (0 under halfline_auto) the schedule is floored: no levels known."""
+        return 0.0 if self.floor_mode == "halfline_auto" else np.inf
+
     def schedule(self, x: float) -> EtaSchedule:
         floor = 0.0
-        if self.floor_mode == "halfline_auto" and x > 0:    # level spacing 2 pi sqrt(x) / L
+        if x > self.level_edge:    # halfline_auto: the level spacing 2 pi sqrt(x) / L
             floor = self.floor_factor * (2 * np.pi * np.sqrt(x) / self.halfline_length)
-        if floor >= self.eta0:
-            floor = 0.9 * self.eta0
+            floor = floor if floor < self.eta0 else 0.9 * self.eta0
         return EtaSchedule(self.eta0, self.eta_ratio, self.eta_count, floor=floor)
-
-    def resolves_levels(self, window) -> bool:
-        """Whether the window (lo, hi) resolves levels: no point of it has a floored
-        schedule.  Floors grow with x, so the schedule at hi decides."""
-        return not self.schedule(window[1]).floored
 
     def schedule_runs(self, xs):
         """(schedule, indices) for each run of consecutive grid points that share
@@ -271,27 +270,27 @@ def _residue_range(dom, res: ResidueMatrix):
 
 
 def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) -> tuple:
-    """The levels of M around the window (lo, hi), ascending; () unless it resolves levels.
+    """The levels of M around the window (lo, hi) up to cfg.level_edge, ascending.
 
     M is meromorphic on a finite model, so the moments (1/2 pi i) oint T_k(u)
     (M g_l, g_j) dz, T_k Chebyshev in u = (z - c)/r on an ellipse through
-    lo - 2w and hi + 2w (w = window_half_width), make a block Hankel-type
+    lo - 2w and hi + 2w or the edge (w = window_half_width), make a block Hankel-type
     pencil whose eigenvalues estimate the poles inside (Beyn, LAA 436 (2012);
     Sakurai & Sugiura, JCAM 159 (2003)).  Its rank must stay at most half its
     size, else the block count doubles, up to 32 moments, then Inconclusive.
-    An estimate in (lo - w, hi + w) within 1e-8 max(||A_II||_1, 1) of the one below
-    merges into it; the residue_contour around each, of _GAP_FRACTION x the gap to
-    the nearest other estimate, holds one pole and gives the level: its value
-    (res.pole), and as multiplicity the count of weighted singular values above
+    Estimates in (lo - w, hi + w) below the edge merge within 1e-8 max(||A_II||_1, 1);
+    the residue_contour around each, of _GAP_FRACTION x the gap to the nearest
+    other estimate, holds one pole and gives the level: its value (res.pole),
+    and as multiplicity the count of weighted singular values above
     RESIDUE_TOL x rho max ||M||, the nonzero eta*M-limit test, as -i eta
     M(lam + i eta) tends to that residue.  M is evaluated only by contour_sums,
     and the certified nodes of every residue circle are entered at once.
     """
     lo, hi = window
-    if not cfg.resolves_levels(window):
+    if lo > cfg.level_edge:
         return ()
     dom, w, size = op.domain, cfg.window_half_width, 2 * _LEVEL_BLOCKS[-1]
-    a, b = lo - 2 * w, hi + 2 * w
+    a, b = lo - 2 * w, min(hi + 2 * w, cfg.level_edge)
     centre, half = 0.5 * (a + b), 0.5 * (b - a)
     u, du = ellipse(2 * np.pi * (np.arange(_LEVEL_NODES) + 0.5) / _LEVEL_NODES)
     cheb = np.polynomial.chebyshev.chebvander(u, size - 1).T    # T_k(u) at the nodes
@@ -318,7 +317,7 @@ def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) ->
     left, right = left[:, :rank], right[:rank].conj().T
     estimates = np.sort(centre + half * np.linalg.eigvals(left.conj().T @ h1 @ right
                                                           / sv[:rank]).real)
-    near = (lo - w < estimates) & (estimates < hi + w)
+    near = (lo - w < estimates) & (estimates < min(hi + w, cfg.level_edge))
     tol = 1e-8 * max(op.a_norm, 1.0)
     values = estimates[near][np.diff(estimates[near], prepend=-np.inf) > tol]
     poles = np.concatenate([values, estimates[~near], [a, b]])
@@ -355,25 +354,23 @@ def _result(stage):
     return stage
 
 
-def _nearest_level(x: float, levels):
-    """The level nearest to x and its distance, (None, inf) without levels; a
-    DtnLabError for them is raised again."""
-    levels = _result(levels)
-    gaps = [abs(level.lam - x) for level in levels]
-    if not gaps:
-        return None, np.inf
-    k = int(np.argmin(gaps))
-    return levels[k], gaps[k]
+def _nearest_level(x: float, cfg: ClassifyConfig, levels):
+    """The level nearest to x and its distance, (None, inf) without levels; above
+    cfg.level_edge levels count for nothing, else a DtnLabError for them is
+    raised again."""
+    levels = () if x > cfg.level_edge else _result(levels)
+    near = min(levels, key=lambda level: abs(level.lam - x), default=None)
+    return near, np.inf if near is None else abs(near.lam - x)
 
 
 def classify_point(op: DirichletOperator, x: float, cfg: ClassifyConfig,
                    probes=None, levels=None) -> PointVerdict:
     """Decision tree on window_levels' levels (by default those of (x - w, x + w),
-    w = window_half_width; a DtnLabError for levels is raised again): within
-    pole_match_radius of a level -> Eigenvalue, as the nearest level; else
-    analytic continuation through the window of half-width min(w, d/4), d the
-    distance to the nearest level -> ResolventSet; else ContinuousSpectrum.
-    The eta*M limits are taken first, as evidence."""
+    w = window_half_width; none above cfg.level_edge, and a DtnLabError for
+    levels is raised again): within pole_match_radius of a level -> Eigenvalue,
+    as the nearest level; else analytic continuation through the window of
+    half-width min(w, d/4), d the distance to the nearest level -> ResolventSet;
+    else ContinuousSpectrum.  The eta*M limits are taken first, as evidence."""
     dom = op.domain
     sched = cfg.schedule(x)
     probes = make_probes(dom, "basis") if probes is None else probes
@@ -382,9 +379,9 @@ def classify_point(op: DirichletOperator, x: float, cfg: ClassifyConfig,
     evidence = {"slim_rel": est.relative, "decay_exponent": est.decay_exponent}
 
     w = cfg.window_half_width
-    if levels is None:
+    if levels is None and x <= cfg.level_edge:
         levels = window_levels(op, (x - w, x + w), probes, cfg)
-    near, d = _nearest_level(x, levels)
+    near, d = _nearest_level(x, cfg, levels)
     if d <= cfg.pole_match_radius:
         return PointVerdict(x=x, verdict=EIGENVALUE, refined_lambda=near.lam,
                             multiplicity=near.multiplicity, residue=near.residue,
@@ -405,7 +402,7 @@ def point_nodes(op: DirichletOperator, x: float, cfg: ClassifyConfig, levels) ->
     sched = cfg.schedule(x)
     profile = profile_nodes(x, sched)
     try:
-        d = _nearest_level(x, levels)[1]
+        d = _nearest_level(x, cfg, levels)[1]
     except DtnLabError:
         return profile.ravel()
     if d <= cfg.pole_match_radius or not op.certified(profile).all():

@@ -190,13 +190,16 @@ def run_sweep(cfg: RunConfig) -> ClassificationReport:
                     for row in _sample_rows(op, p["x"], probes, ccfg, p["verdict"]))
 
     data_levels = _stage_json(sweep.levels, _levels_json(lo, hi))
-    crosscheck = {"verdict": "skipped",
-                  "reason": f"{dom.n_interior} interior nodes, above {_ORACLE_DIM_CAP}"}
-    if not ccfg.resolves_levels(cfg.window):
-        crosscheck["reason"] = "a floored eta schedule does not resolve levels"
+    reason = None
+    if hi > ccfg.level_edge:
+        reason = "a floored eta schedule does not resolve levels"
     elif isinstance(sweep.levels, DtnLabError):
-        crosscheck["reason"] = f"the level stage was inconclusive: {sweep.levels}"
-    elif dom.n_interior <= _ORACLE_DIM_CAP:
+        reason = f"the level stage was inconclusive: {sweep.levels}"
+    elif dom.n_interior > _ORACLE_DIM_CAP:
+        reason = f"{dom.n_interior} interior nodes, above {_ORACLE_DIM_CAP}"
+    if reason:
+        crosscheck = {"verdict": "skipped", "reason": reason}
+    else:
         eig = oracle_eigendecomposition(op)
         levels = np.array([eig.values[g[0]] for g in eig.groups])
         # each reported level is credited to its nearest oracle level only

@@ -164,6 +164,21 @@ class TestClassifyPoint:
         assert v.verdict == "eigenvalue"
         assert v.refined_lambda == pytest.approx(lam, abs=1e-6)
 
+    def test_bound_state_near_the_floored_edge_detected(self):
+        # the point's level window (lam - w, lam + w) crosses the band edge 0,
+        # above which halfline_auto floors the schedule: the level below is found
+        dom = build_domain(HalfLine1D(h=0.05, L=20.0))
+        op = assemble_operator(dom, well_potential(dom, depth=3.5, width=1.0))
+        lam = oracle_eigendecomposition(op).values[0]
+        assert -0.25 < lam < 0
+        cfg = ClassifyConfig(eta0=0.4, floor_mode="halfline_auto", halfline_length=20.0,
+                             pole_match_radius=0.1, window_half_width=0.25)
+        v = classify_point(op, float(lam), cfg)
+        assert v.verdict == "eigenvalue"
+        assert v.multiplicity == 1
+        assert v.refined_lambda == pytest.approx(lam, abs=1e-9)
+        assert classify_point(op, 0.05, cfg).verdict == "continuous"
+
 
 class TestTau:
     def test_t1_bijection(self, t1):

@@ -278,18 +278,41 @@ class TestCli:
 
     def test_window_reaching_a_floor_has_no_levels(self):
         # the window starts below the band edge 0, where the schedule is not
-        # floored, but its floored part is continuum emulation: no level stage
-        # runs, so it cannot fail on the many levels there and spoil the points
-        # below 0 and the purity
+        # floored; its floored part is continuum emulation, so the level stage
+        # stops at the edge and cannot fail on the many levels above it and
+        # spoil the points below 0 and the purity
         report = run_sweep(config_from_dict({
             "domain": {"kind": "halfline", "h": 0.05, "L": 60.0},
             "window": {"lo": -0.5, "hi": 1.0, "grid_step": 0.25},
             "eta": {"eta0": 0.4, "floor_mode": "halfline_auto"}})).data
-        # the analyticity windows of -0.25 and 0 reach the band edge
-        assert [p["verdict"] for p in report["points"]] == ["resolvent"] + ["continuous"] * 6
+        verdicts = [p["verdict"] for p in report["points"]]
+        assert "inconclusive" not in verdicts
+        # -0.25 and 0 are left out: their analyticity windows reach the band edge
+        assert verdicts[0] == "resolvent"
+        assert verdicts[3:] == ["continuous"] * 4
         assert report["levels"] == []
         assert report["purity"][0]["verdict"] == "PureAC"
         assert report["ac_support"]["closed_union"] == [[0.0, 1.0]]
+        assert report["oracle_crosscheck"] == {
+            "verdict": "skipped", "reason": "a floored eta schedule does not resolve levels"}
+
+    def test_bound_state_below_a_floored_window_part(self):
+        # a window that crosses the band edge still resolves the levels below
+        # it: the well's bound state is an eigenvalue, and the box modes above
+        # the edge, which emulate continuous spectrum, are no levels
+        report = run_sweep(config_from_dict({
+            "domain": {"kind": "halfline", "h": 0.05, "L": 20.0},
+            "potential": {"kind": "well", "depth": 8.0, "width": 1.0},
+            "window": {"lo": -3.5, "hi": 1.0, "grid_step": 0.25},
+            "eta": {"eta0": 0.4, "floor_mode": "halfline_auto"}})).data
+        lam = -2.863385642982     # the oracle's lowest eigenvalue
+        [level] = report["levels"]
+        assert level["lambda"] == pytest.approx(lam, abs=1e-9)
+        assert level["multiplicity"] == 1
+        point = report["points"][3]
+        assert point["x"] == -2.75 and point["verdict"] == "eigenvalue"
+        assert point["refined_lambda"] == pytest.approx(lam, abs=1e-9)
+        assert [p["verdict"] for p in report["points"][-4:]] == ["continuous"] * 4
         assert report["oracle_crosscheck"] == {
             "verdict": "skipped", "reason": "a floored eta schedule does not resolve levels"}
 
