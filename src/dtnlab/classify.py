@@ -159,10 +159,6 @@ class ClassifyConfig:
         if self.floor_mode == "halfline_auto" and not self.halfline_length > 0:
             raise ValueError("floor_mode 'halfline_auto' needs a positive halfline_length")
 
-    def analyticity_half_width(self, d: float) -> float:
-        """Half-width of the analyticity window at distance d from the nearest level."""
-        return min(self.window_half_width, d / 4)
-
     def slim_nonzero(self, relative, slope):
         """Whether eta*M limits of these relative sizes and decay slopes are nonzero;
         a slope of None or nan does not veto it, so this is not `not vanishes(slope)`."""
@@ -261,12 +257,10 @@ class Level:
 
 
 def _residue_range(dom, res: ResidueMatrix):
-    """Basis of a residue's range and its rank, in the weighted boundary geometry:
-    its singular values above RESIDUE_TOL x res.bound count."""
+    """Basis of a residue's range, res.rank columns, in the weighted boundary geometry."""
     w = np.sqrt(dom.boundary_node_weights)
-    u, s, _ = np.linalg.svd(res.r * w[:, None] / w, full_matrices=False)
-    rank = int(np.sum(s > RESIDUE_TOL * res.bound))
-    return u[:, :rank] / w[:, None], rank
+    u = np.linalg.svd(res.r * w[:, None] / w, full_matrices=False)[0]
+    return u[:, :res.rank] / w[:, None]
 
 
 def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) -> tuple:
@@ -281,7 +275,7 @@ def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) ->
     Estimates in (lo - w, hi + w) below the edge merge within 1e-8 max(||A_II||_1, 1);
     the residue_contour around each, of _GAP_FRACTION x the gap to the nearest
     other estimate, holds one pole and gives the level: its value (res.pole),
-    and as multiplicity the count of weighted singular values above
+    and as multiplicity res.rank, its weighted singular values above
     RESIDUE_TOL x rho max ||M||, the nonzero eta*M-limit test, as -i eta
     M(lam + i eta) tends to that residue.  M is evaluated only by contour_sums,
     and the certified nodes of every residue circle are entered at once.
@@ -327,9 +321,8 @@ def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) ->
     levels = []
     for lam, rho in zip(values, rhos):
         res = residue_contour(op, lam, rho)
-        mult = _residue_range(dom, res)[1]
-        if mult:
-            levels.append(Level(lam=res.pole, multiplicity=mult, residue=res))
+        if res.rank:
+            levels.append(Level(lam=res.pole, multiplicity=res.rank, residue=res))
     return tuple(levels)
 
 
@@ -354,23 +347,29 @@ def _result(stage):
     return stage
 
 
-def _nearest_level(x: float, cfg: ClassifyConfig, levels):
-    """The level nearest to x and its distance, (None, inf) without levels; above
-    cfg.level_edge levels count for nothing, else a DtnLabError for them is
-    raised again."""
+def _point_plan(x: float, cfg: ClassifyConfig, levels):
+    """(level, half_width) at x: (the nearest level, None) if it lies within
+    pole_match_radius, as it explains x; else (None, min(window_half_width, d/4))
+    for the analyticity window, d the distance to the nearest level or to
+    cfg.level_edge if x lies below it, where the box modes that emulate the
+    continuum start.  Above the edge levels count for nothing, else a
+    DtnLabError held in levels is raised again."""
     levels = () if x > cfg.level_edge else _result(levels)
     near = min(levels, key=lambda level: abs(level.lam - x), default=None)
-    return near, np.inf if near is None else abs(near.lam - x)
+    d = np.inf if near is None else abs(near.lam - x)
+    if d <= cfg.pole_match_radius:
+        return near, None
+    edge = cfg.level_edge - x if x < cfg.level_edge else np.inf
+    return None, min(cfg.window_half_width, d / 4, edge / 4)
 
 
 def classify_point(op: DirichletOperator, x: float, cfg: ClassifyConfig,
                    probes=None, levels=None) -> PointVerdict:
     """Decision tree on window_levels' levels (by default those of (x - w, x + w),
-    w = window_half_width; none above cfg.level_edge, and a DtnLabError for
-    levels is raised again): within pole_match_radius of a level -> Eigenvalue,
-    as the nearest level; else analytic continuation through the window of
-    half-width min(w, d/4), d the distance to the nearest level -> ResolventSet;
-    else ContinuousSpectrum.  The eta*M limits are taken first, as evidence."""
+    w = window_half_width, at or below cfg.level_edge) by _point_plan: a level
+    that explains x -> Eigenvalue, as that level; else analytic continuation
+    through the plan's window -> ResolventSet; else ContinuousSpectrum.  The
+    eta*M limits are taken first, as evidence."""
     dom = op.domain
     sched = cfg.schedule(x)
     probes = make_probes(dom, "basis") if probes is None else probes
@@ -381,33 +380,33 @@ def classify_point(op: DirichletOperator, x: float, cfg: ClassifyConfig,
     w = cfg.window_half_width
     if levels is None and x <= cfg.level_edge:
         levels = window_levels(op, (x - w, x + w), probes, cfg)
-    near, d = _nearest_level(x, cfg, levels)
-    if d <= cfg.pole_match_radius:
+    near, half_width = _point_plan(x, cfg, levels)
+    if near is not None:
         return PointVerdict(x=x, verdict=EIGENVALUE, refined_lambda=near.lam,
                             multiplicity=near.multiplicity, residue=near.residue,
                             evidence=evidence)
 
     if est.partial.any():
         raise Inconclusive(f"solver failures along the eta schedule at x={x}")
-    ana = analyticity_test(op, x, cfg.analyticity_half_width(d), probes, sched,
+    ana = analyticity_test(op, x, half_width, probes, sched,
                            slim_rel_tol=cfg.tau_eig_rel, im_rel_tol=cfg.tau_ac, fit_tol=cfg.fit_tol)
     return PointVerdict(x=x, verdict=RESOLVENT_SET if ana.ok else CONTINUOUS, evidence=evidence)
 
 
 def point_nodes(op: DirichletOperator, x: float, cfg: ClassifyConfig, levels) -> np.ndarray:
     """The z at which classify_point(op, x, cfg, probes, levels) evaluates M,
-    flattened: the eta profile and, at a point farther than pole_match_radius
-    from every level, the analyticity window, if the profile is certified and
-    so cannot stop at a NearSpectrum before the window is reached."""
+    flattened: the eta profile and, where _point_plan gives x an analyticity
+    window, that window, if the profile is certified and so cannot stop at a
+    NearSpectrum before the window is reached."""
     sched = cfg.schedule(x)
     profile = profile_nodes(x, sched)
     try:
-        d = _nearest_level(x, cfg, levels)[1]
+        half_width = _point_plan(x, cfg, levels)[1]
     except DtnLabError:
         return profile.ravel()
-    if d <= cfg.pole_match_radius or not op.certified(profile).all():
+    if half_width is None or not op.certified(profile).all():
         return profile.ravel()
-    window = profile_nodes(window_points(x, cfg.analyticity_half_width(d)), sched)
+    window = profile_nodes(window_points(x, half_width), sched)
     return np.concatenate([profile.ravel(), window.ravel()])
 
 
@@ -451,16 +450,15 @@ def eigenspace_via_tau(op: DirichletOperator, lam0: float, eig: EigenSystem) -> 
     others = eig.values[np.abs(eig.values - lam0) > eig.degeneracy_tol]
     gap = float(np.min(np.abs(others - lam0))) if others.size else 1.0
     res = residue_contour(op, lam0, _GAP_FRACTION * gap)
-    basis, rank = _residue_range(dom, res)
 
     w = np.sqrt(dom.boundary_node_weights)
-    if rank and taus.shape[1]:
-        angles = sla.subspace_angles(taus * w[:, None], basis * w[:, None])
+    if res.rank and taus.shape[1]:
+        angles = sla.subspace_angles(taus * w[:, None], _residue_range(dom, res) * w[:, None])
     else:
         angles = np.array([np.pi / 2])
     return TauReport(
         lam0=float(lam0), tau_basis=taus, gram_singular_ratio=ratio,
-        principal_angles=angles, residue=res, residue_rank=rank,
+        principal_angles=angles, residue=res, residue_rank=res.rank,
     )
 
 
@@ -548,18 +546,18 @@ def purity_filter(window, points, levels, acs, scr, cfg: ClassifyConfig) -> Puri
     """NoSpectrum / PureAC / PureSC / Mixed-Unknown from a window's stage results,
     without evaluating M: (x, classify_point's verdict) per grid point, then the
     results of window_levels, ac_support and sc_screen.  A DtnLabError among
-    them is raised again where the rule needs it: an inconclusive point with
-    no level within pole_match_radius makes the window inconclusive.  The
-    levels inside the window, and the points away from every level with a
+    them is raised again where the rule needs it: an inconclusive point that
+    no level explains (_point_plan) makes the window inconclusive.  The
+    levels inside the window, and the points no level explains with a
     nonzero eta*M limit, give Mixed/Unknown (each level once); NoSpectrum needs
-    every point away from the levels resolvent, PureSC an AC-free window with a
+    every point no level explains resolvent, PureSC an AC-free window with a
     flagged SC run of positive length, PureAC no diverging run of positive
     length."""
-    window, levels = tuple(window), [level.lam for level in _result(levels)]
-    offending = [lam for lam in levels if window[0] < lam < window[1]]
+    window, levels = tuple(window), _result(levels)
+    offending = [level.lam for level in levels if window[0] < level.lam < window[1]]
     resolvent = True
     for x, v in points:
-        if any(abs(lam - x) <= cfg.pole_match_radius for lam in levels):
+        if _point_plan(x, cfg, levels)[0] is not None:
             continue    # the level explains the point
         v = _result(v)
         if cfg.slim_nonzero(v.evidence["slim_rel"], v.evidence["decay_exponent"]).any():

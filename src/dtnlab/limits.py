@@ -122,7 +122,8 @@ class ResidueMatrix:
     rho: float
     r: np.ndarray
     bound: float     # rho * the largest weighted norm of M on the nodes, a bound of ||r||
-    pole: float      # lam0 + <R1, r> / <r, r>, R1 the first moment; lam0 where r counts as 0
+    rank: int        # weighted singular values of r above RESIDUE_TOL * bound
+    pole: float      # lam0 + <R1, r> / <r, r>, R1 the first moment; lam0 where the rank is 0
 
 
 @dataclass(frozen=True)
@@ -350,9 +351,10 @@ def residue_contour(op: DirichletOperator, lam0: float, rho: float) -> ResidueMa
     nodes, w = circle_nodes(lam0, rho)
     (r, r1), m_max = contour_sums(op, nodes, np.stack([w, w * w]) / RESIDUE_NODES)
     bound = rho * m_max
-    zero = op.domain.boundary_singular_values(r)[0] <= RESIDUE_TOL * bound
-    pole = lam0 if zero else lam0 + (np.vdot(r, r1) / np.vdot(r, r)).real
-    return ResidueMatrix(lam0=float(lam0), rho=float(rho), r=r, bound=bound, pole=float(pole))
+    rank = int(np.sum(op.domain.boundary_singular_values(r) > RESIDUE_TOL * bound))
+    pole = lam0 + (np.vdot(r, r1) / np.vdot(r, r)).real if rank else lam0
+    return ResidueMatrix(lam0=float(lam0), rho=float(rho), r=r, bound=bound, rank=rank,
+                         pole=float(pole))
 
 
 # ---------------------------------------------------------------------------

@@ -630,6 +630,13 @@ WELL_SWEEP = {"domain": {"kind": "halfline", "h": 0.05, "L": 20.0},
 REDUCED_WELL_SWEEP = dict(WELL_SWEEP, window={"lo": 0.3, "hi": 0.4, "grid_step": 0.05})
 ANNULUS_SWEEP = {"domain": {"kind": "exterior2d", "h": 1.0, "a": 1.5, "L": 7.5},
                  "window": {"lo": 0.5, "hi": 1.0, "grid_step": 0.25}}
+# windows across the band edge 0 of a floored schedule: the free half-line
+# and the depth-8 well, whose analyticity windows below 0 stop short of it
+FLOORED = {"eta0": 0.4, "floor_mode": "halfline_auto"}
+FREE_FLOORED_SWEEP = {"domain": {"kind": "halfline", "h": 0.05, "L": 60.0},
+                      "window": {"lo": -0.5, "hi": 1.0, "grid_step": 0.25}, "eta": FLOORED}
+WELL_FLOORED_SWEEP = dict(WELL_SWEEP, potential={"kind": "well", "depth": 8.0, "width": 1.0},
+                          window={"lo": -3.5, "hi": 1.0, "grid_step": 0.25}, eta=FLOORED)
 
 
 def _counted_sweep(monkeypatch, raw):
@@ -661,7 +668,8 @@ def _counted_sweep(monkeypatch, raw):
 
 
 class TestStageFill:
-    @pytest.mark.parametrize("raw", [REDUCED_WELL_SWEEP, WELL_SWEEP])
+    @pytest.mark.parametrize("raw", [REDUCED_WELL_SWEEP, WELL_SWEEP, FREE_FLOORED_SWEEP,
+                                     WELL_FLOORED_SWEEP])
     def test_one_fill_per_stage(self, monkeypatch, raw):
         # the level stage enters its ellipse, then every residue circle, and
         # the sweep every grid point's eta profile and analyticity window, each
@@ -669,7 +677,9 @@ class TestStageFill:
         # residue circle and ellipse made 43 of them on the full sweep
         assert _counted_sweep(monkeypatch, raw)[2] <= 3
 
-    @pytest.mark.parametrize("raw, distinct", [(WELL_SWEEP, 2408), (ANNULUS_SWEEP, 440)])
+    @pytest.mark.parametrize("raw, distinct", [(WELL_SWEEP, 2408), (ANNULUS_SWEEP, 440),
+                                               (FREE_FLOORED_SWEEP, 603),
+                                               (WELL_FLOORED_SWEEP, 1857)])
     def test_table_holds_only_requested_z(self, monkeypatch, raw, distinct):
         # every z that a stage fill enters is one the sweep then evaluates
         op, requested, _ = _counted_sweep(monkeypatch, raw)

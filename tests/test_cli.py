@@ -286,10 +286,9 @@ class TestCli:
             "window": {"lo": -0.5, "hi": 1.0, "grid_step": 0.25},
             "eta": {"eta0": 0.4, "floor_mode": "halfline_auto"}})).data
         verdicts = [p["verdict"] for p in report["points"]]
-        assert "inconclusive" not in verdicts
-        # -0.25 and 0 are left out: their analyticity windows reach the band edge
-        assert verdicts[0] == "resolvent"
-        assert verdicts[3:] == ["continuous"] * 4
+        # the analyticity window of -0.25 stops short of the band edge 0, where
+        # the box modes that emulate the continuum start; 0 is the band edge
+        assert verdicts == ["resolvent"] * 2 + ["continuous"] * 5
         assert report["levels"] == []
         assert report["purity"][0]["verdict"] == "PureAC"
         assert report["ac_support"]["closed_union"] == [[0.0, 1.0]]
@@ -312,7 +311,9 @@ class TestCli:
         point = report["points"][3]
         assert point["x"] == -2.75 and point["verdict"] == "eigenvalue"
         assert point["refined_lambda"] == pytest.approx(lam, abs=1e-9)
-        assert [p["verdict"] for p in report["points"][-4:]] == ["continuous"] * 4
+        # -0.25 lies in the resolvent set: its analyticity window stops short of 0
+        assert [(p["x"], p["verdict"]) for p in report["points"][13:]] == [
+            (-0.25, "resolvent")] + [(x, "continuous") for x in (0.0, 0.25, 0.5, 0.75, 1.0)]
         assert report["oracle_crosscheck"] == {
             "verdict": "skipped", "reason": "a floored eta schedule does not resolve levels"}
 
