@@ -21,9 +21,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import get_lapack_funcs
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from .errors import DomainError, EndpointOnEigenvalue, NearSpectrum
 
@@ -343,8 +342,8 @@ class DirichletOperator:
 
     @cached_property
     def a_norm(self) -> float:
-        """||A_II||_1, computed on first use."""
-        return spla.norm(self.a_ii, 1)
+        """||A_II||_1, the maximum absolute column sum, computed on first use."""
+        return abs(self.a_ii).sum(axis=0).max()
 
     @cached_property
     def dense_b(self) -> np.ndarray:
@@ -385,16 +384,17 @@ class DirichletOperator:
                      for a in _tridiagonalize(self.a_ii.toarray(), self.domain.incidence))
 
     @cached_property
-    def shiftable(self) -> tuple:
-        """(read-only complex CSC copy of A_II with sorted indices, positions of
-        its diagonal in the copy's data): A_II - z is that matrix with z
-        subtracted there, on a copy of the data that shares the index arrays."""
-        csc = sp.csc_matrix(self.a_ii, dtype=complex)
-        csc.sort_indices()
-        for a in (csc.data, csc.indices, csc.indptr):
-            _read_only(a)
-        cols = np.repeat(np.arange(self.n), np.diff(csc.indptr))
-        return csc, _read_only(np.flatnonzero(csc.indices == cols))
+    def banded(self) -> tuple:
+        """(perm, k, ab): the reverse Cuthill-McKee ordering perm of A_II, the
+        half-bandwidth k of A_II[perm][:, perm], and that matrix in LAPACK gbtrf
+        band storage, complex and Fortran-ordered, with k rows above for the
+        fill-in and the diagonal on row 2k (read-only, built on first use)."""
+        perm = reverse_cuthill_mckee(self.a_ii, symmetric_mode=True)
+        a = self.a_ii[perm][:, perm].tocoo()
+        k = int(np.max(np.abs(a.row - a.col)))
+        ab = np.zeros((3 * k + 1, self.n), dtype=complex, order="F")
+        ab[2 * k + a.row - a.col, a.col] = a.data
+        return _read_only(perm), k, _read_only(ab)
 
     def trace_resolvent(self, zs) -> np.ndarray:
         """P^T (A_II - z)^-1 P for each z of zs, shape (len(zs), n_B, n_B); the
@@ -411,7 +411,7 @@ class DirichletOperator:
         C = Q^T P (``reduction``): one pivoted tridiagonal LU, LAPACK
         gttrf/gttrs, per z.  The Householder reduction and the pivoted LU are
         both backward stable (Golub & Van Loan, *Matrix Computations*, 8.3 and
-        4.3), so this differs from the sparse LU's solve by rounding and,
+        4.3), so this differs from the banded LU's solve by rounding and,
         beside a pole, by the first-order term u*||A_II||_1*||(A_II - z)^-1 P||^2.
         A pivot vanishes only where T - z is singular to working precision;
         NearSpectrum is raised there, as in ShiftedSolver.
@@ -477,7 +477,8 @@ _REL_DIST_THRESHOLD = 1e-10
 # |Im z| >= _CERTIFIED_GAP * _REL_DIST_THRESHOLD * ||A_II||_1 skips the distance
 # estimate; the factor 2 leaves room for the rounding of the estimate
 _CERTIFIED_GAP = 2.0
-_GTTRF, _GTTRS = get_lapack_funcs(("gttrf", "gttrs"), dtype=complex)
+_GTTRF, _GTTRS, _GBTRF, _GBTRS = get_lapack_funcs(("gttrf", "gttrs", "gbtrf", "gbtrs"),
+                                                  dtype=complex)
 _SYTRD, _SYTRD_LWORK = get_lapack_funcs(("sytrd", "sytrd_lwork"), dtype=float)
 
 
@@ -503,11 +504,12 @@ class ShiftedSolver:
     """A_II - z factored once, with a deterministic conditioning estimate.
 
     A tridiagonal A_II (the half-line) keeps LAPACK's gttrf factors and solves
-    with gttrs; every other operator keeps a sparse LU (splu) of A_II - z, as
-    does the two-node half-line, whose size SciPy's gttrf wrapper rejects.
-    A_II - z is the operator's stored complex CSC A_II with z subtracted at the
-    diagonal positions of a copy of its data (``DirichletOperator.shiftable``).
-    Plain and adjoint solves reuse the same factors.
+    with gttrs; every other operator keeps the gbtrf factors of its band
+    (``DirichletOperator.banded``) with z subtracted on the diagonal row of a
+    copy, as does the two-node half-line, whose size SciPy's gttrf wrapper
+    rejects.  A_II - z is complex symmetric, so a plain solve is gbtrs's
+    transposed one, on the right-hand side gathered by the band's ordering and
+    scattered back; an adjoint solve is its conjugate-transposed one.
 
     Near-spectrum detection runs a few fixed-start power iterations on the
     inverse (no randomness, no oracle) and raises NearSpectrum when the
@@ -527,21 +529,18 @@ class ShiftedSolver:
         self.z = z
         self.op = op
         self._n = op.n
-        self._lu = self._tri = None
+        self._band = self._tri = None
         if op.domain.dimension == 1 and self._n > 2:
             diag, off = op.tridiagonal
             *self._tri, info = _GTTRF(off, diag - z, off)
-            if info > 0:
-                raise NearSpectrum(z, 0.0)
         else:
-            csc, diagonal = op.shiftable
-            data = csc.data.copy()
-            data[diagonal] -= z
-            try:
-                self._lu = spla.splu(sp.csc_matrix((data, csc.indices, csc.indptr),
-                                                   shape=csc.shape))
-            except RuntimeError:  # exactly singular
-                raise NearSpectrum(z, 0.0) from None
+            perm, k, ab = op.banded
+            ab = ab.copy(order="F")
+            ab[2 * k] -= z
+            lu, piv, info = _GBTRF(ab, k, k, overwrite_ab=1)
+            self._band = perm, k, lu, piv
+        if info > 0:
+            raise NearSpectrum(z, 0.0)
         if op.certified(z):
             self.dist_estimate = abs(z.imag)
             return
@@ -553,9 +552,13 @@ class ShiftedSolver:
     def solve(self, rhs: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """Solve (A_II - z) u = rhs (or the conjugate-transpose system)."""
         rhs = np.asarray(rhs, dtype=complex)
-        if self._lu is not None:
-            return self._lu.solve(rhs, trans="H" if adjoint else "N")
-        return _GTTRS(*self._tri, rhs, trans="C" if adjoint else "N")[0]
+        if self._band is None:
+            return _GTTRS(*self._tri, rhs, trans="C" if adjoint else "N")[0]
+        perm, k, lu, piv = self._band
+        u = np.empty_like(rhs)
+        u[perm] = _GBTRS(lu, k, k, rhs[perm], piv, trans=2 if adjoint else 1,
+                         overwrite_b=1)[0]
+        return u
 
     def _distance_estimate(self) -> float:
         """Estimate sigma_min(A - z) by power iteration on the inverse."""

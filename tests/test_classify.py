@@ -723,14 +723,12 @@ class TestStageFill:
         op = _counted_sweep(monkeypatch, raw)[0]
         assert op._cache and all(type(key) is complex for key in op._cache)
         arrays = []
-        for name in ("a_norm", "dense_b", "tridiagonal", "reduction", "shiftable"):
+        for name in ("a_norm", "dense_b", "tridiagonal", "reduction", "banded"):
             value = getattr(op, name)
             assert getattr(op, name) is value
             with pytest.raises(AttributeError):
                 setattr(op, name, value)
             arrays += value if isinstance(value, tuple) else [value]
-        csc, _ = op.shiftable
-        arrays += [csc.data, csc.indices, csc.indptr]
         assert not any(a.flags.writeable for a in arrays if isinstance(a, np.ndarray))
         # building them entered nothing in the table
         assert all(type(key) is complex for key in op._cache)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from dtnlab import (
     DiscreteDomain,
@@ -223,18 +223,30 @@ class TestShiftedSolver:
     @pytest.mark.parametrize("z", [0.7 + 0j, 0.7 + 1e-12j, 0.7 + 0.3j],
                              ids=["real", "near_real", "complex"])
     def test_shifted_copy_factors_as_sparse_arithmetic(self, annulus2d, z, rng):
-        # A_II - z as the stored complex CSC A_II with z subtracted on a copy of
-        # its data: the same factors and solves, bit for bit, as SciPy's
-        # (A_II - z I).tocsc()
+        # A_II - z as the stored band with z subtracted on the diagonal row of a
+        # copy: the same gbtrf factors and pivots, bit for bit, as a band built
+        # afresh from SciPy's (A_II - z I)[perm][:, perm], and the same solves
         _, op = annulus2d
-        lu = op.factorize(z)._lu
-        ref = spla.splu((op.a_ii - z * sp.identity(op.n, format="csr")).tocsc())
-        assert np.array_equal(lu.perm_r, ref.perm_r) and np.array_equal(lu.perm_c, ref.perm_c)
-        assert np.array_equal(lu.L.toarray(), ref.L.toarray())
-        assert np.array_equal(lu.U.toarray(), ref.U.toarray())
+        perm, k, lu, piv = op.factorize(z)._band
+        a = (op.a_ii - z * sp.identity(op.n, format="csr"))[perm][:, perm].tocoo()
+        ab = np.zeros((3 * k + 1, op.n), dtype=complex, order="F")
+        ab[2 * k + a.row - a.col, a.col] = a.data
+        ref_lu, ref_piv, info = zgbtrf(ab, k, k)
+        assert info == 0
+        assert np.array_equal(lu, ref_lu) and np.array_equal(piv, ref_piv)
         rhs = rng.standard_normal((op.n, 3)) + 1j * rng.standard_normal((op.n, 3))
-        for adjoint, trans in ((False, "N"), (True, "H")):
-            assert np.array_equal(op.factorize(z).solve(rhs, adjoint), ref.solve(rhs, trans))
+        for adjoint, trans in ((False, 1), (True, 2)):
+            ref = np.empty_like(rhs)
+            ref[perm] = zgbtrs(ref_lu, k, k, rhs[perm], ref_piv, trans=trans)[0]
+            assert np.array_equal(op.factorize(z).solve(rhs, adjoint), ref)
+
+    def test_band_of_the_validate_annulus(self):
+        # n_I = 792 at h = 0.5: the reverse Cuthill-McKee band is narrower than
+        # the lexicographic one
+        dom = build_domain(Exterior2D(h=0.5, a=1.5, L=7.5))
+        op = assemble_operator(dom, zero_potential(dom))
+        a = op.a_ii.tocoo()
+        assert (op.n, op.banded[1], np.max(np.abs(a.row - a.col))) == (792, 23, 29)
 
     def test_tridiagonal_reduction(self, annulus2d):
         # Q^T A_II Q = T with C = Q^T P: C^T (T - z)^-1 C = P^T (A_II - z)^-1 P
@@ -257,9 +269,11 @@ class TestShiftedSolver:
                 op.factorize(lam)
 
     def test_near_spectrum_raises(self, t1):
+        # 1.0 is an eigenvalue of T1, so the band's LU meets an exactly zero pivot
         _, op = t1
-        with pytest.raises(NearSpectrum):
+        with pytest.raises(NearSpectrum) as exc:
             op.factorize(1.0)
+        assert exc.value.dist_estimate == 0.0
         with pytest.raises(NearSpectrum):
             op.factorize(3.0 + 1e-14j)
 

@@ -35,7 +35,7 @@ WELL_DOMAIN = build_domain(HalfLine1D(h=0.05, L=20.0))
 
 @st.composite
 def halflines(draw, cells=st.integers(3, 120)):
-    """A half-line of `cells` cells (3: the two-node splu case) with a random well
+    """A half-line of `cells` cells (3: the two-node banded case) with a random well
     or tabulated potential."""
     h = draw(st.floats(0.05, 1.0))
     dom = build_domain(HalfLine1D(h=h, L=draw(cells) * h))
@@ -88,7 +88,7 @@ def _factored(op, z):
        st.floats(0.2, 2.0), st.floats(0.01, 0.99), st.booleans())
 def test_conjugate_parameter_factors_to_conjugates(model, x, height, fraction, near_real):
     # A_II and B are real, so the LU at conj z gives conj gamma(z) and conj M(z)
-    # bit for bit, on the gttrs path, the splu path (2D and the two-node
+    # bit for bit, on the gttrs path, the gbtrs path (2D and the two-node
     # half-line) and for near-real z, which raise NearSpectrum at both or
     # neither; identity_suite enters M(conj zeta) as that conjugate.  An
     # integer x picks an eigenvalue of A_II as Re z.
@@ -102,6 +102,25 @@ def test_conjugate_parameter_factors_to_conjugates(model, x, height, fraction, n
     assert (at_z is None) == (at_zbar is None)
     if at_z is not None:
         assert all(np.array_equal(a.conj(), b) for a, b in zip(at_z, at_zbar))
+
+
+@given(st.one_of(annuli(), halflines(cells=st.just(3))))
+def test_band_is_the_permuted_operator(model):
+    # ``banded`` holds A_II[perm][:, perm] for a permutation perm, in gbtrf
+    # storage (entry (i, j) on row 2k + i - j; the k fill rows on top are zero),
+    # with a half-bandwidth k no larger than that of the lexicographic order
+    _, op = model
+    perm, k, ab = op.banded
+    assert np.array_equal(np.sort(perm), np.arange(op.n))
+    rows, j = np.indices(ab.shape)
+    i = rows - 2 * k + j
+    inside = (rows >= k) & (i >= 0) & (i < op.n)
+    assert not np.any(ab[~inside])
+    unpacked = np.zeros((op.n, op.n), dtype=complex)
+    unpacked[i[inside], j[inside]] = ab[inside]
+    assert np.array_equal(unpacked, op.a_ii.toarray()[perm][:, perm])
+    a = op.a_ii.tocoo()
+    assert k <= np.max(np.abs(a.row - a.col))
 
 
 @given(models, upper(0.05), st.data())
