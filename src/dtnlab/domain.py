@@ -433,6 +433,57 @@ class DirichletOperator:
             out[k] = c.T @ _GTTRS(*factors, c)[0]
         return out
 
+    def resolvent_sum(self, zs, weights) -> np.ndarray:
+        """sum_j weights[j] (A_II - zs[j])^-1 as a dense (n, n) complex matrix.
+
+        On the half-line a certified z (``certified``) takes no factorization.
+        With the backward pivots t+ of trace_resolvent and the forward pivots
+        t-_1 = d_1 - z, t-_i = d_i - z - e_(i-1)^2 / t-_(i-1), the inverse
+        G = (A_II - z)^-1 of the tridiagonal is (Meurant, SIAM J. Matrix Anal.
+        Appl. 13 (1992) 707-728)
+            G_ii = 1 / (t-_i + t+_i - (d_i - z)),
+            G_(i+k, i) = G_(i, i+k) = G_(i+k-1, i) * (-e_(i+k-1) / t+_(i+k)).
+        As for t+, Im t-_i <= -Im z for Im z > 0 (>= for Im z < 0), and the
+        denominator of G_ii is d_i - z - e_(i-1)^2 / t-_(i-1) - e_i^2 / t+_(i+1),
+        whose imaginary part is bounded the same way: no pivot vanishes.  The
+        sum is taken one offset k at a time, each diagonal of G contracted with
+        the weights over all z at once, and the z go in chunks of at most n so
+        that no pivot array is larger than the result.
+
+        Every other z (uncertified ones, and all z in 2D) is factorized and
+        solved against the identity, so NearSpectrum guards it as in
+        ``factorize``.
+        """
+        zs = np.asarray(zs, dtype=complex)
+        weights = np.asarray(weights, dtype=complex)
+        n = self.n
+        out = np.zeros((n, n), dtype=complex)
+        fast = self.certified(zs) & (self.domain.dimension == 1)
+        if not fast.all():
+            eye = np.eye(n, dtype=complex)
+            for z, w in zip(zs[~fast], weights[~fast]):
+                out += w * self.factorize(z).solve(eye)
+        zs, weights, flat = zs[fast], weights[fast], out.reshape(-1)
+        for start in range(0, len(zs), n):
+            z, w = zs[start:start + n], weights[start:start + n]
+            diag, off = self.tridiagonal
+            dz = diag[:, None] - z
+            rows, e2 = list(dz), (off ** 2).tolist()
+            back, fwd = [rows[-1]], [rows[0]]
+            for i in range(n - 1):
+                back.append(rows[-2 - i] - e2[-1 - i] / back[-1])
+                fwd.append(rows[1 + i] - e2[i] / fwd[-1])
+            back, fwd = np.array(back[::-1]), np.array(fwd)
+            ratio = -off[:, None] / back[1:]
+            g = 1.0 / (fwd + back - dz)
+            flat[::n + 1] += g @ w
+            for k in range(1, n):
+                g = g[:-1] * ratio[k - 1:]
+                s = g @ w
+                flat[k * n::n + 1] += s
+                flat[k:n * (n - k):n + 1] += s
+        return out
+
     @property
     def certified_height(self) -> float:
         """The |Im z| from which z is certified off the spectrum (see ShiftedSolver)."""

@@ -143,10 +143,11 @@ def richardson_extrapolate(etas, values):
     """Neville polynomial extrapolation of values(eta) to eta = 0.
 
     Returns (limit, error_estimate); the error estimate is the distance
-    between the last two diagonal extrapolants.  Works for scalars and arrays.
+    between the last two diagonal extrapolants.  Works for scalars and arrays;
+    real values stay real.
     """
     etas = np.asarray(etas, dtype=float)
-    table = [np.asarray(v, dtype=complex) for v in values]
+    table = [np.asarray(v, dtype=np.result_type(v, float)) for v in values]
     n = len(table)
     if n == 0:
         raise ValueError("no samples")

@@ -76,8 +76,7 @@ def spectral_measure(op: DirichletOperator, eig: EigenSystem, u: np.ndarray) -> 
     u = np.asarray(u, dtype=complex)
     if u.shape != (dom.n_interior,):
         raise ValueError("vector has wrong length")
-    coeffs = np.array([dom.interior_inner(u, eig.vectors[:, j])
-                       for j in range(eig.vectors.shape[1])])
+    coeffs = dom.interior_weight * (eig.vectors.T @ u)  # (u, v_j), v_j real
     atoms = np.array([np.mean(eig.values[list(g)]) for g in eig.groups])
     weights = np.array([np.sum(np.abs(coeffs[list(g)]) ** 2) for g in eig.groups])
     mass = dom.interior_norm(u) ** 2
@@ -152,7 +151,9 @@ def stone_projection(op: DirichletOperator, a: float, b: float,
     extrapolation_error is the last extrapolation step, or the last contour
     refinement step if larger (at the cap).  eig guards the endpoints and
     starts the schedule at no more than half their distance to the nearest
-    level, so the edges resolve it; panels counts the resolvent evaluations.
+    level, so the edges resolve it.  Each doubling of the contour and each edge
+    piece is one op.resolvent_sum over its nodes; panels counts the resolvent
+    evaluations.
     """
     if not b > a:
         raise ValueError("need a < b")
@@ -164,16 +165,14 @@ def stone_projection(op: DirichletOperator, a: float, b: float,
                 f"interval endpoint of ({a}, {b}) lies on an eigenvalue")
         delta0 = min(delta0, gap / 2)
 
-    eye = np.eye(op.n, dtype=complex)
+    def contour_sum(ts):  # the nodes z(t), z(-t) = conj z(t) add 2i Im(R(z) z') to the sum
+        u, du = ellipse(np.asarray(ts))
+        return op.resolvent_sum(0.5 * (a + b + (b - a) * u), 0.5 * (b - a) * du).imag
 
-    def contour_term(t):  # the nodes z(t), z(-t) = conj z(t) add 2i Im(R(z) z') to the sum
-        u, du = ellipse(t)
-        return (op.factorize(0.5 * (a + b + (b - a) * u)).solve(eye) * 0.5 * (b - a) * du).imag
-
-    n, total = 2, contour_term(0.0) + contour_term(np.pi)
+    n, total = 2, contour_sum([0.0, np.pi])
     projector = -total / n  # -(1/2 pi i) (2 pi / n) sum_j R(z_j) z'(t_j)
     while n < _MAX_NODES:
-        total += 2 * sum(contour_term(np.pi * (2 * j + 1) / n) for j in range(n // 2))
+        total += 2 * contour_sum(np.pi * (2 * np.arange(n // 2) + 1) / n)
         n *= 2
         previous, projector = projector, -total / n
         if (gap := np.max(np.abs(projector - previous))) <= quad_tol and n > _FIRST_NODES:
@@ -184,9 +183,9 @@ def stone_projection(op: DirichletOperator, a: float, b: float,
     approximants = [projector]  # the Stone integral at delta = 0, then upwards
     for lo, hi in zip(np.append(0.0, deltas[::-1]), deltas[::-1]):
         half = 0.5 * (hi - lo)
-        approximants.insert(0, approximants[0] + half / np.pi * sum(
-            w * (op.factorize(b + 1j * s).solve(eye) - op.factorize(a + 1j * s).solve(eye)).real
-            for s, w in zip(lo + half * (nodes + 1.0), weights)))
+        s = 1j * (lo + half * (nodes + 1.0))
+        approximants.insert(0, approximants[0] + half / np.pi * op.resolvent_sum(
+            np.concatenate([b + s, a + s]), np.concatenate([weights, -weights])).real)
     value, err = richardson_extrapolate(deltas, approximants[:-1])
     return StoneResult(interval=(float(a), float(b)), projector=value.real,
                        deltas=deltas, extrapolation_error=max(float(err), float(gap)),

@@ -6,6 +6,7 @@ from dtnlab import (
     DirichletOperator,
     EndpointOnEigenvalue,
     EtaSchedule,
+    NearSpectrum,
     SpectralMeasure,
     ac_sc_supports,
     borel_transform,
@@ -112,6 +113,19 @@ def _count_factorizations(monkeypatch):
     return calls
 
 
+def _count_resolvent_nodes(monkeypatch):
+    """Record the z of every DirichletOperator.resolvent_sum call."""
+    calls = []
+    resolvent_sum = DirichletOperator.resolvent_sum
+
+    def counting(op, zs, weights):
+        calls.extend(zs)
+        return resolvent_sum(op, zs, weights)
+
+    monkeypatch.setattr(DirichletOperator, "resolvent_sum", counting)
+    return calls
+
+
 class TestStone:
     def test_t1_first_eigenspace(self, t1):
         _, op = t1
@@ -126,12 +140,16 @@ class TestStone:
         assert np.max(np.abs(res.projector)) <= 1e-3
 
     def test_t1_level_resolved_with_few_factorizations(self, t1, monkeypatch):
+        # panels counts the resolvent evaluations, the z handed to resolvent_sum;
+        # in 1D only the two real contour crossings a and b are factorized
         _, op = t1
         eig = oracle_eigendecomposition(op)
-        calls = _count_factorizations(monkeypatch)
+        nodes = _count_resolvent_nodes(monkeypatch)
+        factorized = _count_factorizations(monkeypatch)
         res = stone_projection(op, 0.5, 1.5, eig)
         assert np.max(np.abs(res.projector - oracle_projector(eig, 0.5, 1.5))) <= 1e-12
-        assert res.panels == len(calls) <= 200
+        assert res.panels == len(nodes) <= 200
+        assert sorted(complex(z).real for z in factorized) == [0.5, 1.5]
 
     def test_panels_count_factorizations(self, reduced_annulus, monkeypatch):
         _, op = reduced_annulus
@@ -174,6 +192,13 @@ class TestStone:
         eig = oracle_eigendecomposition(op)
         with pytest.raises(EndpointOnEigenvalue):
             stone_projection(op, 1.0, 2.0, eig)
+
+    def test_endpoint_on_level_without_oracle_is_near_spectrum(self, t1):
+        # without eig the contour's real crossing a = 1.0, the level, is
+        # factorized and its distance estimate raises
+        _, op = t1
+        with pytest.raises(NearSpectrum):
+            stone_projection(op, 1.0, 2.0)
 
 
 class TestSupports:

@@ -7,6 +7,7 @@ registered in conftest.py makes the draws deterministic.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dtnlab import (
@@ -121,6 +122,42 @@ def test_band_is_the_permuted_operator(model):
     assert np.array_equal(unpacked, op.a_ii.toarray()[perm][:, perm])
     a = op.a_ii.tocoo()
     assert k <= np.max(np.abs(a.row - a.col))
+
+
+@given(st.one_of(halflines(), halflines(cells=st.just(3))),
+       st.lists(st.tuples(st.one_of(st.floats(-4.0, 4.0), st.integers(0, 1000)),
+                          st.floats(0.0, 10.0), st.booleans(),
+                          st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                min_size=1, max_size=8),
+       st.one_of(st.none(), st.floats(0.0, 0.99)))
+def test_resolvent_sum_matches_lu(model, draws, uncertified):
+    # sum_j w_j (A_II - z_j)^-1 from the continued-fraction pivots against the
+    # LU's identity solves, for |Im z| from certified_height up by 10 decades
+    # on either side of the real axis; an integer draw puts Re z on an
+    # eigenvalue.  Both are backward stable, so they may differ by the
+    # first-order term u*||A||_1*||G_j||^2 per node.  With `uncertified` one more
+    # z sits that fraction of certified_height off the real axis: it is
+    # factorized as before and raises NearSpectrum at both or neither.
+    _, op = model
+    values = np.linalg.eigvalsh(op.a_ii.toarray())
+    xs = [values[x % len(values)] if isinstance(x, int) else x for x, *_ in draws]
+    zs = [complex(x, (1 if up else -1) * op.certified_height * 10 ** e)
+          for x, (_, e, up, *_) in zip(xs, draws)]
+    ws = [complex(re, im) for *_, re, im in draws]
+    if uncertified is not None:
+        zs.append(complex(xs[0], uncertified * op.certified_height))
+        ws.append(ws[0])
+    eye = np.eye(op.n)
+    try:
+        ref = sum(w * op.factorize(z).solve(eye) for z, w in zip(zs, ws))
+    except NearSpectrum:
+        with pytest.raises(NearSpectrum):
+            op.resolvent_sum(zs, ws)
+        return
+    norms = [1.0 / np.min(np.abs(values - z)) for z in zs]     # ||(A_II - z)^-1||_2
+    bound = sum(abs(w) * (1e-12 * g + 2 * np.finfo(float).eps * op.a_norm * g ** 2)
+                for w, g in zip(ws, norms))
+    assert np.max(np.abs(op.resolvent_sum(zs, ws) - ref)) <= bound
 
 
 @given(models, upper(0.05), st.data())
