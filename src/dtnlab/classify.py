@@ -431,7 +431,8 @@ def trace_invisible(dom, eig: EigenSystem) -> list:
     such a level is no pole of M and no verdict read off M can see it."""
     taus = normal_derivative(dom, np.zeros((dom.n_boundary, eig.values.size)), eig.vectors)
     norms = dom.boundary_norm(taus.T)
-    return [bool(norms[list(g)].max() <= RESIDUE_TOL * norms.max()) for g in eig.groups]
+    peaks = np.maximum.reduceat(norms, [g[0] for g in eig.groups])  # contiguous groups
+    return (peaks <= RESIDUE_TOL * norms.max()).tolist()
 
 
 def eigenspace_via_tau(op: DirichletOperator, lam0: float, eig: EigenSystem) -> TauReport:

@@ -56,7 +56,7 @@ __all__ = [
     "emit_plot_data",
 ]
 
-_ORACLE_DIM_CAP = 2000  # skip the dense eigendecomposition above this size
+_ORACLE_DIM_CAP = 2000  # skip the oracle (stevd in 1D, dense eigh in 2D) above this size
 
 INCONCLUSIVE = "inconclusive"
 
@@ -201,7 +201,7 @@ def run_sweep(cfg: RunConfig) -> ClassificationReport:
         crosscheck = {"verdict": "skipped", "reason": reason}
     else:
         eig = oracle_eigendecomposition(op)
-        levels = np.array([eig.values[g[0]] for g in eig.groups])
+        levels = eig.values[[g[0] for g in eig.groups]]
         # each reported level is credited to its nearest oracle level only
         credited = {}
         for lam_d in (level["lambda"] for level in data_levels):

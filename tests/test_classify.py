@@ -26,6 +26,7 @@ from dtnlab import (
     eigenspace_via_tau,
     essential_closure,
     make_probes,
+    normal_derivative,
     oracle_eigendecomposition,
     purity_filter,
     refine_pole,
@@ -37,7 +38,7 @@ from dtnlab import (
     zero_potential,
 )
 from dtnlab.classify import trace_invisible
-from dtnlab.limits import DECAY_CUT, vanishes
+from dtnlab.limits import DECAY_CUT, RESIDUE_TOL, vanishes
 
 T1_CFG = ClassifyConfig(eta0=1e-2, pole_match_radius=0.25, window_half_width=0.2)
 
@@ -211,6 +212,20 @@ class TestTau:
         rep = eigenspace_via_tau(op, lam0, eig)
         assert rep.residue_rank == 0
         assert rep.principal_angles.tolist() == [np.pi / 2]
+
+    def test_trace_invisible_is_the_per_group_rule(self, annulus2d):
+        # the flags against their definition, one group at a time: a level is
+        # invisible when the largest trace of its eigenvectors is at most
+        # RESIDUE_TOL times the largest trace of any eigenvector; this annulus
+        # has multiplicity-2 groups and 12 invisible levels
+        dom, op = annulus2d
+        eig = oracle_eigendecomposition(op)
+        taus = normal_derivative(dom, np.zeros((dom.n_boundary, op.n)), eig.vectors)
+        norms = dom.boundary_norm(taus.T)
+        expected = [max(norms[j] for j in g) <= RESIDUE_TOL * norms.max() for g in eig.groups]
+        assert any(len(g) == 2 for g in eig.groups)
+        assert sum(expected) == 12
+        assert trace_invisible(dom, eig) == expected
 
     def test_not_an_eigenvalue(self, t1):
         _, op = t1

@@ -317,6 +317,19 @@ class TestOracle:
         gram = dom.interior_weight * (eig.vectors.T @ eig.vectors)
         assert np.allclose(gram, np.eye(op.n), atol=1e-10)
 
+    def test_halfline_oracle_never_densifies(self, monkeypatch):
+        # the half-line oracle reads the stored tridiagonal; a dense A_II fails here
+        dom = build_domain(HalfLine1D(h=0.05, L=20.0))
+        op = assemble_operator(dom, well_potential(dom, depth=2.0, width=1.0))
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("oracle_eigendecomposition densified A_II")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(type(op.a_ii), "toarray", no_dense)
+            eig = oracle_eigendecomposition(op)
+        assert eig.values.size == op.n
+
     def test_2d_has_degenerate_level(self, annulus2d):
         _, op = annulus2d
         eig = oracle_eigendecomposition(op)

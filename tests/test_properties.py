@@ -160,6 +160,27 @@ def test_resolvent_sum_matches_lu(model, draws, uncertified):
     assert np.max(np.abs(op.resolvent_sum(zs, ws) - ref)) <= bound
 
 
+@given(st.one_of(halflines(), halflines(cells=st.just(3))))
+def test_halfline_oracle_matches_dense(model):
+    # the half-line oracle (stevd on the stored tridiagonal) against the dense
+    # eigh of the symmetrized A_II: the same values and degeneracy groups to
+    # 1e-12 of ||A_II||_1, w_I-orthonormal vectors, and a residual of each
+    # (w_I-unit) vector within 1e-12 of ||A_II||_1
+    dom, op = model
+    a = op.a_ii.toarray()
+    a = 0.5 * (a + a.T)
+    values = np.linalg.eigh(a)[0]
+    eig = oracle_eigendecomposition(op)
+    tol = 1e-12 * op.a_norm
+    assert np.max(np.abs(eig.values - values)) <= tol
+    breaks = np.flatnonzero(np.diff(values) > 1e-8 * max(values[-1] - values[0], 1.0)) + 1
+    assert eig.groups == tuple(tuple(g.tolist()) for g in np.split(np.arange(op.n), breaks))
+    gram = dom.interior_weight * (eig.vectors.T @ eig.vectors)
+    assert np.max(np.abs(gram - np.eye(op.n))) <= 1e-12
+    residuals = a @ eig.vectors - eig.vectors * eig.values
+    assert np.max(np.sqrt(dom.interior_weight) * np.linalg.norm(residuals, axis=0)) <= tol
+
+
 @given(models, upper(0.05), st.data())
 def test_herglotz_identity(model, lam, data):
     # Im (M g, g) = -Im(lam) ||gamma g||^2, criterion 2's identity
