@@ -53,26 +53,36 @@ def _write_json(data, out_dir, name):
     return path
 
 
+# validate makes this many identity draws; a draw whose z lie too close to the
+# spectrum raises and is redrawn, up to ten tries per draw in all
+_DRAWS = 20
+_TRIES = 10 * _DRAWS
+
+
 def _cmd_validate(cfg: RunConfig, out_dir: str, seed: int) -> int:
     _, op = build_model(cfg)
     rng = np.random.default_rng(seed)
     worst = 0.0
     draws = []
-    n = 0
-    while n < 20:
+    for _ in range(_TRIES):
         lam, zeta, nu = (complex(rng.uniform(-3, 3), rng.uniform(0.2, 2) * s)
                          for s in (1, 1, -1))
         try:
             rep = identity_suite(op, lam, zeta, nu)
         except DtnLabError:
             continue
-        n += 1
         worst = max(worst, rep.max_residual)
         draws.append({"lam": [lam.real, lam.imag], "zeta": [zeta.real, zeta.imag],
                       "nu": [nu.real, nu.imag],
                       "residuals": {k: float(v) for k, v in rep.residuals.items()}})
+        if len(draws) == _DRAWS:
+            break
     _write_json({"draws": draws, "max_residual": worst}, out_dir, "validate.json")
-    print(f"identity residual max over {n} draws: {worst:.3e}")
+    if len(draws) < _DRAWS:
+        print(f"numerical failure: gave up after {_TRIES} tries, {len(draws)} of {_DRAWS} "
+              "draws succeeded", file=sys.stderr)
+        return 2
+    print(f"identity residual max over {_DRAWS} draws: {worst:.3e}")
     return 0 if worst <= 1e-10 else 2
 
 

@@ -126,7 +126,7 @@ def _check_tabulated(pot, dom):
     try:
         nodes = build_domain(_domain_spec(dom))
     except DomainError:
-        return  # the geometry error is reported when the model is built
+        return  # the geometry error, a ConfigError too, is reported when the model is built
     _require(len(values) == nodes.n_interior,
              f"potential.interior_values has {len(values)} entries for {nodes.n_interior} nodes")
 

@@ -363,12 +363,12 @@ class DirichletOperator:
         return self._cache[z]
 
     def cached_many(self, zs, build):
-        """cached() for many z at once: build(missing) gives, in order, the
-        values of the z not yet stored."""
+        """cached() for many z at once: build(missing) gives the values of the z
+        not yet stored as one block, in order, which is made read-only and
+        stored one view per z."""
         missing = [z for z in zs if z not in self._cache]
         if missing:
-            for z, value in zip(missing, build(missing)):
-                self.cached(z, lambda v=value: v)
+            self._cache.update(zip(missing, _read_only(build(missing))))
 
     @cached_property
     def tridiagonal(self) -> tuple:
@@ -378,8 +378,8 @@ class DirichletOperator:
     @cached_property
     def reduction(self) -> tuple:
         """(diagonal, off-diagonal, Q^T P) of an orthogonal reduction Q^T A_II Q = T
-        to symmetric tridiagonal form (read-only, built on first use; see
-        _tridiagonalize)."""
+        to symmetric tridiagonal form, Q^T P complex as trace_resolvent reads it
+        (read-only, built on first use; see _tridiagonalize)."""
         return tuple(_read_only(a)
                      for a in _tridiagonalize(self.a_ii.toarray(), self.domain.incidence))
 
@@ -423,8 +423,7 @@ class DirichletOperator:
             for d, e2 in zip(diag[-2::-1].tolist(), (off[::-1] ** 2).tolist()):
                 t = d - zs - e2 / t
             return (1.0 / t)[:, None, None]
-        diag, off, qtp = self.reduction
-        c = qtp.astype(complex)
+        diag, off, c = self.reduction
         out = np.empty((len(zs), c.shape[1], c.shape[1]), dtype=complex)
         for k, z in enumerate(zs):
             *factors, info = _GTTRF(off, diag - z, off)
@@ -530,24 +529,25 @@ _REL_DIST_THRESHOLD = 1e-10
 _CERTIFIED_GAP = 2.0
 _GTTRF, _GTTRS, _GBTRF, _GBTRS = get_lapack_funcs(("gttrf", "gttrs", "gbtrf", "gbtrs"),
                                                   dtype=complex)
-_SYTRD, _SYTRD_LWORK, _STEVD = get_lapack_funcs(("sytrd", "sytrd_lwork", "stevd"), dtype=float)
+_SYTRD, _SYTRD_LWORK, _ORMQR, _STEVD = get_lapack_funcs(
+    ("sytrd", "sytrd_lwork", "ormqr", "stevd"), dtype=float)
 
 
 def _tridiagonalize(a: np.ndarray, p: np.ndarray) -> tuple:
     """(d, e, Q^T p) for the Householder reduction Q^T a Q = tridiag(e, d, e) of a
     real symmetric a (LAPACK sytrd, lower triangle; Golub & Van Loan, *Matrix
-    Computations*, 8.3.1).
+    Computations*, 8.3.1), with Q^T p complex.
 
-    sytrd returns Q = H_1 ... H_(n-1) as reflectors H_i = I - tau_i v_i v_i^T,
-    v_i = (1, c[i+2:, i]) on rows i+1 onwards, so Q^T p = H_(n-1) ... H_1 p.
+    sytrd returns Q = diag(1, Q') with Q' the product of QR-type reflectors
+    stored in c[1:, :-1] and tau, so LAPACK ormqr applies Q'^T to p[1:]
+    (LAPACK Users' Guide, 3rd ed., xORMQR); both workspaces are queried.
     """
     lwork, _ = _SYTRD_LWORK(len(a), lower=1)    # the blocked algorithm's workspace
     c, d, e, tau, _ = _SYTRD(a, lower=1, lwork=int(lwork))
-    qtp = np.array(p, dtype=float)
-    for i, t in enumerate(tau):
-        v = np.concatenate(([1.0], c[i + 2:, i]))
-        rows = qtp[i + 1:]
-        rows -= t * np.outer(v, v @ rows)
+    reflectors, rows = c[1:, :-1], p[1:]
+    work = _ORMQR("L", "T", reflectors, tau, rows, -1)[1]
+    qtp = p.astype(complex)
+    qtp[1:] = _ORMQR("L", "T", reflectors, tau, rows, int(work[0]))[0]
     return d, e, qtp
 
 

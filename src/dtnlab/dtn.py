@@ -103,13 +103,9 @@ def poisson_solve(op: DirichletOperator, lam: complex, g: np.ndarray) -> np.ndar
     return op.factorize(lam).solve(rhs)
 
 
-def _poisson_columns(op: DirichletOperator, solver) -> np.ndarray:
-    """gamma = R(z) B for the z that solver has factored."""
-    return solver.solve(op.dense_b)
-
-
 def poisson_matrix(op: DirichletOperator, lam: complex) -> PoissonMatrix:
-    return PoissonMatrix(lam=complex(lam), gamma=_poisson_columns(op, op.factorize(lam)))
+    """gamma = R(lam) B."""
+    return PoissonMatrix(lam=complex(lam), gamma=op.factorize(lam).solve(op.dense_b))
 
 
 def normal_derivative(dom: DiscreteDomain, g: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -193,7 +189,7 @@ def dtn_matrices(op: DirichletOperator, zs):
 def _factor_at(op: DirichletOperator, z: complex):
     """Factor A_II - z once: (solver, gamma(z), M(z)), filling the M(z) table at z."""
     solver = op.factorize(z)
-    gamma = _poisson_columns(op, solver)
+    gamma = solver.solve(op.dense_b)
     return solver, gamma, op.cached(z, lambda: _dtn_from_gamma(op, gamma))
 
 

@@ -5,8 +5,12 @@ class DtnLabError(Exception):
     """Base class for all errors raised by dtnlab."""
 
 
-class DomainError(DtnLabError):
-    """Invalid domain geometry or mismatched shapes."""
+class ConfigError(DtnLabError):
+    """Invalid run configuration."""
+
+
+class DomainError(ConfigError):
+    """Invalid domain geometry or mismatched shapes; reported as a configuration error."""
 
 
 class NearSpectrum(DtnLabError):
@@ -48,7 +52,3 @@ class EndpointOnEigenvalue(DtnLabError):
 
 class Inconclusive(DtnLabError):
     """A boundary limit did not converge at the configured schedule."""
-
-
-class ConfigError(DtnLabError):
-    """Invalid run configuration."""

@@ -733,10 +733,12 @@ class TestStageFill:
     @pytest.mark.parametrize("raw", [REDUCED_WELL_SWEEP, dict(ANNULUS_SWEEP, domain={
         "kind": "exterior2d", "h": 1.0, "a": 1.5, "L": 4.5})])
     def test_table_holds_only_m(self, monkeypatch, raw):
-        # the operator's table maps complex z to M(z) and nothing else; its
+        # the operator's table maps complex z to M(z) and nothing else, and no
+        # entry can be written, whether a stage fill or an LU entered it; its
         # other lazily built data are built once and read-only
         op = _counted_sweep(monkeypatch, raw)[0]
         assert op._cache and all(type(key) is complex for key in op._cache)
+        assert not any(m.flags.writeable for m in op._cache.values())
         arrays = []
         for name in ("a_norm", "dense_b", "tridiagonal", "reduction", "banded"):
             value = getattr(op, name)

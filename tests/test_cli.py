@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dtnlab.cli
 import dtnlab.report
-from dtnlab import ConfigError, config_from_dict, parse_config
+from dtnlab import ConfigError, NearSpectrum, config_from_dict, parse_config
 from dtnlab.config import MAX_ETA_COUNT, MAX_GRID_POINTS, MAX_PROBES
 from dtnlab.classify import window_grid
 from dtnlab.cli import main
@@ -222,6 +223,38 @@ class TestCli:
                                          "interior_values": [0.0, 0.0],
                                          "boundary_values": [0.0]})
         self._rejected(tmp_path, bad, "boundary_values")
+
+    @pytest.mark.parametrize("domain", [
+        {"kind": "halfline", "h": 0.3, "L": 1.0},              # L not a multiple of h
+        {"kind": "exterior2d", "h": 1.0, "a": 0.5, "L": 7.5},   # no obstacle node
+        {"kind": "exterior2d", "h": 1.0, "a": 8.0, "L": 7.5},   # obstacle outside the box
+    ])
+    def test_bad_geometry_is_config_error(self, tmp_path, capsys, domain):
+        # the geometry is checked when the model is built, and reported as
+        # bad input all the same
+        code = main(["classify", "--config", _write_config(tmp_path, dict(T1_CONFIG,
+                                                                          domain=domain)),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_validate_gives_up(self, tmp_path, capsys, monkeypatch):
+        # a model on which every draw raises NearSpectrum ends with exit 2 and
+        # the draws made, instead of drawing forever
+        calls = []
+
+        def near(op, lam, zeta, nu):
+            calls.append(lam)
+            if len(calls) > 10_000:
+                raise RuntimeError("validate does not give up")
+            raise NearSpectrum(lam, 0.0)
+
+        monkeypatch.setattr(dtnlab.cli, "identity_suite", near)
+        code = main(["validate", "--config", _write_config(tmp_path), "--out", str(tmp_path)])
+        assert code == 2
+        assert len(calls) == 200
+        assert "0 of 20 draws succeeded" in capsys.readouterr().err
+        assert json.loads((tmp_path / "validate.json").read_text())["draws"] == []
 
     def test_window_stage_failure_stays_local(self, tmp_path):
         # eta0 = 1e-13 puts M(1 + i*eta0) within the solver's distance
