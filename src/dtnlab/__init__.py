@@ -34,10 +34,7 @@ from .domain import (
     zero_potential,
 )
 from .dtn import (
-    DtnMatrix,
     IdentityReport,
-    PoissonMatrix,
-    RobinMap,
     boundary_adjoint,
     dtn_matrices,
     dtn_matrix,

@@ -161,9 +161,8 @@ class ClassifyConfig:
 
     def slim_nonzero(self, relative, slope):
         """Whether eta*M limits of these relative sizes and decay slopes are nonzero;
-        a slope of None or nan does not veto it, so this is not `not vanishes(slope)`."""
-        slope = np.nan if slope is None else np.asarray(slope)
-        return (np.asarray(relative) > self.tau_eig_rel) & ~(slope >= DECAY_CUT)
+        a nan slope does not veto it, so this is not `not vanishes(slope)`."""
+        return (np.asarray(relative) > self.tau_eig_rel) & ~(np.asarray(slope) >= DECAY_CUT)
 
     @property
     def level_edge(self) -> float:

@@ -57,15 +57,20 @@ def _write_json(data, out_dir, name):
 # spectrum raises and is redrawn, up to ten tries per draw in all
 _DRAWS = 20
 _TRIES = 10 * _DRAWS
+# |Im z| of a draw is drawn from _HEIGHTS and scaled so that the lowest is
+# certified off the spectrum (DirichletOperator.certified): on a fine grid the
+# NearSpectrum threshold, which grows as 1/h^2, lies above the whole range
+_HEIGHTS = (0.2, 2)
 
 
 def _cmd_validate(cfg: RunConfig, out_dir: str, seed: int) -> int:
     _, op = build_model(cfg)
     rng = np.random.default_rng(seed)
+    scale = max(1.0, op.certified_height / _HEIGHTS[0])
     worst = 0.0
     draws = []
     for _ in range(_TRIES):
-        lam, zeta, nu = (complex(rng.uniform(-3, 3), rng.uniform(0.2, 2) * s)
+        lam, zeta, nu = (complex(rng.uniform(-3, 3), rng.uniform(*_HEIGHTS) * scale * s)
                          for s in (1, 1, -1))
         try:
             rep = identity_suite(op, lam, zeta, nu)
@@ -172,7 +177,7 @@ def _cmd_convergence(cfg: RunConfig, out_dir: str, seed: int) -> int:
         op = assemble_operator(dom, zero_potential(dom))
         for x in conv["x_values"]:
             lam = complex(x, conv["eta"])
-            m = dtn_matrix(op, lam).m[0, 0]
+            m = dtn_matrix(op, lam)[0, 0]
             m_oracle = _free_halfline_m(x, conv["eta"], h)
             rows.append({
                 "h": h, "x": x, "eta": conv["eta"],

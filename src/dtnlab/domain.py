@@ -323,16 +323,17 @@ class DirichletOperator:
     """Interior block of the discrete -Laplace + q plus the boundary injection.
 
     A_II is the 2d+1-point stencil with homogeneous Dirichlet data on both the
-    discrete boundary and the truncation ring; B carries boundary data into
-    the interior load with entries 1/h^2, one per adjacency pair.  Data
-    derived from A_II and B are read-only cached properties; ``_cache`` is
-    the z -> M(z) table (``cached``).
+    discrete boundary and the truncation ring; B = P / h^2 carries boundary
+    data into the interior load with entries 1/h^2, one per adjacency pair,
+    and is kept once, as the dense complex read-only (n_I, n_B) array that
+    the solves read.  Data derived from A_II and B are read-only cached
+    properties; ``_cache`` is the z -> M(z) table (``cached``).
     """
 
     domain: DiscreteDomain
     potential: PotentialField
     a_ii: sp.csr_matrix
-    b: sp.csr_matrix
+    b: np.ndarray
 
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -344,11 +345,6 @@ class DirichletOperator:
     def a_norm(self) -> float:
         """||A_II||_1, the maximum absolute column sum, computed on first use."""
         return abs(self.a_ii).sum(axis=0).max()
-
-    @cached_property
-    def dense_b(self) -> np.ndarray:
-        """B as a dense complex array (read-only, built on first use)."""
-        return _read_only(self.b.toarray().astype(complex))
 
     def cached(self, z, build):
         """The M(z) table: build() on the first request for z, stored read-only
@@ -496,9 +492,6 @@ class DirichletOperator:
         """Factor A_II - z, raising NearSpectrum if z is too close to an eigenvalue."""
         return ShiftedSolver(self, complex(z))
 
-    def solve(self, z: complex, rhs: np.ndarray) -> np.ndarray:
-        return self.factorize(z).solve(rhs)
-
 
 def assemble_operator(dom: DiscreteDomain, q: PotentialField) -> DirichletOperator:
     """Assemble A_II and the boundary-injection matrix B."""
@@ -511,7 +504,7 @@ def assemble_operator(dom: DiscreteDomain, q: PotentialField) -> DirichletOperat
     vals = np.concatenate([2 * dom.dimension / h2 + q.interior_values,
                            np.full(len(rows) - n, -1.0 / h2)])
     a_ii = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    b = sp.csr_matrix(dom.incidence / h2)
+    b = _read_only((dom.incidence / h2).astype(complex))
 
     asym = abs(a_ii - a_ii.T)
     if asym.nnz and asym.max() > 0:

@@ -27,9 +27,6 @@ from .domain import DirichletOperator, DiscreteDomain
 from .errors import DegenerateParameters, NearSpectrum, SingularRobinPencil
 
 __all__ = [
-    "PoissonMatrix",
-    "DtnMatrix",
-    "RobinMap",
     "IdentityReport",
     "poisson_solve",
     "poisson_matrix",
@@ -49,31 +46,6 @@ _TINY = 1e-300
 def _relative_residual(x: np.ndarray, y: np.ndarray) -> float:
     scale = max(np.linalg.norm(x), np.linalg.norm(y), _TINY)
     return float(np.linalg.norm(x - y) / scale)
-
-
-@dataclass(frozen=True)
-class PoissonMatrix:
-    """Columns are the boundary-basis solutions of (A_II - lam) u = B g."""
-
-    lam: complex
-    gamma: np.ndarray  # (n_I, n_B)
-
-
-@dataclass(frozen=True)
-class DtnMatrix:
-    """Dense boundary matrix realizing the DtN map at lam."""
-
-    lam: complex
-    m: np.ndarray      # (n_B, n_B)
-
-
-@dataclass(frozen=True)
-class RobinMap:
-    """Robin-to-Dirichlet map (Theta - M(lam))^(-1)."""
-
-    lam: complex
-    theta: np.ndarray
-    m_theta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -103,9 +75,10 @@ def poisson_solve(op: DirichletOperator, lam: complex, g: np.ndarray) -> np.ndar
     return op.factorize(lam).solve(rhs)
 
 
-def poisson_matrix(op: DirichletOperator, lam: complex) -> PoissonMatrix:
-    """gamma = R(lam) B."""
-    return PoissonMatrix(lam=complex(lam), gamma=op.factorize(lam).solve(op.dense_b))
+def poisson_matrix(op: DirichletOperator, lam: complex) -> np.ndarray:
+    """gamma(lam) = R(lam) B, shape (n_I, n_B): column b is the solution of
+    (A_II - lam) u = B e_b."""
+    return op.factorize(lam).solve(op.b)
 
 
 def normal_derivative(dom: DiscreteDomain, g: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -129,15 +102,14 @@ def _dtn_from_gamma(op: DirichletOperator, gamma: np.ndarray) -> np.ndarray:
     return np.eye(op.domain.n_boundary, dtype=complex) / op.domain.h - _trace_part(op.domain, gamma)
 
 
-def dtn_matrix(op: DirichletOperator, lam: complex) -> DtnMatrix:
-    """M(lam) columnwise from boundary-basis Poisson solutions.
+def dtn_matrix(op: DirichletOperator, lam: complex) -> np.ndarray:
+    """M(lam), shape (n_B, n_B), columnwise from boundary-basis Poisson solutions.
 
-    The operator keeps a z -> M(z) table: a repeated lam gets the stored,
-    read-only array, and NearSpectrum is raised again on every call.
+    The array is the read-only entry of the operator's z -> M(z) table: a
+    repeated lam gets the same object, and NearSpectrum is raised again on
+    every call.
     """
-    lam = complex(lam)
-    m = op.cached(lam, lambda: _dtn_from_gamma(op, poisson_matrix(op, lam).gamma))
-    return DtnMatrix(lam=lam, m=m)
+    return op.cached(lam, lambda: _dtn_from_gamma(op, poisson_matrix(op, lam)))
 
 
 def fill_certified(op: DirichletOperator, zs) -> None:
@@ -178,7 +150,7 @@ def dtn_matrices(op: DirichletOperator, zs):
     for r, row in enumerate(zs.tolist()):
         for z in row:
             try:
-                m[r, lengths[r]] = dtn_matrix(op, z).m
+                m[r, lengths[r]] = dtn_matrix(op, z)
             except NearSpectrum as exc:
                 failures[r] = exc
                 break
@@ -189,7 +161,7 @@ def dtn_matrices(op: DirichletOperator, zs):
 def _factor_at(op: DirichletOperator, z: complex):
     """Factor A_II - z once: (solver, gamma(z), M(z)), filling the M(z) table at z."""
     solver = op.factorize(z)
-    gamma = solver.solve(op.dense_b)
+    gamma = solver.solve(op.b)
     return solver, gamma, op.cached(z, lambda: _dtn_from_gamma(op, gamma))
 
 
@@ -209,7 +181,7 @@ def gamma_adjoint(op: DirichletOperator, lam: complex) -> np.ndarray:
     Returned as a dense (n_B, n_I) matrix satisfying
     <gamma(lam) g, u>_I = <g, gamma_adjoint(lam) u>_B exactly.
     """
-    return _adjoint_from_gamma(op, poisson_matrix(op, np.conj(lam)).gamma)
+    return _adjoint_from_gamma(op, poisson_matrix(op, np.conj(lam)))
 
 
 def boundary_adjoint(dom: DiscreteDomain, m: np.ndarray) -> np.ndarray:
@@ -289,18 +261,18 @@ def identity_suite(op: DirichletOperator, lam: complex, zeta: complex, nu: compl
 # Robin-to-Dirichlet map
 # ---------------------------------------------------------------------------
 
-def robin_to_dirichlet(op: DirichletOperator, lam: complex, theta: np.ndarray) -> RobinMap:
-    """Invert the Robin pencil Theta - M(lam)."""
+def robin_to_dirichlet(op: DirichletOperator, lam: complex, theta: np.ndarray) -> np.ndarray:
+    """(Theta - M(lam))^(-1), the inverse of the Robin pencil."""
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
     n_b = op.domain.n_boundary
     if theta.shape != (n_b, n_b):
         raise ValueError("Theta has wrong shape")
     if not np.allclose(theta, theta.T, atol=1e-12 * max(1.0, np.abs(theta).max())):
         raise ValueError("Theta must be real symmetric")
-    m = dtn_matrix(op, lam).m
+    m = dtn_matrix(op, lam)
     pencil = theta - m
     sv = np.linalg.svd(pencil, compute_uv=False)
     scale = max(np.abs(theta).max(), np.abs(m).max(), _TINY)
     if sv[-1] <= 1e-12 * scale:
         raise SingularRobinPencil(f"Theta - M({lam}) is numerically singular")
-    return RobinMap(lam=complex(lam), theta=theta, m_theta=np.linalg.inv(pencil))
+    return np.linalg.inv(pencil)

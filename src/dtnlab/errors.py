@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+__all__ = ["DtnLabError", "ConfigError", "DomainError", "NearSpectrum", "DegenerateParameters",
+           "SingularRobinPencil", "ContourTouchesSpectrum", "AtomHit", "EndpointOnEigenvalue",
+           "Inconclusive"]
+
 
 class DtnLabError(Exception):
     """Base class for all errors raised by dtnlab."""

@@ -179,7 +179,7 @@ def decay_exponent(etas, norms):
     """Least-squares slope of log|f| against log(eta), over the last axis of norms.
 
     Only samples of |f| above 1e-290 enter.  Where fewer than two do (f has
-    vanished) the slope is nan, or None when norms is a single profile.
+    vanished) the slope is nan.  A float for a single profile, else an array.
     """
     norms = np.asarray(norms, dtype=float)
     keep = norms > 1e-290
@@ -192,14 +192,12 @@ def decay_exponent(etas, norms):
     dy = y - y.sum(axis=-1, keepdims=True) / n
     slope = np.where(fit, (dx * dy).sum(axis=-1) / np.where(fit, (dx * dx).sum(axis=-1), 1.0),
                      np.nan)
-    if norms.ndim == 1:
-        return None if count < 2 else float(slope)
-    return slope
+    return slope[()]
 
 
 def vanishes(slope):
-    """Whether a decay_exponent slope says y*F -> 0 (None or nan: |y*F| underflowed)."""
-    return slope is None or ~(np.asarray(slope) < DECAY_CUT)
+    """Whether a decay_exponent slope says y*F -> 0 (nan: |y*F| underflowed)."""
+    return ~(np.asarray(slope) < DECAY_CUT)
 
 
 def boundary_limit(etas, q, floored: bool, slopes: bool = True) -> dict:

@@ -77,23 +77,26 @@ def spectral_measure(op: DirichletOperator, eig: EigenSystem, u: np.ndarray) -> 
     if u.shape != (dom.n_interior,):
         raise ValueError("vector has wrong length")
     coeffs = dom.interior_weight * (eig.vectors.T @ u)  # (u, v_j), v_j real
-    atoms = np.array([np.mean(eig.values[list(g)]) for g in eig.groups])
-    weights = np.array([np.sum(np.abs(coeffs[list(g)]) ** 2) for g in eig.groups])
+    starts = [g[0] for g in eig.groups]                  # contiguous groups
+    atoms = np.add.reduceat(eig.values, starts) / [len(g) for g in eig.groups]
+    weights = np.add.reduceat(np.abs(coeffs) ** 2, starts)
     mass = dom.interior_norm(u) ** 2
     keep = weights > 1e-14 * max(mass, 1e-300)
     return SpectralMeasure(atoms[keep], weights[keep])
 
 
-def borel_transform(measure: SpectralMeasure, z: complex) -> complex:
-    """F(z) = int d mu(t) / (t - z); raises AtomHit on an atom of the measure."""
-    z = complex(z)
+def borel_transform(measure: SpectralMeasure, z):
+    """F(z) = int d mu(t) / (t - z), a complex for a z and an array for an array of
+    z; raises AtomHit if a real z lies on an atom of the measure."""
+    z = np.asarray(z, dtype=complex)
     carried = measure.weights > 0
-    if z.imag == 0:
-        gaps = np.abs(measure.atoms - z.real)
-        hit = carried & (gaps <= _ATOM_TOL * np.maximum(np.abs(measure.atoms), 1.0))
-        if np.any(hit):
-            raise AtomHit(f"Borel transform evaluated at the atom {z.real}")
-    return complex(np.sum(measure.weights[carried] / (measure.atoms[carried] - z)))
+    atoms, weights = measure.atoms[carried], measure.weights[carried]
+    real = z[z.imag == 0].real
+    hit = np.abs(atoms - real[:, None]) <= _ATOM_TOL * np.maximum(np.abs(atoms), 1.0)
+    if np.any(hit):
+        raise AtomHit(f"Borel transform evaluated at the atom {real[hit.any(axis=1)][0]}")
+    f = np.sum(weights / (atoms - z[..., None]), axis=-1)
+    return complex(f) if f.ndim == 0 else f
 
 
 def point_mass(measure: SpectralMeasure, x: float,
@@ -106,7 +109,7 @@ def point_mass(measure: SpectralMeasure, x: float,
     """
     sched = EtaSchedule(1e-3, 0.5, 10) if sched is None else sched
     etas = sched.samples()
-    vals = [eta * borel_transform(measure, x + 1j * eta).imag for eta in etas]
+    vals = etas * borel_transform(measure, x + 1j * etas).imag
     value, _ = richardson_extrapolate(etas ** 2, vals)
     return max(float(np.real(value)), 0.0)
 
@@ -219,7 +222,7 @@ def ac_sc_supports(measure: SpectralMeasure, sched: EtaSchedule, grid) -> Suppor
     """
     grid = np.asarray(grid, dtype=float)
     etas = sched.samples()
-    fs = np.array([[borel_transform(measure, x + 1j * y) for y in etas] for x in grid])
+    fs = borel_transform(measure, grid[:, None] + 1j * etas)
     bv = boundary_limit(etas, fs, sched.floored)
     im_values, diverging, yzero = bv["value"].imag, bv["diverging"], bv["y_limit_zero"]
     ac_set = essential_closure(GridSet.from_flags(grid, ac_flags(im_values, diverging,
@@ -251,7 +254,7 @@ def simplicity_rank(op: DirichletOperator, zetas) -> SimplicityReport:
     zetas = list(zetas)
     if not any(complex(z).imag != 0 for z in zetas):
         raise ValueError("need at least one non-real zeta sample")
-    cols = np.hstack([poisson_matrix(op, z).gamma for z in zetas])
+    cols = np.hstack([poisson_matrix(op, z) for z in zetas])
     s = np.linalg.svd(cols, compute_uv=False)
     rank = 0 if s.size == 0 or s[0] == 0 else int(np.sum(s > _RANK_TOL * s[0]))
     return SimplicityReport(rank=rank, interior_dim=op.domain.n_interior,

@@ -73,22 +73,22 @@ class TestGridSet:
 
 class TestSlimNonzero:
     def test_small_limit_is_zero(self):
-        assert not T1_CFG.slim_nonzero(0.5 * T1_CFG.tau_eig_rel, None)
+        assert not T1_CFG.slim_nonzero(0.5 * T1_CFG.tau_eig_rel, np.nan)
         assert T1_CFG.slim_nonzero(2 * T1_CFG.tau_eig_rel, 0.0)
 
     def test_decaying_limit_is_zero(self):
         assert not T1_CFG.slim_nonzero(1.0, DECAY_CUT)
         assert not T1_CFG.slim_nonzero(1.0, 1.0)
 
-    def test_slope_none_does_not_veto(self):
-        assert T1_CFG.slim_nonzero(1.0, None)
-        # arrays of limits: nan, an underflowed row, reads as None
+    def test_nan_slope_does_not_veto(self):
+        assert T1_CFG.slim_nonzero(1.0, np.nan)
+        # arrays of limits too
         flags = T1_CFG.slim_nonzero(np.array([1.0, 1.0, 1e-9]), np.array([np.nan, 0.6, 0.0]))
         assert flags.tolist() == [True, False, False]
 
     def test_vanishes(self):
-        # the y*F -> 0 rule of sc_screen and ac_sc_supports: None reads as vanished
-        assert vanishes(None) and vanishes(0.5)
+        # the y*F -> 0 rule of sc_screen and ac_sc_supports: nan reads as vanished
+        assert vanishes(np.nan) and vanishes(0.5)
         assert not vanishes(0.49)
         assert vanishes(np.array([np.nan, 0.5, 0.49])).tolist() == [True, True, False]
 
@@ -587,10 +587,10 @@ class TestDtnTable:
         monkeypatch.undo()
         fresh = assemble_operator(dom, zero_potential(dom))
         for z in by_lu:
-            assert np.array_equal(dtn_matrix(op, z).m, dtn_matrix(fresh, z).m)
+            assert np.array_equal(dtn_matrix(op, z), dtn_matrix(fresh, z))
         for z in by_reduction:
             dtnlab.dtn.fill_certified(fresh, [z])
-            assert np.array_equal(dtn_matrix(op, z).m, dtn_matrix(fresh, z).m)
+            assert np.array_equal(dtn_matrix(op, z), dtn_matrix(fresh, z))
 
     def test_reduced_annulus_sweep_factorization_count(self, monkeypatch):
         # Certified z come from the tridiagonal reduction and the level stage
@@ -740,7 +740,7 @@ class TestStageFill:
         assert op._cache and all(type(key) is complex for key in op._cache)
         assert not any(m.flags.writeable for m in op._cache.values())
         arrays = []
-        for name in ("a_norm", "dense_b", "tridiagonal", "reduction", "banded"):
+        for name in ("a_norm", "b", "tridiagonal", "reduction", "banded"):
             value = getattr(op, name)
             assert getattr(op, name) is value
             with pytest.raises(AttributeError):

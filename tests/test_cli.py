@@ -136,6 +136,21 @@ def test_readme_example_config_classifies(tmp_path):
                  "--out", str(tmp_path)]) == 0
 
 
+def test_readme_minimal_session_runs():
+    # the README's minimal session runs on the current API and prints what its
+    # comments say
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    printed = []
+    exec(block, {"print": lambda *args: printed.append(args)})
+    (m,), (residual,), (verdict, lam, multiplicity, r) = printed
+    assert np.allclose(m, [[1 / 3]], rtol=1e-14, atol=0)
+    assert residual < 1e-14
+    assert (verdict, multiplicity) == ("eigenvalue", 1)
+    assert lam == pytest.approx(1.0, abs=1e-10)
+    assert np.allclose(r, [[0.5]], rtol=1e-8, atol=0)
+
+
 class TestCli:
     def test_validate(self, tmp_path, capsys):
         code = main(["validate", "--config", _write_config(tmp_path),
@@ -255,6 +270,15 @@ class TestCli:
         assert len(calls) == 200
         assert "0 of 20 draws succeeded" in capsys.readouterr().err
         assert json.loads((tmp_path / "validate.json").read_text())["draws"] == []
+
+    def test_validate_on_a_fine_halfline(self, tmp_path, capsys):
+        # at h = 1e-5 the NearSpectrum threshold 1e-10 * ||A_II||_1 is 4, above
+        # every unscaled draw height in [0.2, 2]; scaled by the certified
+        # height, every draw succeeds
+        cfg = dict(T1_CONFIG, domain={"kind": "halfline", "h": 1e-5, "L": 2.0})
+        main(["validate", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert "gave up" not in capsys.readouterr().err
+        assert len(json.loads((tmp_path / "validate.json").read_text())["draws"]) == 20
 
     def test_window_stage_failure_stays_local(self, tmp_path):
         # eta0 = 1e-13 puts M(1 + i*eta0) within the solver's distance

@@ -131,7 +131,7 @@ class TestStencil:
         a_ii, p = _reference_stencil(dom, op.potential)
         assert np.array_equal(op.a_ii.toarray(), a_ii)
         assert np.array_equal(dom.incidence, p)
-        assert np.array_equal(op.b.toarray(), p / dom.h ** 2)
+        assert np.array_equal(op.b, p / dom.h ** 2)
 
     def test_neighbor_table_directions(self, annulus2d):
         dom, _ = annulus2d
@@ -176,7 +176,7 @@ class TestOperatorAssembly:
     def test_t1_matrix(self, t1):
         _, op = t1
         assert op.a_ii.toarray().tolist() == [[2.0, -1.0], [-1.0, 2.0]]
-        assert op.b.toarray().tolist() == [[1.0], [0.0]]
+        assert op.b.tolist() == [[1.0], [0.0]]
 
     def test_stencil_scaling(self):
         dom = build_domain(HalfLine1D(h=0.5, L=2.0))
@@ -195,7 +195,7 @@ class TestShiftedSolver:
         _, op = well1d
         z = 0.7 + 0.3j
         rhs = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
-        u = op.solve(z, rhs)
+        u = op.factorize(z).solve(rhs)
         dense = np.linalg.solve(op.a_ii.toarray() - z * np.eye(op.n), rhs)
         assert np.linalg.norm(u - dense) <= 1e-10 * np.linalg.norm(dense)
 
@@ -258,7 +258,7 @@ class TestShiftedSolver:
                            rtol=0, atol=1e-12)
         assert np.allclose(qtp.T @ qtp, dom.incidence.T @ dom.incidence, rtol=0, atol=1e-12)
         z = 0.7 + 0.3j
-        ref = dom.incidence.T @ op.solve(z, dom.incidence.astype(complex))
+        ref = dom.incidence.T @ op.factorize(z).solve(dom.incidence.astype(complex))
         assert np.allclose(op.trace_resolvent([z])[0], ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("model", ["t1", "well1d", "reduced_annulus"])

@@ -1,7 +1,9 @@
-"""Package structure: no module imports another module's private name, and no
-function imports a dtnlab module (a function-local import hides a cycle)."""
+"""Package structure: no module imports another module's private name, no
+function imports a dtnlab module (a function-local import hides a cycle), and
+every export names a definition (a removed type leaves no export behind)."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dtnlab"
@@ -38,3 +40,22 @@ def test_no_function_local_package_import():
                               for name in names
                               if name.startswith(".") or name.split(".")[0] == "dtnlab"]
     assert SRC.is_dir() and offenders == []
+
+
+def test_every_exported_name_exists():
+    modules = [importlib.import_module(f"dtnlab.{path.stem}")
+               for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    missing = [f"{mod.__name__}.{name}" for mod in modules for name in mod.__all__
+               if not hasattr(mod, name)]
+    assert modules and missing == []
+
+
+def test_package_reexports_only_exported_names():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    offenders = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported = importlib.import_module(f"dtnlab.{node.module}").__all__
+            offenders += [f"{node.module}.{alias.name}" for alias in node.names
+                          if alias.name not in exported]
+    assert offenders == []

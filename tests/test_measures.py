@@ -48,6 +48,24 @@ class TestSpectralMeasure:
         mu = spectral_measure(op, eig, u)
         assert mu.total_mass == pytest.approx(dom.interior_norm(u) ** 2, rel=1e-10)
 
+    def test_groups_match_the_loop(self, annulus2d, rng):
+        # degenerate levels: an atom is its group's mean, a weight its group's
+        # sum; reduceat adds in order where np.sum adds pairwise, so on a group
+        # of k levels the two differ by at most about 2 k rounding errors
+        dom, op = annulus2d
+        eig = oracle_eigendecomposition(op)
+        u = rng.standard_normal(dom.n_interior).astype(complex)
+        mu = spectral_measure(op, eig, u)
+        coeffs = dom.interior_weight * (eig.vectors.T @ u)
+        k = max(map(len, eig.groups))
+        assert k == 10
+        tol = 2 * k * np.finfo(float).eps
+        np.testing.assert_allclose(mu.atoms, [np.mean(eig.values[list(g)]) for g in eig.groups],
+                                   rtol=tol, atol=0)
+        np.testing.assert_allclose(
+            mu.weights, [np.sum(np.abs(coeffs[list(g)]) ** 2) for g in eig.groups],
+            rtol=tol, atol=0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SpectralMeasure(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
@@ -69,7 +87,7 @@ class TestBorel:
         for _ in range(20):
             z = complex(rng.uniform(-3, 3), rng.uniform(0.1, 2))
             f = borel_transform(mu, z)
-            quad = dom.interior_inner(op.solve(z, u.astype(complex)), u)
+            quad = dom.interior_inner(op.factorize(z).solve(u.astype(complex)), u)
             assert f == pytest.approx(quad, rel=1e-10)
 
     def test_herglotz_invariant(self, rng):
@@ -82,6 +100,16 @@ class TestBorel:
         mu = SpectralMeasure(np.array([1.0]), np.array([0.5]))
         with pytest.raises(AtomHit):
             borel_transform(mu, 1.0)
+        with pytest.raises(AtomHit):
+            borel_transform(mu, [[0.5j, 2.0], [1.0, 1.0 + 1j]])
+
+    def test_array_matches_scalar_calls(self):
+        mu = _uniform_quadrature_measure(100)
+        zs = np.linspace(-0.5, 1.5, 7)[:, None] + 1j * np.geomspace(1e-3, 1, 5)
+        assert np.array_equal(borel_transform(mu, zs),
+                              [[borel_transform(mu, z) for z in row] for row in zs])
+        assert np.array_equal(borel_transform(mu, [2.0]), [borel_transform(mu, 2.0)])
+        assert type(borel_transform(mu, 0.5j)) is complex
 
 
 class TestPointMass:
