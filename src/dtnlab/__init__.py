@@ -38,7 +38,6 @@ from .dtn import (
     boundary_adjoint,
     dtn_matrices,
     dtn_matrix,
-    gamma_adjoint,
     identity_suite,
     normal_derivative,
     poisson_matrix,

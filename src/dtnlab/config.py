@@ -25,14 +25,14 @@ noted; unknown keys anywhere are rejected with a suggestion):
     }
 
 Null thresholds are derived from the grid step (pole_match_radius = step / 2,
-window_half_width = step).  Stone intervals need lo < hi, one zeta sample must
-be non-real, and the convergence h_values and L must be positive.  "threads"
-must be at least 1 and has no effect: the sweep runs on one thread.  Numbers
-must be finite JSON numbers (true and false are not numbers), and eta.count,
-probes.count, probes.seed (at least 0) and threads integer-valued ones (3.0,
-not 2.7).  Three work caps bound a run: eta.count is at most MAX_ETA_COUNT,
-probes.count at most MAX_PROBES, and the window holds at most MAX_GRID_POINTS
-grid points.
+window_half_width = step); tau_eig, tau_ac and fit_tol must be positive.  Stone
+intervals need lo < hi, one zeta sample must be non-real, and the convergence
+eta, h_values and L must be positive.  "threads" must be at least 1 and has no
+effect: the sweep runs on one thread.  Numbers must be finite JSON numbers
+(true and false are not numbers), and eta.count, probes.count, probes.seed (at
+least 0) and threads integer-valued ones (3.0, not 2.7).  Three work caps bound
+a run: eta.count is at most MAX_ETA_COUNT, probes.count at most MAX_PROBES, and
+the window holds at most MAX_GRID_POINTS grid points.
 """
 
 from __future__ import annotations
@@ -236,8 +236,8 @@ def config_from_dict(data: dict) -> RunConfig:
            "pole_match_radius": None, "window_half_width": None}
     thr.update(data.get("thresholds", {}))
     _require_numbers("thresholds", thr, ("tau_eig", "tau_ac", "fit_tol"))
-    _require(thr["tau_eig"] > 0, "thresholds.tau_eig must be positive")
-    _require(thr["tau_ac"] > 0, "thresholds.tau_ac must be positive")
+    for key in ("tau_eig", "tau_ac", "fit_tol"):
+        _require(thr[key] > 0, f"thresholds.{key} must be positive")
     for key in ("pole_match_radius", "window_half_width"):
         if thr[key] is not None:
             _require_numbers("thresholds", thr, (key,))
@@ -255,7 +255,8 @@ def config_from_dict(data: dict) -> RunConfig:
             "h_values": [0.01, 0.005], "L": 200.0}
     conv.update(data.get("convergence", {}))
     _require_numbers("convergence", conv, ("eta", "L"))
-    _require(conv["L"] > 0, "convergence.L must be positive")
+    for key in ("eta", "L"):
+        _require(conv[key] > 0, f"convergence.{key} must be positive")
     _require(isinstance(conv["x_values"], list) and all(map(_is_number, conv["x_values"])),
              "convergence.x_values must be a list of finite numbers")
     _require(isinstance(conv["h_values"], list)

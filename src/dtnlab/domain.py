@@ -373,9 +373,9 @@ class DirichletOperator:
 
     @cached_property
     def reduction(self) -> tuple:
-        """(diagonal, off-diagonal, Q^T P) of an orthogonal reduction Q^T A_II Q = T
-        to symmetric tridiagonal form, Q^T P complex as trace_resolvent reads it
-        (read-only, built on first use; see _tridiagonalize)."""
+        """(diagonal, off-diagonal, Q^T P, reflectors, tau) of an orthogonal reduction
+        Q^T A_II Q = T to tridiagonal form, Q^T P complex as trace_resolvent reads it
+        (read-only, built on first use; see _tridiagonalize and _apply_q)."""
         return tuple(_read_only(a)
                      for a in _tridiagonalize(self.a_ii.toarray(), self.domain.incidence))
 
@@ -419,7 +419,7 @@ class DirichletOperator:
             for d, e2 in zip(diag[-2::-1].tolist(), (off[::-1] ** 2).tolist()):
                 t = d - zs - e2 / t
             return (1.0 / t)[:, None, None]
-        diag, off, c = self.reduction
+        diag, off, c, *_ = self.reduction
         out = np.empty((len(zs), c.shape[1], c.shape[1]), dtype=complex)
         for k, z in enumerate(zs):
             *factors, info = _GTTRF(off, diag - z, off)
@@ -527,21 +527,24 @@ _SYTRD, _SYTRD_LWORK, _ORMQR, _STEVD = get_lapack_funcs(
 
 
 def _tridiagonalize(a: np.ndarray, p: np.ndarray) -> tuple:
-    """(d, e, Q^T p) for the Householder reduction Q^T a Q = tridiag(e, d, e) of a
-    real symmetric a (LAPACK sytrd, lower triangle; Golub & Van Loan, *Matrix
-    Computations*, 8.3.1), with Q^T p complex.
-
-    sytrd returns Q = diag(1, Q') with Q' the product of QR-type reflectors
-    stored in c[1:, :-1] and tau, so LAPACK ormqr applies Q'^T to p[1:]
-    (LAPACK Users' Guide, 3rd ed., xORMQR); both workspaces are queried.
-    """
+    """(d, e, Q^T p, reflectors, tau) for the Householder reduction Q^T a Q =
+    tridiag(e, d, e) of a real symmetric a (LAPACK sytrd, lower triangle; Golub &
+    Van Loan, *Matrix Computations*, 8.3.1), with Q^T p complex: Q = diag(1, Q'),
+    Q' the product of the QR-type reflectors in c[1:, :-1] and tau, which are kept
+    as one Fortran-ordered array that ormqr reads without a copy."""
     lwork, _ = _SYTRD_LWORK(len(a), lower=1)    # the blocked algorithm's workspace
     c, d, e, tau, _ = _SYTRD(a, lower=1, lwork=int(lwork))
-    reflectors, rows = c[1:, :-1], p[1:]
-    work = _ORMQR("L", "T", reflectors, tau, rows, -1)[1]
-    qtp = p.astype(complex)
-    qtp[1:] = _ORMQR("L", "T", reflectors, tau, rows, int(work[0]))[0]
-    return d, e, qtp
+    reflectors = np.asfortranarray(c[1:, :-1])
+    return d, e, _apply_q(reflectors, tau, p, "T").astype(complex), reflectors, tau
+
+
+def _apply_q(reflectors: np.ndarray, tau: np.ndarray, x: np.ndarray, trans: str) -> np.ndarray:
+    """Q x or Q^T x (trans "N" or "T"), C-ordered as dense eigh's vectors are, for sytrd's
+    Q = diag(1, Q'): LAPACK ormqr, its workspace queried, applies Q' to x[1:]."""
+    lwork = _ORMQR("L", trans, reflectors, tau, x[1:], -1)[1][0]
+    out = np.empty(x.shape)
+    out[0], out[1:] = x[0], _ORMQR("L", trans, reflectors, tau, x[1:], int(lwork))[0]
+    return out
 
 
 class ShiftedSolver:
@@ -630,7 +633,7 @@ class ShiftedSolver:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Spectral data of A_II (stevd on the half-line's tridiagonal, dense eigh in 2D),
+    """Spectral data of A_II (LAPACK stevd on its stored tridiagonal form),
     w_I-orthonormal eigenvectors, grouped by degeneracy."""
 
     values: np.ndarray                 # ascending
@@ -650,13 +653,17 @@ class EigenSystem:
 
 def oracle_eigendecomposition(op: DirichletOperator) -> EigenSystem:
     """Symmetric eigendecomposition, the independent reference for all verdicts: LAPACK
-    stevd on the stored tridiagonal on the half-line, dense eigh of A_II in 2D."""
+    stevd on the stored tridiagonal, A_II's on the half-line and the reduction's in 2D,
+    whose eigenvectors Q V_T are formed as dense eigh (syevd) forms them."""
     if op.domain.dimension == 1:
-        values, vectors, info = _STEVD(*op.tridiagonal, compute_v=1)
-        if info:
-            raise np.linalg.LinAlgError(f"stevd failed with info {info}")
+        (diag, off), q = op.tridiagonal, ()
     else:
-        values, vectors = np.linalg.eigh(0.5 * (op.a_ii + op.a_ii.T).toarray())
+        diag, off, _, *q = op.reduction
+    values, vectors, info = _STEVD(diag, off, compute_v=1)
+    if info:
+        raise np.linalg.LinAlgError(f"stevd failed with info {info}")
+    if q:
+        vectors = _apply_q(*q, vectors, "N")
     w_i = op.domain.interior_weight
 
     diameter = float(values[-1] - values[0]) if len(values) > 1 else 1.0

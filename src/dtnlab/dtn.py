@@ -34,7 +34,6 @@ __all__ = [
     "dtn_matrix",
     "dtn_matrices",
     "fill_certified",
-    "gamma_adjoint",
     "boundary_adjoint",
     "identity_suite",
     "robin_to_dirichlet",
@@ -166,22 +165,14 @@ def _factor_at(op: DirichletOperator, z: complex):
 
 
 def _adjoint_from_gamma(op: DirichletOperator, gamma_bar: np.ndarray) -> np.ndarray:
-    """gamma_adjoint(lam) from gamma_bar = gamma(conj lam).
+    """Weighted adjoint gamma(lam)*: u -> -d_nu((A - conj(lam))^(-1) u) as a dense (n_B, n_I)
+    matrix from gamma_bar = gamma(conj lam), <gamma(lam) g, u>_I = <g, gamma(lam)* u>_B exactly.
 
     A - conj(lam) is complex symmetric, so P^T R(conj lam) = (R(conj lam) P)^T,
     and R(conj lam) P = h^2 gamma(conj lam) because B = P / h^2.
     """
     h = op.domain.h
     return gamma_bar.T * (h / op.domain.neighbor_counts[:, None])
-
-
-def gamma_adjoint(op: DirichletOperator, lam: complex) -> np.ndarray:
-    """Weighted adjoint of the Poisson matrix: u -> -d_nu((A - conj(lam))^(-1) u).
-
-    Returned as a dense (n_B, n_I) matrix satisfying
-    <gamma(lam) g, u>_I = <g, gamma_adjoint(lam) u>_B exactly.
-    """
-    return _adjoint_from_gamma(op, poisson_matrix(op, np.conj(lam)))
 
 
 def boundary_adjoint(dom: DiscreteDomain, m: np.ndarray) -> np.ndarray:

@@ -56,7 +56,7 @@ __all__ = [
     "emit_plot_data",
 ]
 
-_ORACLE_DIM_CAP = 2000  # skip the oracle (stevd in 1D, dense eigh in 2D) above this size
+_ORACLE_DIM_CAP = 2000  # skip the oracle (stevd, and Q V_T in 2D: O(n^3)) above this size
 
 INCONCLUSIVE = "inconclusive"
 

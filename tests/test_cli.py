@@ -214,10 +214,16 @@ class TestCli:
         ({"eta": float("inf")}, "convergence.eta"),
         ({"x_values": [float("nan")]}, "convergence.x_values"),
         ({"L": 0.0}, "convergence.L"),
+        ({"eta": 0.0}, "convergence.eta"),
     ])
     def test_bad_convergence_is_config_error(self, tmp_path, conv, match):
         bad = dict(T1_CONFIG, convergence=conv)
         self._rejected(tmp_path, bad, match, "convergence")
+
+    @pytest.mark.parametrize("fit_tol", [0.0, -1.0])
+    def test_nonpositive_fit_tol_is_config_error(self, tmp_path, fit_tol):
+        bad = dict(T1_CONFIG, thresholds=dict(T1_CONFIG["thresholds"], fit_tol=fit_tol))
+        self._rejected(tmp_path, bad, "thresholds.fit_tol")
 
     def test_infinite_eta0_is_config_error(self, tmp_path):
         bad = dict(T1_CONFIG, eta={"eta0": float("inf")})

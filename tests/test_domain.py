@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
+import dtnlab.domain
 from dtnlab import (
     DiscreteDomain,
     DomainError,
@@ -251,7 +252,7 @@ class TestShiftedSolver:
     def test_tridiagonal_reduction(self, annulus2d):
         # Q^T A_II Q = T with C = Q^T P: C^T (T - z)^-1 C = P^T (A_II - z)^-1 P
         dom, op = annulus2d
-        diag, off, qtp = op.reduction
+        diag, off, qtp, _, _ = op.reduction
         assert not any(a.flags.writeable for a in op.reduction)
         t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         assert np.allclose(np.linalg.eigvalsh(t), np.linalg.eigvalsh(op.a_ii.toarray()),
@@ -329,6 +330,28 @@ class TestOracle:
             patch.setattr(type(op.a_ii), "toarray", no_dense)
             eig = oracle_eigendecomposition(op)
         assert eig.values.size == op.n
+
+    def test_2d_oracle_reads_the_reduction(self, monkeypatch):
+        # a 2D operator runs sytrd once for M(z) and the oracle together; the
+        # oracle never calls dense eigh
+        dom = build_domain(Exterior2D(h=1.0, a=1.5, L=4.5))
+        op = assemble_operator(dom, zero_potential(dom))
+        op.reduction
+        calls = []
+        sytrd = dtnlab.domain._SYTRD
+
+        def counting_sytrd(*args, **kwargs):
+            calls.append(1)
+            return sytrd(*args, **kwargs)
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("oracle_eigendecomposition called np.linalg.eigh")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dtnlab.domain, "_SYTRD", counting_sytrd)
+            patch.setattr(np.linalg, "eigh", no_eigh)
+            eig = oracle_eigendecomposition(op)
+        assert calls == [] and eig.values.size == op.n
 
     def test_2d_has_degenerate_level(self, annulus2d):
         _, op = annulus2d

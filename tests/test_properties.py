@@ -160,12 +160,13 @@ def test_resolvent_sum_matches_lu(model, draws, uncertified):
     assert np.max(np.abs(op.resolvent_sum(zs, ws) - ref)) <= bound
 
 
-@given(st.one_of(halflines(), halflines(cells=st.just(3))))
-def test_halfline_oracle_matches_dense(model):
-    # the half-line oracle (stevd on the stored tridiagonal) against the dense
-    # eigh of the symmetrized A_II: the same values and degeneracy groups to
-    # 1e-12 of ||A_II||_1, w_I-orthonormal vectors, and a residual of each
-    # (w_I-unit) vector within 1e-12 of ||A_II||_1
+@given(st.one_of(halflines(), halflines(cells=st.just(3)), annuli()))
+def test_oracle_matches_dense(model):
+    # the oracle (stevd on the stored tridiagonal, in 2D with the vectors
+    # brought back by the reduction's reflectors) against the dense eigh of
+    # the symmetrized A_II: the same values and degeneracy groups to 1e-12 of
+    # ||A_II||_1, w_I-orthonormal vectors, and a residual of each (w_I-unit)
+    # vector within 1e-12 of ||A_II||_1
     dom, op = model
     a = op.a_ii.toarray()
     a = 0.5 * (a + a.T)
