@@ -428,56 +428,65 @@ class DirichletOperator:
             out[k] = c.T @ _GTTRS(*factors, c)[0]
         return out
 
-    def resolvent_sum(self, zs, weights) -> np.ndarray:
+    def resolvent_sum(self, zs, weights):
         """sum_j weights[j] (A_II - zs[j])^-1 as a dense (n, n) complex matrix.
+
+        weights may also be a stack of rows, shape (k, len(zs)): the result is
+        then an iterator over the k sums, each formed when it is reached, so
+        the rows share one pivot pass but no two sums are held at once.  A row
+        sum equals that of a call with that row alone.
 
         On the half-line a certified z (``certified``) takes no factorization.
         With the backward pivots t+ of trace_resolvent and the forward pivots
-        t-_1 = d_1 - z, t-_i = d_i - z - e_(i-1)^2 / t-_(i-1), the inverse
+        t-_1 = d_1 - z, t-_i = d_i - z - e_(i-1)^2 / t-_(i-1), both found in
+        one pass for all certified z of the call, the inverse
         G = (A_II - z)^-1 of the tridiagonal is (Meurant, SIAM J. Matrix Anal.
         Appl. 13 (1992) 707-728)
             G_ii = 1 / (t-_i + t+_i - (d_i - z)),
-            G_(i+k, i) = G_(i, i+k) = G_(i+k-1, i) * (-e_(i+k-1) / t+_(i+k)).
-        As for t+, Im t-_i <= -Im z for Im z > 0 (>= for Im z < 0), and the
-        denominator of G_ii is d_i - z - e_(i-1)^2 / t-_(i-1) - e_i^2 / t+_(i+1),
-        whose imaginary part is bounded the same way: no pivot vanishes.  The
-        sum is taken one offset k at a time, each diagonal of G contracted with
-        the weights over all z at once, and the z go in chunks of at most n so
-        that no pivot array is larger than the result.
+            G_ji = G_ij = G_ii * rho_i * ... * rho_(j-1)  (j > i),
+        rho_m = -e_m / t+_(m+1).  As for t+, Im t-_i <= -Im z for Im z > 0
+        (>= for Im z < 0), and the denominator of G_ii is
+        d_i - z - e_(i-1)^2 / t-_(i-1) - e_i^2 / t+_(i+1), whose imaginary part
+        is bounded the same way: no pivot vanishes.  The diagonal is
+        contracted with the weights over all z at once.  Below it G is
+        semiseparable: rows are cut into blocks on which the partial products
+        C_j of the rho stay within 2^+-256, so that G_ji = C_j * (G_ii / C_i)
+        in a block, and G_ji = C_j * G_(s, i) for a later block that starts at
+        row s; G_(s, i) is carried from block to block by the block's last
+        product.  Each block pair is then one matrix product over the z axis.
+        Weights below 2^-256 in modulus enter scaled up by a power of two, and
+        the sum is scaled back at the end, so that every product is formed in
+        the normal range and the result is rounded once, as w (A_II - z)^-1 is.
 
         Every other z (uncertified ones, and all z in 2D) is factorized and
         solved against the identity, so NearSpectrum guards it as in
-        ``factorize``.
+        ``factorize``: all of them for a single row of weights, and in a stack
+        those that the row being formed weights.
         """
         zs = np.asarray(zs, dtype=complex)
         weights = np.asarray(weights, dtype=complex)
-        n = self.n
-        out = np.zeros((n, n), dtype=complex)
+        if zs.ndim != 1 or weights.ndim not in (1, 2) or weights.shape[-1] != len(zs):
+            raise ValueError(f"weights of shape {weights.shape} do not match zs of shape "
+                             f"{zs.shape}: need 1-d zs, and weights of shape (len(zs),) "
+                             "or (k, len(zs))")
         fast = self.certified(zs) & (self.domain.dimension == 1)
-        if not fast.all():
-            eye = np.eye(n, dtype=complex)
-            for z, w in zip(zs[~fast], weights[~fast]):
-                out += w * self.factorize(z).solve(eye)
-        zs, weights, flat = zs[fast], weights[fast], out.reshape(-1)
-        for start in range(0, len(zs), n):
-            z, w = zs[start:start + n], weights[start:start + n]
-            diag, off = self.tridiagonal
-            dz = diag[:, None] - z
-            rows, e2 = list(dz), (off ** 2).tolist()
-            back, fwd = [rows[-1]], [rows[0]]
-            for i in range(n - 1):
-                back.append(rows[-2 - i] - e2[-1 - i] / back[-1])
-                fwd.append(rows[1 + i] - e2[i] / fwd[-1])
-            back, fwd = np.array(back[::-1]), np.array(fwd)
-            ratio = -off[:, None] / back[1:]
-            g = 1.0 / (fwd + back - dz)
-            flat[::n + 1] += g @ w
-            for k in range(1, n):
-                g = g[:-1] * ratio[k - 1:]
-                s = g @ w
-                flat[k * n::n + 1] += s
-                flat[k:n * (n - k):n + 1] += s
-        return out
+        g, ratio = _meurant_pivots(*self.tridiagonal, zs[fast]) if fast.any() else (None, None)
+
+        def row_sum(w, every):
+            keep = np.flatnonzero(w[fast])
+            if len(keep):
+                out = _meurant_sum(g[:, keep], ratio[:, keep], w[fast][keep])
+            else:
+                out = np.zeros((self.n, self.n), dtype=complex)
+            slow = [j for j in np.flatnonzero(~fast) if every or w[j]]
+            eye = np.eye(self.n, dtype=complex) if slow else None
+            for j in slow:
+                out += w[j] * self.factorize(zs[j]).solve(eye)
+            return out
+
+        if weights.ndim == 1:
+            return row_sum(weights, every=True)
+        return (row_sum(w, every=False) for w in weights)
 
     @property
     def certified_height(self) -> float:
@@ -545,6 +554,82 @@ def _apply_q(reflectors: np.ndarray, tau: np.ndarray, x: np.ndarray, trans: str)
     out = np.empty(x.shape)
     out[0], out[1:] = x[0], _ORMQR("L", trans, reflectors, tau, x[1:], int(lwork))[0]
     return out
+
+
+# the partial products of a row block of resolvent_sum stay within 2^+-256
+_BLOCK_RANGE = np.finfo(float).maxexp // 4
+
+
+def _meurant_pivots(diag: np.ndarray, off: np.ndarray, zs: np.ndarray) -> tuple:
+    """(G_ii, rho): the diagonal of G = (T - z)^-1, shape (n, len(zs)), and the
+    ratios rho_i = -e_i / t+_(i+1) = G_(i+1, j) / G_(i, j) (j <= i), shape
+    (n - 1, len(zs)), of the tridiagonal T = (diag, off) for each z of zs; the
+    forward and backward continued fractions run in one loop (see
+    DirichletOperator.resolvent_sum)."""
+    n = len(diag)
+    dz = diag[:, None] - zs
+    # row i carries (t-_i, t+_(n-1-i)), the forward pivot and the backward one
+    rows = np.stack([dz, dz[::-1]], axis=1)
+    e2 = np.stack([off ** 2, off[::-1] ** 2], axis=1)[:, :, None]
+    piv = np.empty_like(rows)
+    piv[0] = rows[0]
+    for i in range(n - 1):
+        np.subtract(rows[i + 1], e2[i] / piv[i], out=piv[i + 1])
+    fwd, back = piv[:, 0], piv[::-1, 1]
+    return 1.0 / (fwd + back - dz), -off[:, None] / back[1:]
+
+
+def _meurant_sum(g: np.ndarray, ratio: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_z w_z G(z) as a dense (n, n) array from the pivots (g, ratio) of
+    _meurant_pivots, by row blocks (see DirichletOperator.resolvent_sum)."""
+    n, m = g.shape
+    # weights below 2^-256 in modulus enter scaled up by a power of two, exactly
+    exponent = int(np.frexp(np.max(np.abs(w)))[1])
+    scale = exponent if exponent < -_BLOCK_RANGE else 0
+    scaled = np.ldexp(w.view(float), -scale).view(complex)
+    level = np.zeros((n, m))           # log2 |rho_0 ... rho_(j-1)| on row j
+    np.cumsum(np.log2(np.abs(ratio)), axis=0, out=level[1:])
+    starts = [0]
+    while starts[-1] < n:
+        s = starts[-1]
+        over = np.flatnonzero((np.abs(level[s:] - level[s]) > _BLOCK_RANGE).any(axis=1))
+        starts.append(s + int(over[0]) if len(over) else n)
+    blocks = list(zip(starts[:-1], starts[1:]))
+    prods = []                         # C_j = rho_s ... rho_(j-1) on the block [s, e)
+    for s, e in blocks:
+        c = np.ones((e - s, m), dtype=complex)
+        np.cumprod(ratio[s:e - 1], axis=0, out=c[1:])
+        prods.append(c)
+    total = np.zeros((n, n), dtype=complex)
+    for k, (s, e) in enumerate(blocks):
+        carry = g[s:e] / prods[k] * scaled  # w G_ii / C_i
+        _symmetric_fill(total[s:e, s:e], prods[k], carry)
+        for (s2, e2), c, before in zip(blocks[k + 1:], prods[k + 1:], prods[k:]):
+            carry = carry * before[-1] * ratio[s2 - 1]   # w G_(s2, i)
+            if not carry.any():   # underflowed: the rest of these columns is zero
+                break
+            np.matmul(c, carry.T, out=total[s2:e2, s:e])
+            total[s:e, s2:e2] = total[s2:e2, s:e].T
+    if scale:
+        np.ldexp(total.view(float), scale, out=total.view(float))
+    total.reshape(-1)[::n + 1] = g @ w
+    return total
+
+
+def _symmetric_fill(out: np.ndarray, c: np.ndarray, k: np.ndarray) -> None:
+    """out[j, l] = out[l, j] = c[j] . k[l] for l < j (the diagonal is left to the
+    caller): the lower left quarter is one matrix product and the upper right
+    its transpose, and the two diagonal quarters recurse down to 32 rows."""
+    b = len(c)
+    if b <= 32:
+        p = c @ k.T
+        out[...] = np.where(np.tri(b, k=-1, dtype=bool), p, p.T)
+        return
+    mid = b // 2
+    np.matmul(c[mid:], k[:mid].T, out=out[mid:, :mid])
+    out[:mid, mid:] = out[mid:, :mid].T
+    _symmetric_fill(out[:mid, :mid], c[:mid], k[:mid])
+    _symmetric_fill(out[mid:, mid:], c[mid:], k[mid:])
 
 
 class ShiftedSolver:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.special import roots_legendre
 
 from .domain import DirichletOperator, EigenSystem
@@ -132,9 +133,37 @@ class StoneResult:
     panels: int
 
 
-_FIRST_NODES, _MAX_NODES = 16, 4096   # smallest trapezoid node count compared; the cap
+_FIRST_NODES, _MAX_NODES = 16, 4096   # the first trapezoid rule, in one call; the node cap
 _EDGE_NODES = 4             # Gauss-Legendre nodes per piece [delta_(k+1), delta_k] of an edge
 _DELTA0, _DELTA_RATIO, _DELTA_COUNT = 1e-2, 0.5, 6   # Stone's delta_k = delta0 * ratio^k
+
+
+def _ellipse_nodes(a: float, b: float, ts) -> tuple:
+    """The nodes z(t) of the contour ellipse through a and b, and z'(t)."""
+    u, du = ellipse(np.asarray(ts))
+    return 0.5 * (a + b + (b - a) * u), 0.5 * (b - a) * du
+
+
+def _first_rule_and_edges(op: DirichletOperator, a: float, b: float, deltas) -> tuple:
+    """(the contour sum of the _FIRST_NODES-node rule, the edge integral
+    extrapolated to delta -> 0, its extrapolation error) of stone_projection,
+    from one op.resolvent_sum call with a weight row for the rule and one per
+    edge piece; the sums are taken one at a time."""
+    ts = np.pi * np.arange(_FIRST_NODES // 2 + 1) / (_FIRST_NODES // 2)
+    rule, rule_weights = _ellipse_nodes(a, b, ts)
+    rule_weights[1:-1] *= 2  # t = 0 and pi (the crossings b and a) once, the rest twice
+    nodes, weights = roots_legendre(_EDGE_NODES)
+    lo, hi = np.append(0.0, deltas[:0:-1]), deltas[::-1]   # the pieces, upwards
+    half = 0.5 * (hi - lo)
+    s = 1j * (lo[:, None] + half[:, None] * (nodes + 1.0))
+    rows = block_diag(rule_weights, *[np.concatenate([weights, -weights])] * _DELTA_COUNT)
+    sums = op.resolvent_sum(np.concatenate([rule, np.hstack([b + s, a + s]).ravel()]), rows)
+    total = next(sums).imag
+    edges = [0.0]  # (1/pi) int_0^delta Re[R(b + i s) - R(a + i s)] ds, from delta = 0 upwards
+    for r, piece in zip(sums, half):
+        r = edges[0] + piece / np.pi * r.real   # no sum outlives its piece
+        edges.insert(0, r)
+    return total, *richardson_extrapolate(deltas, edges[:-1])
 
 
 def stone_projection(op: DirichletOperator, a: float, b: float,
@@ -147,51 +176,47 @@ def stone_projection(op: DirichletOperator, a: float, b: float,
     (1/pi) int_a^b Im R(t + i delta) dt
         = P + (1/pi) int_0^delta Re[R(b + i s) - R(a + i s)] ds,
     with P = (-1/2 pi i) oint R(z) dz the Riesz projector: the trapezoid rule
-    on the ellipse through a and b, its nodes doubled until two successive
-    values agree to quad_tol (or the cap).  The edges, smooth as the endpoints
-    stay off the spectrum, are Gauss-Legendre on the pieces between successive
-    deltas.  The family is extrapolated to delta -> 0 (an odd analytic series);
-    extrapolation_error is the last extrapolation step, or the last contour
-    refinement step if larger (at the cap).  eig guards the endpoints and
-    starts the schedule at no more than half their distance to the nearest
-    level, so the edges resolve it.  Each doubling of the contour and each edge
-    piece is one op.resolvent_sum over its nodes; panels counts the resolvent
-    evaluations.
+    on the ellipse through a and b, from _FIRST_NODES nodes, its nodes doubled
+    until two successive values agree to quad_tol (or the cap).  The edges,
+    smooth as the endpoints stay off the spectrum, are Gauss-Legendre on the
+    pieces between successive deltas.  The family is extrapolated to
+    delta -> 0 (an odd analytic series); the Neville extrapolation is linear
+    and keeps constants, so it runs on the edge integrals alone and P is
+    added to their limit.  extrapolation_error is the last extrapolation
+    step, or the last contour refinement step if larger (at the cap).  eig
+    guards the endpoints and starts the schedule at no more than half their
+    distance to the nearest level, so the edges resolve it.
+
+    The first rule and all edge pieces are one op.resolvent_sum call, with a
+    weight row each, so that their nodes share one pivot pass (in 1D,
+    Meurant's tridiagonal inverse; see DirichletOperator.resolvent_sum) while
+    their sums are taken one at a time; each doubling is one more call.  In 1D
+    only the real crossings a and b, and edge nodes below the certified
+    height, are factorized.  panels counts the resolvent evaluations.
     """
     if not b > a:
         raise ValueError("need a < b")
     delta0 = _DELTA0
     if eig is not None:
-        gap = float(np.min(np.abs(eig.values[:, None] - np.array([a, b])[None, :])))
-        if gap <= 1e-8 * max(1.0, float(np.max(np.abs(eig.values)))):
+        clearance = float(np.min(np.abs(eig.values[:, None] - np.array([a, b])[None, :])))
+        if clearance <= 1e-8 * max(1.0, float(np.max(np.abs(eig.values)))):
             raise EndpointOnEigenvalue(
                 f"interval endpoint of ({a}, {b}) lies on an eigenvalue")
-        delta0 = min(delta0, gap / 2)
+        delta0 = min(delta0, clearance / 2)
+    deltas = delta0 * _DELTA_RATIO ** np.arange(_DELTA_COUNT)
 
-    def contour_sum(ts):  # the nodes z(t), z(-t) = conj z(t) add 2i Im(R(z) z') to the sum
-        u, du = ellipse(np.asarray(ts))
-        return op.resolvent_sum(0.5 * (a + b + (b - a) * u), 0.5 * (b - a) * du).imag
-
-    n, total = 2, contour_sum([0.0, np.pi])
-    projector = -total / n  # -(1/2 pi i) (2 pi / n) sum_j R(z_j) z'(t_j)
+    total, edge_limit, err = _first_rule_and_edges(op, a, b, deltas)
+    n, projector = _FIRST_NODES, -total / _FIRST_NODES  # -(1/2 pi i)(2 pi/n) sum_j R(z_j) z'(t_j)
     while n < _MAX_NODES:
-        total += 2 * contour_sum(np.pi * (2 * np.arange(n // 2) + 1) / n)
+        # the nodes z(t), z(-t) = conj z(t) add 2i Im(R(z) z') to the sum
+        zs, dz = _ellipse_nodes(a, b, np.pi * (2 * np.arange(n // 2) + 1) / n)
+        total += op.resolvent_sum(zs, 2 * dz).imag
         n *= 2
         previous, projector = projector, -total / n
-        if (gap := np.max(np.abs(projector - previous))) <= quad_tol and n > _FIRST_NODES:
+        if (step := np.max(np.abs(projector - previous))) <= quad_tol:
             break
-
-    deltas = delta0 * _DELTA_RATIO ** np.arange(_DELTA_COUNT)
-    nodes, weights = roots_legendre(_EDGE_NODES)
-    approximants = [projector]  # the Stone integral at delta = 0, then upwards
-    for lo, hi in zip(np.append(0.0, deltas[::-1]), deltas[::-1]):
-        half = 0.5 * (hi - lo)
-        s = 1j * (lo + half * (nodes + 1.0))
-        approximants.insert(0, approximants[0] + half / np.pi * op.resolvent_sum(
-            np.concatenate([b + s, a + s]), np.concatenate([weights, -weights])).real)
-    value, err = richardson_extrapolate(deltas, approximants[:-1])
-    return StoneResult(interval=(float(a), float(b)), projector=value.real,
-                       deltas=deltas, extrapolation_error=max(float(err), float(gap)),
+    return StoneResult(interval=(float(a), float(b)), projector=projector + edge_limit,
+                       deltas=deltas, extrapolation_error=max(float(err), float(step)),
                        panels=n // 2 + 1 + 2 * _DELTA_COUNT * _EDGE_NODES)
 
 

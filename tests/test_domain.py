@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -304,6 +306,34 @@ class TestShiftedSolver:
         _, op = t1
         solver = op.factorize(2.0)
         assert solver.dist_estimate == pytest.approx(1.0, rel=1e-6)
+
+
+class TestResolventSum:
+    @pytest.mark.parametrize("zs, weights", [
+        ([1j, 2j], [1.0, 1.0, 1.0]),
+        ([1j, 2j], np.ones((3, 3))),
+        ([[1j, 2j]], [[1.0, 1.0]]),
+    ])
+    def test_weights_of_another_shape(self, t1, zs, weights):
+        _, op = t1
+        message = f"weights of shape {np.shape(weights)} do not match zs of shape {np.shape(zs)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            op.resolvent_sum(zs, weights)
+
+    def test_rows_are_formed_one_at_a_time(self, t1, monkeypatch):
+        # a stack of rows returns an iterator: the first sum is formed on the
+        # first next(), not at the call
+        _, op = t1
+        formed = []
+        meurant_sum = dtnlab.domain._meurant_sum
+        monkeypatch.setattr(dtnlab.domain, "_meurant_sum",
+                            lambda *args: formed.append(1) or meurant_sum(*args))
+        sums = op.resolvent_sum([1j, 2j], [[1.0, 0.0], [0.0, 1.0]])
+        assert formed == []
+        first = next(sums)
+        assert len(formed) == 1
+        assert np.array_equal(first, op.resolvent_sum([1j, 2j], [1.0, 0.0]))
+        assert len(list(sums)) == 1
 
 
 class TestOracle:

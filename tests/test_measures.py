@@ -179,6 +179,25 @@ class TestStone:
         assert res.panels == len(nodes) <= 200
         assert sorted(complex(z).real for z in factorized) == [0.5, 1.5]
 
+    def test_t1_level_in_five_resolvent_sums(self, t1, monkeypatch):
+        # the 16-node rule is one call, each doubling one more, and the six
+        # edge pieces one call with a weight row per piece; together they hand
+        # over the panels nodes, each once
+        _, op = t1
+        eig = oracle_eigendecomposition(op)
+        sizes = []
+        resolvent_sum = DirichletOperator.resolvent_sum
+
+        def counting(op, zs, weights):
+            sizes.append(len(zs))
+            return resolvent_sum(op, zs, weights)
+
+        monkeypatch.setattr(DirichletOperator, "resolvent_sum", counting)
+        res = stone_projection(op, 0.5, 1.5, eig)
+        assert np.max(np.abs(res.projector - oracle_projector(eig, 0.5, 1.5))) <= 1e-12
+        assert len(sizes) <= 5
+        assert sum(sizes) == res.panels
+
     def test_panels_count_factorizations(self, reduced_annulus, monkeypatch):
         _, op = reduced_annulus
         eig = oracle_eigendecomposition(op)

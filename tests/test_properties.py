@@ -9,6 +9,7 @@ registered in conftest.py makes the draws deterministic.
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 
 from dtnlab import (
     ClassifyConfig,
@@ -158,6 +159,109 @@ def test_resolvent_sum_matches_lu(model, draws, uncertified):
     bound = sum(abs(w) * (1e-12 * g + 2 * np.finfo(float).eps * op.a_norm * g ** 2)
                 for w, g in zip(ws, norms))
     assert np.max(np.abs(op.resolvent_sum(zs, ws) - ref)) <= bound
+
+
+def _defect_against_lu(op, zs, ws):
+    """(max |resolvent_sum - LU reference|, bound), with the reference and bound
+    of test_resolvent_sum_matches_lu; floats only, so that the traceback of a
+    failing draw holds no (n, n) array."""
+    values = eigvalsh_tridiagonal(*op.tridiagonal)
+    eye = np.eye(op.n)
+    ref = sum(w * op.factorize(z).solve(eye) for z, w in zip(zs, ws))
+    norms = [1.0 / np.min(np.abs(values - z)) for z in zs]
+    bound = sum(abs(w) * (1e-12 * g + 2 * np.finfo(float).eps * op.a_norm * g ** 2)
+                for w, g in zip(ws, norms))
+    return float(np.max(np.abs(op.resolvent_sum(zs, ws) - ref))), bound
+
+
+weights = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+LONG_HALFLINE = build_domain(HalfLine1D(h=0.01, L=20.0))
+
+
+@settings(max_examples=5)
+@given(st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(0.0, 10.0), st.booleans(), weights),
+                min_size=1, max_size=2),
+       st.floats(-5.0, 5.0))
+def test_resolvent_sum_on_a_long_halfline(draws, depth):
+    # n = 1999 interior nodes: the row blocks of the certified sum need not
+    # divide n, and at the lower heights one block spans the whole half-line
+    op = assemble_operator(LONG_HALFLINE, well_potential(LONG_HALFLINE, depth=depth, width=1.0))
+    assert op.n == 1999
+    zs = [complex(x, (1 if up else -1) * op.certified_height * 10 ** e)
+          for x, e, up, _ in draws]
+    defect, bound = _defect_against_lu(op, zs, [w for *_, w in draws])
+    assert defect <= bound
+
+
+@given(st.one_of(halflines(), halflines(cells=st.just(3))),
+       st.lists(st.tuples(st.floats(0.0, 4.0), st.floats(0.05, np.pi - 0.05), st.booleans(),
+                          weights), min_size=1, max_size=8))
+def test_resolvent_sum_far_off_the_spectrum(model, draws):
+    # |z| up to 1e4 ||A_II||_1, where the ratios G_(i+1, j) / G_(i, j) are of
+    # order 1e-4: the row blocks are short, and the products between distant
+    # blocks underflow to zero
+    _, op = model
+    zs = [op.a_norm * 10 ** r * np.exp(1j * (theta if up else -theta))
+          for r, theta, up, _ in draws]
+    defect, bound = _defect_against_lu(op, zs, [w for *_, w in draws])
+    assert defect <= bound
+
+
+@given(st.one_of(halflines(), halflines(cells=st.just(3))),
+       st.lists(st.tuples(st.integers(0, 1000), st.floats(1.0, 1.5), st.booleans(), weights),
+                min_size=1, max_size=8))
+def test_resolvent_sum_at_the_certified_height(model, draws):
+    # Re z on an eigenvalue and |Im z| within 1.5 times the certified height:
+    # the nearest certified z, where ||G|| is largest
+    _, op = model
+    values = eigvalsh_tridiagonal(*op.tridiagonal)
+    zs = [complex(values[k % len(values)], (1 if up else -1) * op.certified_height * f)
+          for k, f, up, _ in draws]
+    assert op.certified(zs).all()
+    defect, bound = _defect_against_lu(op, zs, [w for *_, w in draws])
+    assert defect <= bound
+
+
+@given(st.one_of(halflines(), halflines(cells=st.just(3))),
+       st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(0.0, 10.0), st.booleans(),
+                          st.integers(-15, 15), st.integers(-15, 15)), min_size=1, max_size=8))
+def test_subnormal_weights_round_once(model, draws):
+    # weights of a few units of the least subnormal, 2^-1074: below the
+    # diagonal the certified sum is that of the unit weights scaled down and
+    # rounded once, as the LU reference rounds each w (A_II - z)^-1 once
+    _, op = model
+    zs = [complex(x, (1 if up else -1) * op.certified_height * 10 ** e) for x, e, up, *_ in draws]
+    ws = np.array([complex(re, im) for *_, re, im in draws])
+    assume(np.any(ws))
+    below = np.tri(op.n, k=-1, dtype=bool)
+    tiny = op.resolvent_sum(zs, ws * 2.0 ** -1074)[below]
+    unit = op.resolvent_sum(zs, ws)[below]
+    assert np.array_equal(tiny, np.ldexp(unit.view(float), -1074).view(complex))
+
+
+@given(models,
+       st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-1.0, 10.0), st.booleans()),
+                min_size=1, max_size=6),
+       st.integers(1, 4), st.data())
+def test_stacked_weights_give_the_sums_of_single_rows(model, draws, k, data):
+    # one call with k weight rows over the same z gives, row by row, the sum
+    # of a call with that row alone, bit for bit.  A certified z may have a
+    # zero weight, which drops it from the row; the z below the certified
+    # height are factorized for each row, so they are weighted in every row.
+    _, op = model
+    zs = [complex(x, (1 if up else -1) * op.certified_height * 10 ** e) for x, e, up in draws]
+    rows = np.array([[data.draw(st.one_of(st.just(0j), weights) if op.certified(z)
+                                else weights.filter(bool)) for z in zs]
+                     for _ in range(k)])
+    try:
+        stacked = list(op.resolvent_sum(zs, rows))
+    except NearSpectrum:
+        with pytest.raises(NearSpectrum):
+            op.resolvent_sum(zs, rows[0])
+        return
+    assert len(stacked) == k
+    for row, total in zip(rows, stacked):
+        assert np.array_equal(total, op.resolvent_sum(zs, row))
 
 
 @given(st.one_of(halflines(), halflines(cells=st.just(3)), annuli()))
