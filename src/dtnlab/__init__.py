@@ -24,7 +24,6 @@ from .domain import (
     EigenSystem,
     Exterior2D,
     HalfLine1D,
-    PotentialField,
     assemble_operator,
     build_domain,
     oracle_eigendecomposition,

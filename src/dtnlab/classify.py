@@ -125,9 +125,9 @@ class GridSet:
 
 
 def essential_closure(s: GridSet) -> GridSet:
-    """Drop zero-length components, then close the union merging touching intervals."""
-    nondegenerate = [iv for iv in s.intervals if iv[1] > iv[0]]
-    return GridSet.union(GridSet(intervals=tuple(nondegenerate)))
+    """Drop zero-length components; the rest of s is left as it is (a GridSet's
+    intervals never touch, so there is nothing to merge)."""
+    return GridSet(intervals=tuple(iv for iv in s.intervals if iv[1] > iv[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +501,7 @@ def ac_support(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
         bvals[:, run], div[:, run], yzero[:, run] = bv.value, bv.diverging, bv.y_limit_zero
     flags = ac_flags(-bvals.imag, div, cfg.tau_ac)
     per_probe_closed = [essential_closure(GridSet.from_flags(xs, f)) for f in flags]
-    union = essential_closure(GridSet.union(*per_probe_closed))
+    union = GridSet.union(*per_probe_closed)   # of non-degenerate parts, so nothing to drop
     return ACSupportSet(
         window=tuple(window), grid=xs, per_probe_closed=tuple(per_probe_closed),
         closed_union=union, ac_free=union.is_empty, boundary_values=bvals,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -40,17 +39,10 @@ from .report import (
     emit_report,
     parse_report,
     run_sweep,
+    write_json,
 )
 
 __all__ = ["main"]
-
-
-def _write_json(data, out_dir, name):
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True, indent=1, ensure_ascii=False)
-        fh.write("\n")
-    return path
 
 
 # validate makes this many identity draws; a draw whose z lie too close to the
@@ -82,7 +74,7 @@ def _cmd_validate(cfg: RunConfig, out_dir: str, seed: int) -> int:
                       "residuals": {k: float(v) for k, v in rep.residuals.items()}})
         if len(draws) == _DRAWS:
             break
-    _write_json({"draws": draws, "max_residual": worst}, out_dir, "validate.json")
+    write_json({"draws": draws, "max_residual": worst}, out_dir, "validate.json")
     if len(draws) < _DRAWS:
         print(f"numerical failure: gave up after {_TRIES} tries, {len(draws)} of {_DRAWS} "
               "draws succeeded", file=sys.stderr)
@@ -120,7 +112,7 @@ def _cmd_oracle(cfg: RunConfig, out_dir: str, seed: int) -> int:
     eig = oracle_eigendecomposition(op)
     data = {"eigenvalues": [float(v) for v in eig.values],
             "degeneracy_tol": float(eig.degeneracy_tol)}
-    path = _write_json(data, out_dir, "oracle.json")
+    path = write_json(data, out_dir, "oracle.json")
     print(f"wrote {len(eig.values)} eigenvalues to {path}")
     return 0
 
@@ -153,7 +145,7 @@ def _cmd_measures(cfg: RunConfig, out_dir: str, seed: int) -> int:
     sr = simplicity_rank(op, zetas)
     out["simplicity"] = {"rank": sr.rank, "interior_dim": sr.interior_dim,
                          "full": sr.full}
-    path = _write_json(out, out_dir, "measures.json")
+    path = write_json(out, out_dir, "measures.json")
     print(f"wrote {path}")
     return 0
 
@@ -185,7 +177,7 @@ def _cmd_convergence(cfg: RunConfig, out_dir: str, seed: int) -> int:
                 "err_vs_continuum": float(abs(m - np.sqrt(-lam))),
                 "err_vs_discrete_oracle": float(abs(m - m_oracle)),
             })
-    _write_json({"rows": rows}, out_dir, "convergence.json")
+    write_json({"rows": rows}, out_dir, "convergence.json")
     for r in rows:
         print(f"h={r['h']:<8g} x={r['x']:<5g} |m - sqrt(-lam)|={r['err_vs_continuum']:.3e} "
               f"|m - m_h|={r['err_vs_discrete_oracle']:.3e}")

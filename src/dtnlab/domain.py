@@ -2,11 +2,16 @@
 
 The model is a uniform-grid finite-difference discretization of -Laplace + q
 on a truncated unbounded domain: a half-line in 1D, the exterior of a
-grid-aligned square obstacle in 2D.  Three disjoint node sets are kept:
+grid-aligned square obstacle in 2D.  A domain is its mesh spacing and three
+disjoint integer lattices, from which the dimension, the stencil and the
+boundary adjacency are all derived:
 
 * interior nodes (the unknowns),
 * Dirichlet boundary nodes (the discrete boundary carrying data g),
 * truncation nodes (artificial far boundary, clamped to zero).
+
+The potential q is a plain read-only float array of its interior values,
+which enter only the diagonal of A_II.
 
 Inner products are weighted so that discrete pairings mimic their continuum
 counterparts: interior weight h^d, boundary weight h^(d-1) per adjacency pair
@@ -28,7 +33,6 @@ from .errors import DomainError, EndpointOnEigenvalue, NearSpectrum
 
 __all__ = [
     "DiscreteDomain",
-    "PotentialField",
     "DirichletOperator",
     "EigenSystem",
     "HalfLine1D",
@@ -73,20 +77,23 @@ class Exterior2D:
 class DiscreteDomain:
     """Truncated grid geometry with the three node sets and product weights.
 
-    Node coordinates are stored as integer lattice multi-indices scaled by h.
-    ``boundary_adjacency[b]`` lists the interior indices of the inward
-    neighbors of boundary node b (at lattice distance one).  The stencil is
-    derived from these once: ``interior_neighbors`` gives A_II and the
-    connectivity check, ``incidence`` gives B = P / h^2 and the trace part of
-    the normal derivative.
+    Node coordinates are stored as integer lattice multi-indices scaled by h,
+    and the lattices are all the model keeps: the dimension is their column
+    count, and the stencil is read off them once.  ``interior_neighbors``
+    gives A_II and the connectivity check; ``boundary_neighbors``, the
+    interior nodes at lattice distance one from each boundary node, gives
+    the neighbor counts and ``incidence``, from which B = P / h^2 and the
+    trace part of the normal derivative are formed.
     """
 
-    dimension: int
     h: float
     interior_lattice: np.ndarray          # (n_I, d) int
     boundary_lattice: np.ndarray          # (n_B, d) int
     truncation_lattice: np.ndarray        # (n_T, d) int
-    boundary_adjacency: tuple             # tuple of tuples of interior indices
+
+    @property
+    def dimension(self) -> int:
+        return self.interior_lattice.shape[1]
 
     @property
     def n_interior(self) -> int:
@@ -113,7 +120,7 @@ class DiscreteDomain:
     @cached_property
     def neighbor_counts(self) -> np.ndarray:
         """Inward neighbor count k_b per boundary node (read-only, built on first use)."""
-        return _read_only(np.array([len(a) for a in self.boundary_adjacency], dtype=int))
+        return _read_only((self.boundary_neighbors >= 0).sum(axis=1))
 
     @cached_property
     def boundary_node_weights(self) -> np.ndarray:
@@ -129,12 +136,19 @@ class DiscreteDomain:
         return _read_only(_neighbors(self.interior_lattice, self.interior_lattice))
 
     @cached_property
+    def boundary_neighbors(self) -> np.ndarray:
+        """(n_B, 2d) interior index of each boundary node's neighbor in the same
+        directions as ``interior_neighbors``; -1 where it is not interior
+        (read-only, built on first use)."""
+        return _read_only(_neighbors(self.interior_lattice, self.boundary_lattice))
+
+    @cached_property
     def incidence(self) -> np.ndarray:
         """Dense adjacency incidence P (interior x boundary), one count per adjacency
         pair; B = P / h^2 (read-only, built on first use)."""
         p = np.zeros((self.n_interior, self.n_boundary))
-        rows = np.array([i for nbrs in self.boundary_adjacency for i in nbrs], dtype=int)
-        np.add.at(p, (rows, np.repeat(np.arange(self.n_boundary), self.neighbor_counts)), 1.0)
+        b, k = np.nonzero(self.boundary_neighbors >= 0)
+        p[self.boundary_neighbors[b, k], b] = 1.0
         return _read_only(p)
 
     # -- weighted products -------------------------------------------------
@@ -175,20 +189,9 @@ class DiscreteDomain:
             raise DomainError(f"node {row} appears in more than one node set")
         if self.n_interior == 0:
             raise DomainError("empty interior")
-        if len(self.boundary_adjacency) != self.n_boundary:
-            raise DomainError("boundary_adjacency needs one entry per boundary node")
         if np.any(self.neighbor_counts == 0):
             b = int(np.argmin(self.neighbor_counts))
             raise DomainError(f"boundary node {b} has no interior neighbor")
-        if not all(0 <= i < self.n_interior for nbrs in self.boundary_adjacency for i in nbrs):
-            raise DomainError("boundary_adjacency lists an index outside the interior")
-        b, i = np.nonzero(self.incidence.T)
-        far = np.abs(self.interior_lattice[i] - self.boundary_lattice[b]).sum(axis=1) != 1
-        if np.any(far):
-            k = np.argmax(far)
-            raise DomainError(
-                f"listed neighbor {i[k]} of boundary node {b[k]} is not at distance h"
-            )
         # interior adjacency graph must be connected
         nbrs = self.interior_neighbors
         rows, cols = np.nonzero(nbrs >= 0)[0], nbrs[nbrs >= 0]
@@ -237,14 +240,8 @@ def _build_halfline(spec: HalfLine1D) -> DiscreteDomain:
     interior = np.arange(1, n_cells, dtype=int)[:, None]
     boundary = np.array([[0]], dtype=int)
     trunc = np.array([[n_cells]], dtype=int)
-    return DiscreteDomain(
-        dimension=1,
-        h=spec.h,
-        interior_lattice=interior,
-        boundary_lattice=boundary,
-        truncation_lattice=trunc,
-        boundary_adjacency=((0,),),
-    )
+    return DiscreteDomain(h=spec.h, interior_lattice=interior, boundary_lattice=boundary,
+                          truncation_lattice=trunc)
 
 
 def _build_exterior2d(spec: Exterior2D) -> DiscreteDomain:
@@ -265,53 +262,29 @@ def _build_exterior2d(spec: Exterior2D) -> DiscreteDomain:
     interior = ij[(na < ring) & (ring < nL)]
     boundary = ij[ring == na]
     trunc = ij[ring == nL]
-    adjacency = [tuple(int(k) for k in row if k >= 0) for row in _neighbors(interior, boundary)]
-    return DiscreteDomain(
-        dimension=2,
-        h=spec.h,
-        interior_lattice=interior,
-        boundary_lattice=boundary,
-        truncation_lattice=trunc,
-        boundary_adjacency=tuple(adjacency),
-    )
+    return DiscreteDomain(h=spec.h, interior_lattice=interior, boundary_lattice=boundary,
+                          truncation_lattice=trunc)
 
 
 # ---------------------------------------------------------------------------
 # potential
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PotentialField:
-    """Real bounded potential sampled on the interior nodes, where A_II carries it."""
-
-    interior_values: np.ndarray
-    bound: float
-
-    def validate(self, dom: DiscreteDomain) -> None:
-        if self.interior_values.shape != (dom.n_interior,):
-            raise DomainError("potential has wrong interior length")
-        if self.bound < 0:
-            raise DomainError("potential bound must be nonnegative")
-        vals = self.interior_values
-        if vals.size and np.max(np.abs(vals)) > self.bound + 1e-12:
-            raise DomainError("potential exceeds its declared bound")
+def zero_potential(dom: DiscreteDomain) -> np.ndarray:
+    return _read_only(np.zeros(dom.n_interior))
 
 
-def zero_potential(dom: DiscreteDomain) -> PotentialField:
-    return PotentialField(interior_values=np.zeros(dom.n_interior), bound=0.0)
-
-
-def well_potential(dom: DiscreteDomain, depth: float, width: float) -> PotentialField:
+def well_potential(dom: DiscreteDomain, depth: float, width: float) -> np.ndarray:
     """q = -depth on nodes with first coordinate < width, 0 elsewhere."""
-    qi = np.where(dom.interior_coords[:, 0] < width, -depth, 0.0)
-    return PotentialField(qi, bound=abs(depth))
+    return _read_only(np.where(dom.interior_coords[:, 0] < width, -depth, 0.0))
 
 
-def tabulated_potential(dom: DiscreteDomain, interior_values) -> PotentialField:
-    qi = np.asarray(interior_values, dtype=float)
-    q = PotentialField(qi, bound=float(np.max(np.abs(qi), initial=0.0)))
-    q.validate(dom)
-    return q
+def tabulated_potential(dom: DiscreteDomain, interior_values) -> np.ndarray:
+    """The values as a read-only float copy; DomainError unless one per interior node."""
+    q = np.array(interior_values, dtype=float)
+    if q.shape != (dom.n_interior,):
+        raise DomainError("potential has wrong interior length")
+    return _read_only(q)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +304,7 @@ class DirichletOperator:
     """
 
     domain: DiscreteDomain
-    potential: PotentialField
+    potential: np.ndarray                 # (n_I,) float, read-only
     a_ii: sp.csr_matrix
     b: np.ndarray
 
@@ -502,15 +475,16 @@ class DirichletOperator:
         return ShiftedSolver(self, complex(z))
 
 
-def assemble_operator(dom: DiscreteDomain, q: PotentialField) -> DirichletOperator:
-    """Assemble A_II and the boundary-injection matrix B."""
-    q.validate(dom)
+def assemble_operator(dom: DiscreteDomain, q) -> DirichletOperator:
+    """Assemble A_II and the boundary-injection matrix B for the potential q, one
+    real value per interior node (checked as tabulated_potential checks it)."""
+    q = tabulated_potential(dom, q)
     n = dom.n_interior
     h2 = dom.h ** 2
     nbrs = dom.interior_neighbors
     rows = np.concatenate([np.arange(n), np.nonzero(nbrs >= 0)[0]])
     cols = np.concatenate([np.arange(n), nbrs[nbrs >= 0]])
-    vals = np.concatenate([2 * dom.dimension / h2 + q.interior_values,
+    vals = np.concatenate([2 * dom.dimension / h2 + q,
                            np.full(len(rows) - n, -1.0 / h2)])
     a_ii = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     b = _read_only((dom.incidence / h2).astype(complex))
@@ -659,7 +633,6 @@ class ShiftedSolver:
 
     def __init__(self, op: DirichletOperator, z: complex):
         self.z = z
-        self.op = op
         self._n = op.n
         self._band = self._tri = None
         if op.domain.dimension == 1 and self._n > 2:
@@ -727,13 +700,11 @@ class EigenSystem:
     degeneracy_tol: float
     interior_weight: float
 
-    def multiplicity(self, lam0: float, tol: float | None = None) -> int:
-        return self.eigenspace(lam0, tol).shape[1]
+    def multiplicity(self, lam0: float) -> int:
+        return self.eigenspace(lam0).shape[1]
 
-    def eigenspace(self, lam0: float, tol: float | None = None) -> np.ndarray:
-        tol = self.degeneracy_tol if tol is None else tol
-        cols = np.abs(self.values - lam0) <= tol
-        return self.vectors[:, cols]
+    def eigenspace(self, lam0: float) -> np.ndarray:
+        return self.vectors[:, np.abs(self.values - lam0) <= self.degeneracy_tol]
 
 
 def oracle_eigendecomposition(op: DirichletOperator) -> EigenSystem:

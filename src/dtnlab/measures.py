@@ -184,8 +184,9 @@ def stone_projection(op: DirichletOperator, a: float, b: float,
     and keeps constants, so it runs on the edge integrals alone and P is
     added to their limit.  extrapolation_error is the last extrapolation
     step, or the last contour refinement step if larger (at the cap).  eig
-    guards the endpoints and starts the schedule at no more than half their
-    distance to the nearest level, so the edges resolve it.
+    guards the endpoints, refusing one within eig.degeneracy_tol of a level
+    as oracle_projector does, and starts the schedule at no more than half
+    their distance to the nearest level, so the edges resolve it.
 
     The first rule and all edge pieces are one op.resolvent_sum call, with a
     weight row each, so that their nodes share one pivot pass (in 1D,
@@ -199,7 +200,7 @@ def stone_projection(op: DirichletOperator, a: float, b: float,
     delta0 = _DELTA0
     if eig is not None:
         clearance = float(np.min(np.abs(eig.values[:, None] - np.array([a, b])[None, :])))
-        if clearance <= 1e-8 * max(1.0, float(np.max(np.abs(eig.values)))):
+        if clearance <= eig.degeneracy_tol:
             raise EndpointOnEigenvalue(
                 f"interval endpoint of ({a}, {b}) lies on an eigenvalue")
         delta0 = min(delta0, clearance / 2)

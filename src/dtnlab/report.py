@@ -51,6 +51,7 @@ __all__ = [
     "sweep_window",
     "run_sweep",
     "emit_report",
+    "write_json",
     "parse_report",
     "emit_csv",
     "emit_plot_data",
@@ -242,13 +243,18 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)!r}")
 
 
-def emit_report(report: ClassificationReport, out_dir: str) -> str:
-    path = os.path.join(out_dir, "report.json")
-    text = json.dumps(report.data, sort_keys=True, indent=1,
-                      ensure_ascii=False, default=_json_default)
+def write_json(data, out_dir: str, name: str) -> str:
+    """Write data to out_dir/name as every JSON output file is written: sorted
+    keys, indent 1, UTF-8 text and a trailing newline; returns the path."""
+    path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        json.dump(data, fh, sort_keys=True, indent=1, ensure_ascii=False, default=_json_default)
+        fh.write("\n")
     return path
+
+
+def emit_report(report: ClassificationReport, out_dir: str) -> str:
+    return write_json(report.data, out_dir, "report.json")
 
 
 def parse_report(path: str) -> dict:

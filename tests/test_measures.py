@@ -235,10 +235,18 @@ class TestStone:
         assert res.extrapolation_error >= defect > 1e-3
 
     def test_endpoint_guard(self, t1):
+        # Stone and the oracle refuse the same endpoints: within
+        # eig.degeneracy_tol = 2e-8 of the level 1 (T1's levels are 1 and 3)
         _, op = t1
         eig = oracle_eigendecomposition(op)
-        with pytest.raises(EndpointOnEigenvalue):
-            stone_projection(op, 1.0, 2.0, eig)
+        for a in (1.0, 1.0 + 1.5e-8):
+            with pytest.raises(EndpointOnEigenvalue):
+                stone_projection(op, a, 2.0, eig)
+            with pytest.raises(EndpointOnEigenvalue):
+                oracle_projector(eig, a, 2.0)
+        # accepted by both; the projector is not resolved this close to the level
+        stone_projection(op, 1.0 + 2.5e-8, 2.0, eig)
+        oracle_projector(eig, 1.0 + 2.5e-8, 2.0)
 
     def test_endpoint_on_level_without_oracle_is_near_spectrum(self, t1):
         # without eig the contour's real crossing a = 1.0, the level, is
