@@ -60,7 +60,6 @@ from .classify import (
     ACSupportSet,
     ClassifyConfig,
     GridSet,
-    Level,
     PointVerdict,
     PurityVerdict,
     SCReport,

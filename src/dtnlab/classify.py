@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg as sla
@@ -38,7 +39,6 @@ from .limits import (
 __all__ = [
     "GridSet",
     "PointVerdict",
-    "Level",
     "ACSupportSet",
     "SCReport",
     "TauReport",
@@ -246,15 +246,6 @@ def refine_pole(op: DirichletOperator, x: float, g: np.ndarray, eta_start: float
 # levels of a window: poles of M by contour moments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Level:
-    """A confirmed pole of M: its value, the rank of its residue, the residue."""
-
-    lam: float
-    multiplicity: int
-    residue: ResidueMatrix
-
-
 def _residue_range(dom, res: ResidueMatrix):
     """Basis of a residue's range, res.rank columns, in the weighted boundary geometry."""
     w = np.sqrt(dom.boundary_node_weights)
@@ -263,7 +254,8 @@ def _residue_range(dom, res: ResidueMatrix):
 
 
 def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) -> tuple:
-    """The levels of M around the window (lo, hi) up to cfg.level_edge, ascending.
+    """The levels of M around the window (lo, hi) up to cfg.level_edge, ascending:
+    the ResidueMatrix of each, of rank at least 1.
 
     M is meromorphic on a finite model, so the moments (1/2 pi i) oint T_k(u)
     (M g_l, g_j) dz, T_k Chebyshev in u = (z - c)/r on an ellipse through
@@ -317,12 +309,8 @@ def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) ->
     rhos = [_GAP_FRACTION * np.min(np.abs(poles[np.abs(poles - lam) > tol] - lam))
             for lam in values]
     fill_certified(op, [circle_nodes(lam, rho)[0] for lam, rho in zip(values, rhos)])
-    levels = []
-    for lam, rho in zip(values, rhos):
-        res = residue_contour(op, lam, rho)
-        if res.rank:
-            levels.append(Level(lam=res.pole, multiplicity=res.rank, residue=res))
-    return tuple(levels)
+    levels = (residue_contour(op, lam, rho) for lam, rho in zip(values, rhos))
+    return tuple(res for res in levels if res.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +342,8 @@ def _point_plan(x: float, cfg: ClassifyConfig, levels):
     continuum start.  Above the edge levels count for nothing, else a
     DtnLabError held in levels is raised again."""
     levels = () if x > cfg.level_edge else _result(levels)
-    near = min(levels, key=lambda level: abs(level.lam - x), default=None)
-    d = np.inf if near is None else abs(near.lam - x)
+    near = min(levels, key=lambda level: abs(level.pole - x), default=None)
+    d = np.inf if near is None else abs(near.pole - x)
     if d <= cfg.pole_match_radius:
         return near, None
     edge = cfg.level_edge - x if x < cfg.level_edge else np.inf
@@ -381,9 +369,8 @@ def classify_point(op: DirichletOperator, x: float, cfg: ClassifyConfig,
         levels = window_levels(op, (x - w, x + w), probes, cfg)
     near, half_width = _point_plan(x, cfg, levels)
     if near is not None:
-        return PointVerdict(x=x, verdict=EIGENVALUE, refined_lambda=near.lam,
-                            multiplicity=near.multiplicity, residue=near.residue,
-                            evidence=evidence)
+        return PointVerdict(x=x, verdict=EIGENVALUE, refined_lambda=near.pole,
+                            multiplicity=near.rank, residue=near, evidence=evidence)
 
     if est.partial.any():
         raise Inconclusive(f"solver failures along the eta schedule at x={x}")
@@ -415,12 +402,10 @@ def point_nodes(op: DirichletOperator, x: float, cfg: ClassifyConfig, levels) ->
 
 @dataclass(frozen=True)
 class TauReport:
-    lam0: float
     tau_basis: np.ndarray            # (n_B, m) traces of the oracle eigenvectors
     gram_singular_ratio: float
     principal_angles: np.ndarray
     residue: ResidueMatrix
-    residue_rank: int
 
 
 def trace_invisible(dom, eig: EigenSystem) -> list:
@@ -456,10 +441,8 @@ def eigenspace_via_tau(op: DirichletOperator, lam0: float, eig: EigenSystem) -> 
         angles = sla.subspace_angles(taus * w[:, None], _residue_range(dom, res) * w[:, None])
     else:
         angles = np.array([np.pi / 2])
-    return TauReport(
-        lam0=float(lam0), tau_basis=taus, gram_singular_ratio=ratio,
-        principal_angles=angles, residue=res, residue_rank=res.rank,
-    )
+    return TauReport(tau_basis=taus, gram_singular_ratio=ratio, principal_angles=angles,
+                     residue=res)
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +451,9 @@ def eigenspace_via_tau(op: DirichletOperator, lam0: float, eig: EigenSystem) -> 
 
 @dataclass(frozen=True)
 class ACSupportSet:
-    window: tuple
     grid: np.ndarray
     per_probe_closed: tuple           # GridSet per probe
-    closed_union: GridSet
-    ac_free: bool
+    closed_union: GridSet             # AC-free if empty
     boundary_values: np.ndarray       # (n_probes, n_grid) complex
     diverging: np.ndarray             # (n_probes, n_grid) bool: Im(M g, g) -> -infinity
     y_limit_zero: np.ndarray          # (n_probes, n_grid) bool: eta (M g, g) -> 0
@@ -503,19 +484,16 @@ def ac_support(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
     per_probe_closed = [essential_closure(GridSet.from_flags(xs, f)) for f in flags]
     union = GridSet.union(*per_probe_closed)   # of non-degenerate parts, so nothing to drop
     return ACSupportSet(
-        window=tuple(window), grid=xs, per_probe_closed=tuple(per_probe_closed),
-        closed_union=union, ac_free=union.is_empty, boundary_values=bvals,
-        diverging=div, y_limit_zero=yzero,
+        grid=xs, per_probe_closed=tuple(per_probe_closed), closed_union=union,
+        boundary_values=bvals, diverging=div, y_limit_zero=yzero,
     )
 
 
 @dataclass(frozen=True)
 class SCReport:
-    window: tuple
-    grid: np.ndarray
     flagged_set: GridSet              # ac_support's points diverging with y (M g, g) -> 0
     excluded: bool
-    caveat: str = (
+    caveat: ClassVar[str] = (
         "singular continuous spectrum is excluded when the flagged set is at "
         "most countable; on a finite grid this is read as: no flagged run of "
         "positive length"
@@ -527,8 +505,7 @@ def sc_screen(acs) -> SCReport:
     result without evaluating M; a DtnLabError in its place is raised again."""
     acs = _result(acs)
     flagged = GridSet.from_flags(acs.grid, np.any(acs.diverging & acs.y_limit_zero, axis=0))
-    return SCReport(window=acs.window, grid=acs.grid, flagged_set=flagged,
-                    excluded=essential_closure(flagged).is_empty)
+    return SCReport(flagged_set=flagged, excluded=essential_closure(flagged).is_empty)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +514,6 @@ def sc_screen(acs) -> SCReport:
 
 @dataclass(frozen=True)
 class PurityVerdict:
-    window: tuple
     verdict: str
     offending_points: tuple = ()
 
@@ -553,8 +529,8 @@ def purity_filter(window, points, levels, acs, scr, cfg: ClassifyConfig) -> Puri
     every point no level explains resolvent, PureSC an AC-free window with a
     flagged SC run of positive length, PureAC no diverging run of positive
     length."""
-    window, levels = tuple(window), _result(levels)
-    offending = [level.lam for level in levels if window[0] < level.lam < window[1]]
+    levels = _result(levels)
+    offending = [level.pole for level in levels if window[0] < level.pole < window[1]]
     resolvent = True
     for x, v in points:
         if _point_plan(x, cfg, levels)[0] is not None:
@@ -568,15 +544,15 @@ def purity_filter(window, points, levels, acs, scr, cfg: ClassifyConfig) -> Puri
         for v in sorted(offending):
             if not distinct or abs(v - distinct[-1]) > 1e-6 * max(1.0, abs(v)):
                 distinct.append(v)
-        return PurityVerdict(window, MIXED_UNKNOWN, tuple(distinct))
+        return PurityVerdict(MIXED_UNKNOWN, tuple(distinct))
 
     if resolvent:
-        return PurityVerdict(window, NO_SPECTRUM)
+        return PurityVerdict(NO_SPECTRUM)
     acs, scr = _result(acs), _result(scr)
-    if acs.ac_free:
+    if acs.closed_union.is_empty:
         # without AC spectrum, PureSC still needs a flagged run (finite
         # models have no SC spectrum)
-        return PurityVerdict(window, MIXED_UNKNOWN if scr.excluded else PURE_SC)
+        return PurityVerdict(MIXED_UNKNOWN if scr.excluded else PURE_SC)
     if essential_closure(GridSet.from_flags(acs.grid, np.any(acs.diverging, axis=0))).is_empty:
-        return PurityVerdict(window, PURE_AC)
-    return PurityVerdict(window, MIXED_UNKNOWN)
+        return PurityVerdict(PURE_AC)
+    return PurityVerdict(MIXED_UNKNOWN)

@@ -37,6 +37,7 @@ the window holds at most MAX_GRID_POINTS grid points.
 
 from __future__ import annotations
 
+import copy
 import difflib
 import json
 import math
@@ -64,15 +65,21 @@ _SECTIONS = {
     "domain", "potential", "window", "eta", "probes", "thresholds",
     "measures", "convergence", "output_dir", "threads",
 }
+# the sections whose every key has a default, and those defaults
+_DEFAULTS = {
+    "eta": {"eta0": 0.01, "ratio": 0.5, "count": 8, "floor_mode": "none", "floor_factor": 5.0},
+    "probes": {"kind": "basis", "count": 1, "seed": 0},
+    "thresholds": {"tau_eig": 1e-6, "tau_ac": 1e-6, "fit_tol": 1e-5,
+                   "pole_match_radius": None, "window_half_width": None},
+    "measures": {"stone_intervals": [], "zeta_samples": [[0.0, 1.0], [0.0, 2.0]]},
+    "convergence": {"x_values": [0.5, 1.0, 2.0], "eta": 0.1, "h_values": [0.01, 0.005],
+                    "L": 200.0},
+}
 _KEYS = {
     "domain": {"kind", "h", "L", "a"},
     "potential": {"kind", "depth", "width", "interior_values"},
     "window": {"lo", "hi", "grid_step"},
-    "eta": {"eta0", "ratio", "count", "floor_mode", "floor_factor"},
-    "probes": {"kind", "count", "seed"},
-    "thresholds": {"tau_eig", "tau_ac", "fit_tol", "pole_match_radius", "window_half_width"},
-    "measures": {"stone_intervals", "zeta_samples"},
-    "convergence": {"x_values", "eta", "h_values", "L"},
+    **{section: set(defaults) for section, defaults in _DEFAULTS.items()},
 }
 
 
@@ -82,6 +89,13 @@ def _reject_unknown(given, allowed, where):
             hint = difflib.get_close_matches(key, allowed, n=1)
             suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
             raise ConfigError(f"unknown key {key!r} in {where}{suggestion}")
+
+
+def _defaulted(data, section):
+    """The section's values over a fresh copy of its defaults, so no config shares them."""
+    values = copy.deepcopy(_DEFAULTS[section])
+    values.update(data.get(section, {}))
+    return values
 
 
 def _require(cond, message):
@@ -212,9 +226,7 @@ def config_from_dict(data: dict) -> RunConfig:
     _require(grid_steps((win["lo"], win["hi"]), win["grid_step"]) < MAX_GRID_POINTS,
              f"window.grid_step gives more than {MAX_GRID_POINTS} grid points")
 
-    eta = {"eta0": 0.01, "ratio": 0.5, "count": 8,
-           "floor_mode": "none", "floor_factor": 5.0}
-    eta.update(data.get("eta", {}))
+    eta = _defaulted(data, "eta")
     _require_numbers("eta", eta, ("eta0", "ratio", "floor_factor"))
     _require(eta["eta0"] > 0, "eta.eta0 must be positive")
     _require(0 < eta["ratio"] < 1, "eta.ratio must lie in (0, 1)")
@@ -225,16 +237,13 @@ def config_from_dict(data: dict) -> RunConfig:
              "eta.floor_mode 'halfline_auto' needs domain.kind 'halfline'")
     _require(eta["floor_factor"] > 0, "eta.floor_factor must be positive")
 
-    probes = {"kind": "basis", "count": 1, "seed": 0}
-    probes.update(data.get("probes", {}))
+    probes = _defaulted(data, "probes")
     _require(probes["kind"] in ("basis", "random"),
              "probes.kind must be 'basis' or 'random'")
     probes["count"] = _integer(probes["count"], 1, MAX_PROBES, "probes.count")
     probes["seed"] = _integer(probes["seed"], 0, math.inf, "probes.seed")
 
-    thr = {"tau_eig": 1e-6, "tau_ac": 1e-6, "fit_tol": 1e-5,
-           "pole_match_radius": None, "window_half_width": None}
-    thr.update(data.get("thresholds", {}))
+    thr = _defaulted(data, "thresholds")
     _require_numbers("thresholds", thr, ("tau_eig", "tau_ac", "fit_tol"))
     for key in ("tau_eig", "tau_ac", "fit_tol"):
         _require(thr[key] > 0, f"thresholds.{key} must be positive")
@@ -243,17 +252,14 @@ def config_from_dict(data: dict) -> RunConfig:
             _require_numbers("thresholds", thr, (key,))
             _require(thr[key] > 0, f"thresholds.{key} must be positive")
 
-    meas = {"stone_intervals": [], "zeta_samples": [[0.0, 1.0], [0.0, 2.0]]}
-    meas.update(data.get("measures", {}))
+    meas = _defaulted(data, "measures")
     intervals, zetas = meas["stone_intervals"], meas["zeta_samples"]
     _require(isinstance(intervals, list) and all(_is_pair(p) and p[0] < p[1] for p in intervals),
              "measures.stone_intervals must be [lo, hi] pairs of finite numbers, lo < hi")
     _require(isinstance(zetas, list) and all(map(_is_pair, zetas))
              and any(im != 0 for _, im in zetas),
              "measures.zeta_samples must be [re, im] pairs of finite numbers, one with im != 0")
-    conv = {"x_values": [0.5, 1.0, 2.0], "eta": 0.1,
-            "h_values": [0.01, 0.005], "L": 200.0}
-    conv.update(data.get("convergence", {}))
+    conv = _defaulted(data, "convergence")
     _require_numbers("convergence", conv, ("eta", "L"))
     for key in ("eta", "L"):
         _require(conv[key] > 0, f"convergence.{key} must be positive")

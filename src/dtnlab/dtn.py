@@ -254,7 +254,10 @@ def identity_suite(op: DirichletOperator, lam: complex, zeta: complex, nu: compl
 
 def robin_to_dirichlet(op: DirichletOperator, lam: complex, theta: np.ndarray) -> np.ndarray:
     """(Theta - M(lam))^(-1), the inverse of the Robin pencil."""
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    theta = np.atleast_2d(np.asarray(theta))
+    if np.iscomplexobj(theta) and np.any(theta.imag):
+        raise ValueError("Theta must be real symmetric")
+    theta = np.asarray(theta.real, dtype=float)
     n_b = op.domain.n_boundary
     if theta.shape != (n_b, n_b):
         raise ValueError("Theta has wrong shape")

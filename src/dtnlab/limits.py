@@ -129,7 +129,6 @@ class ResidueMatrix:
 @dataclass(frozen=True)
 class AnalyticityReport:
     ok: bool
-    window: tuple
     slim_max: float
     im_max: float
     fit_misfit: float
@@ -393,10 +392,4 @@ def analyticity_test(op: DirichletOperator, x: float, half_width: float,
 
     slim_max, im_max = float(slim["relative"].max()), float(im_rel.max())
     ok = slim_max <= slim_rel_tol and im_max <= im_rel_tol and fit_misfit <= fit_tol
-    return AnalyticityReport(
-        ok=ok,
-        window=(x - half_width, x + half_width),
-        slim_max=slim_max,
-        im_max=im_max,
-        fit_misfit=fit_misfit,
-    )
+    return AnalyticityReport(ok=ok, slim_max=slim_max, im_max=im_max, fit_misfit=fit_misfit)

@@ -143,8 +143,8 @@ def _point_json(v):
 
 
 def _levels_json(lo, hi):
-    return lambda levels: [{"lambda": level.lam, "multiplicity": level.multiplicity}
-                           for level in levels if lo < level.lam < hi]
+    return lambda levels: [{"lambda": level.pole, "multiplicity": level.rank}
+                           for level in levels if lo < level.pole < hi]
 
 
 def _gridset_json(s):
@@ -154,7 +154,7 @@ def _gridset_json(s):
 def _ac_json(acs):
     return {"closed_union": _gridset_json(acs.closed_union),
             "per_probe": [_gridset_json(s) for s in acs.per_probe_closed],
-            "ac_free": acs.ac_free}
+            "ac_free": acs.closed_union.is_empty}
 
 
 def _sc_json(scr):

@@ -127,7 +127,7 @@ def test_criterion_04_tau_bijection(t1, annulus2d):
     worst_angle, worst_ratio = 0.0, 1.0
     for op, eig, lam0, mult in cases:
         rep = eigenspace_via_tau(op, lam0, eig)
-        assert rep.residue_rank == mult
+        assert rep.residue.rank == mult
         worst_angle = max(worst_angle, float(np.max(rep.principal_angles)))
         worst_ratio = min(worst_ratio, rep.gram_singular_ratio)
     ok = worst_angle <= 1e-6 and worst_ratio > 1e-8

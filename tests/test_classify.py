@@ -13,9 +13,9 @@ from dtnlab import (
     GridSet,
     HalfLine1D,
     Inconclusive,
-    Level,
     NearSpectrum,
     PointVerdict,
+    ResidueMatrix,
     SCReport,
     ac_support,
     assemble_operator,
@@ -186,7 +186,7 @@ class TestTau:
         _, op = t1
         eig = oracle_eigendecomposition(op)
         rep = eigenspace_via_tau(op, 1.0, eig)
-        assert rep.residue_rank == 1
+        assert rep.residue.rank == 1
         assert rep.gram_singular_ratio > 1e-8
         assert np.max(rep.principal_angles) <= 1e-8
 
@@ -196,7 +196,7 @@ class TestTau:
         lam0 = next(float(np.mean(eig.values[list(g)]))
                     for g in eig.groups if len(g) == 2)
         rep = eigenspace_via_tau(op, lam0, eig)
-        assert rep.residue_rank == 2
+        assert rep.residue.rank == 2
         assert np.max(rep.principal_angles) <= 1e-6
 
     def test_trace_invisible_level_has_rank_zero(self, annulus2d):
@@ -210,7 +210,7 @@ class TestTau:
         assert lam0 == pytest.approx(0.951083, abs=1e-6)
         assert trace_invisible(dom, eig)[k]
         rep = eigenspace_via_tau(op, lam0, eig)
-        assert rep.residue_rank == 0
+        assert rep.residue.rank == 0
         assert rep.principal_angles.tolist() == [np.pi / 2]
 
     def test_trace_invisible_is_the_per_group_rule(self, annulus2d):
@@ -240,14 +240,12 @@ class TestACSupport:
         probes = make_probes(op.domain, "basis")
         acs = ac_support(op, (0.25, 4.0), probes, FREE_CFG, 0.125)
         assert acs.closed_union.intervals == ((0.25, 4.0),)
-        assert not acs.ac_free
 
     def test_resolvent_window_empty(self, freeline):
         _, op = freeline
         probes = make_probes(op.domain, "basis")
         acs = ac_support(op, (-2.0, -0.5), probes, FREE_CFG, 0.125)
         assert acs.closed_union.is_empty
-        assert acs.ac_free
 
     def test_pure_point_model_empty(self, t1):
         # (M g, g) at the level 1.0 on the grid extrapolates to 0.75 - 12400i,
@@ -256,7 +254,7 @@ class TestACSupport:
         probes = make_probes(op.domain, "basis")
         for window, step in (((0.0, 4.0), 0.1), ((0.5, 1.5), 0.25)):
             acs = ac_support(op, window, probes, T1_CFG, step)
-            assert acs.closed_union.is_empty and acs.ac_free, window
+            assert acs.closed_union.is_empty, window
 
 
 class TestSCScreen:
@@ -394,15 +392,16 @@ class TestPurityRule:
 
     @staticmethod
     def levels(*lams):
-        return tuple(Level(lam=lam, multiplicity=1, residue=None) for lam in lams)
+        return tuple(ResidueMatrix(lam0=lam, rho=0.01, r=np.ones((1, 1)), bound=1.0, rank=1,
+                                   pole=lam) for lam in lams)
 
     def stages(self, ac_free=True):
-        grid = np.array(self.XS)
-        acs = ACSupportSet(window=self.WINDOW, grid=grid, per_probe_closed=(GridSet(()),),
-                           closed_union=GridSet(()), ac_free=ac_free,
-                           boundary_values=np.zeros((1, 3), dtype=complex),
+        # an AC-free window has an empty union; the other one is AC on all of it
+        union = GridSet(()) if ac_free else GridSet((self.WINDOW,))
+        acs = ACSupportSet(grid=np.array(self.XS), per_probe_closed=(union,),
+                           closed_union=union, boundary_values=np.zeros((1, 3), dtype=complex),
                            diverging=np.zeros((1, 3), bool), y_limit_zero=np.zeros((1, 3), bool))
-        scr = SCReport(window=self.WINDOW, grid=grid, flagged_set=GridSet(()), excluded=True)
+        scr = SCReport(flagged_set=GridSet(()), excluded=True)
         return acs, scr
 
     def purity(self, points, lams=(), acs=None, scr=None):
@@ -502,10 +501,23 @@ class TestLevels:
         cfg = ClassifyConfig(eta0=1e-2, pole_match_radius=0.025, window_half_width=0.05)
         levels = window_levels(op, (0.0, 1.0), make_probes(op.domain, "basis"), cfg)
         oracle = oracle_eigendecomposition(op).values
-        assert [level.multiplicity for level in levels] == [1] * 6
+        assert [level.rank for level in levels] == [1] * 6
         for level in levels:
-            assert 0.0 < level.lam < 1.0
-            assert np.min(np.abs(oracle - level.lam)) <= 5e-12, level.lam
+            assert 0.0 < level.pole < 1.0
+            assert np.min(np.abs(oracle - level.pole)) <= 5e-12, level.pole
+
+    def test_a_level_is_its_residue(self, t1):
+        # the level stage hands out the residue of each contour that holds a
+        # pole, and an eigenvalue verdict carries that record itself
+        _, op = t1
+        probes = make_probes(op.domain, "basis")
+        levels = window_levels(op, (0.0, 4.0), probes, T1_CFG)
+        assert all(type(level) is ResidueMatrix and level.rank >= 1 for level in levels)
+        assert [round(level.pole, 9) for level in levels] == [1.0, 3.0]
+        for x, level in ((0.9, levels[0]), (3.0, levels[1])):
+            v = classify_point(op, x, T1_CFG, probes, levels)
+            assert v.residue is level
+            assert (v.refined_lambda, v.multiplicity) == (level.pole, level.rank)
 
     def test_floored_schedule_has_no_levels(self, freeline):
         _, op = freeline
@@ -719,10 +731,9 @@ class TestStageFill:
         levels = window_levels(fresh, cfg.window, probes, ccfg)
         assert len(levels) == len(sweep.levels) > 0
         for ours, theirs in zip(sweep.levels, levels):
-            assert (ours.lam, ours.multiplicity) == (theirs.lam, theirs.multiplicity)
-            for name in ("lam0", "rho", "bound", "pole"):
-                assert getattr(ours.residue, name) == getattr(theirs.residue, name)
-            assert ours.residue.r.tobytes() == theirs.residue.r.tobytes()
+            for name in ("lam0", "rho", "bound", "rank", "pole"):
+                assert getattr(ours, name) == getattr(theirs, name)
+            assert ours.r.tobytes() == theirs.r.tobytes()
         for x, v in sweep.points:
             w = classify_point(fresh, x, ccfg, probes, levels)
             assert (v.verdict, v.refined_lambda, v.multiplicity) == (

@@ -11,7 +11,7 @@ from dtnlab import ConfigError, NearSpectrum, config_from_dict, parse_config
 from dtnlab.config import MAX_ETA_COUNT, MAX_GRID_POINTS, MAX_PROBES
 from dtnlab.classify import window_grid
 from dtnlab.cli import main
-from dtnlab.report import emit_csv, emit_report, parse_report, run_sweep
+from dtnlab.report import emit_csv, emit_plot_data, emit_report, parse_report, run_sweep
 
 T1_CONFIG = {
     "domain": {"kind": "halfline", "h": 1.0, "L": 3.0},
@@ -34,6 +34,16 @@ class TestConfig:
                            "floor_mode": "none", "floor_factor": 5.0}
         assert cfg.probes["kind"] == "basis"
         assert cfg.threads == 1
+
+    def test_defaults_not_shared(self):
+        # the list defaults are copied on each parse
+        raw = {"domain": T1_CONFIG["domain"], "window": T1_CONFIG["window"]}
+        first = config_from_dict(raw)
+        first.measures["zeta_samples"].append([0.0, 3.0])
+        first.convergence["x_values"][0] = 9.0
+        second = config_from_dict(raw)
+        assert second.measures["zeta_samples"] == [[0.0, 1.0], [0.0, 2.0]]
+        assert second.convergence["x_values"] == [0.5, 1.0, 2.0]
 
     def test_unknown_key_suggestion(self):
         bad = dict(T1_CONFIG, potental={"kind": "zero"})
@@ -80,6 +90,24 @@ class TestSweep:
         assert len(lines) - 1 == 41 * 1 * 8   # grid points x probes x eta samples
         verdicts = {line.split(",")[-1] for line in lines[1:]}
         assert verdicts <= {"resolvent", "eigenvalue", "continuous", "inconclusive"}
+
+    def test_density_is_the_smallest_eta_sample(self, report, tmp_path):
+        # per (x, probe), in sorted order: -im_Mgg of that point's samples.csv
+        # row at its smallest eta
+        emit_csv(report, str(tmp_path))
+        emit_plot_data(report, str(tmp_path))
+        expected = {}
+        for line in (tmp_path / "samples.csv").read_text().splitlines()[1:]:
+            x, eta, pid, _, im_q, _, _ = line.split(",")
+            key = (float(x), int(pid))
+            if key not in expected or float(eta) < expected[key][0]:
+                expected[key] = (float(eta), -float(im_q))
+        lines = (tmp_path / "plot_density.dat").read_text().splitlines()
+        assert lines[0] == "# x  probe_id  neg_im_Mgg_at_smallest_eta"
+        density = [((float(x), int(pid)), float(value))
+                   for x, pid, value in (line.split() for line in lines[1:])]
+        assert density == [(key, expected[key][1]) for key in sorted(expected)]
+        assert len(density) == 41
 
     def test_points_on_window_grid(self, report):
         xs = window_grid((0.0, 4.0), 0.1)

@@ -178,6 +178,15 @@ class TestPotentials:
         with pytest.raises(DomainError, match="wrong interior length"):
             assemble_operator(dom, [1.0])
 
+    def test_tabulated_complex_rejected(self, t1):
+        # a cast to float would drop the imaginary part and give q = 0
+        dom, _ = t1
+        for values in ([1j, 0], np.array([1j, 0])):
+            with pytest.raises(DomainError, match="imaginary part"):
+                tabulated_potential(dom, values)
+            with pytest.raises(DomainError, match="imaginary part"):
+                assemble_operator(dom, values)
+
 
 class TestOperatorAssembly:
     def test_t1_matrix(self, t1):

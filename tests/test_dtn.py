@@ -222,3 +222,10 @@ class TestRobin:
         theta = rng.standard_normal((8, 8))
         with pytest.raises(ValueError):
             robin_to_dirichlet(op, 0.5j, theta)
+
+    def test_complex_theta_rejected(self, t1):
+        # a cast to float would drop the imaginary part and solve with Theta = 0
+        _, op = t1
+        for theta in ([[1j]], np.array([[1j]])):
+            with pytest.raises(ValueError, match="real symmetric"):
+                robin_to_dirichlet(op, 0.5j, theta)

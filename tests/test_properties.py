@@ -365,7 +365,7 @@ def test_window_levels_are_the_oracle_levels(depth, width, lo):
     assume(np.min(np.abs(eig.values[:, None] - np.array(window))) > 1e-6)
     cfg = ClassifyConfig(eta0=1e-2, pole_match_radius=0.025, window_half_width=0.05)
     found = [level for level in window_levels(op, window, make_probes(WELL_DOMAIN, "basis"), cfg)
-             if window[0] < level.lam < window[1]]
+             if window[0] < level.pole < window[1]]
     oracle = [g for g in eig.groups if window[0] < eig.values[g[0]] < window[1]]
-    assert [level.multiplicity for level in found] == [len(g) for g in oracle]
-    assert all(abs(level.lam - eig.values[g[0]]) <= 1e-9 for level, g in zip(found, oracle))
+    assert [level.rank for level in found] == [len(g) for g in oracle]
+    assert all(abs(level.pole - eig.values[g[0]]) <= 1e-9 for level, g in zip(found, oracle))
