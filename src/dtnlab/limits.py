@@ -166,12 +166,16 @@ def richardson_extrapolate(etas, values):
 _TAIL = 5  # extrapolate from the smallest samples only, where f is analytic
 
 
-def extrapolate_tail(etas, values):
-    """Richardson extrapolation to eta = 0 from the _TAIL smallest samples.
-
-    etas is decreasing, as EtaSchedule.samples() returns it.
-    """
-    return richardson_extrapolate(etas[-_TAIL:], values[-_TAIL:])
+def extrapolate_tail(etas, values, n):
+    """Richardson extrapolation to eta = 0 from the _TAIL smallest samples each profile
+    reached: values[k] holds the samples at etas[k] (decreasing, as EtaSchedule.samples()),
+    n the count of each profile, of the shape of values[k]'s leading axes.  One
+    richardson_extrapolate call per block, and one per length a profile stopped at."""
+    limit, _ = richardson_extrapolate(etas[-_TAIL:], values[-_TAIL:])
+    for k in np.unique(n[n < etas.size]):
+        tail, at = slice(max(k - _TAIL, 0), k), n == k
+        limit[at], _ = richardson_extrapolate(etas[tail], values[tail][:, at])
+    return limit
 
 
 def decay_exponent(etas, norms):
@@ -199,20 +203,28 @@ def vanishes(slope):
     return ~(np.asarray(slope) < DECAY_CUT)
 
 
-def boundary_limit(etas, q, floored: bool, slopes: bool = True) -> dict:
-    """Fields "value" (extrapolant, or the sample at the floor), "last", and with slopes
-    "diverging" (|Im q| -> infinity) and "y_limit_zero" (eta*q -> 0) of scalar Herglotz
-    profiles q(x + i*eta), sampled at the decreasing etas over the last axis."""
-    out = {"value": q[..., -1] if floored else extrapolate_tail(etas, np.moveaxis(q, -1, 0))[0],
-           "last": q[..., -1]}
-    if slopes:
-        im, yq = np.abs(q.imag), etas * q
-        out["diverging"] = ((decay_exponent(etas, im) <= DIVERGENCE_SLOPE)
-                            & (im[..., -1] > DIVERGENCE_GROWTH * np.maximum(im[..., 0], 1e-300))
-                            & (im[..., -1] > 1e-10))
-        # hypot rounds as abs() of a Python complex does; np.abs may not
-        out["y_limit_zero"] = vanishes(decay_exponent(etas, np.hypot(yq.real, yq.imag)))
-    return out
+def boundary_limit(etas, q, floored: bool, n=None) -> dict:
+    """Fields "value" (extrapolant, or the last sample on a floored schedule), "last",
+    "diverging" (|Im q| -> infinity), "y_limit_zero" (eta*q -> 0) and "partial" of scalar
+    Herglotz profiles q(x + i*eta) at the decreasing etas over the last axis, each zero
+    past the n samples it reached (default: all)."""
+    n = np.full(q.shape[:-1], etas.size) if n is None else n
+    value, last = _boundary_value(etas, q, floored, n)
+    im, yq = np.abs(q.imag), etas * q
+    im_last = np.abs(last.imag)
+    return {"value": value, "last": last,
+            "diverging": ((decay_exponent(etas, im) <= DIVERGENCE_SLOPE)
+                          & (im_last > DIVERGENCE_GROWTH * np.maximum(im[..., 0], 1e-300))
+                          & (im_last > 1e-10)),
+            # hypot rounds as abs() of a Python complex does; np.abs may not
+            "y_limit_zero": vanishes(decay_exponent(etas, np.hypot(yq.real, yq.imag))),
+            "partial": n < etas.size}
+
+
+def _boundary_value(etas, q, floored: bool, n):
+    """boundary_limit's "value" and "last" alone."""
+    last = np.take_along_axis(q, n[..., None] - 1, axis=-1)[..., 0]
+    return (last if floored else extrapolate_tail(etas, np.moveaxis(q, -1, 0), n)), last
 
 
 def ac_flags(density, diverging, tau: float):
@@ -232,67 +244,43 @@ def profile_nodes(x, sched: EtaSchedule) -> np.ndarray:
 
 def dtn_profile(op: DirichletOperator, x, g, sched: EtaSchedule):
     """M(x + i*eta) g along the schedule, for a point or an array of points and
-    a probe or a stack of probes.
+    a probe or a stack of probes, as one block (etas, mg, n).
 
-    Yields (rows, etas, mg) per group of points whose profiles have equal
-    length: rows indexes the points of x flattened, etas is the profile, and
-    mg has the shape g.shape[:-1] + (len(rows), len(etas), n_B).  A profile
-    stops at its first NearSpectrum (dtn_matrices); the first point that
-    fails at eta0 re-raises it before anything is yielded.
+    etas is the profile, mg has the shape g.shape[:-1] + (x.size, len(etas), n_B)
+    over the points of x flattened, and n, of the shape mg.shape[:-2], counts
+    the samples each profile reached: a profile stops at its first NearSpectrum
+    (dtn_matrices) and mg is zero past it.  The first point that fails at eta0
+    re-raises its NearSpectrum.
     """
-    etas = sched.samples()
     m, lengths, failures = dtn_matrices(op, profile_nodes(x, sched))
     if not lengths.all():
         raise failures[int(np.argmin(lengths))]
     g = np.asarray(g, dtype=complex)[..., None, None, :, None]
-    for n in np.unique(lengths):
-        rows = np.flatnonzero(lengths == n)
-        # one matrix-vector product per probe, point and eta
-        yield rows, etas[:n], (m[rows, :n] @ g)[..., 0]
+    mg = (m @ g)[..., 0]                  # one matrix-vector product per probe, point and eta
+    return sched.samples(), mg, np.broadcast_to(lengths, mg.shape[:-2])
 
 
-def _slim_fields(dom, etas, mg, g, floored, slopes):
-    """LimitEstimate's fields of one dtn_profile group; decay_exponent with slopes."""
-    samples = etas[:, None] * mg
-    limit, _ = extrapolate_tail(etas, [samples[..., k, :] for k in range(etas.size)])
-    scale = np.maximum(dom.boundary_norm(mg[..., 0, :]), 1e-300)
-    out = {"value": limit, "relative": dom.boundary_norm(limit) / scale}
-    if slopes:
-        out["decay_exponent"] = decay_exponent(etas, dom.boundary_norm(samples))
-    return out
+def _slim_limit(dom, etas, mg, n):
+    """The extrapolated eta*M g of a dtn_profile block and its norm over ||M(x + i*eta0) g||."""
+    limit = extrapolate_tail(etas, np.moveaxis(etas[:, None] * mg, -2, 0), n)
+    return limit, dom.boundary_norm(limit) / np.maximum(dom.boundary_norm(mg[..., 0, :]), 1e-300)
 
 
-def _bv_fields(dom, etas, mg, g, floored, slopes):
-    """BoundaryValue's fields of one dtn_profile group; the flags with slopes."""
-    return boundary_limit(etas, dom.boundary_inner(mg, g[..., None, None, :]), floored, slopes)
-
-
-def _limits(op: DirichletOperator, x, g, sched: EtaSchedule, *kinds, slopes=True):
-    """One pass over dtn_profile's groups.  Per kind (_slim_fields,
-    _bv_fields) a dict of its fields and "partial" over all points, each of
-    shape g.shape[:-1] + shape(x), a vector field with a trailing n_B axis;
-    slopes=False leaves out the fields that need a decay_exponent."""
-    x, g = np.asarray(x, dtype=float), np.asarray(g, dtype=complex)
-    lead, full = g.ndim - 1, sched.samples().size
-    outs = [{} for _ in kinds]
-    for rows, etas, mg in dtn_profile(op, x, g, sched):
-        at = (slice(None),) * lead + (rows,)
-        for fields, out in zip(kinds, outs):
-            group = fields(op.domain, etas, mg, g, sched.floored, slopes)
-            group["partial"] = np.full(mg.shape[:-2], etas.size < full)
-            for key, val in group.items():
-                if key not in out:
-                    out[key] = np.empty(val.shape[:lead] + (x.size,) + val.shape[lead + 1:],
-                                        val.dtype)
-                out[key][at] = val
-    return [{key: val.reshape(val.shape[:lead] + x.shape + val.shape[lead + 1:])[()]
-             for key, val in out.items()} for out in outs]
+def _at_points(x, lead: int, **fields) -> dict:
+    """Fields over the points of x flattened (the axis after lead probe axes), with
+    that axis reshaped to x's shape."""
+    return {key: val.reshape(val.shape[:lead] + np.shape(x) + val.shape[lead + 1:])[()]
+            for key, val in fields.items()}
 
 
 def slim_eta_M(op: DirichletOperator, x, g, sched: EtaSchedule) -> LimitEstimate:
     """Extrapolated limit of eta * M(x + i*eta) g (zero off the point spectrum),
     for a point or an array of points and a probe or a stack of probes."""
-    return LimitEstimate(**_limits(op, x, g, sched, _slim_fields)[0])
+    etas, mg, n = dtn_profile(op, x, g, sched)
+    value, relative = _slim_limit(op.domain, etas, mg, n)
+    return LimitEstimate(**_at_points(
+        x, n.ndim - 1, value=value, relative=relative, partial=n < etas.size,
+        decay_exponent=decay_exponent(etas, op.domain.boundary_norm(etas[:, None] * mg))))
 
 
 def boundary_value_M(op: DirichletOperator, x, g, sched: EtaSchedule) -> BoundaryValue:
@@ -303,7 +291,10 @@ def boundary_value_M(op: DirichletOperator, x, g, sched: EtaSchedule) -> Boundar
     extrapolant (limiting absorption on a finite model is only meaningful
     above the level spacing).
     """
-    return BoundaryValue(**_limits(op, x, g, sched, _bv_fields)[0])
+    etas, mg, n = dtn_profile(op, x, g, sched)
+    q = op.domain.boundary_inner(mg, np.asarray(g, dtype=complex)[..., None, None, :])
+    return BoundaryValue(**_at_points(x, n.ndim - 1,
+                                      **boundary_limit(etas, q, sched.floored, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,23 +364,26 @@ def analyticity_test(op: DirichletOperator, x: float, half_width: float,
     the imaginary parts of the boundary values vanish, and the sampled values
     of (M g, g) just above the axis admit a low-degree polynomial fit in z.
 
-    The window is one block: both limits come from one pass of _limits over
-    every window point and probe, so the result equals slim_eta_M and
-    boundary_value_M point by point; the fit takes boundary_value_M's last
-    sample.
+    The window is one dtn_profile block over every window point and probe, read
+    for the eta*M limits' relative sizes as slim_eta_M reads it and for the
+    boundary values and their last samples as boundary_value_M does, so the
+    result equals theirs point by point; the fit takes the last samples.
     """
     xs = window_points(x, half_width)
-    slim, bv = _limits(op, xs, probes, sched, _slim_fields, _bv_fields, slopes=False)
-    value = bv["value"]
+    probes = np.asarray(probes, dtype=complex)
+    etas, mg, n = dtn_profile(op, xs, probes, sched)
+    _, slim_rel = _slim_limit(op.domain, etas, mg, n)
+    value, last = _boundary_value(etas, op.domain.boundary_inner(mg, probes[:, None, None, :]),
+                                  sched.floored, n)
     # hypot rounds as abs() of a Python complex does; np.abs may not
     im_rel = np.abs(value.imag) / np.maximum(np.hypot(value.real, value.imag), 1.0)
 
     fit_misfit = 0.0
-    for vals in bv["last"]:
+    for vals in last:
         fit = np.polynomial.Polynomial.fit(xs, vals, _FIT_DEGREE)
         resid = np.max(np.abs(vals - fit(xs))) / max(np.max(np.abs(vals)), 1e-300)
         fit_misfit = max(fit_misfit, float(resid))
 
-    slim_max, im_max = float(slim["relative"].max()), float(im_rel.max())
+    slim_max, im_max = float(slim_rel.max()), float(im_rel.max())
     ok = slim_max <= slim_rel_tol and im_max <= im_rel_tol and fit_misfit <= fit_tol
     return AnalyticityReport(ok=ok, slim_max=slim_max, im_max=im_max, fit_misfit=fit_misfit)

@@ -124,12 +124,13 @@ def _sample_rows(op, x, probes, ccfg, verdict):
     """CSV rows of one grid point: (M g, g) and |eta M g| along its schedule."""
     dom = op.domain
     try:
-        [(_, etas, mg)] = dtn_profile(op, x, probes, ccfg.schedule(x))  # one point, one group
+        etas, mg, n = dtn_profile(op, x, probes, ccfg.schedule(x))
     except DtnLabError:
         return []
+    etas, mg = etas[:n.max()], mg[:, 0, :n.max()]                 # the samples x reached
     probes = np.asarray(probes)
-    q = dom.boundary_inner(mg[:, 0], probes[:, None, :])          # (probe, eta)
-    slim = etas * dom.boundary_norm(mg[:, 0])
+    q = dom.boundary_inner(mg, probes[:, None, :])                # (probe, eta)
+    slim = etas * dom.boundary_norm(mg)
     return [(float(x), float(eta), pid, float(qk.real), float(qk.imag), float(s), verdict)
             for pid in range(len(probes)) for eta, qk, s in zip(etas, q[pid], slim[pid])]
 
