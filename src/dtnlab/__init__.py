@@ -54,6 +54,7 @@ from .limits import (
     dtn_profile,
     residue_contour,
     richardson_extrapolate,
+    richardson_weights,
     slim_eta_M,
 )
 from .classify import (

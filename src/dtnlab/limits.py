@@ -24,6 +24,7 @@ __all__ = [
     "BoundaryValue",
     "ResidueMatrix",
     "AnalyticityReport",
+    "richardson_weights",
     "richardson_extrapolate",
     "extrapolate_tail",
     "decay_exponent",
@@ -138,29 +139,37 @@ class AnalyticityReport:
 # extrapolation and the boundary-value rule
 # ---------------------------------------------------------------------------
 
-def richardson_extrapolate(etas, values):
-    """Neville polynomial extrapolation of values(eta) to eta = 0.
-
-    Returns (limit, error_estimate); the error estimate is the distance
-    between the last two diagonal extrapolants.  Works for scalars and arrays;
-    real values stay real.
-    """
+def richardson_weights(etas) -> np.ndarray:
+    """Weights w_k = prod_{j != k} eta_j / (eta_j - eta_k): the polynomial through the
+    samples (eta_k, v_k) takes the value sum_k w_k v_k at eta = 0 (Lagrange)."""
     etas = np.asarray(etas, dtype=float)
-    table = [np.asarray(v, dtype=np.result_type(v, float)) for v in values]
-    n = len(table)
-    if n == 0:
+    gaps = etas[:, None] - etas
+    np.fill_diagonal(gaps, etas)               # the factor j = k reads 1
+    return np.prod(etas[:, None] / gaps, axis=0)
+
+
+def richardson_extrapolate(etas, values):
+    """Polynomial extrapolation of values(eta) to eta = 0, as sum_k w_k v_k with
+    richardson_weights, one multiply-add per sample in sample order.
+
+    Returns (limit, error_estimate); the error estimate is the distance to the
+    extrapolant without the last sample (Neville's last two diagonal entries).
+    Works for scalars and arrays; real values stay real.
+    """
+    values = [np.asarray(v, dtype=np.result_type(v, float)) for v in values]
+    if not values:
         raise ValueError("no samples")
-    if n == 1:
-        return table[0], np.inf
-    for m in range(1, n):
-        new = []
-        for i in range(n - m):
-            xi, xj = etas[i], etas[i + m]
-            new.append((xi * table[i + 1] - xj * table[i]) / (xi - xj))
-        prev_top = table[0]
-        table = new
-    limit = table[0]
-    return limit, float(np.max(np.abs(limit - prev_top)))
+    if len(values) == 1:
+        return values[0], np.inf
+
+    def combine(weights):
+        total = weights[0] * values[0]
+        for w, v in zip(weights[1:], values[1:]):
+            total += w * v
+        return total
+
+    limit = combine(richardson_weights(etas))
+    return limit, float(np.max(np.abs(limit - combine(richardson_weights(etas[:-1])))))
 
 
 _TAIL = 5  # extrapolate from the smallest samples only, where f is analytic

@@ -16,6 +16,7 @@ from dtnlab import (
     oracle_eigendecomposition,
     residue_contour,
     richardson_extrapolate,
+    richardson_weights,
     slim_eta_M,
 )
 from dtnlab.limits import decay_exponent
@@ -90,6 +91,22 @@ class TestRichardson:
         value, err = richardson_extrapolate(etas, [f(e) for e in etas])
         assert value == pytest.approx(2.0, abs=1e-13)
         assert err <= 1e-10
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_weights_exact_on_polynomials(self, n):
+        # sum_k w_k eta_k^d is the value at 0 of eta^d: 1 for d = 0, else 0, for d < n
+        etas = 0.1 * 0.5 ** np.arange(n)
+        w = richardson_weights(etas)
+        assert abs(w.sum() - 1.0) <= 1e-14 * np.abs(w).sum()
+        for d in range(1, n):
+            assert abs(w @ etas ** d) <= 1e-14 * np.abs(w).sum() * etas[0] ** d
+
+    def test_error_is_the_distance_to_one_sample_fewer(self):
+        etas = 0.1 * 0.5 ** np.arange(5)
+        vals = np.cos(3.0 * etas) + 1j * etas ** 5
+        value, err = richardson_extrapolate(etas, vals)
+        fewer, _ = richardson_extrapolate(etas[:-1], vals[:-1])
+        assert err == abs(value - fewer)
 
     def test_vector_samples(self):
         etas = np.array([0.2, 0.1, 0.05])
