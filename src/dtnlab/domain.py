@@ -280,14 +280,16 @@ def well_potential(dom: DiscreteDomain, depth: float, width: float) -> np.ndarra
 
 
 def tabulated_potential(dom: DiscreteDomain, interior_values) -> np.ndarray:
-    """The values as a read-only float copy; DomainError unless one real value
-    per interior node (the operator is selfadjoint)."""
+    """The values as a read-only float copy; DomainError unless one finite real
+    value per interior node (the operator is selfadjoint)."""
     q = np.asarray(interior_values)
     if np.iscomplexobj(q) and np.any(q.imag):
         raise DomainError("potential has a nonzero imaginary part")
     q = np.array(q.real, dtype=float)
     if q.shape != (dom.n_interior,):
         raise DomainError("potential has wrong interior length")
+    if not np.isfinite(q).all():
+        raise DomainError("potential has a non-finite value")
     return _read_only(q)
 
 

@@ -178,6 +178,15 @@ class TestPotentials:
         with pytest.raises(DomainError, match="wrong interior length"):
             assemble_operator(dom, [1.0])
 
+    @pytest.mark.parametrize("values", [[None, np.inf], [np.nan, 0.0], [0.0, -np.inf]])
+    def test_tabulated_non_finite_rejected(self, t1, values):
+        # None reads as nan, and a nan A_II passes the symmetry check
+        dom, _ = t1
+        with pytest.raises(DomainError, match="non-finite"):
+            tabulated_potential(dom, values)
+        with pytest.raises(DomainError, match="non-finite"):
+            assemble_operator(dom, values)
+
     def test_tabulated_complex_rejected(self, t1):
         # a cast to float would drop the imaginary part and give q = 0
         dom, _ = t1
