@@ -402,7 +402,6 @@ def point_nodes(op: DirichletOperator, x: float, cfg: ClassifyConfig, levels) ->
 
 @dataclass(frozen=True)
 class TauReport:
-    tau_basis: np.ndarray            # (n_B, m) traces of the oracle eigenvectors
     gram_singular_ratio: float
     principal_angles: np.ndarray
     residue: ResidueMatrix
@@ -441,8 +440,7 @@ def eigenspace_via_tau(op: DirichletOperator, lam0: float, eig: EigenSystem) -> 
         angles = sla.subspace_angles(taus * w[:, None], _residue_range(dom, res) * w[:, None])
     else:
         angles = np.array([np.pi / 2])
-    return TauReport(tau_basis=taus, gram_singular_ratio=ratio, principal_angles=angles,
-                     residue=res)
+    return TauReport(gram_singular_ratio=ratio, principal_angles=angles, residue=res)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .report import (
     emit_csv,
     emit_plot_data,
     emit_report,
-    parse_report,
     run_sweep,
     write_json,
 )

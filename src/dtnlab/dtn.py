@@ -51,9 +51,6 @@ def _relative_residual(x: np.ndarray, y: np.ndarray) -> float:
 class IdentityReport:
     """Relative residuals of the four boundary-triple identities."""
 
-    lam: complex
-    zeta: complex
-    nu: complex
     residuals: dict
 
     @property
@@ -245,7 +242,7 @@ def identity_suite(op: DirichletOperator, lam: complex, zeta: complex, nu: compl
     rhs_w = re_m_zeta - gz_star @ inner
     residuals["weyl_representation"] = _relative_residual(m_lam, rhs_w)
 
-    return IdentityReport(lam=lam, zeta=zeta, nu=nu, residuals=residuals)
+    return IdentityReport(residuals=residuals)
 
 
 # ---------------------------------------------------------------------------

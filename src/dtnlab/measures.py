@@ -229,12 +229,10 @@ def stone_projection(op: DirichletOperator, a: float, b: float,
 class SupportReport:
     """Grid sets entering the Lebesgue decomposition read off from F(x + i0)."""
 
-    grid: np.ndarray
     ac_set: GridSet                   # clac{0 < Im F(x+i0) < infinity}
     sc_set: GridSet                   # {Im F -> infinity, y F(x+iy) -> 0}
     im_values: np.ndarray             # Im F(x + i0): the extrapolant, or at the floor
     diverging: np.ndarray
-    y_limit_zero: np.ndarray
 
 
 def ac_sc_supports(measure: SpectralMeasure, sched: EtaSchedule, grid) -> SupportReport:
@@ -250,19 +248,18 @@ def ac_sc_supports(measure: SpectralMeasure, sched: EtaSchedule, grid) -> Suppor
     etas = sched.samples()
     fs = borel_transform(measure, grid[:, None] + 1j * etas)
     bv = boundary_limit(etas, fs, sched.floored)
-    im_values, diverging, yzero = bv["value"].imag, bv["diverging"], bv["y_limit_zero"]
+    im_values, diverging = bv["value"].imag, bv["diverging"]
     ac_set = essential_closure(GridSet.from_flags(grid, ac_flags(im_values, diverging,
                                                                  _SUPPORT_TAU)))
-    sc_set = GridSet.from_flags(grid, diverging & yzero)
-    return SupportReport(grid=grid, ac_set=ac_set, sc_set=sc_set,
-                         im_values=im_values, diverging=diverging, y_limit_zero=yzero)
+    sc_set = GridSet.from_flags(grid, diverging & bv["y_limit_zero"])
+    return SupportReport(ac_set=ac_set, sc_set=sc_set, im_values=im_values,
+                         diverging=diverging)
 
 
 @dataclass(frozen=True)
 class SimplicityReport:
     rank: int
     interior_dim: int
-    singular_values: np.ndarray
 
     @property
     def full(self) -> bool:
@@ -283,5 +280,4 @@ def simplicity_rank(op: DirichletOperator, zetas) -> SimplicityReport:
     cols = np.hstack([poisson_matrix(op, z) for z in zetas])
     s = np.linalg.svd(cols, compute_uv=False)
     rank = 0 if s.size == 0 or s[0] == 0 else int(np.sum(s > _RANK_TOL * s[0]))
-    return SimplicityReport(rank=rank, interior_dim=op.domain.n_interior,
-                            singular_values=s)
+    return SimplicityReport(rank=rank, interior_dim=op.domain.n_interior)
