@@ -149,6 +149,16 @@ class TestClassifyPoint:
         with pytest.raises(NearSpectrum):
             classify_point(op, 1.0, cfg)
 
+    def test_stopped_profile_no_level_explains_is_inconclusive(self, t1):
+        # at 1e-10 from the level 1 the eta profile from 1e-8 stops at a
+        # NearSpectrum after 6 samples; pole_match_radius 1e-11 leaves the
+        # level too far to explain x, and a partial profile decides nothing
+        _, op = t1
+        cfg = ClassifyConfig(eta0=1e-8, pole_match_radius=1e-11, window_half_width=0.1)
+        assert dtnlab.limits.slim_eta_M(op, 1 + 1e-10, [1.0], cfg.schedule(1 + 1e-10)).partial
+        with pytest.raises(Inconclusive, match="solver failures along the eta schedule"):
+            classify_point(op, 1 + 1e-10, cfg)
+
     def test_continuum_point_is_continuous(self, freeline):
         _, op = freeline
         v = classify_point(op, 1.0, FREE_CFG, make_probes(op.domain, "basis"))

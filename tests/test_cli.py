@@ -499,6 +499,40 @@ class TestCli:
             bad = dict(T1_CONFIG, window={"lo": 0.0, "hi": 1.0, "grid_step": step})
             self._rejected(tmp_path, bad, "window.grid_step")
 
+    def test_threads_flag(self, tmp_path, capsys):
+        # the flag is checked and recorded, and the sweep's output does not depend on it
+        config = _write_config(tmp_path)
+        assert main(["classify", "--config", config, "--out", str(tmp_path / "zero"),
+                     "--threads", "0"]) == 1
+        assert "threads must be at least 1" in capsys.readouterr().err
+        for name, flag in (("plain", []), ("two", ["--threads", "2"])):
+            assert main(["classify", "--config", config, "--out", str(tmp_path / name)]
+                        + flag) == 0
+        assert ((tmp_path / "plain" / "report.json").read_bytes()
+                == (tmp_path / "two" / "report.json").read_bytes())
+
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # a Stone interval ending on the level 1 fails inside the command: exit 2
+        data = dict(T1_CONFIG, measures=dict(T1_CONFIG["measures"],
+                                             stone_intervals=[[0.5, 1.0]]))
+        assert main(["measures", "--config", _write_config(tmp_path, data),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "lies on an eigenvalue" in err
+
+    def test_tabulated_zero_potential_matches_zero(self, tmp_path):
+        tabulated = dict(T1_CONFIG, potential={"kind": "tabulated", "interior_values": [0, 0]})
+        for name, data in (("zero", T1_CONFIG), ("tabulated", tabulated)):
+            (tmp_path / name).mkdir()
+            assert main(["classify", "--config", _write_config(tmp_path / name, data),
+                         "--out", str(tmp_path / name)]) == 0
+        zero, tab = (parse_report(str(tmp_path / name / "report.json"))
+                     for name in ("zero", "tabulated"))
+        assert zero.pop("config") != tab.pop("config")
+        assert zero == tab
+        assert ((tmp_path / "zero" / "samples.csv").read_bytes()
+                == (tmp_path / "tabulated" / "samples.csv").read_bytes())
+
     def test_config_error_exit_code(self, tmp_path):
         bad = dict(T1_CONFIG, domain={"kind": "halfline", "h": -1.0, "L": 3.0})
         code = main(["validate", "--config", _write_config(tmp_path, bad),

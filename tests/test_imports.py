@@ -1,6 +1,7 @@
 """Package structure: no module imports another module's private name, no
-function imports a dtnlab module (a function-local import hides a cycle), and
-every export names a definition (a removed type leaves no export behind)."""
+function imports a dtnlab module (a function-local import hides a cycle),
+every export names a definition (a removed type leaves no export behind), and
+no module imports a name it does not use."""
 
 import ast
 import importlib
@@ -59,3 +60,29 @@ def test_package_reexports_only_exported_names():
             offenders += [f"{node.module}.{alias.name}" for alias in node.names
                           if alias.name not in exported]
     assert offenders == []
+
+
+def _unused_imports(path):
+    """Names that a module imports at top level and neither uses nor lists in
+    __all__; from __future__ and lines marked noqa are skipped."""
+    text = path.read_text(encoding="utf-8")
+    lines, tree = text.splitlines(), ast.parse(text)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= set(importlib.import_module(f"dtnlab.{path.stem}").__all__)
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used and "noqa" not in lines[alias.lineno - 1]:
+                unused.append(f"{path.name}: {name}")
+    return unused
+
+
+def test_no_unused_import():
+    # __init__.py only re-exports
+    unused = [name for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+              for name in _unused_imports(path)]
+    assert SRC.is_dir() and unused == []
