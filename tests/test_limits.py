@@ -101,6 +101,18 @@ class TestRichardson:
         for d in range(1, n):
             assert abs(w @ etas ** d) <= 1e-14 * np.abs(w).sum() * etas[0] ** d
 
+    def test_matches_neville(self):
+        # the Neville table that the weighted sum replaced, as the reference
+        etas = 0.1 * 0.5 ** np.arange(6)
+        vals = np.random.default_rng(3).normal(size=(6, 4))
+        table = list(vals)
+        for m in range(1, len(table)):
+            table = [(etas[i] * table[i + 1] - etas[i + m] * table[i]) / (etas[i] - etas[i + m])
+                     for i in range(len(table) - 1)]
+        value, _ = richardson_extrapolate(etas, vals)
+        scale = np.abs(richardson_weights(etas)) @ np.abs(vals)
+        assert np.all(np.abs(value - table[0]) <= 1e-13 * scale)
+
     def test_error_is_the_distance_to_one_sample_fewer(self):
         etas = 0.1 * 0.5 ** np.arange(5)
         vals = np.cos(3.0 * etas) + 1j * etas ** 5
