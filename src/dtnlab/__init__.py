@@ -65,6 +65,7 @@ from .classify import (
     PurityVerdict,
     SCReport,
     TauReport,
+    WindowLevels,
     ac_support,
     classify_point,
     eigenspace_via_tau,

@@ -38,6 +38,7 @@ from .limits import (
 
 __all__ = [
     "GridSet",
+    "WindowLevels",
     "PointVerdict",
     "ACSupportSet",
     "SCReport",
@@ -47,6 +48,7 @@ __all__ = [
     "essential_closure",
     "grid_steps",
     "window_grid",
+    "in_window",
     "classify_point",
     "point_nodes",
     "refine_pole",
@@ -73,6 +75,7 @@ _GAP_FRACTION = 0.45                       # residue radius over the gap to the 
 _LEVEL_NODES = 128                         # trapezoid nodes of window_levels' ellipse
 _LEVEL_BLOCKS = (8, 16)                    # Hankel block counts tried: 16 moments, then 32
 _PENCIL_TOL = 1e-12                        # kept singular values of H0, over max|moment| bound
+_LEVEL_SLACK = 1e-9                        # in_window's widening, relative: a level's accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +256,32 @@ def _residue_range(dom, res: ResidueMatrix):
     return u[:, :res.rank] / w[:, None]
 
 
-def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) -> tuple:
+class WindowLevels(tuple):
+    """window_levels' result: the ResidueMatrix of each level, ascending, and
+    ``reach``, the interval (lo - w, hi + w) around the window (lo, hi), below
+    the level edge, in which they are all the levels of M; w = window_half_width."""
+
+    def __new__(cls, levels, reach):
+        self = super().__new__(cls, levels)
+        self.reach = reach
+        return self
+
+
+def in_window(window, lam) -> bool:
+    """Whether the level lam belongs to the window (lo, hi): whether it lies in
+    [lo, hi] widened by _LEVEL_SLACK x max(1, |lo|, |hi|), so that two values of
+    one level that agree to that, the level stage's and the oracle's, are both
+    in or both out, on an endpoint too.  The one rule for the report's levels,
+    purity's offending levels and the oracle levels of the cross-check."""
+    lo, hi = window
+    slack = _LEVEL_SLACK * max(1.0, abs(lo), abs(hi))
+    return lo - slack <= lam <= hi + slack
+
+
+def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) -> WindowLevels:
     """The levels of M around the window (lo, hi) up to cfg.level_edge, ascending:
-    the ResidueMatrix of each, of rank at least 1.
+    the ResidueMatrix of each, of rank at least 1, with the reach (lo - w, hi + w)
+    in which they are all the levels below the edge (WindowLevels).
 
     M is meromorphic on a finite model, so the moments (1/2 pi i) oint T_k(u)
     (M g_l, g_j) dz, T_k Chebyshev in u = (z - c)/r on an ellipse through
@@ -272,9 +298,10 @@ def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) ->
     and the certified nodes of every residue circle are entered at once.
     """
     lo, hi = window
-    if lo > cfg.level_edge:
-        return ()
     dom, w, size = op.domain, cfg.window_half_width, 2 * _LEVEL_BLOCKS[-1]
+    reach = (lo - w, hi + w)
+    if lo > cfg.level_edge:
+        return WindowLevels((), reach)
     a, b = lo - 2 * w, min(hi + 2 * w, cfg.level_edge)
     centre, half = 0.5 * (a + b), 0.5 * (b - a)
     u, du = ellipse(2 * np.pi * (np.arange(_LEVEL_NODES) + 0.5) / _LEVEL_NODES)
@@ -302,7 +329,7 @@ def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) ->
     left, right = left[:, :rank], right[:rank].conj().T
     estimates = np.sort(centre + half * np.linalg.eigvals(left.conj().T @ h1 @ right
                                                           / sv[:rank]).real)
-    near = (lo - w < estimates) & (estimates < min(hi + w, cfg.level_edge))
+    near = (reach[0] < estimates) & (estimates < min(reach[1], cfg.level_edge))
     tol = 1e-8 * max(op.a_norm, 1.0)
     values = estimates[near][np.diff(estimates[near], prepend=-np.inf) > tol]
     poles = np.concatenate([values, estimates[~near], [a, b]])
@@ -310,7 +337,7 @@ def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) ->
             for lam in values]
     fill_certified(op, [circle_nodes(lam, rho)[0] for lam, rho in zip(values, rhos)])
     levels = (residue_contour(op, lam, rho) for lam, rho in zip(values, rhos))
-    return tuple(res for res in levels if res.rank)
+    return WindowLevels((res for res in levels if res.rank), reach)
 
 
 # ---------------------------------------------------------------------------
@@ -334,20 +361,30 @@ def _result(stage):
     return stage
 
 
-def _point_plan(x: float, cfg: ClassifyConfig, levels):
-    """(level, half_width) at x: (the nearest level, None) if it lies within
-    pole_match_radius, as it explains x; else (None, min(window_half_width, d/4))
-    for the analyticity window, d the distance to the nearest level or to
-    cfg.level_edge if x lies below it, where the box modes that emulate the
-    continuum start.  Above the edge levels count for nothing, else a
-    DtnLabError held in levels is raised again."""
+def _nearest_level(x: float, cfg: ClassifyConfig, levels):
+    """(the level nearest x, its distance to x), or (None, inf) without one.  Above
+    cfg.level_edge levels count for nothing, else a DtnLabError held in levels
+    is raised again."""
     levels = () if x > cfg.level_edge else _result(levels)
     near = min(levels, key=lambda level: abs(level.pole - x), default=None)
-    d = np.inf if near is None else abs(near.pole - x)
+    return near, np.inf if near is None else abs(near.pole - x)
+
+
+def _point_plan(x: float, cfg: ClassifyConfig, levels: WindowLevels):
+    """(level, half_width) at x: (the nearest level, None) if it lies within
+    pole_match_radius, as it explains x; else (None, half_width) for the
+    analyticity window: window_half_width, capped at a quarter of the distance
+    to the nearest level and, at or below cfg.level_edge, to either end of
+    levels.reach, beyond which levels are unknown, and below the edge to the
+    edge, where the box modes that emulate the continuum start."""
+    near, d = _nearest_level(x, cfg, levels)
     if d <= cfg.pole_match_radius:
         return near, None
+    if x > cfg.level_edge:    # no level is read there
+        return None, cfg.window_half_width
+    lo, hi = levels.reach
     edge = cfg.level_edge - x if x < cfg.level_edge else np.inf
-    return None, min(cfg.window_half_width, d / 4, edge / 4)
+    return None, min(cfg.window_half_width, d / 4, edge / 4, (x - lo) / 4, (hi - x) / 4)
 
 
 def classify_point(op: DirichletOperator, x: float, cfg: ClassifyConfig,
@@ -521,17 +558,17 @@ def purity_filter(window, points, levels, acs, scr, cfg: ClassifyConfig) -> Puri
     without evaluating M: (x, classify_point's verdict) per grid point, then the
     results of window_levels, ac_support and sc_screen.  A DtnLabError among
     them is raised again where the rule needs it: an inconclusive point that
-    no level explains (_point_plan) makes the window inconclusive.  The
-    levels inside the window, and the points no level explains with a
-    nonzero eta*M limit, give Mixed/Unknown (each level once); NoSpectrum needs
-    every point no level explains resolvent, PureSC an AC-free window with a
-    flagged SC run of positive length, PureAC no diverging run of positive
-    length."""
+    no level explains (none within pole_match_radius) makes the window
+    inconclusive.  The levels in the window (in_window), and the points no
+    level explains with a nonzero eta*M limit, give Mixed/Unknown (each level
+    once); NoSpectrum needs every point no level explains resolvent, PureSC an
+    AC-free window with a flagged SC run of positive length, PureAC no
+    diverging run of positive length."""
     levels = _result(levels)
-    offending = [level.pole for level in levels if window[0] < level.pole < window[1]]
+    offending = [level.pole for level in levels if in_window(window, level.pole)]
     resolvent = True
     for x, v in points:
-        if _point_plan(x, cfg, levels)[0] is not None:
+        if _nearest_level(x, cfg, levels)[1] <= cfg.pole_match_radius:
             continue    # the level explains the point
         v = _result(v)
         if cfg.slim_nonzero(v.evidence["slim_rel"], v.evidence["decay_exponent"]).any():

@@ -353,10 +353,23 @@ class DirichletOperator:
     @cached_property
     def reduction(self) -> tuple:
         """(diagonal, off-diagonal, Q^T P, reflectors, tau) of an orthogonal reduction
-        Q^T A_II Q = T to tridiagonal form, Q^T P complex as trace_resolvent reads it
-        (read-only, built on first use; see _tridiagonalize and _apply_q)."""
+        Q^T A_II Q = T to tridiagonal form (read-only, built on first use; see
+        _tridiagonalize and _apply_q)."""
         return tuple(_read_only(a)
                      for a in _tridiagonalize(self.a_ii.toarray(), self.domain.incidence))
+
+    @cached_property
+    def trace_poles(self) -> tuple:
+        """(lam, uu): the eigenvalues lam of the reduction's T (LAPACK stevd) and the
+        real (n_B^2, n) array uu[a n_B + b, k] = U_ka U_kb, U = V^T Q^T P for T's
+        eigenvectors V, so that P^T (A_II - z)^-1 P = sum_k U_k U_k^T / (lam_k - z).
+        V is dropped once U is formed; no n x n array is kept (read-only, built on
+        first use)."""
+        diag, off, c, *_ = self.reduction
+        lam, v = _eigh_tridiagonal(diag, off)
+        u = v.T @ c
+        uu = (u[:, :, None] * u[:, None, :]).reshape(self.n, -1).T
+        return _read_only(lam), _read_only(np.ascontiguousarray(uu))
 
     @cached_property
     def banded(self) -> tuple:
@@ -382,14 +395,18 @@ class DirichletOperator:
         Im t_i <= -Im z for Im z > 0 (>= for Im z < 0), so none vanishes off
         the real axis.
 
-        In 2D it is C^T (T - z)^-1 C through the reduction Q^T A_II Q = T,
-        C = Q^T P (``reduction``): one pivoted tridiagonal LU, LAPACK
-        gttrf/gttrs, per z.  The Householder reduction and the pivoted LU are
-        both backward stable (Golub & Van Loan, *Matrix Computations*, 8.3 and
-        4.3), so this differs from the banded LU's solve by rounding and,
-        beside a pole, by the first-order term u*||A_II||_1*||(A_II - z)^-1 P||^2.
-        A pivot vanishes only where T - z is singular to working precision;
-        NearSpectrum is raised there, as in ShiftedSolver.
+        In 2D it is the pole-residue form sum_k U_k U_k^T / (lam_k - z) from the
+        eigenpairs of the reduction Q^T A_II Q = T (``trace_poles``): the
+        reciprocals 1/(lam - z), elementwise in real arithmetic for a block of
+        zs at a time, then one matrix product per z against the products
+        U_ka U_kb, so that an entry does not depend on the other z of the
+        call.  The Householder reduction and the symmetric tridiagonal
+        eigensolver are both backward stable (Golub & Van Loan, *Matrix
+        Computations*, 8.3 and 8.4), so this differs from the banded LU's solve
+        by rounding and, beside a pole, by the first-order term
+        u*||A_II||_1*||(A_II - z)^-1 P||^2.  A reciprocal that is not finite (z
+        on an eigenvalue to working precision) raises NearSpectrum, as in
+        ShiftedSolver.
         """
         zs = np.asarray(zs, dtype=complex)
         if self.domain.dimension == 1:
@@ -398,14 +415,22 @@ class DirichletOperator:
             for d, e2 in zip(diag[-2::-1].tolist(), (off[::-1] ** 2).tolist()):
                 t = d - zs - e2 / t
             return (1.0 / t)[:, None, None]
-        diag, off, c, *_ = self.reduction
-        out = np.empty((len(zs), c.shape[1], c.shape[1]), dtype=complex)
-        for k, z in enumerate(zs):
-            *factors, info = _GTTRF(off, diag - z, off)
-            if info > 0:
-                raise NearSpectrum(z, 0.0)
-            out[k] = c.T @ _GTTRS(*factors, c)[0]
-        return out
+        lam, uu = self.trace_poles
+        out = np.empty((len(zs), len(uu), 2))
+        for start in range(0, len(zs), _Z_BLOCK):
+            block = zs[start:start + _Z_BLOCK]
+            # 1/(lam - z) = (lam - x + iy) / ((lam - x)^2 + y^2) as (re, im) pairs
+            shift, height = lam - block.real[:, None], block.imag[:, None]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                den = shift * shift + height * height
+                r = np.stack([shift / den, height / den], axis=-1)
+            bad = ~np.isfinite(r).all(axis=(1, 2))
+            if bad.any():
+                raise NearSpectrum(complex(block[np.argmax(bad)]), 0.0)
+            for k, rk in enumerate(r, start):
+                np.matmul(uu, rk, out=out[k])
+        n_b = self.domain.n_boundary
+        return out.view(complex).reshape(len(zs), n_b, n_b)
 
     def resolvent_sum(self, zs, weights):
         """sum_j weights[j] (A_II - zs[j])^-1 as a dense (n, n) complex matrix.
@@ -509,6 +534,8 @@ _REL_DIST_THRESHOLD = 1e-10
 # |Im z| >= _CERTIFIED_GAP * _REL_DIST_THRESHOLD * ||A_II||_1 skips the distance
 # estimate; the factor 2 leaves room for the rounding of the estimate
 _CERTIFIED_GAP = 2.0
+# trace_resolvent forms the reciprocals 1/(lam - z) of this many z at a time
+_Z_BLOCK = 32
 _GTTRF, _GTTRS, _GBTRF, _GBTRS = get_lapack_funcs(("gttrf", "gttrs", "gbtrf", "gbtrs"),
                                                   dtype=complex)
 _SYTRD, _SYTRD_LWORK, _ORMQR, _STEVD = get_lapack_funcs(
@@ -518,13 +545,21 @@ _SYTRD, _SYTRD_LWORK, _ORMQR, _STEVD = get_lapack_funcs(
 def _tridiagonalize(a: np.ndarray, p: np.ndarray) -> tuple:
     """(d, e, Q^T p, reflectors, tau) for the Householder reduction Q^T a Q =
     tridiag(e, d, e) of a real symmetric a (LAPACK sytrd, lower triangle; Golub &
-    Van Loan, *Matrix Computations*, 8.3.1), with Q^T p complex: Q = diag(1, Q'),
-    Q' the product of the QR-type reflectors in c[1:, :-1] and tau, which are kept
-    as one Fortran-ordered array that ormqr reads without a copy."""
+    Van Loan, *Matrix Computations*, 8.3.1): Q = diag(1, Q'), Q' the product of
+    the QR-type reflectors in c[1:, :-1] and tau, which are kept as one
+    Fortran-ordered array that ormqr reads without a copy."""
     lwork, _ = _SYTRD_LWORK(len(a), lower=1)    # the blocked algorithm's workspace
     c, d, e, tau, _ = _SYTRD(a, lower=1, lwork=int(lwork))
     reflectors = np.asfortranarray(c[1:, :-1])
-    return d, e, _apply_q(reflectors, tau, p, "T").astype(complex), reflectors, tau
+    return d, e, _apply_q(reflectors, tau, p, "T"), reflectors, tau
+
+
+def _eigh_tridiagonal(diag: np.ndarray, off: np.ndarray) -> tuple:
+    """(values, vectors) of the symmetric tridiagonal (diag, off), LAPACK stevd."""
+    values, vectors, info = _STEVD(diag, off, compute_v=1)
+    if info:
+        raise np.linalg.LinAlgError(f"stevd failed with info {info}")
+    return values, vectors
 
 
 def _apply_q(reflectors: np.ndarray, tau: np.ndarray, x: np.ndarray, trans: str) -> np.ndarray:
@@ -721,9 +756,7 @@ def oracle_eigendecomposition(op: DirichletOperator) -> EigenSystem:
         (diag, off), q = op.tridiagonal, ()
     else:
         diag, off, _, *q = op.reduction
-    values, vectors, info = _STEVD(diag, off, compute_v=1)
-    if info:
-        raise np.linalg.LinAlgError(f"stevd failed with info {info}")
+    values, vectors = _eigh_tridiagonal(diag, off)
     if q:
         vectors = _apply_q(*q, vectors, "N")
     w_i = op.domain.interior_weight

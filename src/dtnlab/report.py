@@ -23,6 +23,7 @@ import numpy as np
 from .classify import (
     ac_support,
     classify_point,
+    in_window,
     make_probes,
     point_nodes,
     purity_filter,
@@ -143,9 +144,9 @@ def _point_json(v):
                                for s in v.evidence["decay_exponent"]]}
 
 
-def _levels_json(lo, hi):
+def _levels_json(window):
     return lambda levels: [{"lambda": level.pole, "multiplicity": level.rank}
-                           for level in levels if lo < level.pole < hi]
+                           for level in levels if in_window(window, level.pole)]
 
 
 def _gridset_json(s):
@@ -191,7 +192,7 @@ def run_sweep(cfg: RunConfig) -> ClassificationReport:
     samples = tuple(row for p in points
                     for row in _sample_rows(op, p["x"], probes, ccfg, p["verdict"]))
 
-    data_levels = _stage_json(sweep.levels, _levels_json(lo, hi))
+    data_levels = _stage_json(sweep.levels, _levels_json(cfg.window))
     reason = None
     if hi > ccfg.level_edge:
         reason = "a floored eta schedule does not resolve levels"
@@ -204,9 +205,10 @@ def run_sweep(cfg: RunConfig) -> ClassificationReport:
     else:
         eig = oracle_eigendecomposition(op)
         levels = eig.values[[g[0] for g in eig.groups]]
-        # each reported level is credited to its nearest oracle level only
+        # each level of the stage, in the window or beside it, is credited to its
+        # nearest oracle level only
         credited = {}
-        for lam_d in (level["lambda"] for level in data_levels):
+        for lam_d in (level.pole for level in sweep.levels):
             k = int(np.argmin(np.abs(levels - lam_d)))
             if abs(levels[k] - lam_d) <= ccfg.pole_match_radius:
                 credited.setdefault(k, lam_d)
@@ -214,7 +216,7 @@ def run_sweep(cfg: RunConfig) -> ClassificationReport:
         crosscheck = [{"lambda_oracle": float(lam), "multiplicity": len(eig.groups[k]),
                        "detected": k in credited, "lambda_detected": credited.get(k),
                        "invisible": invisible[k]}
-                      for k, lam in enumerate(levels) if lo < lam < hi]
+                      for k, lam in enumerate(levels) if in_window(cfg.window, lam)]
 
     data = {
         "schema": SCHEMA_TAG,

@@ -545,6 +545,46 @@ class TestLevels:
         assert sweep.purity is sweep.levels
 
 
+class TestWindowEdges:
+    def test_endpoint_beside_an_unseen_level_is_resolvent(self):
+        # the free half-line's level 2.761114 lies outside the level stage's
+        # reach (2.8, 4.1); 2.9 kept the full half-width 0.1, its analyticity
+        # window ran up to that level, and 2.9 read 'continuous'.  A quarter
+        # of the distance to the reach caps it, as for a known level.
+        report = run_sweep(config_from_dict({
+            "domain": {"kind": "halfline", "h": 0.5, "L": 16.5},
+            "window": {"lo": 2.9, "hi": 4.0, "grid_step": 0.1}, "eta": {"eta0": 1e-2}}))
+        verdicts = [p["verdict"] for p in report.data["points"]]
+        assert verdicts[0] == "resolvent" and "continuous" not in verdicts
+
+    def test_level_on_an_endpoint_is_listed_and_detected(self):
+        # the level stage finds the level on lo as exactly 1.0, and the oracle
+        # as 1.0000000000000004: the report's levels dropped it (1.0 is not
+        # inside (1.0, 1.65)) while the cross-check listed the oracle's value
+        # as missed.  One membership rule (in_window) keeps both or neither.
+        report = run_sweep(config_from_dict({
+            "domain": {"kind": "halfline", "h": 1.0, "L": 21.0},
+            "window": {"lo": 1.0, "hi": 1.65, "grid_step": 0.05}, "eta": {"eta0": 1e-3}}))
+        data = report.data
+        assert (data["points"][0]["verdict"], data["points"][0]["refined_lambda"]) == (
+            "eigenvalue", data["levels"][0]["lambda"])
+        assert [round(level["lambda"], 9) for level in data["levels"]] == [
+            1.0, 1.269317951, 1.554958132]
+        assert [c["detected"] for c in data["oracle_crosscheck"]] == [True] * 3
+        assert [c["lambda_detected"] for c in data["oracle_crosscheck"]] == [
+            level["lambda"] for level in data["levels"]]
+        assert data["purity"][0]["offending_points"] == [
+            level["lambda"] for level in data["levels"]]
+
+    def test_in_window(self):
+        # the closed window, widened by 1e-9 of its scale on both sides
+        assert dtnlab.classify.in_window((1.0, 1.65), 1.0)
+        assert dtnlab.classify.in_window((1.0, 1.65), 1.0 - 1e-10)
+        assert not dtnlab.classify.in_window((1.0, 1.65), 1.0 - 1e-8)
+        assert dtnlab.classify.in_window((-3.0, 4.0), 4.0 + 3e-9)
+        assert not dtnlab.classify.in_window((-3.0, 4.0), 4.0 + 5e-9)
+
+
 class TestClassifyConfig:
     def test_unknown_floor_mode_rejected(self):
         # an unknown mode would otherwise run unfloored without a word
@@ -715,10 +755,12 @@ class TestStageFill:
         assert _counted_sweep(monkeypatch, raw)[2] <= 3
 
     @pytest.mark.parametrize("raw, distinct", [(WELL_SWEEP, 2408), (ANNULUS_SWEEP, 440),
-                                               (FREE_FLOORED_SWEEP, 603),
+                                               (FREE_FLOORED_SWEEP, 625),
                                                (WELL_FLOORED_SWEEP, 1857)])
     def test_table_holds_only_requested_z(self, monkeypatch, raw, distinct):
-        # every z that a stage fill enters is one the sweep then evaluates
+        # every z that a stage fill enters is one the sweep then evaluates; the
+        # free floored sweep's -0.5 lies below the edge, and its analyticity
+        # window is capped by the level stage's reach (was 603 without the cap)
         op, requested, _ = _counted_sweep(monkeypatch, raw)
         assert {key for key in op._cache if isinstance(key, complex)} == requested
         assert len(requested) == distinct
@@ -761,7 +803,7 @@ class TestStageFill:
         assert op._cache and all(type(key) is complex for key in op._cache)
         assert not any(m.flags.writeable for m in op._cache.values())
         arrays = []
-        for name in ("a_norm", "b", "tridiagonal", "reduction", "banded"):
+        for name in ("a_norm", "b", "tridiagonal", "reduction", "trace_poles", "banded"):
             value = getattr(op, name)
             assert getattr(op, name) is value
             with pytest.raises(AttributeError):

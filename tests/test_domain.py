@@ -286,6 +286,25 @@ class TestShiftedSolver:
         ref = dom.incidence.T @ op.factorize(z).solve(dom.incidence.astype(complex))
         assert np.allclose(op.trace_resolvent([z])[0], ref, rtol=0, atol=1e-12)
 
+    def test_2d_trace_resolvent_takes_no_tridiagonal_lu(self, annulus2d, monkeypatch):
+        # a 2D fill reads the reduction's eigenpairs, formed once (stevd) with
+        # no n x n array kept: no pivoted tridiagonal LU per z; gttrf is left
+        # to the half-line's solver.  A z on an eigenvalue raises NearSpectrum.
+        dom, op = annulus2d
+
+        def no_gttrf(*args, **kwargs):
+            raise AssertionError("the 2D trace resolvent called gttrf")
+
+        monkeypatch.setattr(dtnlab.domain, "_GTTRF", no_gttrf)
+        zs = 0.7 + np.array([0.3, 0.03, -0.3]) * 1j
+        blocks = op.trace_resolvent(zs)
+        assert blocks.shape == (3, dom.n_boundary, dom.n_boundary)
+        lam, uu = op.trace_poles
+        assert lam.shape == (op.n,) and uu.shape == (dom.n_boundary ** 2, op.n)
+        assert not (lam.flags.writeable or uu.flags.writeable)
+        with pytest.raises(NearSpectrum):
+            op.trace_resolvent([0.3j, lam[3]])
+
     @pytest.mark.parametrize("model", ["t1", "well1d", "reduced_annulus"])
     def test_factorize_at_oracle_eigenvalue_raises(self, request, model):
         _, op = request.getfixturevalue(model)

@@ -51,9 +51,9 @@ def halflines(draw, cells=st.integers(3, 120)):
 
 
 @st.composite
-def annuli(draw):
+def annuli(draw, h=st.just(1.0)):
     L = draw(st.sampled_from([4.5, 5.5, 6.5, 7.5]))
-    dom = build_domain(Exterior2D(h=1.0, a=draw(st.sampled_from([1.5, 2.5])), L=L))
+    dom = build_domain(Exterior2D(h=draw(h), a=draw(st.sampled_from([1.5, 2.5])), L=L))
     if draw(st.booleans()):
         q = well_potential(dom, depth=draw(st.floats(-5.0, 5.0)), width=draw(st.floats(-L, L)))
     else:
@@ -334,12 +334,35 @@ def test_continued_fraction_matches_lu(model, zs, lower):
                     <= 1e-10 * np.linalg.norm(ref, 2) + 2 * perturbation)
 
 
+@settings(max_examples=40)
+@given(annuli(h=st.sampled_from([1.0, 0.5])),
+       st.lists(st.builds(complex, st.floats(-4.0, 36.0), st.floats(0.05, 2.0)),
+                min_size=1, max_size=6), st.booleans())
+def test_trace_resolvent_matches_lu(model, zs, lower):
+    # The 2D trace resolvent, sum_k U_k U_k^T / (lam_k - z) from the
+    # reduction's eigenpairs, against P^T (A_II - z)^-1 P by the banded LU at
+    # certified z, to 1e-12 relative norm-wise (the first-order term
+    # u*||A_II||_1*||(A_II - z)^-1 P||^2 stays far below it at |Im z| >= 0.05);
+    # and each z's block is, byte for byte, that of a call with that z alone
+    dom, op = model
+    zs = np.conj(zs) if lower else np.array(zs)
+    blocks = op.trace_resolvent(zs)
+    p = dom.incidence.astype(complex)
+    for z, block in zip(zs, blocks):
+        assert op.certified(z)
+        ref = dom.incidence.T @ op.factorize(z).solve(p)
+        assert np.linalg.norm(block - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
+        assert block.tobytes() == op.trace_resolvent([z])[0].tobytes()
+
+
 def test_reduction_at_degenerate_level():
     # z = 4 + 1e-9i beside the degenerate level 4 of the a = 2.5, L = 4.5
     # annulus, where a backward block recursion on a Lanczos reduction loses
-    # all accuracy; the Householder reduction with pivoted tridiagonal LU stays
-    # within the first-order term of the norm-wise bound above.  The reference
-    # is the dense eigendecomposition.
+    # all accuracy; the pole-residue form from the Householder reduction's
+    # eigenpairs (stevd) stays within the first-order term of the norm-wise
+    # bound above: within the degenerate eigenspace the products U_ka U_kb sum
+    # to its projection, whichever basis stevd returns.  The reference is the
+    # dense eigendecomposition.
     dom = build_domain(Exterior2D(h=1.0, a=2.5, L=4.5))
     op = assemble_operator(dom, zero_potential(dom))
     z = 4 + 1e-9j
