@@ -24,8 +24,10 @@ from .domain import (
     EigenSystem,
     Exterior2D,
     HalfLine1D,
+    MTable,
     assemble_operator,
     build_domain,
+    halfline_root,
     oracle_eigendecomposition,
     oracle_projector,
     tabulated_potential,

@@ -304,7 +304,9 @@ def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) ->
         return WindowLevels((), reach)
     a, b = lo - 2 * w, min(hi + 2 * w, cfg.level_edge)
     centre, half = 0.5 * (a + b), 0.5 * (b - a)
-    u, du = ellipse(2 * np.pi * (np.arange(_LEVEL_NODES) + 0.5) / _LEVEL_NODES)
+    u, du = ellipse(2 * np.pi * (np.arange(_LEVEL_NODES // 2) + 0.5) / _LEVEL_NODES)
+    # the lower half as exact conjugates: u(2 pi - t) = conj u(t), u'(2 pi - t) = -conj u'(t)
+    u, du = np.concatenate([u, u[::-1].conj()]), np.concatenate([du, -du[::-1].conj()])
     cheb = np.polynomial.chebyshev.chebvander(u, size - 1).T    # T_k(u) at the nodes
     m, m_max = contour_sums(op, centre + half * u, cheb * du * half / (1j * u.size))
     gs = np.array(probes).T                                     # (n_B, probes)

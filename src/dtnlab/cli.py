@@ -21,8 +21,8 @@ import numpy as np
 
 from .classify import window_grid
 from .config import RunConfig, parse_config
-from .domain import (HalfLine1D, assemble_operator, build_domain, oracle_eigendecomposition,
-                     zero_potential)
+from .domain import (HalfLine1D, assemble_operator, build_domain, halfline_root,
+                     oracle_eigendecomposition, zero_potential)
 from .dtn import dtn_matrix, identity_suite
 from .errors import ConfigError, DtnLabError
 from .limits import EtaSchedule
@@ -150,14 +150,8 @@ def _cmd_measures(cfg: RunConfig, out_dir: str, seed: int) -> int:
 
 
 def _free_halfline_m(x: float, eta: float, h: float) -> complex:
-    """Exact discrete half-line m-function: (1 - r)/h with r + 1/r = 2 - h^2 lam."""
-    lam = complex(x, eta)
-    b = 2 - h * h * lam
-    disc = np.sqrt(b * b - 4 + 0j)
-    r = (b - disc) / 2
-    if abs(r) > 1:
-        r = (b + disc) / 2
-    return (1 - r) / h
+    """Exact discrete half-line m-function: (1 - r)/h with r + 1/r = 2 - h^2 lam, |r| <= 1."""
+    return complex(1 - halfline_root(complex(x, eta), h)) / h
 
 
 def _cmd_convergence(cfg: RunConfig, out_dir: str, seed: int) -> int:

@@ -21,8 +21,12 @@ what makes the discrete Green identity exact, corners included).
 
 from __future__ import annotations
 
+import threading
+from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,6 +38,7 @@ from .errors import DomainError, EndpointOnEigenvalue, NearSpectrum
 __all__ = [
     "DiscreteDomain",
     "DirichletOperator",
+    "MTable",
     "EigenSystem",
     "HalfLine1D",
     "Exterior2D",
@@ -42,6 +47,7 @@ __all__ = [
     "well_potential",
     "tabulated_potential",
     "assemble_operator",
+    "halfline_root",
     "oracle_eigendecomposition",
     "oracle_projector",
 ]
@@ -297,6 +303,117 @@ def tabulated_potential(dom: DiscreteDomain, interior_values) -> np.ndarray:
 # Dirichlet operator
 # ---------------------------------------------------------------------------
 
+def halfline_root(z, h: float):
+    """The root r, |r| <= 1, of r + 1/r = 2 - h^2 z, elementwise: the ratio
+    u_(k+1)/u_k of the solution of the free discrete half-line that decays
+    off the band [0, 4/h^2] (Teschl, *Jacobi Operators and Completely
+    Integrable Nonlinear Lattices*, ch. 1).
+
+    With w = h^2 z / 2 the roots are 1 - w +- sqrt(w (w - 2)); the sign that
+    adds the two terms without cancellation gives the root R with |R| >= 1,
+    and r = 1/R.  The factored discriminant keeps w's relative accuracy at
+    the band edges.
+    """
+    w = 0.5 * h * h * np.asarray(z, dtype=complex)
+    s, a = np.sqrt(w * (w - 2)), 1 - w
+    return 1 / np.where((a.conj() * s).real >= 0, a + s, a - s)
+
+
+def _upper(zs) -> tuple:
+    """(keys, lower): the z of zs, flattened, as a list with each z that has
+    Im z < 0 replaced by conj z, and where that was done."""
+    zs = np.asarray(zs, dtype=complex).ravel()
+    lower = zs.imag < 0
+    return np.where(lower, zs.conj(), zs).tolist(), lower
+
+
+class MTable(Mapping):
+    """The z -> M(z) table of one operator: read-only (n_B, n_B) entries, one
+    per conjugate pair.
+
+    A_II and P are real, so M(conj z) = conj M(z), and so in every entry on
+    every path that forms M (the half-line continued fraction, the 2D
+    pole-residue fill and the LU; a zero may differ in sign).  A z is entered
+    and kept at its representative with Im z >= 0, and read at conj z as the
+    conjugate; as a Mapping the table holds those representatives.  The
+    entries are the rows of the blocks that fills built, each kept as it came,
+    and a dict from z to its row, so gathering many z is one dict lookup per
+    z and one fancy index per block.  Entering takes a lock and reading does
+    not: a block is listed before any z points at it.
+    """
+
+    def __init__(self):
+        self._blocks, self._starts = [], []   # fill blocks, the row each starts at
+        self._rows = {}                       # z -> row
+        self._views = {}                      # z -> the row's view, once read alone
+        self._lock = threading.Lock()
+
+    def __getitem__(self, z):
+        view = self._views.get(z)
+        if view is None:
+            row = self._rows[z]
+            block = bisect_right(self._starts, row) - 1
+            view = self._views.setdefault(z, self._blocks[block][row - self._starts[block]])
+        return view
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self):
+        return len(self._rows)
+
+    def _enter(self, keys, block):
+        with self._lock:
+            start = self._starts[-1] + len(self._blocks[-1]) if self._blocks else 0
+            self._blocks.append(block)
+            self._starts.append(start)
+            for row, z in enumerate(keys, start):
+                self._rows.setdefault(z, row)
+
+    def cached(self, z, build):
+        """M(z): build() gives it on the first request for z or conj z, and it is
+        entered read-only unless build() raises.  A repeated z gets the same
+        object, its conjugate a read-only conjugate.
+
+        Concurrent misses may each build; the first entry stays, so build()
+        must give equal values.
+        """
+        z = complex(z)
+        lower = z.imag < 0
+        key = z.conjugate() if lower else z
+        if key not in self._rows:
+            m = np.asarray(build())
+            self._enter([key], _read_only((m.conj() if lower else m)[None]))
+        return _read_only(self[key].conj()) if lower else self[key]
+
+    def cached_many(self, zs, build):
+        """Enter M(z) for the z of zs whose pair the table lacks, all at once:
+        build(keys) gives M at those z's representatives (Im z >= 0), in
+        order, as one block, which is entered read-only."""
+        missing = [z for z in dict.fromkeys(_upper(zs)[0]) if z not in self._rows]
+        if missing:
+            self._enter(missing, _read_only(np.asarray(build(missing))))
+
+    def gather(self, zs, out):
+        """Copy M(z) into out[index] for every z = zs[index] the table holds, and
+        return where it does, a boolean array of zs's shape; out has the shape
+        zs.shape + (n_B, n_B) and keeps its values elsewhere."""
+        keys, lower = _upper(zs)
+        rows = np.fromiter(map(self._rows.get, keys, repeat(-1)), dtype=np.intp,
+                           count=len(keys))
+        hit = rows >= 0
+        dest = out.reshape((len(keys),) + out.shape[-2:])
+        blocks = self._blocks[:]
+        starts = np.array(self._starts[:len(blocks)])
+        which = np.searchsorted(starts, rows, side="right") - 1
+        for b in set(which[hit].tolist()):
+            at = hit & (which == b)
+            dest[at] = blocks[b][rows[at] - starts[b]]
+        if lower.any():
+            np.conjugate(dest, out=dest, where=(hit & lower)[:, None, None])
+        return hit.reshape(np.shape(zs))
+
+
 @dataclass(frozen=True)
 class DirichletOperator:
     """Interior block of the discrete -Laplace + q plus the boundary injection.
@@ -306,7 +423,7 @@ class DirichletOperator:
     data into the interior load with entries 1/h^2, one per adjacency pair,
     and is kept once, as the dense complex read-only (n_I, n_B) array that
     the solves read.  Data derived from A_II and B are read-only cached
-    properties; ``_cache`` is the z -> M(z) table (``cached``).
+    properties; ``m_table`` is the z -> M(z) table (MTable).
     """
 
     domain: DiscreteDomain
@@ -314,7 +431,7 @@ class DirichletOperator:
     a_ii: sp.csr_matrix
     b: np.ndarray
 
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    m_table: MTable = field(default_factory=MTable, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -325,30 +442,20 @@ class DirichletOperator:
         """||A_II||_1, the maximum absolute column sum, computed on first use."""
         return abs(self.a_ii).sum(axis=0).max()
 
-    def cached(self, z, build):
-        """The M(z) table: build() on the first request for z, stored read-only
-        unless it raises.
-
-        No lock: concurrent misses may each build, and build() must then give
-        equal values.
-        """
-        z = complex(z)
-        if z not in self._cache:
-            self._cache[z] = _read_only(build())
-        return self._cache[z]
-
-    def cached_many(self, zs, build):
-        """cached() for many z at once: build(missing) gives the values of the z
-        not yet stored as one block, in order, which is made read-only and
-        stored one view per z."""
-        missing = [z for z in zs if z not in self._cache]
-        if missing:
-            self._cache.update(zip(missing, _read_only(build(missing))))
-
     @cached_property
     def tridiagonal(self) -> tuple:
         """(diagonal, off-diagonal) of a tridiagonal A_II (read-only, built on first use)."""
         return _read_only(self.a_ii.diagonal()), _read_only(self.a_ii.diagonal(1))
+
+    @cached_property
+    def free_tail(self) -> tuple:
+        """(k, q) for a tridiagonal A_II: its diagonal is constant from row k on,
+        the free tail past the potential's support, and q = d_k - 2/h^2 there
+        (built on first use)."""
+        diag, off = self.tridiagonal
+        same = diag[::-1] == diag[-1]
+        tail = len(diag) if same.all() else int(np.argmin(same))
+        return len(diag) - tail, float(diag[-1] + 2 * off[-1])
 
     @cached_property
     def reduction(self) -> tuple:
@@ -393,7 +500,14 @@ class DirichletOperator:
         of the tridiagonal A_II (Golub & Meurant, *Matrices, Moments and
         Quadrature*, ch. 3), vectorized over zs.  Each pivot has
         Im t_i <= -Im z for Im z > 0 (>= for Im z < 0), so none vanishes off
-        the real axis.
+        the real axis.  On the free tail (``free_tail``), the last N rows with
+        one diagonal entry d = 2e + q, e = 1/h^2, the fraction has the closed
+        form t = e r^-1 (1 - r^(2N+2)) / (1 - r^2N), r = halfline_root(z - q, h)
+        (Teschl, *Jacobi Operators and Completely Integrable Nonlinear
+        Lattices*, ch. 1), with 1 - r^2k = -expm1(2k log r); N = 1 gives d - z.
+        The recurrence runs from there over the potential's support only.
+        Every step is elementwise in z, so a z's value does not depend on the
+        other z of the call.
 
         In 2D it is the pole-residue form sum_k U_k U_k^T / (lam_k - z) from the
         eigenpairs of the reduction Q^T A_II Q = T (``trace_poles``): the
@@ -411,8 +525,11 @@ class DirichletOperator:
         zs = np.asarray(zs, dtype=complex)
         if self.domain.dimension == 1:
             diag, off = self.tridiagonal
-            t = diag[-1] - zs
-            for d, e2 in zip(diag[-2::-1].tolist(), (off[::-1] ** 2).tolist()):
+            k, q = self.free_tail
+            tail, r = len(diag) - k, halfline_root(zs - q, self.domain.h)
+            log_r = np.log(r)
+            t = -off[-1] * np.expm1((2 * tail + 2) * log_r) / (r * np.expm1(2 * tail * log_r))
+            for d, e2 in zip(diag[:k][::-1].tolist(), (off[:k][::-1] ** 2).tolist()):
                 t = d - zs - e2 / t
             return (1.0 / t)[:, None, None]
         lam, uu = self.trace_poles

@@ -101,20 +101,22 @@ def _dtn_from_gamma(op: DirichletOperator, gamma: np.ndarray) -> np.ndarray:
 def dtn_matrix(op: DirichletOperator, lam: complex) -> np.ndarray:
     """M(lam), shape (n_B, n_B), columnwise from boundary-basis Poisson solutions.
 
-    The array is the read-only entry of the operator's z -> M(z) table: a
-    repeated lam gets the same object, and NearSpectrum is raised again on
-    every call.
+    The array is read-only and comes from the operator's z -> M(z) table
+    (``DirichletOperator.m_table``), which keeps one entry per conjugate pair:
+    a repeated lam gets the same object, conj(lam) its conjugate, and
+    NearSpectrum is raised again on every call.
     """
-    return op.cached(lam, lambda: _dtn_from_gamma(op, poisson_matrix(op, lam)))
+    return op.m_table.cached(lam, lambda: _dtn_from_gamma(op, poisson_matrix(op, lam)))
 
 
 def fill_certified(op: DirichletOperator, zs) -> None:
     """Enter M(z) in the M(z) table for every certified z of zs
-    (``DirichletOperator.certified``) that it lacks, all in one call:
-    M(z) = I/h - diag(1/(k_b h^3)) P^T (A_II - z)^-1 P with the boundary block
-    from ``DirichletOperator.trace_resolvent``, which does not fail there.
-    Other z are skipped.  The fill's cost is per call more than per z on the
-    half-line, so a stage enters all the z it will evaluate at once.
+    (``DirichletOperator.certified``) whose conjugate pair it lacks, all in one
+    call: M(z) = I/h - diag(1/(k_b h^3)) P^T (A_II - z)^-1 P with the boundary
+    block from ``DirichletOperator.trace_resolvent``, which does not fail
+    there, formed at the pair's z with Im z >= 0 only.  Other z are skipped.
+    A stage enters all the z it will evaluate at once, so that each call
+    pays its fixed cost once.
     """
     dom = op.domain
     scale = 1.0 / (dom.neighbor_counts[:, None] * dom.h ** 3)
@@ -122,35 +124,41 @@ def fill_certified(op: DirichletOperator, zs) -> None:
     def dtn(fresh):
         return np.eye(dom.n_boundary) / dom.h - scale * op.trace_resolvent(fresh)
 
-    distinct = np.unique(np.asarray(zs, dtype=complex))
-    op.cached_many(distinct[op.certified(distinct)].tolist(), dtn)
+    zs = np.asarray(zs, dtype=complex).ravel()
+    op.m_table.cached_many(zs[op.certified(zs)], dtn)
 
 
 def dtn_matrices(op: DirichletOperator, zs):
     """M(z) over a (rows, k) array of z whose rows are profiles, e.g. x + i*etas.
 
     Returns (m, lengths, failures): m[r, :lengths[r]] holds M(z) along row r,
-    which stops at its first z where dtn_matrix raises NearSpectrum;
-    failures[r] is that exception, or None for a complete row.
+    which stops at its first z where dtn_matrix raises NearSpectrum, and is
+    zero past it; failures[r] is that exception, or None for a complete row.
 
-    Every entry comes from the M(z) table.  The certified z that the table
-    lacks are entered first by fill_certified; every other z is left to
-    dtn_matrix and its LU, so NearSpectrum is raised where dtn_matrix raises it.
+    Every entry comes from the M(z) table, which is gathered at once
+    (MTable.gather); when it lacks some z, fill_certified enters the certified
+    ones and the table is gathered again.  Only the z left, uncertified ones,
+    go one at a time to dtn_matrix and its LU, in row order, so NearSpectrum
+    is raised where dtn_matrix raises it and no z past a row's cut is
+    evaluated.
     """
     zs = np.atleast_2d(np.asarray(zs, dtype=complex))
-    fill_certified(op, zs)
     n_b = op.domain.n_boundary
     m = np.zeros(zs.shape + (n_b, n_b), dtype=complex)
-    lengths = np.zeros(len(zs), dtype=int)
+    hit = op.m_table.gather(zs, m)
+    if not hit.all():
+        fill_certified(op, zs[~hit])
+        hit = op.m_table.gather(zs, m)
+    missed = np.argwhere(~hit)
+    lengths = np.full(len(zs), zs.shape[1])
     failures = [None] * len(zs)
-    for r, row in enumerate(zs.tolist()):
-        for z in row:
+    for r, k in missed.tolist():
+        if failures[r] is None:
             try:
-                m[r, lengths[r]] = dtn_matrix(op, z)
+                m[r, k] = dtn_matrix(op, zs[r, k])
             except NearSpectrum as exc:
-                failures[r] = exc
-                break
-            lengths[r] += 1
+                failures[r], lengths[r] = exc, k
+                m[r, k:] = 0
     return m, lengths, failures
 
 
@@ -158,7 +166,7 @@ def _factor_at(op: DirichletOperator, z: complex):
     """Factor A_II - z once: (solver, gamma(z), M(z)), filling the M(z) table at z."""
     solver = op.factorize(z)
     gamma = solver.solve(op.b)
-    return solver, gamma, op.cached(z, lambda: _dtn_from_gamma(op, gamma))
+    return solver, gamma, op.m_table.cached(z, lambda: _dtn_from_gamma(op, gamma))
 
 
 def _adjoint_from_gamma(op: DirichletOperator, gamma_bar: np.ndarray) -> np.ndarray:
@@ -212,7 +220,7 @@ def identity_suite(op: DirichletOperator, lam: complex, zeta: complex, nu: compl
         if z not in poisson:
             poisson[z] = _factor_at(op, z)[1:]
     (gamma_zeta, m_zeta), (gamma_nu, m_nu) = poisson[zeta], poisson[nu]
-    m_zeta_bar = op.cached(zbar, lambda: m_zeta.conj())
+    m_zeta_bar = m_zeta.conj()
     gz_star = _adjoint_from_gamma(op, gamma_zeta.conj())
     m_zeta_star = boundary_adjoint(op.domain, m_zeta)
     r_gamma_zeta = solver_lam.solve(gamma_zeta)

@@ -319,20 +319,27 @@ def ellipse(t):
 def contour_sums(op: DirichletOperator, nodes, weights):
     """(sum_n weights[k, n] M(nodes[n]) for each row k, max_n ||M(nodes[n])||) in
     the weighted boundary product; M at every node from one dtn_matrices call,
-    and a node that raises NearSpectrum raises ContourTouchesSpectrum from it."""
-    m, lengths, failures = dtn_matrices(op, np.asarray(nodes)[:, None])
+    and a node that raises NearSpectrum raises ContourTouchesSpectrum from it.
+    The contours are symmetric about the real axis and ||M(conj z)|| = ||M(z)||,
+    so the maximum is taken over the nodes with Im z >= 0."""
+    nodes = np.asarray(nodes)
+    m, lengths, failures = dtn_matrices(op, nodes[:, None])
     if not lengths.all():
         j = int(np.argmin(lengths))
         raise ContourTouchesSpectrum(
             f"contour node {nodes[j]} touches the spectrum") from failures[j]
     m = m[:, 0]
     return (np.einsum("kn,nij->kij", weights, m),
-            float(op.domain.boundary_singular_values(m)[:, 0].max()))
+            float(op.domain.boundary_singular_values(m[nodes.imag >= 0])[:, 0].max()))
 
 
 def circle_nodes(lam0: float, rho: float):
-    """(nodes, nodes - lam0) of the RESIDUE_NODES-point trapezoid rule on |z - lam0| = rho."""
-    w = rho * np.exp(2j * np.pi * np.arange(RESIDUE_NODES) / RESIDUE_NODES)
+    """(nodes, nodes - lam0) of the RESIDUE_NODES-point trapezoid rule on
+    |z - lam0| = rho: node RESIDUE_NODES - k is the exact conjugate of node k,
+    and the crossings lam0 + rho and lam0 - rho are exactly real."""
+    w = rho * np.exp(2j * np.pi * np.arange(RESIDUE_NODES // 2 + 1) / RESIDUE_NODES)
+    w[-1] = -rho                      # rho exp(i pi) has Im 1.2e-16 rho
+    w = np.concatenate([w, w[-2:0:-1].conj()])
     return lam0 + w, w
 
 

@@ -617,6 +617,31 @@ class TestProbes:
 
 
 class TestDtnTable:
+    @pytest.mark.parametrize("model, window", [("well1d", (0.3, 0.4)),
+                                               ("reduced_annulus", (0.5, 1.0))])
+    def test_contours_come_in_conjugate_pairs(self, request, monkeypatch, model, window):
+        # the level stage's ellipse and every residue circle are closed under
+        # exact conjugation, so the M(z) table, one entry per conjugate pair,
+        # takes half their nodes; a circle's crossings of the real axis are
+        # exactly real, and the ellipse has none
+        dom, op = request.getfixturevalue(model)
+        contours, sums = [], dtnlab.limits.contour_sums
+
+        def recording(op_, nodes, weights):
+            contours.append(np.asarray(nodes))
+            return sums(op_, nodes, weights)
+
+        monkeypatch.setattr(dtnlab.classify, "contour_sums", recording)
+        monkeypatch.setattr(dtnlab.limits, "contour_sums", recording)
+        cfg = ClassifyConfig(eta0=1e-2, pole_match_radius=0.025, window_half_width=0.05)
+        levels = window_levels(op, window, make_probes(dom, "basis"), cfg)
+        assert len(levels) >= 1 and len(contours) >= 2
+        for k, nodes in enumerate(contours):
+            assert len(set(nodes.tolist())) == len(nodes)
+            assert set(nodes.tolist()) == set(nodes.conj().tolist())
+            assert np.count_nonzero(nodes.imag == 0) == (0 if k == 0 else 2)
+            assert np.count_nonzero(nodes.imag >= 0) == len(nodes) // 2 + (k > 0)
+
     def test_each_z_materialized_once(self, monkeypatch):
         # a z enters the M(z) table once, by the tridiagonal reduction if it is
         # certified and by the LU (poisson_matrix) otherwise, and its value is
@@ -643,8 +668,7 @@ class TestDtnTable:
         assert by_lu and by_reduction and len(set(entered)) == len(entered)
         assert not any(op.certified(z) for z in by_lu)
         assert all(op.certified(z) for z in by_reduction)
-        table = {key for key in op._cache if isinstance(key, complex)}
-        assert table == set(entered)
+        assert set(op.m_table) == {_upper(z) for z in entered}
 
         monkeypatch.undo()
         fresh = assemble_operator(dom, zero_potential(dom))
@@ -716,12 +740,22 @@ WELL_FLOORED_SWEEP = dict(WELL_SWEEP, potential={"kind": "well", "depth": 8.0, "
                           window={"lo": -3.5, "hi": 1.0, "grid_step": 0.25}, eta=FLOORED)
 
 
+# the M(z) table's entries after the sweep that evaluates M at that many distinct z
+TABLE_ENTRIES = {2408: 2254, 440: 241, 625: 561, 1857: 1778}
+
+
+def _upper(z):
+    """The representative of z's conjugate pair in the M(z) table: Im >= 0."""
+    return z.conjugate() if z.imag < 0 else z
+
+
 def _counted_sweep(monkeypatch, raw):
-    """run_sweep on a config: (its operator, the z requested from dtn_matrix,
-    the number of trace_resolvent fills)."""
+    """run_sweep on a config: (its operator, the z at which the sweep evaluates
+    M, the number of trace_resolvent fills).  M is evaluated by dtn_matrices,
+    up to and including each row's first NearSpectrum, and by dtn_matrix."""
     ops, requested, fills = [], set(), []
     build_model, matrix = dtnlab.report.build_model, dtnlab.dtn.dtn_matrix
-    trace = DirichletOperator.trace_resolvent
+    matrices, trace = dtnlab.limits.dtn_matrices, DirichletOperator.trace_resolvent
 
     def keeping(cfg):
         ops.append(build_model(cfg))
@@ -731,12 +765,19 @@ def _counted_sweep(monkeypatch, raw):
         requested.add(complex(lam))
         return matrix(op_, lam)
 
+    def requesting_rows(op_, zs):
+        m, lengths, failures = matrices(op_, zs)
+        for row, n, failure in zip(np.atleast_2d(zs), lengths, failures):
+            requested.update(complex(z) for z in row[:n + (failure is not None)])
+        return m, lengths, failures
+
     def counting(op_, zs):
         fills.append(len(zs))
         return trace(op_, zs)
 
     monkeypatch.setattr(dtnlab.report, "build_model", keeping)
     monkeypatch.setattr(dtnlab.dtn, "dtn_matrix", requesting)
+    monkeypatch.setattr(dtnlab.limits, "dtn_matrices", requesting_rows)
     monkeypatch.setattr(DirichletOperator, "trace_resolvent", counting)
     run_sweep(config_from_dict(raw))
     monkeypatch.undo()
@@ -760,10 +801,12 @@ class TestStageFill:
     def test_table_holds_only_requested_z(self, monkeypatch, raw, distinct):
         # every z that a stage fill enters is one the sweep then evaluates; the
         # free floored sweep's -0.5 lies below the edge, and its analyticity
-        # window is capped by the level stage's reach (was 603 without the cap)
+        # window is capped by the level stage's reach (was 603 without the cap).
+        # The table holds one entry per conjugate pair of those z: the
+        # contours' lower halves take none of their own
         op, requested, _ = _counted_sweep(monkeypatch, raw)
-        assert {key for key in op._cache if isinstance(key, complex)} == requested
-        assert len(requested) == distinct
+        assert set(op.m_table) == {_upper(z) for z in requested}
+        assert (len(requested), len(op.m_table)) == (distinct, TABLE_ENTRIES[distinct])
 
     @pytest.mark.parametrize("raw", [WELL_SWEEP, dict(ANNULUS_SWEEP, domain={
         "kind": "exterior2d", "h": 1.0, "a": 1.5, "L": 4.5})])
@@ -800,10 +843,11 @@ class TestStageFill:
         # entry can be written, whether a stage fill or an LU entered it; its
         # other lazily built data are built once and read-only
         op = _counted_sweep(monkeypatch, raw)[0]
-        assert op._cache and all(type(key) is complex for key in op._cache)
-        assert not any(m.flags.writeable for m in op._cache.values())
+        assert op.m_table and all(type(key) is complex for key in op.m_table)
+        assert not any(m.flags.writeable for m in op.m_table.values())
         arrays = []
-        for name in ("a_norm", "b", "tridiagonal", "reduction", "trace_poles", "banded"):
+        for name in ("a_norm", "b", "tridiagonal", "free_tail", "reduction", "trace_poles",
+                     "banded", "m_table"):
             value = getattr(op, name)
             assert getattr(op, name) is value
             with pytest.raises(AttributeError):
@@ -811,7 +855,7 @@ class TestStageFill:
             arrays += value if isinstance(value, tuple) else [value]
         assert not any(a.flags.writeable for a in arrays if isinstance(a, np.ndarray))
         # building them entered nothing in the table
-        assert all(type(key) is complex for key in op._cache)
+        assert all(type(key) is complex for key in op.m_table)
 
 
 def test_window_grid_stops_at_hi():

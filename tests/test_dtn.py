@@ -8,6 +8,7 @@ from dtnlab import (
     DegenerateParameters,
     DirichletOperator,
     Exterior2D,
+    MTable,
     SingularRobinPencil,
     assemble_operator,
     boundary_adjoint,
@@ -47,6 +48,27 @@ class TestPoisson:
         _, op = t1
         with pytest.raises(ValueError):
             poisson_solve(op, 0.0, np.array([1.0, 2.0]))
+
+
+class TestMTable:
+    def test_gather_across_blocks_and_conjugates(self):
+        # M(z) = [[z]] stands in for a DtN matrix: M(conj z) = conj M(z)
+        table = MTable()
+        table.cached_many([1j, 2 - 1j, 1j], lambda zs: np.array(zs)[:, None, None])
+        assert table.cached(3 - 1j, lambda: np.array([[3 - 1j]]))[0, 0] == 3 - 1j
+        assert set(table) == {1j, 2 + 1j, 3 + 1j} and len(table) == 3
+        zs = np.array([[1j, -1j, 3 + 1j], [3 - 1j, 5j, 2 - 1j]])
+        out = np.full(zs.shape + (1, 1), 7.0 + 0j)
+        hit = table.gather(zs, out)
+        assert hit.tolist() == [[True, True, True], [True, False, True]]
+        assert out[..., 0, 0].tolist() == [[1j, -1j, 3 + 1j], [3 - 1j, 7, 2 - 1j]]
+        # only the pairs the table lacks are built, each once
+        built = []
+        table.cached_many([-1j, 5j, 5 - 1j, 5 + 1j], lambda zs: built.extend(zs) or
+                          np.array(zs)[:, None, None])
+        assert built == [5j, 5 + 1j] and len(table) == 5
+        assert not any(m.flags.writeable for m in table.values())
+        assert table.cached(5j, lambda: None) is table[5j]
 
 
 class TestDtnMatrix:
@@ -180,13 +202,13 @@ class TestIdentitySuite:
             assert rep.max_residual <= 1e-10
             assert len(factored) == len(distinct) and set(factored) == distinct
             assert sum(columns) == (len(distinct) + 2) * op.domain.n_boundary
-            # the M(z) it entered in the table, the conjugate at conj(zeta) too,
-            # are the ones dtn_matrix computes
-            made = [key for key in op._cache if isinstance(key, complex)]
-            assert set(made) == distinct | {params[1].conjugate()}
+            # the M(z) it entered in the table, one per conjugate pair and none
+            # for conj(zeta), are the ones dtn_matrix computes
+            made = set(op.m_table)
+            assert made == {z.conjugate() if z.imag < 0 else z for z in distinct}
             fresh = assemble_operator(op.domain, op.potential)
             for z in made:
-                assert np.array_equal(op._cache[z], dtn_matrix(fresh, z))
+                assert np.array_equal(op.m_table[z], dtn_matrix(fresh, z))
 
     def test_reports_all_four(self, t1):
         _, op = t1

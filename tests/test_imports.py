@@ -1,7 +1,8 @@
-"""Package structure: no module imports another module's private name, no
-function imports a dtnlab module (a function-local import hides a cycle),
-every export names a definition (a removed type leaves no export behind), and
-no module imports a name it does not use."""
+"""Package structure: no module imports another module's private name or reads
+a private attribute of another object, no function imports a dtnlab module (a
+function-local import hides a cycle), every export names a definition (a
+removed type leaves no export behind), and no module imports a name it does
+not use."""
 
 import ast
 import importlib
@@ -20,6 +21,20 @@ def test_no_private_name_imported_across_modules():
                 continue
             offenders += [f"{path.name}:{node.lineno} imports {alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
+    assert SRC.is_dir() and offenders == []
+
+
+def test_no_private_attribute_read_across_objects():
+    # a _name attribute is read on self or cls only: one object's private
+    # state is not another's argument (dunders such as super().__init__ are
+    # not private)
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and not node.attr.endswith("__")
+                    and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))):
+                offenders.append(f"{path.name}:{node.lineno} reads {ast.unparse(node)}")
     assert SRC.is_dir() and offenders == []
 
 

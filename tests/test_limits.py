@@ -19,7 +19,7 @@ from dtnlab import (
     richardson_weights,
     slim_eta_M,
 )
-from dtnlab.limits import decay_exponent
+from dtnlab.limits import RESIDUE_NODES, circle_nodes, decay_exponent
 
 G = np.array([1.0 + 0j])
 
@@ -240,6 +240,19 @@ class TestResidue:
         _, op = t1
         with pytest.raises(ValueError):
             residue_contour(op, 1.0, -0.5)
+
+    @pytest.mark.parametrize("lam0, rho", [(0.749213, 0.05), (1.0, 0.5), (-3.0, 1e-3)])
+    def test_circle_nodes_conjugate_pairs(self, lam0, rho):
+        # node 32 - k is the exact conjugate of node k, and the crossings
+        # lam0 + rho and lam0 - rho are exactly real (rho exp(i pi) is not)
+        nodes, w = circle_nodes(lam0, rho)
+        assert len(nodes) == len(w) == RESIDUE_NODES
+        for points in (nodes, w):
+            assert np.array_equal(points[:0:-1], points[1:].conj())
+        assert nodes[0] == lam0 + rho and nodes[RESIDUE_NODES // 2] == lam0 - rho
+        assert np.count_nonzero(nodes.imag == 0) == 2
+        ref = lam0 + rho * np.exp(2j * np.pi * np.arange(RESIDUE_NODES) / RESIDUE_NODES)
+        assert np.max(np.abs(nodes - ref)) <= 4e-16 * (abs(lam0) + rho)
 
 
 class TestAnalyticity:

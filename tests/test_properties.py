@@ -8,7 +8,7 @@ registered in conftest.py makes the draws deterministic.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from dtnlab import (
@@ -24,13 +24,14 @@ from dtnlab import (
     identity_suite,
     make_probes,
     oracle_eigendecomposition,
+    poisson_matrix,
     poisson_solve,
     tabulated_potential,
     well_potential,
     window_levels,
     zero_potential,
 )
-from dtnlab.dtn import _factor_at
+from dtnlab.dtn import _dtn_from_gamma, _factor_at
 
 WELL_DOMAIN = build_domain(HalfLine1D(h=0.05, L=20.0))
 
@@ -47,6 +48,28 @@ def halflines(draw, cells=st.integers(3, 120)):
     else:
         q = tabulated_potential(dom, draw(st.lists(
             st.floats(-10.0, 10.0), min_size=dom.n_interior, max_size=dom.n_interior)))
+    return dom, assemble_operator(dom, q)
+
+
+@st.composite
+def tailed_halflines(draw):
+    """A half-line (3 cells: the two-node case) with the zero potential, a well
+    (one past the last node: a constant tail on every node), or a tabulated
+    support on the first s nodes and a constant past it: s = 0 is all tail and
+    s = n_I a one-node tail."""
+    h = draw(st.floats(0.05, 1.0))
+    dom = build_domain(HalfLine1D(h=h, L=draw(st.integers(3, 120)) * h))
+    n, last = dom.n_interior, dom.interior_coords[-1, 0]
+    kind = draw(st.sampled_from(["zero", "well", "tabulated"]))
+    if kind == "zero":
+        q = zero_potential(dom)
+    elif kind == "well":
+        q = well_potential(dom, depth=draw(st.floats(-5.0, 5.0)),
+                           width=draw(st.floats(h, last + h)))
+    else:
+        s = draw(st.one_of(st.sampled_from([0, n]), st.integers(0, n)))
+        q = draw(st.lists(st.floats(-10.0, 10.0), min_size=s, max_size=s))
+        q = tabulated_potential(dom, q + [draw(st.floats(-10.0, 10.0))] * (n - s))
     return dom, assemble_operator(dom, q)
 
 
@@ -92,15 +115,17 @@ def test_conjugate_parameter_factors_to_conjugates(model, x, height, fraction, n
     # A_II and B are real, so the LU at conj z gives conj gamma(z) and conj M(z)
     # bit for bit, on the gttrs path, the gbtrs path (2D and the two-node
     # half-line) and for near-real z, which raise NearSpectrum at both or
-    # neither; identity_suite enters M(conj zeta) as that conjugate.  An
-    # integer x picks an eigenvalue of A_II as Re z.
-    _, op = model
+    # neither; so the M(z) table keeps one entry per conjugate pair.  Each
+    # side factors on its own operator, so that neither reads the other's
+    # table entry.  An integer x picks an eigenvalue of A_II as Re z.
+    dom, op = model
     if isinstance(x, int):
         values = np.linalg.eigvalsh(op.a_ii.toarray())
         x = values[x % len(values)]
     z = complex(x, fraction * op.certified_height if near_real else height)
     assert bool(op.certified(z)) is not near_real
-    at_z, at_zbar = _factored(op, z), _factored(op, z.conjugate())
+    at_z = _factored(op, z)
+    at_zbar = _factored(assemble_operator(dom, op.potential), z.conjugate())
     assert (at_z is None) == (at_zbar is None)
     if at_z is not None:
         assert all(np.array_equal(a.conj(), b) for a, b in zip(at_z, at_zbar))
@@ -332,6 +357,84 @@ def test_continued_fraction_matches_lu(model, zs, lower):
             perturbation = eps * op.a_norm * np.linalg.norm(ref.imag, 2) / abs(z.imag)
             assert (np.linalg.norm(mz - ref, 2)
                     <= 1e-10 * np.linalg.norm(ref, 2) + 2 * perturbation)
+
+
+def _line(h, cells, q):
+    dom = build_domain(HalfLine1D(h=h, L=cells * h))
+    return dom, assemble_operator(dom, q(dom))
+
+
+@given(st.one_of(tailed_halflines(), halflines(), halflines(cells=st.just(3))),
+       st.lists(st.tuples(st.one_of(st.floats(-4.0, 4.0), st.integers(0, 1000),
+                                    st.tuples(st.floats(-50.0, 60.0))),
+                          st.floats(0.0, 7.0)), min_size=1, max_size=6))
+# all tail, far off the band on either side; a one-node tail; the two-node half-line
+@example(_line(1.0, 120, zero_potential), [((60.0,), 0.0), ((-50.0,), 2.0), (3, 0.0)])
+@example(_line(0.05, 400, lambda dom: np.arange(dom.n_interior) % 2),
+         [((0.5,), 0.0), (0.3, 1.0), (7, 0.0)])
+@example(_line(0.5, 3, lambda dom: [1.0, -2.0]), [(1, 0.0), ((70.0,), 0.0), ((-60.0,), 0.0)])
+def test_closed_tail_matches_the_recurrence_and_lu(model, draws):
+    # The half-line trace resolvent, the continued fraction over the
+    # potential's support started from the free tail's closed form, against
+    # the backward continued fraction over every row and against
+    # P^T (A_II - z)^-1 P by the LU, at certified z from the certified height
+    # up (Re z: an integer picks an eigenvalue of A_II, a 1-tuple (f,) is f/h^2,
+    # across and far off the band [0, 4/h^2]): to 1e-11 relative beside the
+    # first-order term u*||A_II||_1*|Im G|/|Im z| by which two backward stable
+    # evaluations may differ (test_continued_fraction_matches_lu); and each
+    # z's value is, byte for byte, that of a call with that z alone
+    dom, op = model
+    values = eigvalsh_tridiagonal(*op.tridiagonal)
+
+    def real_part(x):
+        if isinstance(x, tuple):
+            return x[0] / dom.h ** 2
+        return values[x % len(values)] if isinstance(x, int) else x
+
+    zs = np.array([complex(real_part(x), op.certified_height * 10 ** lift) for x, lift in draws])
+    got = op.trace_resolvent(zs)[:, 0, 0]
+    diag, off = op.tridiagonal
+    t = diag[-1] - zs
+    for d, e in zip(diag[-2::-1], off[::-1]):
+        t = d - zs - e * e / t
+    lu = np.array([op.factorize(z).solve(dom.incidence.astype(complex))[0, 0] for z in zs])
+    eps = np.finfo(float).eps
+    for ref in (1 / t, lu):
+        perturbation = eps * op.a_norm * np.abs(ref.imag) / zs.imag
+        assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref) + 2 * perturbation)
+    for z, g in zip(zs, got):
+        assert op.trace_resolvent([z])[0, 0].tobytes() == g.tobytes()
+
+
+@given(models, st.floats(-4.0, 4.0), st.floats(0.05, 2.0), st.floats(0.01, 0.99))
+def test_conjugate_pairs_bit_for_bit(model, x, height, fraction):
+    # M(conj z) = conj M(z) bit for bit on every path that forms M, except that
+    # a zero may flip its sign (x = 4 on the annuli): the fill at a certified
+    # z (the closed-tail continued fraction in 1D, the pole-residue form in
+    # 2D) and the LU at a non-real uncertified one.  So the M(z) table, which
+    # forms M only at the pair's z with Im z >= 0, returns at conj z what the
+    # path gives there
+    dom, op = model
+    z = complex(x, height)
+    block = op.trace_resolvent([z, z.conjugate()])
+    assert np.array_equal(block[1], block[0].conj())
+    scale = 1.0 / (dom.neighbor_counts[:, None] * dom.h ** 3)
+    fresh = assemble_operator(dom, op.potential)
+    dtn_matrices(fresh, [[z.conjugate()]])
+    assert np.array_equal(dtn_matrix(fresh, z.conjugate()),
+                          np.eye(dom.n_boundary) / dom.h - scale * block[1])
+    assert dtn_matrix(fresh, z.conjugate()).tobytes() == dtn_matrix(fresh, z).conj().tobytes()
+
+    w = complex(x, fraction * op.certified_height)
+    assert not op.certified(w) and w.imag
+    try:
+        by_lu = [_dtn_from_gamma(op, poisson_matrix(op, v)) for v in (w, w.conjugate())]
+    except NearSpectrum:
+        return
+    assert np.array_equal(by_lu[1], by_lu[0].conj())
+    fresh = assemble_operator(dom, op.potential)
+    assert np.array_equal(dtn_matrix(fresh, w.conjugate()), by_lu[1])
+    assert dtn_matrix(fresh, w).tobytes() == by_lu[0].tobytes()
 
 
 @settings(max_examples=40)
