@@ -49,6 +49,7 @@ __all__ = [
     "grid_steps",
     "window_grid",
     "in_window",
+    "level_tolerance",
     "classify_point",
     "point_nodes",
     "refine_pole",
@@ -278,6 +279,13 @@ def in_window(window, lam) -> bool:
     return lo - slack <= lam <= hi + slack
 
 
+def level_tolerance(op: DirichletOperator) -> float:
+    """1e-8 max(||A_II||_1, 1), the accuracy of window_levels' levels: the
+    distance within which it merges two estimates into one level, and within
+    which the oracle cross-check credits a level to an oracle eigenvalue."""
+    return 1e-8 * max(op.a_norm, 1.0)
+
+
 def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) -> WindowLevels:
     """The levels of M around the window (lo, hi) up to cfg.level_edge, ascending:
     the ResidueMatrix of each, of rank at least 1, with the reach (lo - w, hi + w)
@@ -289,7 +297,7 @@ def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) ->
     pencil whose eigenvalues estimate the poles inside (Beyn, LAA 436 (2012);
     Sakurai & Sugiura, JCAM 159 (2003)).  Its rank must stay at most half its
     size, else the block count doubles, up to 32 moments, then Inconclusive.
-    Estimates in (lo - w, hi + w) below the edge merge within 1e-8 max(||A_II||_1, 1);
+    Estimates in (lo - w, hi + w) below the edge merge within level_tolerance;
     the residue_contour around each, of _GAP_FRACTION x the gap to the nearest
     other estimate, holds one pole and gives the level: its value (res.pole),
     and as multiplicity res.rank, its weighted singular values above
@@ -332,7 +340,7 @@ def window_levels(op: DirichletOperator, window, probes, cfg: ClassifyConfig) ->
     estimates = np.sort(centre + half * np.linalg.eigvals(left.conj().T @ h1 @ right
                                                           / sv[:rank]).real)
     near = (reach[0] < estimates) & (estimates < min(reach[1], cfg.level_edge))
-    tol = 1e-8 * max(op.a_norm, 1.0)
+    tol = level_tolerance(op)
     values = estimates[near][np.diff(estimates[near], prepend=-np.inf) > tol]
     poles = np.concatenate([values, estimates[~near], [a, b]])
     rhos = [_GAP_FRACTION * np.min(np.abs(poles[np.abs(poles - lam) > tol] - lam))

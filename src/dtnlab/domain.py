@@ -345,16 +345,12 @@ class MTable(Mapping):
     def __init__(self):
         self._blocks, self._starts = [], []   # fill blocks, the row each starts at
         self._rows = {}                       # z -> row
-        self._views = {}                      # z -> the row's view, once read alone
         self._lock = threading.Lock()
 
     def __getitem__(self, z):
-        view = self._views.get(z)
-        if view is None:
-            row = self._rows[z]
-            block = bisect_right(self._starts, row) - 1
-            view = self._views.setdefault(z, self._blocks[block][row - self._starts[block]])
-        return view
+        row = self._rows[z]
+        block = bisect_right(self._starts, row) - 1
+        return self._blocks[block][row - self._starts[block]]
 
     def __iter__(self):
         return iter(self._rows)
@@ -362,55 +358,40 @@ class MTable(Mapping):
     def __len__(self):
         return len(self._rows)
 
-    def _enter(self, keys, block):
-        with self._lock:
-            start = self._starts[-1] + len(self._blocks[-1]) if self._blocks else 0
-            self._blocks.append(block)
-            self._starts.append(start)
-            for row, z in enumerate(keys, start):
-                self._rows.setdefault(z, row)
-
-    def cached(self, z, build):
-        """M(z): build() gives it on the first request for z or conj z, and it is
-        entered read-only unless build() raises.  A repeated z gets the same
-        object, its conjugate a read-only conjugate.
-
-        Concurrent misses may each build; the first entry stays, so build()
-        must give equal values.
-        """
-        z = complex(z)
-        lower = z.imag < 0
-        key = z.conjugate() if lower else z
-        if key not in self._rows:
-            m = np.asarray(build())
-            self._enter([key], _read_only((m.conj() if lower else m)[None]))
-        return _read_only(self[key].conj()) if lower else self[key]
-
     def cached_many(self, zs, build):
         """Enter M(z) for the z of zs whose pair the table lacks, all at once:
         build(keys) gives M at those z's representatives (Im z >= 0), in
-        order, as one block, which is entered read-only."""
+        order, as one block, which is entered read-only unless build raises.
+
+        Concurrent misses may each build; the first entry stays, so build
+        must give equal values.
+        """
         missing = [z for z in dict.fromkeys(_upper(zs)[0]) if z not in self._rows]
         if missing:
-            self._enter(missing, _read_only(np.asarray(build(missing))))
+            block = _read_only(np.asarray(build(missing)))
+            with self._lock:
+                start = self._starts[-1] + len(self._blocks[-1]) if self._blocks else 0
+                self._blocks.append(block)
+                self._starts.append(start)
+                for row, z in enumerate(missing, start):
+                    self._rows.setdefault(z, row)
 
     def gather(self, zs, out):
         """Copy M(z) into out[index] for every z = zs[index] the table holds, and
         return where it does, a boolean array of zs's shape; out has the shape
-        zs.shape + (n_B, n_B) and keeps its values elsewhere."""
+        zs.shape + (n_B, n_B), may be any view, and keeps its values elsewhere."""
         keys, lower = _upper(zs)
         rows = np.fromiter(map(self._rows.get, keys, repeat(-1)), dtype=np.intp,
                            count=len(keys))
         hit = rows >= 0
-        dest = out.reshape((len(keys),) + out.shape[-2:])
         blocks = self._blocks[:]
         starts = np.array(self._starts[:len(blocks)])
         which = np.searchsorted(starts, rows, side="right") - 1
         for b in set(which[hit].tolist()):
             at = hit & (which == b)
-            dest[at] = blocks[b][rows[at] - starts[b]]
-        if lower.any():
-            np.conjugate(dest, out=dest, where=(hit & lower)[:, None, None])
+            m = blocks[b][rows[at] - starts[b]]
+            np.conjugate(m, out=m, where=lower[at][:, None, None])
+            out[at.reshape(np.shape(zs))] = m
         return hit.reshape(np.shape(zs))
 
 

@@ -99,14 +99,20 @@ def _dtn_from_gamma(op: DirichletOperator, gamma: np.ndarray) -> np.ndarray:
 
 
 def dtn_matrix(op: DirichletOperator, lam: complex) -> np.ndarray:
-    """M(lam), shape (n_B, n_B), columnwise from boundary-basis Poisson solutions.
-
-    The array is read-only and comes from the operator's z -> M(z) table
-    (``DirichletOperator.m_table``), which keeps one entry per conjugate pair:
-    a repeated lam gets the same object, conj(lam) its conjugate, and
-    NearSpectrum is raised again on every call.
+    """M(lam), shape (n_B, n_B), as a read-only array read from the operator's
+    z -> M(z) table (``DirichletOperator.m_table``), which it fills first if
+    it lacks lam's conjugate pair: by fill_certified at a certified lam, and
+    from the LU (poisson_matrix) at the pair's lam with Im lam >= 0 otherwise.
+    So each lam has one recipe, whichever function reaches it first, and
+    NearSpectrum, which enters nothing, is raised again on every call.
     """
-    return op.m_table.cached(lam, lambda: _dtn_from_gamma(op, poisson_matrix(op, lam)))
+    fill_certified(op, [lam])
+    op.m_table.cached_many(
+        [lam], lambda keys: [_dtn_from_gamma(op, poisson_matrix(op, z)) for z in keys])
+    m = np.empty((op.domain.n_boundary,) * 2, dtype=complex)
+    op.m_table.gather(lam, m)
+    m.setflags(write=False)
+    return m
 
 
 def fill_certified(op: DirichletOperator, zs) -> None:
@@ -163,10 +169,10 @@ def dtn_matrices(op: DirichletOperator, zs):
 
 
 def _factor_at(op: DirichletOperator, z: complex):
-    """Factor A_II - z once: (solver, gamma(z), M(z)), filling the M(z) table at z."""
+    """Factor A_II - z once: (solver, gamma(z), M(z)), M formed from that gamma."""
     solver = op.factorize(z)
     gamma = solver.solve(op.b)
-    return solver, gamma, op.m_table.cached(z, lambda: _dtn_from_gamma(op, gamma))
+    return solver, gamma, _dtn_from_gamma(op, gamma)
 
 
 def _adjoint_from_gamma(op: DirichletOperator, gamma_bar: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from .classify import (
     ac_support,
     classify_point,
     in_window,
+    level_tolerance,
     make_probes,
     point_nodes,
     purity_filter,
@@ -206,11 +207,11 @@ def run_sweep(cfg: RunConfig) -> ClassificationReport:
         eig = oracle_eigendecomposition(op)
         levels = eig.values[[g[0] for g in eig.groups]]
         # each level of the stage, in the window or beside it, is credited to its
-        # nearest oracle level only
+        # nearest oracle level only, and only within the stage's accuracy
         credited = {}
         for lam_d in (level.pole for level in sweep.levels):
             k = int(np.argmin(np.abs(levels - lam_d)))
-            if abs(levels[k] - lam_d) <= ccfg.pole_match_radius:
+            if abs(levels[k] - lam_d) <= level_tolerance(op):
                 credited.setdefault(k, lam_d)
         invisible = trace_invisible(dom, eig)
         crosscheck = [{"lambda_oracle": float(lam), "multiplicity": len(eig.groups[k]),

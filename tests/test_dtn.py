@@ -9,10 +9,12 @@ from dtnlab import (
     DirichletOperator,
     Exterior2D,
     MTable,
+    NearSpectrum,
     SingularRobinPencil,
     assemble_operator,
     boundary_adjoint,
     build_domain,
+    dtn_matrices,
     dtn_matrix,
     identity_suite,
     normal_derivative,
@@ -55,7 +57,7 @@ class TestMTable:
         # M(z) = [[z]] stands in for a DtN matrix: M(conj z) = conj M(z)
         table = MTable()
         table.cached_many([1j, 2 - 1j, 1j], lambda zs: np.array(zs)[:, None, None])
-        assert table.cached(3 - 1j, lambda: np.array([[3 - 1j]]))[0, 0] == 3 - 1j
+        table.cached_many([3 - 1j], lambda zs: np.array(zs)[:, None, None])
         assert set(table) == {1j, 2 + 1j, 3 + 1j} and len(table) == 3
         zs = np.array([[1j, -1j, 3 + 1j], [3 - 1j, 5j, 2 - 1j]])
         out = np.full(zs.shape + (1, 1), 7.0 + 0j)
@@ -68,7 +70,19 @@ class TestMTable:
                           np.array(zs)[:, None, None])
         assert built == [5j, 5 + 1j] and len(table) == 5
         assert not any(m.flags.writeable for m in table.values())
-        assert table.cached(5j, lambda: None) is table[5j]
+        with pytest.raises(ZeroDivisionError):
+            table.cached_many([7j], lambda zs: 1 / 0)
+        assert 7j not in table and len(table) == 5
+
+    def test_gather_writes_through_a_strided_out(self):
+        # out.reshape copies a non-contiguous out: gather reported every hit
+        # and wrote nothing
+        table = MTable()
+        table.cached_many([1j, 2j], lambda zs: np.array(zs)[:, None, None])
+        out = np.zeros((3, 2, 1, 1), complex)[::2]
+        hit = table.gather(np.array([[1j, -2j], [3j, 2j]]), out)
+        assert hit.tolist() == [[True, True], [False, True]]
+        assert out[..., 0, 0].tolist() == [[1j, -2j], [0, 2j]]
 
 
 class TestDtnMatrix:
@@ -78,11 +92,51 @@ class TestDtnMatrix:
         assert dtn_matrix(op, 2.0)[0, 0] == pytest.approx(1.0)
 
     def test_table_entries_read_only(self, annulus2d):
+        # every call reads the table anew: equal read-only arrays
         _, op = annulus2d
         m = dtn_matrix(op, 0.3 + 0.2j)
-        assert dtn_matrix(op, 0.3 + 0.2j) is m
+        again = dtn_matrix(op, 0.3 + 0.2j)
+        assert again.tobytes() == m.tobytes() and not again.flags.writeable
         with pytest.raises(ValueError):
             m[0, 0] = 0.0
+
+    def test_near_spectrum_enters_nothing(self, t1):
+        # T1's eigenvalue 1.0: raised on every call, and no entry is made
+        dom, _ = t1
+        op = assemble_operator(dom, zero_potential(dom))
+        for _ in range(2):
+            with pytest.raises(NearSpectrum):
+                dtn_matrix(op, 1.0)
+        assert not op.m_table
+
+    def test_lower_half_plane_reads_the_conjugate(self, annulus2d):
+        # a certified z below the axis is entered at conj z and read back as
+        # the conjugate of that entry, exactly
+        dom, _ = annulus2d
+        op = assemble_operator(dom, zero_potential(dom))
+        z = 0.3 - 0.2j
+        assert op.certified(z)
+        m = dtn_matrix(op, z)
+        assert set(op.m_table) == {z.conjugate()}
+        assert m.tobytes() == op.m_table[z.conjugate()].conj().tobytes()
+        assert not m.flags.writeable
+
+    @pytest.mark.parametrize("model, z", [("well1d", 0.3 + 1e-3j), ("annulus2d", 0.7 + 0.5j)])
+    def test_one_recipe_whichever_function_asks_first(self, request, model, z):
+        # a certified z is filled (continued fraction, pole-residue sum) on
+        # every path; dtn_matrix and identity_suite once entered the LU's M,
+        # which on the well differs from the fill's by 1.3e-12 relative here
+        dom, op = request.getfixturevalue(model)
+        first = (lambda op_: dtn_matrix(op_, z),
+                 lambda op_: dtn_matrices(op_, [[z]]),
+                 lambda op_: identity_suite(op_, z, -0.5 + 0.8j, 0.2 - 0.6j))
+        seen = set()
+        for call in first:
+            fresh = assemble_operator(dom, op.potential)
+            call(fresh)
+            seen.add(dtn_matrix(fresh, z).tobytes())
+            seen.add(dtn_matrices(fresh, [[z]])[0][0, 0].tobytes())
+        assert len(seen) == 1
 
     def test_table_filled_concurrently(self):
         # concurrent misses on one z may both build; every caller must still
@@ -202,13 +256,8 @@ class TestIdentitySuite:
             assert rep.max_residual <= 1e-10
             assert len(factored) == len(distinct) and set(factored) == distinct
             assert sum(columns) == (len(distinct) + 2) * op.domain.n_boundary
-            # the M(z) it entered in the table, one per conjugate pair and none
-            # for conj(zeta), are the ones dtn_matrix computes
-            made = set(op.m_table)
-            assert made == {z.conjugate() if z.imag < 0 else z for z in distinct}
-            fresh = assemble_operator(op.domain, op.potential)
-            for z in made:
-                assert np.array_equal(op.m_table[z], dtn_matrix(fresh, z))
+            # it keeps the M of its own gamma and enters nothing in the table
+            assert not op.m_table
 
     def test_reports_all_four(self, t1):
         _, op = t1

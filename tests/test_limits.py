@@ -14,11 +14,13 @@ from dtnlab import (
     make_probes,
     boundary_value_M,
     oracle_eigendecomposition,
+    poisson_matrix,
     residue_contour,
     richardson_extrapolate,
     richardson_weights,
     slim_eta_M,
 )
+from dtnlab.dtn import _dtn_from_gamma
 from dtnlab.limits import RESIDUE_NODES, circle_nodes, decay_exponent
 
 G = np.array([1.0 + 0j])
@@ -159,7 +161,6 @@ class TestBoundaryValue:
         _, op = t1
         sched = EtaSchedule(1e-1, 0.5, 8, floor=2e-2)
         est = boundary_value_M(op, 2.0, G, sched)
-        from dtnlab import dtn_matrix
         direct = dtn_matrix(op, 2.0 + 2e-2j)[0, 0]
         assert complex(est.value) == pytest.approx(direct)
         assert est.value == est.last
@@ -222,14 +223,14 @@ class TestResidue:
     @pytest.mark.parametrize("rho", [0.05, 0.25])
     def test_annulus_residue_matches_lu(self, annulus2d, rho):
         # the certified nodes come from the tridiagonal reduction, the two on
-        # the real axis from the LU; dtn_matrix on a fresh operator is the LU
+        # the real axis from the LU; the reference is the LU at every node
         dom, op = annulus2d
         eig = oracle_eigendecomposition(op)
         lam0 = eig.values[np.argmin(np.abs(eig.values - 0.749213))]
         res = residue_contour(op, lam0, rho)
-        fresh = assemble_operator(dom, op.potential)
         w = np.exp(2j * np.pi * np.arange(32) / 32)
-        ref = sum(dtn_matrix(fresh, lam0 + rho * wj) * wj for wj in w) * rho / 32
+        ref = sum(_dtn_from_gamma(op, poisson_matrix(op, lam0 + rho * wj)) * wj
+                  for wj in w) * rho / 32
         assert np.linalg.norm(res.r - ref) <= 1e-10 * np.linalg.norm(ref)
         # the ranks window_levels reads: weighted singular values above 1e-8 x the bound
         rank = [int(np.sum(dom.boundary_singular_values(r) > 1e-8 * res.bound))
