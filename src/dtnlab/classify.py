@@ -4,7 +4,8 @@ support sets and the SC screen.
 
 Grid sets are finite unions of closed intervals with endpoints on the sampling
 grid; the essential (absolutely continuous) closure is computed exactly on
-those unions.  All thresholds are scale-free.
+those unions.  The cuts of the verdicts are constants: those on limits of M
+(TAU_EIG, TAU_AC, FIT_TOL, DECAY_CUT, RESIDUE_TOL) in limits, the rest below.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .domain import DirichletOperator, EigenSystem
 from .dtn import fill_certified, normal_derivative
 from .errors import DtnLabError, Inconclusive, NearSpectrum
 from .limits import (
-    DECAY_CUT,
     RESIDUE_TOL,
     EtaSchedule,
     ResidueMatrix,
@@ -33,6 +33,7 @@ from .limits import (
     profile_nodes,
     residue_contour,
     slim_eta_M,
+    slim_nonzero,
     window_points,
 )
 
@@ -77,6 +78,7 @@ _LEVEL_NODES = 128                         # trapezoid nodes of window_levels' e
 _LEVEL_BLOCKS = (8, 16)                    # Hankel block counts tried: 16 moments, then 32
 _PENCIL_TOL = 1e-12                        # kept singular values of H0, over max|moment| bound
 _LEVEL_SLACK = 1e-9                        # in_window's widening, relative: a level's accuracy
+_FLOOR_FACTOR = 5.0                        # halfline_auto: eta floored at this x the level spacing
 
 
 # ---------------------------------------------------------------------------
@@ -140,21 +142,12 @@ def essential_closure(s: GridSet) -> GridSet:
 
 @dataclass(frozen=True)
 class ClassifyConfig:
-    """Schedules, probes and thresholds driving the classifier."""
+    """The eta schedule's start and floor, and the two widths of the classifier."""
 
     eta0: float
-    eta_ratio: float = 0.5
-    eta_count: int = 8
     floor_mode: str = "none"          # none | halfline_auto
-    floor_factor: float = 5.0         # multiples of the local level spacing
     halfline_length: float = 0.0      # L, needed for halfline_auto
-
-    tau_eig_rel: float = 1e-6
-    tau_ac: float = 1e-6
-
     window_half_width: float = 0.1
-    fit_tol: float = 1e-5
-
     pole_match_radius: float = 0.1
 
     def __post_init__(self):
@@ -162,11 +155,6 @@ class ClassifyConfig:
             raise ValueError(f"unknown floor_mode {self.floor_mode!r}")
         if self.floor_mode == "halfline_auto" and not self.halfline_length > 0:
             raise ValueError("floor_mode 'halfline_auto' needs a positive halfline_length")
-
-    def slim_nonzero(self, relative, slope):
-        """Whether eta*M limits of these relative sizes and decay slopes are nonzero;
-        a nan slope does not veto it, so this is not `not vanishes(slope)`."""
-        return (np.asarray(relative) > self.tau_eig_rel) & ~(np.asarray(slope) >= DECAY_CUT)
 
     @property
     def level_edge(self) -> float:
@@ -176,9 +164,9 @@ class ClassifyConfig:
     def schedule(self, x: float) -> EtaSchedule:
         floor = 0.0
         if x > self.level_edge:    # halfline_auto: the level spacing 2 pi sqrt(x) / L
-            floor = self.floor_factor * (2 * np.pi * np.sqrt(x) / self.halfline_length)
+            floor = _FLOOR_FACTOR * (2 * np.pi * np.sqrt(x) / self.halfline_length)
             floor = floor if floor < self.eta0 else 0.9 * self.eta0
-        return EtaSchedule(self.eta0, self.eta_ratio, self.eta_count, floor=floor)
+        return EtaSchedule(self.eta0, floor=floor)
 
     def schedule_runs(self, xs):
         """(schedule, indices) for each run of consecutive grid points that share
@@ -421,8 +409,7 @@ def classify_point(op: DirichletOperator, x: float, cfg: ClassifyConfig,
 
     if est.partial.any():
         raise Inconclusive(f"solver failures along the eta schedule at x={x}")
-    ana = analyticity_test(op, x, half_width, probes, sched,
-                           slim_rel_tol=cfg.tau_eig_rel, im_rel_tol=cfg.tau_ac, fit_tol=cfg.fit_tol)
+    ana = analyticity_test(op, x, half_width, probes, sched)
     return PointVerdict(x=x, verdict=RESOLVENT_SET if ana.ok else CONTINUOUS, evidence=evidence)
 
 
@@ -525,7 +512,7 @@ def ac_support(op: DirichletOperator, window, probes, cfg: ClassifyConfig,
     for sched, run in cfg.schedule_runs(xs):
         bv = boundary_value_M(op, xs[run], probes, sched)
         bvals[:, run], div[:, run], yzero[:, run] = bv.value, bv.diverging, bv.y_limit_zero
-    flags = ac_flags(-bvals.imag, div, cfg.tau_ac)
+    flags = ac_flags(-bvals.imag, div)
     per_probe_closed = [essential_closure(GridSet.from_flags(xs, f)) for f in flags]
     union = GridSet.union(*per_probe_closed)   # of non-degenerate parts, so nothing to drop
     return ACSupportSet(
@@ -581,7 +568,7 @@ def purity_filter(window, points, levels, acs, scr, cfg: ClassifyConfig) -> Puri
         if _nearest_level(x, cfg, levels)[1] <= cfg.pole_match_radius:
             continue    # the level explains the point
         v = _result(v)
-        if cfg.slim_nonzero(v.evidence["slim_rel"], v.evidence["decay_exponent"]).any():
+        if slim_nonzero(v.evidence["slim_rel"], v.evidence["decay_exponent"]).any():
             offending.append(float(x))
         resolvent &= v.verdict == RESOLVENT_SET
     if offending:

@@ -132,7 +132,7 @@ def _cmd_measures(cfg: RunConfig, out_dir: str, seed: int) -> int:
     u = np.zeros(dom.n_interior)
     u[0] = 1.0
     mu = spectral_measure(op, eig, u)
-    sched = EtaSchedule(cfg.eta["eta0"], cfg.eta["ratio"], cfg.eta["count"])
+    sched = EtaSchedule(cfg.eta["eta0"])
     sup = ac_sc_supports(mu, sched, window_grid(cfg.window, cfg.grid_step))
     out["supports"] = {
         "atoms": [[float(a), float(w)] for a, w in zip(mu.atoms, mu.weights)],

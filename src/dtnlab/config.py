@@ -1,7 +1,8 @@
 """Run configuration: JSON schema, validation, and defaults.
 
 A config file is a JSON object with the sections below (all optional unless
-noted; unknown keys anywhere are rejected with a suggestion):
+noted; unknown keys anywhere are rejected with a suggestion, and so are keys
+that the chosen kind of domain or potential does not read):
 
     {
       "domain":    {"kind": "halfline", "h": 1.0, "L": 3.0},        # required
@@ -10,13 +11,11 @@ noted; unknown keys anywhere are rejected with a suggestion):
                    # or {"kind": "well", "depth": 2.0, "width": 1.0}
                    # or {"kind": "tabulated", "interior_values": [...]}
       "window":    {"lo": 0.0, "hi": 4.0, "grid_step": 0.1},        # required
-      "eta":       {"eta0": 0.01, "ratio": 0.5, "count": 8,
-                    "floor_mode": "none", "floor_factor": 5.0},
+      "eta":       {"eta0": 0.01, "floor_mode": "none"},
                    # floor_mode "none" (a finite model) or "halfline_auto" (halfline
-                   # only): eta floored at floor_factor x the level spacing 2 pi sqrt(x) / L
+                   # only): eta floored at 5 x the level spacing 2 pi sqrt(x) / L
       "probes":    {"kind": "basis"},   # or {"kind": "random", "count": 4, "seed": 0}
-      "thresholds": {"tau_eig": 1e-6, "tau_ac": 1e-6, "fit_tol": 1e-5,
-                     "pole_match_radius": null, "window_half_width": null},
+      "thresholds": {"pole_match_radius": null, "window_half_width": null},
       "measures":  {"stone_intervals": [[0.5, 1.5]], "zeta_samples": [[0.0, 1.0]]},
       "convergence": {"x_values": [0.5, 1.0, 2.0], "eta": 0.1,
                       "h_values": [0.01, 0.005], "L": 200.0},
@@ -25,14 +24,14 @@ noted; unknown keys anywhere are rejected with a suggestion):
     }
 
 Null thresholds are derived from the grid step (pole_match_radius = step / 2,
-window_half_width = step); tau_eig, tau_ac and fit_tol must be positive.  Stone
+window_half_width = step); the verdicts' cuts are constants of limits.  Stone
 intervals need lo < hi, one zeta sample must be non-real, and the convergence
 eta, h_values and L must be positive.  "threads" must be at least 1 and has no
 effect: the sweep runs on one thread.  Numbers must be finite JSON numbers
-(true and false are not numbers), and eta.count, probes.count, probes.seed (at
-least 0) and threads integer-valued ones (3.0, not 2.7).  Three work caps bound
-a run: eta.count is at most MAX_ETA_COUNT, probes.count at most MAX_PROBES, and
-the window holds at most MAX_GRID_POINTS grid points.
+(true and false are not numbers), and probes.count, probes.seed (at least 0)
+and threads integer-valued ones (3.0, not 2.7).  Two work caps bound a run:
+probes.count is at most MAX_PROBES, and the window holds at most
+MAX_GRID_POINTS grid points.
 """
 
 from __future__ import annotations
@@ -48,16 +47,13 @@ from .classify import ClassifyConfig, grid_steps
 from .domain import Exterior2D, HalfLine1D, build_domain
 from .errors import ConfigError, DomainError
 
-__all__ = ["RunConfig", "parse_config", "config_from_dict", "MAX_ETA_COUNT", "MAX_GRID_POINTS",
-           "MAX_PROBES"]
+__all__ = ["RunConfig", "parse_config", "config_from_dict", "MAX_GRID_POINTS", "MAX_PROBES"]
 
 SCHEMA_TAG = "dtnlab-report-v1"
 
 # Work caps, checked here so that a runaway config exits 1 instead of failing
-# deep in the sweep.  An analyticity window holds 17 x eta.count DtN matrices
-# at once, and 64 halvings of eta already span a factor 1e19; every grid point
-# costs one classification of many M(z) evaluations per probe.
-MAX_ETA_COUNT = 64
+# deep in the sweep: every grid point costs one classification of many M(z)
+# evaluations per probe.
 MAX_GRID_POINTS = 10_000
 MAX_PROBES = 1000
 
@@ -67,19 +63,23 @@ _SECTIONS = {
 }
 # the sections whose every key has a default, and those defaults
 _DEFAULTS = {
-    "eta": {"eta0": 0.01, "ratio": 0.5, "count": 8, "floor_mode": "none", "floor_factor": 5.0},
+    "eta": {"eta0": 0.01, "floor_mode": "none"},
     "probes": {"kind": "basis", "count": 1, "seed": 0},
-    "thresholds": {"tau_eig": 1e-6, "tau_ac": 1e-6, "fit_tol": 1e-5,
-                   "pole_match_radius": None, "window_half_width": None},
+    "thresholds": {"pole_match_radius": None, "window_half_width": None},
     "measures": {"stone_intervals": [], "zeta_samples": [[0.0, 1.0], [0.0, 2.0]]},
     "convergence": {"x_values": [0.5, 1.0, 2.0], "eta": 0.1, "h_values": [0.01, 0.005],
                     "L": 200.0},
 }
+# the keys that each kind of domain and potential reads
+_KIND_KEYS = {
+    "domain": {"halfline": {"kind", "h", "L"}, "exterior2d": {"kind", "h", "a", "L"}},
+    "potential": {"zero": {"kind"}, "well": {"kind", "depth", "width"},
+                  "tabulated": {"kind", "interior_values"}},
+}
 _KEYS = {
-    "domain": {"kind", "h", "L", "a"},
-    "potential": {"kind", "depth", "width", "interior_values"},
     "window": {"lo", "hi", "grid_step"},
     **{section: set(defaults) for section, defaults in _DEFAULTS.items()},
+    **{section: set().union(*kinds.values()) for section, kinds in _KIND_KEYS.items()},
 }
 
 
@@ -89,6 +89,19 @@ def _reject_unknown(given, allowed, where):
             hint = difflib.get_close_matches(key, allowed, n=1)
             suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
             raise ConfigError(f"unknown key {key!r} in {where}{suggestion}")
+
+
+def _kind_section(data, section, default=None):
+    """A copy of the domain or potential section (default: {"kind": default}) whose
+    kind is known and whose keys are those that kind reads."""
+    values = dict(data.get(section, {}))
+    values.setdefault("kind", default)
+    kinds = _KIND_KEYS[section]
+    _require(isinstance(values["kind"], str) and values["kind"] in kinds,
+             f"{section}.kind must be " + " or ".join(repr(kind) for kind in kinds))
+    _reject_unknown(values, kinds[values["kind"]],
+                    f"section {section!r} of kind {values['kind']!r}")
+    return values
 
 
 def _defaulted(data, section):
@@ -119,11 +132,6 @@ def _integer(value, lo, hi, name) -> int:
 
 def _is_pair(value) -> bool:
     return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
-
-
-def _require_numbers(section, values, keys):
-    for key in keys:
-        _require(_is_number(values[key]), f"{section}.{key} must be a finite number")
 
 
 def _domain_spec(d):
@@ -166,20 +174,12 @@ class RunConfig:
         return _domain_spec(self.domain)
 
     def classify_config(self) -> ClassifyConfig:
-        t = self.thresholds
-        e = self.eta
-        pole_radius = t["pole_match_radius"]
-        if pole_radius is None:
-            pole_radius = self.grid_step / 2
-        half_width = t["window_half_width"]
-        if half_width is None:
-            half_width = self.grid_step
+        t, step = self.thresholds, self.grid_step
         return ClassifyConfig(
-            eta0=e["eta0"], eta_ratio=e["ratio"], eta_count=e["count"],
-            floor_mode=e["floor_mode"], floor_factor=e["floor_factor"],
+            eta0=self.eta["eta0"], floor_mode=self.eta["floor_mode"],
             halfline_length=self.domain.get("L", 0.0),
-            tau_eig_rel=t["tau_eig"], tau_ac=t["tau_ac"], fit_tol=t["fit_tol"],
-            pole_match_radius=pole_radius, window_half_width=half_width,
+            pole_match_radius=step / 2 if t["pole_match_radius"] is None else t["pole_match_radius"],
+            window_half_width=step if t["window_half_width"] is None else t["window_half_width"],
         )
 
 
@@ -196,20 +196,15 @@ def config_from_dict(data: dict) -> RunConfig:
     _require("domain" in data, "missing required section 'domain'")
     _require("window" in data, "missing required section 'window'")
 
-    dom = dict(data["domain"])
-    kind = dom.get("kind")
-    _require(kind in ("halfline", "exterior2d"),
-             "domain.kind must be 'halfline' or 'exterior2d'")
+    dom = _kind_section(data, "domain")
+    kind = dom["kind"]
     _require(_is_number(dom.get("h")) and dom["h"] > 0, "domain.h must be positive")
     _require(_is_number(dom.get("L")) and dom["L"] > 0, "domain.L must be positive")
     if kind == "exterior2d":
         _require(_is_number(dom.get("a")) and dom["a"] > 0,
                  "domain.a must be positive")
 
-    pot = dict(data.get("potential", {"kind": "zero"}))
-    pot.setdefault("kind", "zero")
-    _require(pot["kind"] in ("zero", "well", "tabulated"),
-             "potential.kind must be 'zero', 'well' or 'tabulated'")
+    pot = _kind_section(data, "potential", "zero")
     if pot["kind"] == "well":
         _require(_is_number(pot.get("depth")), "potential.depth must be a number")
         _require(_is_number(pot.get("width")) and pot["width"] > 0,
@@ -227,15 +222,11 @@ def config_from_dict(data: dict) -> RunConfig:
              f"window.grid_step gives more than {MAX_GRID_POINTS} grid points")
 
     eta = _defaulted(data, "eta")
-    _require_numbers("eta", eta, ("eta0", "ratio", "floor_factor"))
-    _require(eta["eta0"] > 0, "eta.eta0 must be positive")
-    _require(0 < eta["ratio"] < 1, "eta.ratio must lie in (0, 1)")
-    eta["count"] = _integer(eta["count"], 3, MAX_ETA_COUNT, "eta.count")
+    _require(_is_number(eta["eta0"]) and eta["eta0"] > 0, "eta.eta0 must be positive")
     _require(eta["floor_mode"] in ("none", "halfline_auto"),
              "eta.floor_mode must be 'none' or 'halfline_auto'")
     _require(eta["floor_mode"] != "halfline_auto" or kind == "halfline",
              "eta.floor_mode 'halfline_auto' needs domain.kind 'halfline'")
-    _require(eta["floor_factor"] > 0, "eta.floor_factor must be positive")
 
     probes = _defaulted(data, "probes")
     _require(probes["kind"] in ("basis", "random"),
@@ -244,13 +235,9 @@ def config_from_dict(data: dict) -> RunConfig:
     probes["seed"] = _integer(probes["seed"], 0, math.inf, "probes.seed")
 
     thr = _defaulted(data, "thresholds")
-    _require_numbers("thresholds", thr, ("tau_eig", "tau_ac", "fit_tol"))
-    for key in ("tau_eig", "tau_ac", "fit_tol"):
-        _require(thr[key] > 0, f"thresholds.{key} must be positive")
-    for key in ("pole_match_radius", "window_half_width"):
-        if thr[key] is not None:
-            _require_numbers("thresholds", thr, (key,))
-            _require(thr[key] > 0, f"thresholds.{key} must be positive")
+    for key, value in thr.items():
+        _require(value is None or _is_number(value) and value > 0,
+                 f"thresholds.{key} must be null or a positive number")
 
     meas = _defaulted(data, "measures")
     intervals, zetas = meas["stone_intervals"], meas["zeta_samples"]
@@ -260,9 +247,9 @@ def config_from_dict(data: dict) -> RunConfig:
              and any(im != 0 for _, im in zetas),
              "measures.zeta_samples must be [re, im] pairs of finite numbers, one with im != 0")
     conv = _defaulted(data, "convergence")
-    _require_numbers("convergence", conv, ("eta", "L"))
     for key in ("eta", "L"):
-        _require(conv[key] > 0, f"convergence.{key} must be positive")
+        _require(_is_number(conv[key]) and conv[key] > 0,
+                 f"convergence.{key} must be a positive number")
     _require(isinstance(conv["x_values"], list) and all(map(_is_number, conv["x_values"])),
              "convergence.x_values must be a list of finite numbers")
     _require(isinstance(conv["h_values"], list)

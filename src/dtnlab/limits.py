@@ -29,6 +29,7 @@ __all__ = [
     "extrapolate_tail",
     "decay_exponent",
     "vanishes",
+    "slim_nonzero",
     "boundary_limit",
     "ac_flags",
     "slim_eta_M",
@@ -49,6 +50,9 @@ __all__ = [
 DIVERGENCE_SLOPE = -0.5
 DIVERGENCE_GROWTH = 10.0
 DECAY_CUT = 0.5                   # y*F -> 0 when |y*F| decays at least like eta^DECAY_CUT
+TAU_EIG = 1e-6                    # an eta*M limit is nonzero above TAU_EIG x ||M(x + i eta0) g||
+TAU_AC = 1e-6                     # the AC band: a boundary density in (TAU_AC, 1/TAU_AC)
+FIT_TOL = 1e-5                    # analyticity window: relative misfit of the polynomial fit
 _N_WINDOW, _FIT_DEGREE = 17, 10   # analyticity window: sample points, polynomial degree
 _ASPECT = 0.3                     # vertical over horizontal semi-axis of the contour ellipses
 RESIDUE_TOL = 1e-8                # residue singular values that count, over the residue's bound
@@ -212,6 +216,12 @@ def vanishes(slope):
     return ~(np.asarray(slope) < DECAY_CUT)
 
 
+def slim_nonzero(relative, slope):
+    """Whether eta*M limits of these relative sizes and decay slopes are nonzero:
+    above TAU_EIG; a nan slope does not veto it, so this is not `not vanishes(slope)`."""
+    return (np.asarray(relative) > TAU_EIG) & ~(np.asarray(slope) >= DECAY_CUT)
+
+
 def boundary_limit(etas, q, floored: bool, n=None) -> dict:
     """Fields "value" (extrapolant, or the last sample on a floored schedule), "last",
     "diverging" (|Im q| -> infinity), "y_limit_zero" (eta*q -> 0) and "partial" of scalar
@@ -236,9 +246,9 @@ def _boundary_value(etas, q, floored: bool, n):
     return (last if floored else extrapolate_tail(etas, np.moveaxis(q, -1, 0), n)), last
 
 
-def ac_flags(density, diverging, tau: float):
-    """AC points: a boundary density in (tau, 1/tau) of a profile that is not diverging."""
-    return (tau < density) & (density < 1.0 / tau) & ~diverging
+def ac_flags(density, diverging):
+    """AC points: a boundary density in (TAU_AC, 1/TAU_AC) of a profile that is not diverging."""
+    return (TAU_AC < density) & (density < 1.0 / TAU_AC) & ~diverging
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +382,7 @@ def window_points(x: float, half_width: float) -> np.ndarray:
 
 
 def analyticity_test(op: DirichletOperator, x: float, half_width: float,
-                     probes, sched: EtaSchedule, slim_rel_tol: float = 1e-6,
-                     im_rel_tol: float = 1e-6, fit_tol: float = 1e-5) -> AnalyticityReport:
+                     probes, sched: EtaSchedule) -> AnalyticityReport:
     """Decide whether M(.) continues analytically through the window around x.
 
     True iff across (x - w, x + w): the eta*M limits vanish for all probes,
@@ -401,5 +410,5 @@ def analyticity_test(op: DirichletOperator, x: float, half_width: float,
         fit_misfit = max(fit_misfit, float(resid))
 
     slim_max, im_max = float(slim_rel.max()), float(im_rel.max())
-    ok = slim_max <= slim_rel_tol and im_max <= im_rel_tol and fit_misfit <= fit_tol
+    ok = slim_max <= TAU_EIG and im_max <= TAU_AC and fit_misfit <= FIT_TOL
     return AnalyticityReport(ok=ok, slim_max=slim_max, im_max=im_max, fit_misfit=fit_misfit)

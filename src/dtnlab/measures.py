@@ -37,7 +37,6 @@ __all__ = [
 ]
 
 _ATOM_TOL = 1e-12
-_SUPPORT_TAU = 1e-6         # an AC point has Im F(x + i0) in (tau, 1/tau)
 _RANK_TOL = 1e-10           # relative singular value cut of simplicity_rank
 
 
@@ -249,8 +248,7 @@ def ac_sc_supports(measure: SpectralMeasure, sched: EtaSchedule, grid) -> Suppor
     fs = borel_transform(measure, grid[:, None] + 1j * etas)
     bv = boundary_limit(etas, fs, sched.floored)
     im_values, diverging = bv["value"].imag, bv["diverging"]
-    ac_set = essential_closure(GridSet.from_flags(grid, ac_flags(im_values, diverging,
-                                                                 _SUPPORT_TAU)))
+    ac_set = essential_closure(GridSet.from_flags(grid, ac_flags(im_values, diverging)))
     sc_set = GridSet.from_flags(grid, diverging & bv["y_limit_zero"])
     return SupportReport(ac_set=ac_set, sc_set=sc_set, im_values=im_values,
                          diverging=diverging)

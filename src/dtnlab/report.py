@@ -42,9 +42,9 @@ from .domain import (
     well_potential,
     zero_potential,
 )
-from .dtn import fill_certified
+from .dtn import dtn_matrices, fill_certified
 from .errors import DtnLabError
-from .limits import dtn_profile
+from .limits import profile_nodes
 
 __all__ = [
     "ClassificationReport",
@@ -122,19 +122,23 @@ def sweep_window(op, window, probes, ccfg, step) -> WindowSweep:
                        _attempt(purity_filter, window, points, levels, acs, scr, ccfg))
 
 
-def _sample_rows(op, x, probes, ccfg, verdict):
-    """CSV rows of one grid point: (M g, g) and |eta M g| along its schedule."""
+def _sample_rows(op, xs, probes, ccfg, verdicts):
+    """CSV rows of the grid points xs: (M g, g) and |eta M g| along each one's schedule as
+    far as it reached, from one dtn_matrices block per run of points sharing a schedule."""
     dom = op.domain
-    try:
-        etas, mg, n = dtn_profile(op, x, probes, ccfg.schedule(x))
-    except DtnLabError:
-        return []
-    etas, mg = etas[:n.max()], mg[:, 0, :n.max()]                 # the samples x reached
-    probes = np.asarray(probes)
-    q = dom.boundary_inner(mg, probes[:, None, :])                # (probe, eta)
-    slim = etas * dom.boundary_norm(mg)
-    return [(float(x), float(eta), pid, float(qk.real), float(qk.imag), float(s), verdict)
-            for pid in range(len(probes)) for eta, qk, s in zip(etas, q[pid], slim[pid])]
+    probes = np.asarray(probes, dtype=complex)
+    rows = []
+    for sched, run in ccfg.schedule_runs(xs):
+        etas = sched.samples()
+        m, lengths, _ = dtn_matrices(op, profile_nodes(xs[run], sched))
+        mg = (m @ probes[:, None, None, :, None])[..., 0]        # (probe, x, eta, n_B)
+        q = dom.boundary_inner(mg, probes[:, None, None, :])
+        slim = etas * dom.boundary_norm(mg)
+        rows += [(float(xs[j]), float(eta), pid, float(qk.real), float(qk.imag), float(sk),
+                  verdicts[j])
+                 for i, j in enumerate(run) for pid in range(len(probes))
+                 for eta, qk, sk in zip(etas[:lengths[i]], q[pid, i], slim[pid, i])]
+    return rows
 
 
 def _point_json(v):
@@ -190,8 +194,8 @@ def run_sweep(cfg: RunConfig) -> ClassificationReport:
     sweep = sweep_window(op, cfg.window, probes, ccfg, cfg.grid_step)
     points = [{"x": float(x), "refined_lambda": None, "multiplicity": 0,
                **_stage_json(v, _point_json)} for x, v in sweep.points]
-    samples = tuple(row for p in points
-                    for row in _sample_rows(op, p["x"], probes, ccfg, p["verdict"]))
+    samples = tuple(_sample_rows(op, window_grid(cfg.window, cfg.grid_step), probes, ccfg,
+                                 [p["verdict"] for p in points]))
 
     data_levels = _stage_json(sweep.levels, _levels_json(cfg.window))
     reason = None

@@ -38,7 +38,7 @@ from dtnlab import (
     zero_potential,
 )
 from dtnlab.classify import trace_invisible
-from dtnlab.limits import DECAY_CUT, RESIDUE_TOL, vanishes
+from dtnlab.limits import DECAY_CUT, RESIDUE_TOL, TAU_EIG, slim_nonzero, vanishes
 
 T1_CFG = ClassifyConfig(eta0=1e-2, pole_match_radius=0.25, window_half_width=0.2)
 
@@ -73,17 +73,17 @@ class TestGridSet:
 
 class TestSlimNonzero:
     def test_small_limit_is_zero(self):
-        assert not T1_CFG.slim_nonzero(0.5 * T1_CFG.tau_eig_rel, np.nan)
-        assert T1_CFG.slim_nonzero(2 * T1_CFG.tau_eig_rel, 0.0)
+        assert not slim_nonzero(0.5 * TAU_EIG, np.nan)
+        assert slim_nonzero(2 * TAU_EIG, 0.0)
 
     def test_decaying_limit_is_zero(self):
-        assert not T1_CFG.slim_nonzero(1.0, DECAY_CUT)
-        assert not T1_CFG.slim_nonzero(1.0, 1.0)
+        assert not slim_nonzero(1.0, DECAY_CUT)
+        assert not slim_nonzero(1.0, 1.0)
 
     def test_nan_slope_does_not_veto(self):
-        assert T1_CFG.slim_nonzero(1.0, np.nan)
+        assert slim_nonzero(1.0, np.nan)
         # arrays of limits too
-        flags = T1_CFG.slim_nonzero(np.array([1.0, 1.0, 1e-9]), np.array([np.nan, 0.6, 0.0]))
+        flags = slim_nonzero(np.array([1.0, 1.0, 1e-9]), np.array([np.nan, 0.6, 0.0]))
         assert flags.tolist() == [True, False, False]
 
     def test_vanishes(self):
