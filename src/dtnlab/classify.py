@@ -19,7 +19,7 @@ import scipy.linalg as sla
 
 from .domain import DirichletOperator, EigenSystem
 from .dtn import fill_certified, normal_derivative
-from .errors import DtnLabError, Inconclusive, NearSpectrum
+from .errors import DtnLabError, Inconclusive, NearSpectrum, attempt
 from .limits import (
     RESIDUE_TOL,
     EtaSchedule,
@@ -52,7 +52,6 @@ __all__ = [
     "in_window",
     "level_tolerance",
     "classify_point",
-    "point_nodes",
     "refine_pole",
     "window_levels",
     "eigenspace_via_tau",
@@ -359,6 +358,18 @@ def _result(stage):
     return stage
 
 
+def _per_point(block, run):
+    """block(indices) over the points of the index list run at once, as one
+    (result, k) per point, the point's fields at [..., k] of the result's; if
+    that raises a DtnLabError, block([j]) for each point j alone, so that a
+    point whose own block raises holds its error and the others are unaffected."""
+    try:
+        result = block(run)
+    except DtnLabError:
+        return [attempt(lambda j: (block([j]), 0), j) for j in run]
+    return [(result, k) for k in range(len(run))]
+
+
 def _nearest_level(x: float, cfg: ClassifyConfig, levels):
     """(the level nearest x, its distance to x), or (None, inf) without one.  Above
     cfg.level_edge levels count for nothing, else a DtnLabError held in levels
@@ -385,49 +396,75 @@ def _point_plan(x: float, cfg: ClassifyConfig, levels: WindowLevels):
     return None, min(cfg.window_half_width, d / 4, edge / 4, (x - lo) / 4, (hi - x) / 4)
 
 
-def classify_point(op: DirichletOperator, x: float, cfg: ClassifyConfig,
-                   probes=None, levels=None) -> PointVerdict:
-    """Decision tree on window_levels' levels (by default those of (x - w, x + w),
-    w = window_half_width, at or below cfg.level_edge) by _point_plan: a level
-    that explains x -> Eigenvalue, as that level; else analytic continuation
-    through the plan's window -> ResolventSet; else ContinuousSpectrum.  The
-    eta*M limits are taken first, as evidence."""
-    dom = op.domain
-    sched = cfg.schedule(x)
-    probes = make_probes(dom, "basis") if probes is None else probes
+def classify_point(op: DirichletOperator, x, cfg: ClassifyConfig, probes=None, levels=None):
+    """Decision tree on window_levels' levels (by default those of (lo - w, hi + w)
+    around the points' span [lo, hi], w = window_half_width, at or below
+    cfg.level_edge) by _point_plan, at a point or at each point of an array: a
+    level that explains x -> Eigenvalue, as that level; else analytic
+    continuation through the plan's window -> ResolventSet; else
+    ContinuousSpectrum.  The eta*M limits are taken first, as evidence.
 
-    est = slim_eta_M(op, x, probes, sched)
-    evidence = {"slim_rel": est.relative, "decay_exponent": est.decay_exponent}
+    A scalar x gives its PointVerdict or raises; an array gives a tuple with
+    each point's PointVerdict or the DtnLabError it failed with.  All points
+    are classified in one pass: the certified z of every eta profile, and of
+    the planned window of each point whose profile is certified (so that it
+    cannot stop at a NearSpectrum before the window is reached), are entered
+    in one fill_certified call; then each run of points that share an eta
+    schedule (cfg.schedule_runs) takes one slim_eta_M block for its evidence
+    and one analyticity_test call for its windows, and a block that raises is
+    taken again point by point (_per_point), so a failure stays with its point.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    probes = make_probes(op.domain, "basis") if probes is None else probes
+    if levels is None and xs.min() <= cfg.level_edge:
+        w = cfg.window_half_width
+        levels = attempt(window_levels, op, (xs.min() - w, xs.max() + w), probes, cfg)
+    plans = [attempt(_point_plan, xj, cfg, levels) for xj in xs]
+    half_widths = np.array([np.nan if isinstance(plan, DtnLabError) or plan[1] is None
+                            else plan[1] for plan in plans])     # nan: no window
+    runs = list(cfg.schedule_runs(xs))
 
-    w = cfg.window_half_width
-    if levels is None and x <= cfg.level_edge:
-        levels = window_levels(op, (x - w, x + w), probes, cfg)
-    near, half_width = _point_plan(x, cfg, levels)
+    nodes = []
+    for sched, run in runs:
+        profiles = profile_nodes(xs[run], sched)
+        windowed = [j for j, profile in zip(run, profiles)
+                    if half_widths[j] > 0 and op.certified(profile).all()]
+        nodes += [profiles.ravel(),
+                  profile_nodes(window_points(xs[windowed], half_widths[windowed]), sched).ravel()]
+    attempt(fill_certified, op, np.concatenate(nodes))   # a failed fill enters nothing
+
+    verdicts = [None] * len(xs)
+    for sched, run in runs:
+        evidence = _per_point(lambda idx: slim_eta_M(op, xs[idx], probes, sched), run)
+        for j, est in zip(run, evidence):
+            verdicts[j] = attempt(_planned_verdict, xs[j], est, plans[j])
+        tested = [j for j in run if isinstance(verdicts[j], dict)]
+        if tested:
+            windows = _per_point(lambda idx: analyticity_test(op, xs[idx], half_widths[idx],
+                                                                probes, sched), tested)
+            for j, ana in zip(tested, windows):
+                if not isinstance(ana, DtnLabError):
+                    ana, k = ana
+                    ana = PointVerdict(x=xs[j], evidence=verdicts[j],
+                                       verdict=RESOLVENT_SET if ana.ok[..., k] else CONTINUOUS)
+                verdicts[j] = ana
+    return _result(verdicts[0]) if np.ndim(x) == 0 else tuple(verdicts)
+
+
+def _planned_verdict(x, est, plan):
+    """The verdict at x before its analyticity window, from its evidence, a
+    slim_eta_M block and the point's index k in it, and its _point_plan, each
+    raised again if it is a DtnLabError, in that order: its level's
+    Eigenvalue, an Inconclusive for a profile that stopped at a NearSpectrum,
+    or else the evidence alone (a dict), for the window to decide."""
+    (est, k), (near, _) = _result(est), _result(plan)
+    evidence = {"slim_rel": est.relative[..., k], "decay_exponent": est.decay_exponent[..., k]}
     if near is not None:
         return PointVerdict(x=x, verdict=EIGENVALUE, refined_lambda=near.pole,
                             multiplicity=near.rank, residue=near, evidence=evidence)
-
-    if est.partial.any():
+    if est.partial[..., k].any():
         raise Inconclusive(f"solver failures along the eta schedule at x={x}")
-    ana = analyticity_test(op, x, half_width, probes, sched)
-    return PointVerdict(x=x, verdict=RESOLVENT_SET if ana.ok else CONTINUOUS, evidence=evidence)
-
-
-def point_nodes(op: DirichletOperator, x: float, cfg: ClassifyConfig, levels) -> np.ndarray:
-    """The z at which classify_point(op, x, cfg, probes, levels) evaluates M,
-    flattened: the eta profile and, where _point_plan gives x an analyticity
-    window, that window, if the profile is certified and so cannot stop at a
-    NearSpectrum before the window is reached."""
-    sched = cfg.schedule(x)
-    profile = profile_nodes(x, sched)
-    try:
-        half_width = _point_plan(x, cfg, levels)[1]
-    except DtnLabError:
-        return profile.ravel()
-    if half_width is None or not op.certified(profile).all():
-        return profile.ravel()
-    window = profile_nodes(window_points(x, half_width), sched)
-    return np.concatenate([profile.ravel(), window.ravel()])
+    return evidence
 
 
 # ---------------------------------------------------------------------------

@@ -810,17 +810,19 @@ class ShiftedSolver:
         v = np.cos(0.7 * np.arange(n)) + 1.1 + 0.0j
         v /= np.linalg.norm(v)
         est = np.inf
-        for _ in range(4):
-            w = self.solve(v)
-            y = self.solve(w, adjoint=True)
-            ny = np.linalg.norm(y)
-            if not np.isfinite(ny):
-                return 0.0
-            if ny == 0:
-                return np.inf
-            # v is unit, so ||y|| estimates sigma_max(inv)^2
-            est = 1.0 / np.sqrt(ny)
-            v = y / ny
+        # a norm that overflows is read as distance 0, without a RuntimeWarning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(4):
+                w = self.solve(v)
+                y = self.solve(w, adjoint=True)
+                ny = np.linalg.norm(y)
+                if not np.isfinite(ny):
+                    return 0.0
+                if ny == 0:
+                    return np.inf
+                # v is unit, so ||y|| estimates sigma_max(inv)^2
+                est = 1.0 / np.sqrt(ny)
+                v = y / ny
         return est
 
 

@@ -1,8 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and attempt, which keeps a stage's
+DtnLabError as its result."""
 
 __all__ = ["DtnLabError", "ConfigError", "DomainError", "NearSpectrum", "DegenerateParameters",
            "SingularRobinPencil", "ContourTouchesSpectrum", "AtomHit", "EndpointOnEigenvalue",
-           "Inconclusive"]
+           "Inconclusive", "attempt"]
 
 
 class DtnLabError(Exception):
@@ -56,3 +57,11 @@ class EndpointOnEigenvalue(DtnLabError):
 
 class Inconclusive(DtnLabError):
     """A boundary limit did not converge at the configured schedule."""
+
+
+def attempt(stage, *args):
+    """stage(*args), or the DtnLabError it raised in its place."""
+    try:
+        return stage(*args)
+    except DtnLabError as exc:
+        return exc

@@ -133,6 +133,9 @@ class ResidueMatrix:
 
 @dataclass(frozen=True)
 class AnalyticityReport:
+    """analyticity_test's verdict and its three maxima: scalars for one window,
+    arrays of the windows' shape for many."""
+
     ok: bool
     slim_max: float
     im_max: float
@@ -376,26 +379,37 @@ def residue_contour(op: DirichletOperator, lam0: float, rho: float) -> ResidueMa
 # analytic continuation test
 # ---------------------------------------------------------------------------
 
-def window_points(x: float, half_width: float) -> np.ndarray:
-    """The real points of analyticity_test's window (x - half_width, x + half_width)."""
-    return np.linspace(x - half_width, x + half_width, _N_WINDOW)
+def window_points(x, half_width) -> np.ndarray:
+    """The real points of analyticity_test's window (x - half_width, x + half_width),
+    over the last axis, for a point or an array of points (broadcast with half_width)."""
+    return np.linspace(x - half_width, x + half_width, _N_WINDOW, axis=-1)
 
 
-def analyticity_test(op: DirichletOperator, x: float, half_width: float,
-                     probes, sched: EtaSchedule) -> AnalyticityReport:
-    """Decide whether M(.) continues analytically through the window around x.
+_FIT_NODES = np.linspace(-1.0, 1.0, _N_WINDOW)   # window_points mapped onto [-1, 1]
+
+
+def analyticity_test(op: DirichletOperator, x, half_width, probes,
+                     sched: EtaSchedule) -> AnalyticityReport:
+    """Decide whether M(.) continues analytically through the window around x,
+    for a point or an array of points (broadcast with half_width); every field
+    has their broadcast shape.
 
     True iff across (x - w, x + w): the eta*M limits vanish for all probes,
     the imaginary parts of the boundary values vanish, and the sampled values
     of (M g, g) just above the axis admit a low-degree polynomial fit in z.
 
-    The window is one dtn_profile block over every window point and probe, read
-    for the eta*M limits' relative sizes as slim_eta_M reads it and for the
-    boundary values and their last samples as boundary_value_M does, so the
-    result equals theirs point by point; the fit takes the last samples.
+    Every window is read from one dtn_profile block over every window point and
+    probe, for the eta*M limits' relative sizes as slim_eta_M reads it and for
+    the boundary values and their last samples as boundary_value_M does, so
+    the result equals theirs point by point; the first window point that fails
+    at eta0 re-raises its NearSpectrum.  The fit takes the last samples of
+    each window and probe, as functions of the window's points mapped onto the
+    shared nodes _FIT_NODES: one least-squares solve with a right-hand side
+    per window and probe.
     """
     xs = window_points(x, half_width)
     probes = np.asarray(probes, dtype=complex)
+    shape = probes.shape[:1] + xs.shape                        # (probes, ..., _N_WINDOW)
     etas, mg, n = dtn_profile(op, xs, probes, sched)
     _, slim_rel = _slim_limit(op.domain, etas, mg, n)
     value, last = _boundary_value(etas, op.domain.boundary_inner(mg, probes[:, None, None, :]),
@@ -403,12 +417,14 @@ def analyticity_test(op: DirichletOperator, x: float, half_width: float,
     # hypot rounds as abs() of a Python complex does; np.abs may not
     im_rel = np.abs(value.imag) / np.maximum(np.hypot(value.real, value.imag), 1.0)
 
-    fit_misfit = 0.0
-    for vals in last:
-        fit = np.polynomial.Polynomial.fit(xs, vals, _FIT_DEGREE)
-        resid = np.max(np.abs(vals - fit(xs))) / max(np.max(np.abs(vals)), 1e-300)
-        fit_misfit = max(fit_misfit, float(resid))
+    poly = np.polynomial.polynomial
+    last = last.reshape(-1, _N_WINDOW)
+    fit = poly.polyval(_FIT_NODES, poly.polyfit(_FIT_NODES, last.T, _FIT_DEGREE))
+    misfit = np.max(np.abs(last - fit), axis=-1) / np.maximum(np.max(np.abs(last), axis=-1),
+                                                                1e-300)
 
-    slim_max, im_max = float(slim_rel.max()), float(im_rel.max())
-    ok = slim_max <= TAU_EIG and im_max <= TAU_AC and fit_misfit <= FIT_TOL
-    return AnalyticityReport(ok=ok, slim_max=slim_max, im_max=im_max, fit_misfit=fit_misfit)
+    slim_max, im_max = (np.max(v.reshape(shape), axis=(0, -1)) for v in (slim_rel, im_rel))
+    fit_misfit = np.max(misfit.reshape(shape[:-1]), axis=0)
+    ok = (slim_max <= TAU_EIG) & (im_max <= TAU_AC) & (fit_misfit <= FIT_TOL)
+    return AnalyticityReport(ok=ok[()], slim_max=slim_max[()], im_max=im_max[()],
+                             fit_misfit=fit_misfit[()])

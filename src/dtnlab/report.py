@@ -1,7 +1,7 @@
 """Sweep orchestration and bit-stable serialization of reports and plot data.
 
-sweep_window runs the level stage, then classify_point at each grid point, then
-the AC stage, each once, and enters the certified z of each stage in one fill;
+sweep_window runs the level stage, then classify_point over the grid, then the
+AC stage, each once, and each stage enters its certified z in one fill;
 a point or stage that raises a DtnLabError keeps it as its result (an
 'inconclusive' report entry), and sc_screen and purity_filter decide from
 those results without evaluating M.
@@ -26,7 +26,6 @@ from .classify import (
     in_window,
     level_tolerance,
     make_probes,
-    point_nodes,
     purity_filter,
     sc_screen,
     trace_invisible,
@@ -42,8 +41,8 @@ from .domain import (
     well_potential,
     zero_potential,
 )
-from .dtn import dtn_matrices, fill_certified
-from .errors import DtnLabError
+from .dtn import dtn_matrices
+from .errors import DtnLabError, attempt
 from .limits import profile_nodes
 
 __all__ = [
@@ -97,29 +96,20 @@ class WindowSweep:
     purity: object
 
 
-def _attempt(stage, *args):
-    try:
-        return stage(*args)
-    except DtnLabError as exc:
-        return exc
-
-
 def sweep_window(op, window, probes, ccfg, step) -> WindowSweep:
     """The window's levels, every grid point, the AC stage, then the SC screen of its pass.
 
-    Once the levels are known, the certified z of every grid point's
-    classification (point_nodes) are entered in one fill_certified call; the AC
-    stage reads the same eta profiles.  A fill that fails stores nothing, and
-    the stage that needs those z fails on its own.
+    Once the levels are known, classify_point classifies the whole grid in one
+    pass, which enters the certified z of every point's eta profile and
+    analyticity window in one fill; the AC stage reads the same eta profiles.
     """
-    levels = _attempt(window_levels, op, window, probes, ccfg)
+    levels = attempt(window_levels, op, window, probes, ccfg)
     xs = window_grid(window, step)
-    _attempt(fill_certified, op, np.concatenate([point_nodes(op, x, ccfg, levels) for x in xs]))
-    points = tuple((x, _attempt(classify_point, op, x, ccfg, probes, levels)) for x in xs)
-    acs = _attempt(ac_support, op, window, probes, ccfg, step)
-    scr = _attempt(sc_screen, acs)
+    points = tuple(zip(xs, classify_point(op, xs, ccfg, probes, levels)))
+    acs = attempt(ac_support, op, window, probes, ccfg, step)
+    scr = attempt(sc_screen, acs)
     return WindowSweep(points, levels, acs, scr,
-                       _attempt(purity_filter, window, points, levels, acs, scr, ccfg))
+                       attempt(purity_filter, window, points, levels, acs, scr, ccfg))
 
 
 def _sample_rows(op, xs, probes, ccfg, verdicts):

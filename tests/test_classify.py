@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -341,9 +343,9 @@ class TestPurity:
     def test_sweep_runs_each_stage_once(self, monkeypatch):
         # free half-line, floored schedules in three runs of grid points: the
         # level stage runs once (and finds none on a floored schedule), the
-        # AC stage takes one boundary_value_M call per run, and the eta*M
-        # limits are classify_point's, one per grid point.  The SC screen and
-        # purity evaluate no M(z): they read the stages' results.
+        # AC stage takes one boundary_value_M call per run, and classify_point
+        # one slim_eta_M block and one analyticity_test call per run.  The SC
+        # screen and purity evaluate no M(z): they read the stages' results.
         calls = {}
 
         def counting(module, name):
@@ -355,7 +357,7 @@ class TestPurity:
                 return fn(*args)
             monkeypatch.setattr(module, name, counted)
 
-        for name in ("boundary_value_M", "slim_eta_M"):
+        for name in ("boundary_value_M", "slim_eta_M", "analyticity_test"):
             counting(dtnlab.classify, name)
         for name in ("window_levels", "ac_support"):
             counting(dtnlab.report, name)
@@ -385,8 +387,9 @@ class TestPurity:
             "eta": {"eta0": 0.4, "floor_mode": "halfline_auto"}}))
         assert len(report.data["points"]) == 16
         assert report.data["purity"][0]["verdict"] == "PureAC"
-        assert calls == {"boundary_value_M": 3, "slim_eta_M": 16, "window_levels": 1,
-                         "ac_support": 1, "sc_screen": 1, "purity_filter": 1}
+        assert calls == {"boundary_value_M": 3, "slim_eta_M": 3, "analyticity_test": 3,
+                         "window_levels": 1, "ac_support": 1, "sc_screen": 1,
+                         "purity_filter": 1}
 
 
 class TestPurityRule:
@@ -831,8 +834,7 @@ class TestStageFill:
         probes = make_probes(dom, "basis")
         sweep = sweep_window(op, cfg.window, probes, ccfg, step)
 
-        for module in (dtnlab.classify, dtnlab.report):
-            monkeypatch.setattr(module, "fill_certified", lambda op_, zs: None)
+        monkeypatch.setattr(dtnlab.classify, "fill_certified", lambda op_, zs: None)
         fresh = dtnlab.report.build_model(cfg)[1]
         levels = window_levels(fresh, cfg.window, probes, ccfg)
         assert len(levels) == len(sweep.levels) > 0
@@ -867,6 +869,71 @@ class TestStageFill:
         assert not any(a.flags.writeable for a in arrays if isinstance(a, np.ndarray))
         # building them entered nothing in the table
         assert all(type(key) is complex for key in op.m_table)
+
+
+class TestGridPass:
+    """classify_point over a whole grid: one evidence block and one analyticity
+    call per run of points that share a schedule."""
+
+    T1_TINY_ETA = {"domain": {"kind": "halfline", "h": 1.0, "L": 3.0},
+                   "window": {"lo": 0.0, "hi": 4.0, "grid_step": 0.1},
+                   "eta": {"eta0": 1e-300}}
+
+    def test_failure_stays_local(self):
+        # at eta0 1e-300 the profiles at the levels 1 and 3 stop at eta0, so
+        # the evidence block raises: those two points keep their NearSpectrum,
+        # the other 39 are classified as a scalar call classifies them, and no
+        # RuntimeWarning escapes the solver's distance estimate
+        cfg = config_from_dict(self.T1_TINY_ETA)
+        ccfg, step = cfg.classify_config(), cfg.grid_step
+        dom, op = dtnlab.report.build_model(cfg)
+        probes = make_probes(dom, "basis")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sweep = sweep_window(op, cfg.window, probes, ccfg, step)
+            failed = {round(float(x), 12): str(v) for x, v in sweep.points
+                      if isinstance(v, NearSpectrum)}
+            assert failed == {
+                1.0: "spectral parameter (1+1e-300j) is too close to the spectrum "
+                     "(estimated distance 0.000e+00)",
+                3.0: "spectral parameter (3+1e-300j) is too close to the spectrum "
+                     "(estimated distance 0.000e+00)"}
+            others = [(x, v) for x, v in sweep.points if not isinstance(v, NearSpectrum)]
+            assert [v.verdict for _, v in others] == ["resolvent"] * 39
+            fresh = dtnlab.report.build_model(cfg)[1]
+            for x, v in others:
+                w = classify_point(fresh, x, ccfg, probes)
+                assert w.verdict == v.verdict, x
+                for key in ("slim_rel", "decay_exponent"):
+                    assert v.evidence[key].tobytes() == w.evidence[key].tobytes(), x
+
+    def test_array_analyticity_matches_scalar_calls(self, monkeypatch):
+        # the well sweep tests its 15 planned windows in one analyticity_test
+        # call; each window alone, on a fresh operator, gives the same report
+        calls = []
+        analyticity_test = dtnlab.classify.analyticity_test
+
+        def keeping(*args):
+            calls.append(args)
+            return analyticity_test(*args)
+
+        monkeypatch.setattr(dtnlab.classify, "analyticity_test", keeping)
+        run_sweep(config_from_dict(WELL_SWEEP))
+        monkeypatch.undo()
+        [(op, xs, half_widths, probes, sched)] = calls
+        assert len(xs) == len(half_widths) == 15
+
+        fresh = assemble_operator(op.domain, op.potential)
+        block = analyticity_test(fresh, xs, half_widths, probes, sched)
+        fresh = assemble_operator(op.domain, op.potential)
+        alone = [analyticity_test(fresh, x, w, probes, sched) for x, w in zip(xs, half_widths)]
+        assert block.ok.tolist() == [bool(rep.ok) for rep in alone]
+        assert block.ok.all()
+        for name in ("slim_max", "im_max"):
+            assert getattr(block, name).tobytes() == np.array(
+                [getattr(rep, name) for rep in alone]).tobytes(), name
+        np.testing.assert_allclose(block.fit_misfit, [rep.fit_misfit for rep in alone],
+                                   rtol=1e-12, atol=0)
 
 
 def test_window_grid_stops_at_hi():

@@ -276,8 +276,10 @@ class TestAnalyticity:
 
 def _pointwise_analyticity(op, x, half_width, probes, sched, n_window=17, fit_degree=10):
     """(slim_max, im_max, fit_misfit) composed point by point from slim_eta_M
-    and boundary_value_M, the way analyticity_test is specified."""
+    and boundary_value_M, the way analyticity_test is specified: one probe's fit
+    at a time, on the window's points mapped onto [-1, 1]."""
     xs = np.linspace(x - half_width, x + half_width, n_window)
+    nodes, poly = np.linspace(-1, 1, n_window), np.polynomial.polynomial
     slim_max = im_max = fit_misfit = 0.0
     for g in probes:
         fit_vals = np.empty(n_window, dtype=complex)
@@ -286,8 +288,8 @@ def _pointwise_analyticity(op, x, half_width, probes, sched, n_window=17, fit_de
             bv = boundary_value_M(op, xj, g, sched)
             im_max = max(im_max, abs(complex(bv.value).imag) / max(abs(complex(bv.value)), 1.0))
             fit_vals[j] = bv.last
-        fit = np.polynomial.Polynomial.fit(xs, fit_vals, min(fit_degree, n_window - 2))
-        resid = np.max(np.abs(fit_vals - fit(xs))) / max(np.max(np.abs(fit_vals)), 1e-300)
+        fit = poly.polyval(nodes, poly.polyfit(nodes, fit_vals, min(fit_degree, n_window - 2)))
+        resid = np.max(np.abs(fit_vals - fit)) / max(np.max(np.abs(fit_vals)), 1e-300)
         fit_misfit = max(fit_misfit, float(resid))
     return slim_max, im_max, fit_misfit
 
