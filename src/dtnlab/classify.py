@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .domain import DirichletOperator, EigenSystem
-from .dtn import fill_certified, normal_derivative
+from .dtn import fill_certified
 from .errors import DtnLabError, Inconclusive, NearSpectrum, attempt
 from .limits import (
     RESIDUE_TOL,
@@ -50,12 +50,13 @@ __all__ = [
     "grid_steps",
     "window_grid",
     "in_window",
+    "window_slack",
     "level_tolerance",
     "classify_point",
     "refine_pole",
     "window_levels",
     "eigenspace_via_tau",
-    "trace_invisible",
+    "visible_multiplicity",
     "ac_support",
     "sc_screen",
     "purity_filter",
@@ -262,8 +263,13 @@ def in_window(window, lam) -> bool:
     in or both out, on an endpoint too.  The one rule for the report's levels,
     purity's offending levels and the oracle levels of the cross-check."""
     lo, hi = window
-    slack = _LEVEL_SLACK * max(1.0, abs(lo), abs(hi))
+    slack = window_slack(window)
     return lo - slack <= lam <= hi + slack
+
+
+def window_slack(window) -> float:
+    """How far in_window widens the window (lo, hi): _LEVEL_SLACK x max(1, |lo|, |hi|)."""
+    return _LEVEL_SLACK * max(1.0, abs(window[0]), abs(window[1]))
 
 
 def level_tolerance(op: DirichletOperator) -> float:
@@ -478,26 +484,31 @@ class TauReport:
     residue: ResidueMatrix
 
 
-def trace_invisible(dom, eig: EigenSystem) -> list:
-    """Per oracle level (eig.groups), whether the traces tau_j of its eigenvectors
-    vanish: none above RESIDUE_TOL times the largest trace of any eigenvector.
-    The residue of M there, g -> sum_j tau_j (g, tau_j), vanishes with them, so
-    such a level is no pole of M and no verdict read off M can see it."""
-    taus = normal_derivative(dom, np.zeros((dom.n_boundary, eig.values.size)), eig.vectors)
-    norms = dom.boundary_norm(taus.T)
-    peaks = np.maximum.reduceat(norms, [g[0] for g in eig.groups])  # contiguous groups
-    return (peaks <= RESIDUE_TOL * norms.max()).tolist()
+def visible_multiplicity(dom, eig: EigenSystem) -> list:
+    """Per oracle level (eig.groups), the weighted rank of its eigenvectors'
+    traces tau_j (EigenSystem.traces): their singular values as a map into the
+    weighted boundary space above RESIDUE_TOL times the norm of the trace map
+    on w_I-unit vectors, h^(-3/2) ||K^(-1/2) P^T||_2 with K = diag(k_b)
+    (h^(-3/2) on the half-line and the square annulus, where no interior node
+    has two boundary neighbours), which bounds every trace as a
+    ResidueMatrix's bound bounds its residue.  The residue of M there,
+    g -> sum_j tau_j (g, tau_j), has that rank: it counts the dimensions of
+    the level that M can see, and a level of rank 0 is no pole of M."""
+    kp = dom.incidence / np.sqrt(dom.neighbor_counts)               # P K^(-1/2)
+    cut = RESIDUE_TOL * dom.h ** -1.5 * np.sqrt(np.linalg.eigvalsh(kp.T @ kp)[-1])
+    t = eig.traces * np.sqrt(dom.boundary_node_weights)[:, None]
+    return [int(np.sum(np.linalg.svd(t[:, g[0]:g[-1] + 1], compute_uv=False) > cut))
+            for g in eig.groups]                                    # contiguous groups
 
 
 def eigenspace_via_tau(op: DirichletOperator, lam0: float, eig: EigenSystem) -> TauReport:
     """Compare traces of the oracle eigenvectors at lam0 with the residue range of M,
     on a contour of radius 0.45 x the gap to the nearest other level (or 0.45)."""
     dom = op.domain
-    vecs = eig.eigenspace(lam0)
-    if vecs.shape[1] == 0:
+    taus = eig.traces[:, np.abs(eig.values - lam0) <= eig.degeneracy_tol]
+    if taus.shape[1] == 0:
         raise ValueError(f"{lam0} is not an oracle eigenvalue")
 
-    taus = normal_derivative(dom, np.zeros((dom.n_boundary, vecs.shape[1])), vecs)
     gram = dom.boundary_inner(taus.T[:, None], taus.T[None])
     sv = np.linalg.svd(gram, compute_uv=False)
     ratio = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0

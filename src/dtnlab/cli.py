@@ -103,6 +103,10 @@ def _cmd_classify(cfg: RunConfig, out_dir: str, seed: int) -> int:
         print(f"oracle levels in the window: {len(checks)}; found {found}, "
               f"missed {len(checks) - found - invisible}, invisible from the boundary "
               f"{invisible}")
+        for c in checks:
+            if c["detected"] and c["visible_multiplicity"] != c["multiplicity"]:
+                print(f"found level {c['lambda_oracle']:.6f}: multiplicity {c['multiplicity']}, "
+                      f"visible from the boundary {c['visible_multiplicity']}")
     return 0
 
 

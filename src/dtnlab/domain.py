@@ -17,6 +17,12 @@ Inner products are weighted so that discrete pairings mimic their continuum
 counterparts: interior weight h^d, boundary weight h^(d-1) per adjacency pair
 (a boundary node with k inward neighbors carries weight k*h^(d-1), which is
 what makes the discrete Green identity exact, corners included).
+
+The oracle, ``oracle_eigendecomposition``, is the reference that verdicts are
+held against.  It gives every eigenpair of A_II, or, on an interval, only the
+eigenvalues there and the boundary traces of their eigenvectors.  The residue
+of M at an isolated eigenvalue has the rank of those traces, so the traces are
+all that M can see of a level, and all that the sweep's cross-check reads.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import get_lapack_funcs
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
@@ -340,11 +347,16 @@ class MTable(Mapping):
     and a dict from z to its row, so gathering many z is one dict lookup per
     z and one fancy index per block.  Entering takes a lock and reading does
     not: a block is listed before any z points at it.
+
+    A pair whose build raised NearSpectrum is no entry, but the table keeps
+    the z and distance estimate of that exception, and a later fill that asks
+    for the pair raises an equal one without building anything.
     """
 
     def __init__(self):
         self._blocks, self._starts = [], []   # fill blocks, the row each starts at
         self._rows = {}                       # z -> row
+        self._failed = {}                     # z -> distance estimate of its NearSpectrum
         self._lock = threading.Lock()
 
     def __getitem__(self, z):
@@ -362,13 +374,25 @@ class MTable(Mapping):
         """Enter M(z) for the z of zs whose pair the table lacks, all at once:
         build(keys) gives M at those z's representatives (Im z >= 0), in
         order, as one block, which is entered read-only unless build raises.
+        A NearSpectrum that build raises at one of the keys is kept for that
+        key's pair; a pair of zs that failed so raises its NearSpectrum again,
+        before anything is built.
 
         Concurrent misses may each build; the first entry stays, so build
         must give equal values.
         """
         missing = [z for z in dict.fromkeys(_upper(zs)[0]) if z not in self._rows]
+        for z in missing:
+            if z in self._failed:
+                raise NearSpectrum(z, self._failed[z])
         if missing:
-            block = _read_only(np.asarray(build(missing)))
+            try:
+                block = _read_only(np.asarray(build(missing)))
+            except NearSpectrum as exc:
+                if exc.z in missing:
+                    with self._lock:
+                        self._failed.setdefault(exc.z, exc.dist_estimate)
+                raise
             with self._lock:
                 start = self._starts[-1] + len(self._blocks[-1]) if self._blocks else 0
                 self._blocks.append(block)
@@ -448,16 +472,18 @@ class DirichletOperator:
 
     @cached_property
     def trace_poles(self) -> tuple:
-        """(lam, uu): the eigenvalues lam of the reduction's T (LAPACK stevd) and the
-        real (n_B^2, n) array uu[a n_B + b, k] = U_ka U_kb, U = V^T Q^T P for T's
-        eigenvectors V, so that P^T (A_II - z)^-1 P = sum_k U_k U_k^T / (lam_k - z).
-        V is dropped once U is formed; no n x n array is kept (read-only, built on
-        first use)."""
+        """(lam, u, uu): the eigenvalues lam of the reduction's T (LAPACK stevd),
+        the real (n, n_B) array U = V^T Q^T P for T's eigenvectors V, whose row
+        U_k = P^T (Q v_k) is the boundary part of A_II's unit eigenvector Q v_k,
+        and the real (n_B^2, n) array uu[a n_B + b, k] = U_ka U_kb, so that
+        P^T (A_II - z)^-1 P = sum_k U_k U_k^T / (lam_k - z).  The 2D fill reads
+        lam and uu, the oracle on an interval lam and U.  V is dropped once U
+        is formed; no n x n array is kept (read-only, built on first use)."""
         diag, off, c, *_ = self.reduction
         lam, v = _eigh_tridiagonal(diag, off)
         u = v.T @ c
         uu = (u[:, :, None] * u[:, None, :]).reshape(self.n, -1).T
-        return _read_only(lam), _read_only(np.ascontiguousarray(uu))
+        return _read_only(lam), _read_only(u), _read_only(np.ascontiguousarray(uu))
 
     @cached_property
     def banded(self) -> tuple:
@@ -513,7 +539,7 @@ class DirichletOperator:
             for d, e2 in zip(diag[:k][::-1].tolist(), (off[:k][::-1] ** 2).tolist()):
                 t = d - zs - e2 / t
             return (1.0 / t)[:, None, None]
-        lam, uu = self.trace_poles
+        lam, _, uu = self.trace_poles
         out = np.empty((len(zs), len(uu), 2))
         for start in range(0, len(zs), _Z_BLOCK):
             block = zs[start:start + _Z_BLOCK]
@@ -832,47 +858,76 @@ class ShiftedSolver:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Spectral data of A_II (LAPACK stevd on its stored tridiagonal form),
-    w_I-orthonormal eigenvectors, grouped by degeneracy."""
+    """Spectral data of A_II from the oracle, grouped by degeneracy: the
+    eigenvalues, all of them or those of an interval, and the boundary traces
+    tau(v) = -P^T v / (k_b h) of their w_I-orthonormal eigenvectors v, the
+    normal derivatives of the fields with zero boundary data and interior
+    values v, from which the residue of M at a level is formed.  Only the
+    oracle of the whole spectrum keeps the eigenvectors themselves."""
 
     values: np.ndarray                 # ascending
-    vectors: np.ndarray                # (n, n), columns w_I-orthonormal
-    groups: tuple                      # tuple of tuples of column indices
+    vectors: np.ndarray | None         # (n, n), columns w_I-orthonormal; None on an interval
+    traces: np.ndarray                 # (n_B, len(values)), tau of each eigenvector
+    groups: tuple                      # tuple of tuples of indices into values
     degeneracy_tol: float
     interior_weight: float
 
     def multiplicity(self, lam0: float) -> int:
-        return self.eigenspace(lam0).shape[1]
-
-    def eigenspace(self, lam0: float) -> np.ndarray:
-        return self.vectors[:, np.abs(self.values - lam0) <= self.degeneracy_tol]
+        return int(np.sum(np.abs(self.values - lam0) <= self.degeneracy_tol))
 
 
-def oracle_eigendecomposition(op: DirichletOperator) -> EigenSystem:
-    """Symmetric eigendecomposition, the independent reference for all verdicts: LAPACK
-    stevd on the stored tridiagonal, A_II's on the half-line and the reduction's in 2D,
-    whose eigenvectors Q V_T are formed as dense eigh (syevd) forms them."""
-    if op.domain.dimension == 1:
-        (diag, off), q = op.tridiagonal, ()
+def oracle_eigendecomposition(op: DirichletOperator, interval=None) -> EigenSystem:
+    """Symmetric eigendecomposition, the independent reference for all verdicts.
+
+    Without an interval it is every eigenpair: LAPACK stevd on the stored
+    tridiagonal, A_II's on the half-line and the reduction's in 2D, whose
+    eigenvectors Q V_T are formed as dense eigh (syevd) forms them.
+
+    On an interval (a, b), a < b, it is the eigenvalues in (a, b] and their traces,
+    with no eigenvector array of n columns.  On the half-line they come from
+    bisection and inverse iteration on A_II (LAPACK stebz and stein through
+    scipy's eigh_tridiagonal; Demmel, *Applied Numerical Linear Algebra*, 5.3),
+    O(n) per eigenpair, and two index bisections give the extreme eigenvalues
+    that degeneracy_tol is set from.  In 2D they come from ``trace_poles``,
+    which the 2D M(z) fill has built: its lam are the eigenvalues of the whole
+    oracle bit for bit (stevd on the same (d, e)), and its rows U_k = P^T Q v_k
+    are the traces up to the factor -1/(k_b h sqrt(w_I)).
+
+    Levels are grouped where consecutive eigenvalues lie within
+    degeneracy_tol = 1e-8 max(lambda_max - lambda_min, 1) of each other.
+    """
+    dom, w_i = op.domain, op.domain.interior_weight
+    if interval is not None and not interval[0] < interval[1]:
+        raise ValueError("need an interval (a, b) with a < b")
+    vectors = None
+    if interval is None:
+        if dom.dimension == 1:
+            (diag, off), q = op.tridiagonal, ()
+        else:
+            diag, off, _, *q = op.reduction
+        values, unit = _eigh_tridiagonal(diag, off)
+        if q:
+            unit = _apply_q(*q, unit, "N")
+        ends, boundary = values[[0, -1]], dom.incidence.T @ unit
+        vectors = unit / np.sqrt(w_i)
+    elif dom.dimension == 1:
+        diag, off = op.tridiagonal
+        values, unit = eigh_tridiagonal(diag, off, select="v", select_range=interval)
+        ends = [eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                 select_range=(k, k))[0] for k in (0, op.n - 1)]
+        boundary = dom.incidence.T @ unit
     else:
-        diag, off, _, *q = op.reduction
-    values, vectors = _eigh_tridiagonal(diag, off)
-    if q:
-        vectors = _apply_q(*q, vectors, "N")
-    w_i = op.domain.interior_weight
+        lam, u, _ = op.trace_poles
+        keep = (interval[0] < lam) & (lam <= interval[1])
+        values, ends, boundary = lam[keep], lam[[0, -1]], u[keep].T
+    traces = boundary / (-dom.h * np.sqrt(w_i) * dom.neighbor_counts[:, None])
 
-    diameter = float(values[-1] - values[0]) if len(values) > 1 else 1.0
-    tol = 1e-8 * max(diameter, 1.0)
+    tol = 1e-8 * max(float(ends[-1] - ends[0]), 1.0)
     # a group ends where the next value lies more than tol above
     breaks = np.flatnonzero(np.diff(values) > tol) + 1
-    groups = [tuple(g.tolist()) for g in np.split(np.arange(len(values)), breaks)]
-    return EigenSystem(
-        values=values,
-        vectors=vectors / np.sqrt(w_i),
-        groups=tuple(groups),
-        degeneracy_tol=tol,
-        interior_weight=w_i,
-    )
+    groups = tuple(tuple(g.tolist()) for g in np.split(np.arange(len(values)), breaks) if len(g))
+    return EigenSystem(values=values, vectors=vectors, traces=traces, groups=groups,
+                       degeneracy_tol=tol, interior_weight=w_i)
 
 
 def oracle_projector(eig: EigenSystem, a: float, b: float) -> np.ndarray:

@@ -103,8 +103,9 @@ def dtn_matrix(op: DirichletOperator, lam: complex) -> np.ndarray:
     z -> M(z) table (``DirichletOperator.m_table``), which it fills first if
     it lacks lam's conjugate pair: by fill_certified at a certified lam, and
     from the LU (poisson_matrix) at the pair's lam with Im lam >= 0 otherwise.
-    So each lam has one recipe, whichever function reaches it first, and
-    NearSpectrum, which enters nothing, is raised again on every call.
+    So each lam has one recipe, whichever function reaches it first.  A
+    NearSpectrum enters no M, but the table keeps it: a later call at the
+    same pair raises it again without a second factorization.
     """
     fill_certified(op, [lam])
     op.m_table.cached_many(

@@ -28,9 +28,10 @@ from .classify import (
     make_probes,
     purity_filter,
     sc_screen,
-    trace_invisible,
+    visible_multiplicity,
     window_grid,
     window_levels,
+    window_slack,
 )
 from .config import SCHEMA_TAG, RunConfig
 from .domain import (
@@ -57,8 +58,6 @@ __all__ = [
     "emit_csv",
     "emit_plot_data",
 ]
-
-_ORACLE_DIM_CAP = 2000  # skip the oracle (stevd, and Q V_T in 2D: O(n^3)) above this size
 
 INCONCLUSIVE = "inconclusive"
 
@@ -193,24 +192,28 @@ def run_sweep(cfg: RunConfig) -> ClassificationReport:
         reason = "a floored eta schedule does not resolve levels"
     elif isinstance(sweep.levels, DtnLabError):
         reason = f"the level stage was inconclusive: {sweep.levels}"
-    elif dom.n_interior > _ORACLE_DIM_CAP:
-        reason = f"{dom.n_interior} interior nodes, above {_ORACLE_DIM_CAP}"
     if reason:
         crosscheck = {"verdict": "skipped", "reason": reason}
     else:
-        eig = oracle_eigendecomposition(op)
+        # the oracle on the stage's reach, where its levels are all the levels
+        # of M, widened to hold every level in_window admits and every oracle
+        # level within level_tolerance of a stage level
+        tol = level_tolerance(op)
+        pad = tol + window_slack(cfg.window)
+        reach = sweep.levels.reach
+        eig = oracle_eigendecomposition(op, (reach[0] - pad, reach[1] + pad))
         levels = eig.values[[g[0] for g in eig.groups]]
         # each level of the stage, in the window or beside it, is credited to its
         # nearest oracle level only, and only within the stage's accuracy
         credited = {}
         for lam_d in (level.pole for level in sweep.levels):
-            k = int(np.argmin(np.abs(levels - lam_d)))
-            if abs(levels[k] - lam_d) <= level_tolerance(op):
-                credited.setdefault(k, lam_d)
-        invisible = trace_invisible(dom, eig)
+            gaps = np.abs(levels - lam_d)
+            if np.any(gaps <= tol):
+                credited.setdefault(int(np.argmin(gaps)), lam_d)
+        visible = visible_multiplicity(dom, eig)
         crosscheck = [{"lambda_oracle": float(lam), "multiplicity": len(eig.groups[k]),
-                       "detected": k in credited, "lambda_detected": credited.get(k),
-                       "invisible": invisible[k]}
+                       "visible_multiplicity": visible[k], "invisible": visible[k] == 0,
+                       "detected": k in credited, "lambda_detected": credited.get(k)}
                       for k, lam in enumerate(levels) if in_window(cfg.window, lam)]
 
     data = {

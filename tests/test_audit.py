@@ -3,7 +3,7 @@ hold every verdict against the oracle.
 
 A finite model has only eigenvalues and resolvent points, so on each draw:
 no grid point reads `continuous`; no `eigenvalue` point lies farther than
-pole_match_radius from a level that M can see (not trace_invisible); every
+pole_match_radius from a level that M can see (visible_multiplicity above 0); every
 such level in the window is detected; and no window is PureAC or PureSC.  A
 window whose level stage is inconclusive claims no level (its cross-check is
 skipped), so only its points are held to the oracle there.  The draws are
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dtnlab import config_from_dict
-from dtnlab.classify import trace_invisible
+from dtnlab.classify import visible_multiplicity
 from dtnlab.domain import oracle_eigendecomposition
 from dtnlab.report import build_model, run_sweep
 
@@ -59,7 +59,7 @@ def test_verdicts_agree_with_the_oracle(raw):
     dom, op = build_model(cfg)
     eig = oracle_eigendecomposition(op)
     levels = eig.values[[g[0] for g in eig.groups]]
-    visible = levels[~np.array(trace_invisible(dom, eig))]
+    visible = levels[np.array(visible_multiplicity(dom, eig)) > 0]
     radius = cfg.classify_config().pole_match_radius
 
     verdicts = {p["x"]: p["verdict"] for p in data["points"]}

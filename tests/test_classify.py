@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from dtnlab import (
     window_levels,
     zero_potential,
 )
-from dtnlab.classify import trace_invisible
+from dtnlab.classify import visible_multiplicity
 from dtnlab.limits import DECAY_CUT, RESIDUE_TOL, TAU_EIG, slim_nonzero, vanishes
 
 T1_CFG = ClassifyConfig(eta0=1e-2, pole_match_radius=0.25, window_half_width=0.2)
@@ -220,24 +221,30 @@ class TestTau:
         k = int(np.argmin([abs(np.mean(eig.values[list(g)]) - 0.951083) for g in eig.groups]))
         lam0 = float(np.mean(eig.values[list(eig.groups[k])]))
         assert lam0 == pytest.approx(0.951083, abs=1e-6)
-        assert trace_invisible(dom, eig)[k]
+        assert visible_multiplicity(dom, eig)[k] == 0
         rep = eigenspace_via_tau(op, lam0, eig)
         assert rep.residue.rank == 0
         assert rep.principal_angles.tolist() == [np.pi / 2]
 
     def test_trace_invisible_is_the_per_group_rule(self, annulus2d):
-        # the flags against their definition, one group at a time: a level is
-        # invisible when the largest trace of its eigenvectors is at most
-        # RESIDUE_TOL times the largest trace of any eigenvector; this annulus
-        # has multiplicity-2 groups and 12 invisible levels
+        # the visible multiplicities against their definition, one group at a
+        # time: the weighted rank of a level's traces, their singular values
+        # above RESIDUE_TOL times the norm of the trace map on w_I-unit
+        # vectors, here taken from the matrix of that map; a level is
+        # invisible at rank 0.  This annulus has multiplicity-2 groups and 12
+        # invisible levels
         dom, op = annulus2d
         eig = oracle_eigendecomposition(op)
-        taus = normal_derivative(dom, np.zeros((dom.n_boundary, op.n)), eig.vectors)
-        norms = dom.boundary_norm(taus.T)
-        expected = [max(norms[j] for j in g) <= RESIDUE_TOL * norms.max() for g in eig.groups]
+        w = np.sqrt(dom.boundary_node_weights)[:, None]
+        zero = np.zeros((dom.n_boundary, op.n))
+        taus = w * normal_derivative(dom, zero, eig.vectors)
+        trace_map = w * normal_derivative(dom, zero, np.eye(op.n) / np.sqrt(dom.interior_weight))
+        cut = RESIDUE_TOL * np.linalg.norm(trace_map, 2)
+        expected = [int(np.sum(np.linalg.svd(taus[:, list(g)], compute_uv=False) > cut))
+                    for g in eig.groups]
         assert any(len(g) == 2 for g in eig.groups)
-        assert sum(expected) == 12
-        assert trace_invisible(dom, eig) == expected
+        assert expected.count(0) == 12
+        assert visible_multiplicity(dom, eig) == expected
 
     def test_not_an_eigenvalue(self, t1):
         _, op = t1
@@ -906,6 +913,31 @@ class TestGridPass:
                 assert w.verdict == v.verdict, x
                 for key in ("slim_rel", "decay_exponent"):
                     assert v.evidence[key].tobytes() == w.evidence[key].tobytes(), x
+
+    def test_failed_pair_is_factorized_once(self, monkeypatch):
+        # at eta0 1e-300 the z 1+1e-300i and 3+1e-300i lie on T1's levels: the
+        # evidence block, the grid pass's one-point retry, ac_support and the
+        # CSV rows each ask for them (4 factorizations each when the table
+        # kept nothing); the table keeps their NearSpectrum, so each is
+        # factorized once, as is every other z of the sweep, and the two
+        # points still report it
+        counts = Counter()
+        factorize = DirichletOperator.factorize
+
+        def counting(op_, z):
+            counts[complex(z)] += 1
+            return factorize(op_, z)
+
+        monkeypatch.setattr(DirichletOperator, "factorize", counting)
+        data = run_sweep(config_from_dict(self.T1_TINY_ETA)).data
+        assert counts[1 + 1e-300j] == counts[3 + 1e-300j] == 1
+        assert max(counts.values()) == 1
+        failed = {p["x"]: p["reason"] for p in data["points"] if p["verdict"] == "inconclusive"}
+        assert failed == {
+            1.0: "spectral parameter (1+1e-300j) is too close to the spectrum "
+                 "(estimated distance 0.000e+00)",
+            3.0: "spectral parameter (3+1e-300j) is too close to the spectrum "
+                 "(estimated distance 0.000e+00)"}
 
     def test_array_analyticity_matches_scalar_calls(self, monkeypatch):
         # the well sweep tests its 15 planned windows in one analyticity_test

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import dtnlab.cli
-import dtnlab.report
 from dtnlab import ConfigError, NearSpectrum, config_from_dict, parse_config
 from dtnlab.config import MAX_GRID_POINTS, MAX_PROBES
 from dtnlab.classify import window_grid
@@ -148,9 +147,30 @@ def test_crosscheck_credits_each_pole_to_its_nearest_level():
     assert sorted(checks) == [0.651945, 0.749213, 0.91529, 0.951083, 0.994689]
     for lam, c in checks.items():
         assert c["detected"] == (lam != 0.951083) and c["invisible"] == (lam == 0.951083)
+        assert c["visible_multiplicity"] == (0 if c["invisible"] else c["multiplicity"])
         if c["detected"]:
             assert c["lambda_detected"] == pytest.approx(c["lambda_oracle"], abs=1e-12)
     assert checks[0.951083]["lambda_detected"] is None
+
+
+def test_crosscheck_counts_the_visible_multiplicity(tmp_path, capsys):
+    # the oracle level 4.0 of the h 1 annulus has multiplicity 10, but its
+    # eigenvectors' traces have rank 1: M sees one dimension of it, and the
+    # level stage reports multiplicity 1; the summary names that level
+    cfg = {"domain": {"kind": "exterior2d", "h": 1.0, "a": 1.5, "L": 7.5},
+           "window": {"lo": 3.9, "hi": 4.1, "grid_step": 0.1}}
+    code = main(["classify", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "oracle levels in the window: 1; found 1, missed 0, invisible from the boundary 0",
+        "found level 4.000000: multiplicity 10, visible from the boundary 1"]
+    data = parse_report(str(tmp_path / "report.json"))
+    [level] = data["levels"]
+    [check] = data["oracle_crosscheck"]
+    assert level["lambda"] == pytest.approx(4.0, abs=1e-12) and level["multiplicity"] == 1
+    assert check["lambda_oracle"] == pytest.approx(4.0, abs=1e-12)
+    assert (check["multiplicity"], check["visible_multiplicity"]) == (10, 1)
+    assert check["detected"] and not check["invisible"]
 
 
 def test_readme_example_config_classifies(tmp_path):
@@ -452,16 +472,21 @@ class TestCli:
         assert parse_report(str(tmp_path / "report.json"))["oracle_crosscheck"] == {
             "verdict": "skipped", "reason": reason}
 
-    def test_classify_above_oracle_cap_says_skipped(self, tmp_path, capsys, monkeypatch):
-        # above the cap the dense oracle is not run: the report and the summary
-        # say the cross-check was skipped instead of counting zero levels
-        monkeypatch.setattr(dtnlab.report, "_ORACLE_DIM_CAP", 1)
-        code = main(["classify", "--config", _write_config(tmp_path), "--out", str(tmp_path)])
+    def test_classify_crosschecks_a_fine_halfline(self, tmp_path, capsys):
+        # 3999 interior nodes: the windowed oracle reads only the eigenpairs
+        # around the window, so no size skips the cross-check, and the level
+        # stage finds each of the three levels in it
+        cfg = {"domain": {"kind": "halfline", "h": 0.005, "L": 20.0},
+               "potential": {"kind": "well", "depth": 2.0, "width": 1.0},
+               "window": {"lo": 0.0, "hi": 0.25, "grid_step": 0.05}}
+        code = main(["classify", "--config", _write_config(tmp_path, cfg),
+                     "--out", str(tmp_path)])
         assert code == 0
         assert capsys.readouterr().out.splitlines()[-1] == (
-            "oracle cross-check skipped: 2 interior nodes, above 1")
-        assert parse_report(str(tmp_path / "report.json"))["oracle_crosscheck"] == {
-            "verdict": "skipped", "reason": "2 interior nodes, above 1"}
+            "oracle levels in the window: 3; found 3, missed 0, invisible from the boundary 0")
+        checks = parse_report(str(tmp_path / "report.json"))["oracle_crosscheck"]
+        assert [(c["detected"], c["multiplicity"], c["visible_multiplicity"])
+                for c in checks] == [(True, 1, 1)] * 3
 
     @pytest.mark.parametrize("section, value, match, command", [
         ("domain", {"kind": "halfline", "h": True, "L": 3.0}, "domain.h", "classify"),

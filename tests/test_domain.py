@@ -15,8 +15,10 @@ from dtnlab import (
     NearSpectrum,
     assemble_operator,
     build_domain,
+    config_from_dict,
     oracle_eigendecomposition,
     oracle_projector,
+    run_sweep,
     tabulated_potential,
     well_potential,
     zero_potential,
@@ -299,9 +301,10 @@ class TestShiftedSolver:
         zs = 0.7 + np.array([0.3, 0.03, -0.3]) * 1j
         blocks = op.trace_resolvent(zs)
         assert blocks.shape == (3, dom.n_boundary, dom.n_boundary)
-        lam, uu = op.trace_poles
-        assert lam.shape == (op.n,) and uu.shape == (dom.n_boundary ** 2, op.n)
-        assert not (lam.flags.writeable or uu.flags.writeable)
+        lam, u, uu = op.trace_poles
+        assert lam.shape == (op.n,) and u.shape == (op.n, dom.n_boundary)
+        assert uu.shape == (dom.n_boundary ** 2, op.n)
+        assert not (lam.flags.writeable or u.flags.writeable or uu.flags.writeable)
         with pytest.raises(NearSpectrum):
             op.trace_resolvent([0.3j, lam[3]])
 
@@ -401,6 +404,50 @@ class TestOracle:
             patch.setattr(type(op.a_ii), "toarray", no_dense)
             eig = oracle_eigendecomposition(op)
         assert eig.values.size == op.n
+
+    def test_halfline_sweep_forms_no_eigenvector_matrix(self, monkeypatch):
+        # the sweep's cross-check reads the half-line oracle on an interval:
+        # bisection and inverse iteration, never stevd's n x n eigenvectors
+        def no_stevd(*args, **kwargs):
+            raise AssertionError("the sweep called stevd")
+
+        monkeypatch.setattr(dtnlab.domain, "_eigh_tridiagonal", no_stevd)
+        checks = run_sweep(config_from_dict({
+            "domain": {"kind": "halfline", "h": 0.05, "L": 20.0},
+            "potential": {"kind": "well", "depth": 2.0, "width": 1.0},
+            "window": {"lo": 0.3, "hi": 0.4, "grid_step": 0.05}})).data["oracle_crosscheck"]
+        assert [(round(c["lambda_oracle"], 6), c["detected"]) for c in checks] == [
+            (0.346166, True)]
+
+    def test_2d_interval_oracle_reads_trace_poles(self, annulus2d, monkeypatch):
+        # on an interval the 2D oracle takes the eigenvalues of trace_poles,
+        # bit for bit those of the whole oracle, and the traces from its U,
+        # with no second stevd; a degenerate level keeps its group
+        dom, op = annulus2d
+        full = oracle_eigendecomposition(op)
+        op.trace_poles
+
+        def no_stevd(*args, **kwargs):
+            raise AssertionError("the interval oracle called stevd")
+
+        monkeypatch.setattr(dtnlab.domain, "_eigh_tridiagonal", no_stevd)
+        eig = oracle_eigendecomposition(op, (0.5, 1.5))
+        keep = (0.5 < full.values) & (full.values <= 1.5)
+        assert eig.vectors is None and eig.degeneracy_tol == full.degeneracy_tol
+        assert eig.values.tobytes() == full.values[keep].tobytes()
+        first = np.flatnonzero(keep)[0]
+        assert eig.groups == tuple(tuple(k - first for k in g) for g in full.groups
+                                   if keep[g[0]])
+        assert any(len(g) == 2 for g in eig.groups)
+        np.testing.assert_allclose(eig.traces, full.traces[:, keep], rtol=0,
+                                   atol=1e-12 * np.abs(full.traces).max())
+
+    @pytest.mark.parametrize("model", ["t1", "reduced_annulus"])
+    def test_empty_interval_is_rejected(self, request, model):
+        _, op = request.getfixturevalue(model)
+        for interval in ((1.5, 1.5), (2.0, 1.0)):
+            with pytest.raises(ValueError, match="a < b"):
+                oracle_eigendecomposition(op, interval)
 
     def test_2d_oracle_reads_the_reduction(self, monkeypatch):
         # a 2D operator runs sytrd once for M(z) and the oracle together; the

@@ -31,6 +31,7 @@ from dtnlab import (
     window_levels,
     zero_potential,
 )
+from dtnlab.classify import level_tolerance, visible_multiplicity
 from dtnlab.dtn import _dtn_from_gamma, _factor_at
 
 WELL_DOMAIN = build_domain(HalfLine1D(h=0.05, L=20.0))
@@ -476,6 +477,39 @@ def test_reduction_at_degenerate_level():
          - op.trace_resolvent([z])[0] / (dom.neighbor_counts[:, None] * dom.h ** 3))
     defect = np.linalg.norm(m - ref, 2)
     assert defect <= 1e-10 * np.linalg.norm(ref, 2) + 2 * perturbation
+
+
+def _two_node_line():
+    dom = build_domain(HalfLine1D(h=1.0, L=3.0))
+    return dom, assemble_operator(dom, zero_potential(dom))
+
+
+@given(st.one_of(halflines(), halflines(cells=st.just(3))), st.floats(-0.2, 1.2),
+       st.floats(1e-3, 0.3))
+@example(_two_node_line(), 0.2, 0.3)     # (1.4, 2.0): between T1's levels 1 and 3
+@example(_two_node_line(), 1.1, 0.1)     # (3.2, 3.4): above the top of the spectrum
+@example(_two_node_line(), -0.1, 0.2)    # (0.8, 1.2): the level 1 alone
+def test_interval_oracle_is_the_whole_oracle_there(model, start, length):
+    # an interval of the spectrum's range, placed from below the bottom to
+    # above the top, possibly holding no eigenvalue: the interval oracle's
+    # levels are the whole oracle's levels in it, within level_tolerance, with
+    # the same multiplicities and visible multiplicities, so the cross-check
+    # reads the same levels, multiplicities and invisible flags from either
+    dom, op = model
+    full = oracle_eigendecomposition(op)
+    bottom, top = full.values[0], full.values[-1]
+    interval = (bottom + start * (top - bottom), bottom + (start + length) * (top - bottom))
+    tol = level_tolerance(op)
+    levels = full.values[[g[0] for g in full.groups]]
+    assume(np.min(np.abs(levels[:, None] - interval)) > tol)
+    eig = oracle_eigendecomposition(op, interval)
+    inside = [k for k, lam in enumerate(levels) if interval[0] < lam <= interval[1]]
+    assert eig.vectors is None
+    np.testing.assert_allclose(eig.values[[g[0] for g in eig.groups]], levels[inside],
+                               rtol=0, atol=tol)
+    assert [len(g) for g in eig.groups] == [len(full.groups[k]) for k in inside]
+    visible = visible_multiplicity(dom, full)
+    assert visible_multiplicity(dom, eig) == [visible[k] for k in inside]
 
 
 @settings(max_examples=20)
