@@ -560,9 +560,9 @@ class DirichletOperator:
         """sum_j weights[j] (A_II - zs[j])^-1 as a dense (n, n) complex matrix.
 
         weights may also be a stack of rows, shape (k, len(zs)): the result is
-        then an iterator over the k sums, each formed when it is reached, so
-        the rows share one pivot pass but no two sums are held at once.  A row
-        sum equals that of a call with that row alone.
+        then the (k, n, n) array of the k sums, whose rows share one pivot pass
+        and one factorization of each uncertified z.  A row sum equals that of
+        a call with that row alone, bit for bit.
 
         On the half-line a certified z (``certified``) takes no factorization.
         With the backward pivots t+ of trace_resolvent and the forward pivots
@@ -586,10 +586,9 @@ class DirichletOperator:
         the sum is scaled back at the end, so that every product is formed in
         the normal range and the result is rounded once, as w (A_II - z)^-1 is.
 
-        Every other z (uncertified ones, and all z in 2D) is factorized and
-        solved against the identity, so NearSpectrum guards it as in
-        ``factorize``: all of them for a single row of weights, and in a stack
-        those that the row being formed weights.
+        Every other z (uncertified ones, and all z in 2D) is factorized once
+        and solved against the identity, so NearSpectrum guards it as in
+        ``factorize``, and its inverse is added to each row that weights it.
         """
         zs = np.asarray(zs, dtype=complex)
         weights = np.asarray(weights, dtype=complex)
@@ -599,22 +598,20 @@ class DirichletOperator:
                              "or (k, len(zs))")
         fast = self.certified(zs) & (self.domain.dimension == 1)
         g, ratio = _meurant_pivots(*self.tridiagonal, zs[fast]) if fast.any() else (None, None)
-
-        def row_sum(w, every):
+        rows = np.atleast_2d(weights)
+        out = np.zeros((len(rows), self.n, self.n), dtype=complex)
+        for total, w in zip(out, rows):
             keep = np.flatnonzero(w[fast])
             if len(keep):
-                out = _meurant_sum(g[:, keep], ratio[:, keep], w[fast][keep])
-            else:
-                out = np.zeros((self.n, self.n), dtype=complex)
-            slow = [j for j in np.flatnonzero(~fast) if every or w[j]]
-            eye = np.eye(self.n, dtype=complex) if slow else None
-            for j in slow:
-                out += w[j] * self.factorize(zs[j]).solve(eye)
-            return out
-
-        if weights.ndim == 1:
-            return row_sum(weights, every=True)
-        return (row_sum(w, every=False) for w in weights)
+                total[...] = _meurant_sum(g[:, keep], ratio[:, keep], w[fast][keep])
+        slow = np.flatnonzero(~fast)
+        eye = np.eye(self.n, dtype=complex) if len(slow) else None
+        for j in slow:
+            inverse = self.factorize(zs[j]).solve(eye)
+            for total, w in zip(out, rows[:, j]):
+                if w:
+                    total += w * inverse
+        return out[0] if weights.ndim == 1 else out
 
     @property
     def certified_height(self) -> float:
@@ -887,11 +884,13 @@ def oracle_eigendecomposition(op: DirichletOperator, interval=None) -> EigenSyst
     with no eigenvector array of n columns.  On the half-line they come from
     bisection and inverse iteration on A_II (LAPACK stebz and stein through
     scipy's eigh_tridiagonal; Demmel, *Applied Numerical Linear Algebra*, 5.3),
-    O(n) per eigenpair, and two index bisections give the extreme eigenvalues
-    that degeneracy_tol is set from.  In 2D they come from ``trace_poles``,
-    which the 2D M(z) fill has built: its lam are the eigenvalues of the whole
-    oracle bit for bit (stevd on the same (d, e)), and its rows U_k = P^T Q v_k
-    are the traces up to the factor -1/(k_b h sqrt(w_I)).
+    O(n) per eigenpair, bisecting to the tolerance 2 tiny so that a value does
+    not depend on the interval; two index bisections at the default tolerance
+    give the extreme eigenvalues that degeneracy_tol is set from.  In 2D they
+    come from ``trace_poles``, which the 2D M(z) fill has built: its lam are
+    the eigenvalues of the whole oracle bit for bit (stevd on the same
+    (d, e)), and its rows U_k = P^T Q v_k are the traces up to the factor
+    -1/(k_b h sqrt(w_I)).
 
     Levels are grouped where consecutive eigenvalues lie within
     degeneracy_tol = 1e-8 max(lambda_max - lambda_min, 1) of each other.
@@ -912,7 +911,8 @@ def oracle_eigendecomposition(op: DirichletOperator, interval=None) -> EigenSyst
         vectors = unit / np.sqrt(w_i)
     elif dom.dimension == 1:
         diag, off = op.tridiagonal
-        values, unit = eigh_tridiagonal(diag, off, select="v", select_range=interval)
+        values, unit = eigh_tridiagonal(diag, off, select="v", select_range=interval,
+                                        tol=2 * np.finfo(float).tiny)
         ends = [eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                                  select_range=(k, k))[0] for k in (0, op.n - 1)]
         boundary = dom.incidence.T @ unit
@@ -934,6 +934,8 @@ def oracle_projector(eig: EigenSystem, a: float, b: float) -> np.ndarray:
     """w_I-orthogonal projector onto the span of eigenspaces with eigenvalue in (a, b)."""
     if not a < b:
         raise ValueError("need a < b")
+    if eig.vectors is None:
+        raise ValueError("oracle_projector needs the eigenvectors of the whole-spectrum oracle")
     for endpoint in (a, b):
         if np.min(np.abs(eig.values - endpoint)) <= eig.degeneracy_tol:
             raise EndpointOnEigenvalue(f"endpoint {endpoint} lies on an eigenvalue")

@@ -157,26 +157,16 @@ def richardson_weights(etas) -> np.ndarray:
 
 def richardson_extrapolate(etas, values):
     """Polynomial extrapolation of values(eta) to eta = 0, as sum_k w_k v_k with
-    richardson_weights, one multiply-add per sample in sample order.
-
-    Returns (limit, error_estimate); the error estimate is the distance to the
-    extrapolant without the last sample (Neville's last two diagonal entries).
-    Works for scalars and arrays; real values stay real.
-    """
+    richardson_weights, one multiply-add per sample in sample order.  Works for
+    scalars and arrays; real values stay real."""
     values = [np.asarray(v, dtype=np.result_type(v, float)) for v in values]
     if not values:
         raise ValueError("no samples")
-    if len(values) == 1:
-        return values[0], np.inf
-
-    def combine(weights):
-        total = weights[0] * values[0]
-        for w, v in zip(weights[1:], values[1:]):
-            total += w * v
-        return total
-
-    limit = combine(richardson_weights(etas))
-    return limit, float(np.max(np.abs(limit - combine(richardson_weights(etas[:-1])))))
+    weights = richardson_weights(etas)
+    limit = weights[0] * values[0]
+    for w, v in zip(weights[1:], values[1:]):
+        limit += w * v
+    return limit
 
 
 _TAIL = 5  # extrapolate from the smallest samples only, where f is analytic
@@ -187,10 +177,10 @@ def extrapolate_tail(etas, values, n):
     reached: values[k] holds the samples at etas[k] (decreasing, as EtaSchedule.samples()),
     n the count of each profile, of the shape of values[k]'s leading axes.  One
     richardson_extrapolate call per block, and one per length a profile stopped at."""
-    limit, _ = richardson_extrapolate(etas[-_TAIL:], values[-_TAIL:])
+    limit = richardson_extrapolate(etas[-_TAIL:], values[-_TAIL:])
     for k in np.unique(n[n < etas.size]):
         tail, at = slice(max(k - _TAIL, 0), k), n == k
-        limit[at], _ = richardson_extrapolate(etas[tail], values[tail][:, at])
+        limit[at] = richardson_extrapolate(etas[tail], values[tail][:, at])
     return limit
 
 

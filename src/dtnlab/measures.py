@@ -19,7 +19,7 @@ from .domain import DirichletOperator, EigenSystem
 from .errors import AtomHit, EndpointOnEigenvalue
 from .classify import GridSet, essential_closure
 from .limits import (EtaSchedule, ac_flags, boundary_limit, ellipse,
-                     richardson_extrapolate)
+                     richardson_extrapolate, richardson_weights)
 from .dtn import poisson_matrix
 
 __all__ = [
@@ -72,6 +72,8 @@ def spectral_measure(op: DirichletOperator, eig: EigenSystem, u: np.ndarray) -> 
     """Scalar spectral measure mu_u = (E(.)u, u): one atom per level with weight
     equal to the squared weighted projection of u onto the eigenspace; atoms
     whose weight vanishes (relative to the total mass) are dropped."""
+    if eig.vectors is None:
+        raise ValueError("spectral_measure needs the eigenvectors of the whole-spectrum oracle")
     dom = op.domain
     u = np.asarray(u, dtype=complex)
     if u.shape != (dom.n_interior,):
@@ -110,8 +112,7 @@ def point_mass(measure: SpectralMeasure, x: float,
     sched = EtaSchedule(1e-3, 0.5, 10) if sched is None else sched
     etas = sched.samples()
     vals = etas * borel_transform(measure, x + 1j * etas).imag
-    value, _ = richardson_extrapolate(etas ** 2, vals)
-    return max(float(np.real(value)), 0.0)
+    return max(float(np.real(richardson_extrapolate(etas ** 2, vals))), 0.0)
 
 
 def density(measure: SpectralMeasure, x: float, delta: float) -> float:
@@ -146,8 +147,11 @@ def _ellipse_nodes(a: float, b: float, ts) -> tuple:
 def _first_rule_and_edges(op: DirichletOperator, a: float, b: float, deltas) -> tuple:
     """(the contour sum of the _FIRST_NODES-node rule, the edge integral
     extrapolated to delta -> 0, its extrapolation error) of stone_projection,
-    from one op.resolvent_sum call with a weight row for the rule and one per
-    edge piece; the sums are taken one at a time."""
+    from one op.resolvent_sum call with a weight row for each.  The edge
+    integral at delta_k sums the pieces below delta_k, so piece p (counted up
+    from 0) enters the limit with the sum of the richardson_weights w_k over
+    k < len(deltas) - p, and the error with the same sum of w_k less the
+    weights of deltas[:-1]."""
     ts = np.pi * np.arange(_FIRST_NODES // 2 + 1) / (_FIRST_NODES // 2)
     rule, rule_weights = _ellipse_nodes(a, b, ts)
     rule_weights[1:-1] *= 2  # t = 0 and pi (the crossings b and a) once, the rest twice
@@ -155,14 +159,14 @@ def _first_rule_and_edges(op: DirichletOperator, a: float, b: float, deltas) -> 
     lo, hi = np.append(0.0, deltas[:0:-1]), deltas[::-1]   # the pieces, upwards
     half = 0.5 * (hi - lo)
     s = 1j * (lo[:, None] + half[:, None] * (nodes + 1.0))
-    rows = block_diag(rule_weights, *[np.concatenate([weights, -weights])] * _DELTA_COUNT)
-    sums = op.resolvent_sum(np.concatenate([rule, np.hstack([b + s, a + s]).ravel()]), rows)
-    total = next(sums).imag
-    edges = [0.0]  # (1/pi) int_0^delta Re[R(b + i s) - R(a + i s)] ds, from delta = 0 upwards
-    for r, piece in zip(sums, half):
-        r = edges[0] + piece / np.pi * r.real   # no sum outlives its piece
-        edges.insert(0, r)
-    return total, *richardson_extrapolate(deltas, edges[:-1])
+    limit = richardson_weights(deltas)
+    error = limit - np.append(richardson_weights(deltas[:-1]), 0.0)
+    # (1/pi) int_0^delta Re[R(b + i s) - R(a + i s)] ds, piece by piece
+    pieces = np.concatenate([weights, -weights]) * (half / np.pi)[:, None]
+    edges = np.cumsum([limit, error], axis=1)[:, ::-1, None] * pieces
+    sums = op.resolvent_sum(np.concatenate([rule, np.hstack([b + s, a + s]).ravel()]),
+                            block_diag(rule_weights, edges.reshape(2, -1)))
+    return sums[0].imag, sums[1].real, float(np.max(np.abs(sums[2].real)))
 
 
 def stone_projection(op: DirichletOperator, a: float, b: float,
@@ -179,18 +183,19 @@ def stone_projection(op: DirichletOperator, a: float, b: float,
     until two successive values agree to quad_tol (or the cap).  The edges,
     smooth as the endpoints stay off the spectrum, are Gauss-Legendre on the
     pieces between successive deltas.  The family is extrapolated to
-    delta -> 0 (an odd analytic series); the Neville extrapolation is linear
+    delta -> 0 (an odd analytic series); Richardson extrapolation is linear
     and keeps constants, so it runs on the edge integrals alone and P is
-    added to their limit.  extrapolation_error is the last extrapolation
-    step, or the last contour refinement step if larger (at the cap).  eig
-    guards the endpoints, refusing one within eig.degeneracy_tol of a level
-    as oracle_projector does, and starts the schedule at no more than half
-    their distance to the nearest level, so the edges resolve it.
+    added to their limit.  extrapolation_error is the distance to the limit
+    without the last delta, or the last contour refinement step if larger
+    (at the cap).  eig guards the endpoints, refusing one within
+    eig.degeneracy_tol of a level as oracle_projector does, and starts the
+    schedule at no more than half their distance to the nearest level, so
+    the edges resolve it; an eig with no values has no level near them.
 
-    The first rule and all edge pieces are one op.resolvent_sum call, with a
-    weight row each, so that their nodes share one pivot pass (in 1D,
-    Meurant's tridiagonal inverse; see DirichletOperator.resolvent_sum) while
-    their sums are taken one at a time; each doubling is one more call.  In 1D
+    The first rule and the edges are one op.resolvent_sum call, with weight
+    rows for the rule, the extrapolated edges and their error, so that their
+    nodes share one pivot pass (in 1D, Meurant's tridiagonal inverse; see
+    DirichletOperator.resolvent_sum); each doubling is one more call.  In 1D
     only the real crossings a and b, and edge nodes below the certified
     height, are factorized.  panels counts the resolvent evaluations.
     """
@@ -198,7 +203,8 @@ def stone_projection(op: DirichletOperator, a: float, b: float,
         raise ValueError("need a < b")
     delta0 = _DELTA0
     if eig is not None:
-        clearance = float(np.min(np.abs(eig.values[:, None] - np.array([a, b])[None, :])))
+        clearance = float(np.min(np.abs(eig.values[:, None] - np.array([a, b])[None, :]),
+                                 initial=np.inf))
         if clearance <= eig.degeneracy_tol:
             raise EndpointOnEigenvalue(
                 f"interval endpoint of ({a}, {b}) lies on an eigenvalue")

@@ -7,6 +7,7 @@ from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 import dtnlab.domain
 from dtnlab import (
+    DirichletOperator,
     DiscreteDomain,
     DomainError,
     EndpointOnEigenvalue,
@@ -364,20 +365,22 @@ class TestResolventSum:
         with pytest.raises(ValueError, match=re.escape(message)):
             op.resolvent_sum(zs, weights)
 
-    def test_rows_are_formed_one_at_a_time(self, t1, monkeypatch):
-        # a stack of rows returns an iterator: the first sum is formed on the
-        # first next(), not at the call
-        _, op = t1
-        formed = []
-        meurant_sum = dtnlab.domain._meurant_sum
-        monkeypatch.setattr(dtnlab.domain, "_meurant_sum",
-                            lambda *args: formed.append(1) or meurant_sum(*args))
-        sums = op.resolvent_sum([1j, 2j], [[1.0, 0.0], [0.0, 1.0]])
-        assert formed == []
-        first = next(sums)
-        assert len(formed) == 1
-        assert np.array_equal(first, op.resolvent_sum([1j, 2j], [1.0, 0.0]))
-        assert len(list(sums)) == 1
+    def test_each_uncertified_z_is_factorized_once(self, reduced_annulus, monkeypatch):
+        # in 2D every z is factorized: a z that two rows weight is factorized
+        # once for the call and added to both, and each row of the (k, n, n)
+        # result is the sum of a call with that row alone, bit for bit
+        _, op = reduced_annulus
+        zs = [0.4 + 0.3j, 1.7 - 0.2j, 2.9 + 1e-3j]
+        rows = np.array([[1.0, 2j, 0.0], [0.5, -1.0, 3.0 - 1j]])
+        factorized = []
+        factorize = DirichletOperator.factorize
+        monkeypatch.setattr(DirichletOperator, "factorize",
+                            lambda op, z: factorized.append(z) or factorize(op, z))
+        sums = op.resolvent_sum(zs, rows)
+        assert factorized == zs
+        assert sums.shape == (2, op.n, op.n)
+        for row, total in zip(rows, sums):
+            assert np.array_equal(total, op.resolvent_sum(zs, row))
 
 
 class TestOracle:
@@ -448,6 +451,22 @@ class TestOracle:
         for interval in ((1.5, 1.5), (2.0, 1.0)):
             with pytest.raises(ValueError, match="a < b"):
                 oracle_eigendecomposition(op, interval)
+
+    def test_interval_oracle_digits_do_not_depend_on_the_window(self):
+        # bisection at stebz's default tolerance eps ||A_II||_1 left the lowest
+        # level of this well 1.46e-11 apart on the two windows
+        dom = build_domain(HalfLine1D(h=0.005, L=20.0))
+        op = assemble_operator(dom, well_potential(dom, depth=2.0, width=1.0))
+        narrow = oracle_eigendecomposition(op, (0.0, 0.1))
+        wide = oracle_eigendecomposition(op, (0.0, 0.25))
+        assert narrow.values[0] == wide.values[0]
+
+    def test_projector_needs_the_whole_oracle(self, t1):
+        # an interval oracle keeps no eigenvectors to project with
+        _, op = t1
+        eig = oracle_eigendecomposition(op, (0.5, 1.5))
+        with pytest.raises(ValueError, match="whole-spectrum oracle"):
+            oracle_projector(eig, 0.5, 1.5)
 
     def test_2d_oracle_reads_the_reduction(self, monkeypatch):
         # a 2D operator runs sytrd once for M(z) and the oracle together; the

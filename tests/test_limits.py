@@ -90,9 +90,8 @@ class TestRichardson:
     def test_polynomial_exact(self):
         etas = 0.1 * 0.5 ** np.arange(6)
         f = lambda e: 2.0 - 3.0 * e + 0.5 * e ** 2
-        value, err = richardson_extrapolate(etas, [f(e) for e in etas])
+        value = richardson_extrapolate(etas, [f(e) for e in etas])
         assert value == pytest.approx(2.0, abs=1e-13)
-        assert err <= 1e-10
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_weights_exact_on_polynomials(self, n):
@@ -111,21 +110,14 @@ class TestRichardson:
         for m in range(1, len(table)):
             table = [(etas[i] * table[i + 1] - etas[i + m] * table[i]) / (etas[i] - etas[i + m])
                      for i in range(len(table) - 1)]
-        value, _ = richardson_extrapolate(etas, vals)
+        value = richardson_extrapolate(etas, vals)
         scale = np.abs(richardson_weights(etas)) @ np.abs(vals)
         assert np.all(np.abs(value - table[0]) <= 1e-13 * scale)
-
-    def test_error_is_the_distance_to_one_sample_fewer(self):
-        etas = 0.1 * 0.5 ** np.arange(5)
-        vals = np.cos(3.0 * etas) + 1j * etas ** 5
-        value, err = richardson_extrapolate(etas, vals)
-        fewer, _ = richardson_extrapolate(etas[:-1], vals[:-1])
-        assert err == abs(value - fewer)
 
     def test_vector_samples(self):
         etas = np.array([0.2, 0.1, 0.05])
         vals = [np.array([1 + e, 2 - e]) for e in etas]
-        value, _ = richardson_extrapolate(etas, vals)
+        value = richardson_extrapolate(etas, vals)
         assert np.allclose(value, [1.0, 2.0])
 
 

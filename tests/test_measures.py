@@ -1,23 +1,30 @@
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from dtnlab import (
     AtomHit,
     DirichletOperator,
     EndpointOnEigenvalue,
     EtaSchedule,
+    HalfLine1D,
     NearSpectrum,
     SpectralMeasure,
     ac_sc_supports,
+    assemble_operator,
     borel_transform,
+    build_domain,
     density,
     oracle_eigendecomposition,
     oracle_projector,
     point_mass,
+    richardson_weights,
     simplicity_rank,
     spectral_measure,
     stone_projection,
+    well_potential,
 )
+from dtnlab.measures import _EDGE_NODES, _first_rule_and_edges
 
 
 def _uniform_quadrature_measure(n=10 ** 4):
@@ -65,6 +72,13 @@ class TestSpectralMeasure:
         np.testing.assert_allclose(
             mu.weights, [np.sum(np.abs(coeffs[list(g)]) ** 2) for g in eig.groups],
             rtol=tol, atol=0)
+
+    def test_needs_the_whole_oracle(self, t1):
+        # an interval oracle keeps no eigenvectors to project u onto
+        _, op = t1
+        eig = oracle_eigendecomposition(op, (0.5, 1.5))
+        with pytest.raises(ValueError, match="whole-spectrum oracle"):
+            spectral_measure(op, eig, np.array([1.0, 0.0]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -154,6 +168,13 @@ def _count_resolvent_nodes(monkeypatch):
     return calls
 
 
+@pytest.fixture(scope="module")
+def stone_well():
+    """The well of the well1d-stone benchmark: h = 0.1, L = 20, depth 2, width 1."""
+    dom = build_domain(HalfLine1D(h=0.1, L=20.0))
+    return dom, assemble_operator(dom, well_potential(dom, depth=2.0, width=1.0))
+
+
 class TestStone:
     def test_t1_first_eigenspace(self, t1):
         _, op = t1
@@ -180,9 +201,9 @@ class TestStone:
         assert sorted(complex(z).real for z in factorized) == [0.5, 1.5]
 
     def test_t1_level_in_five_resolvent_sums(self, t1, monkeypatch):
-        # the 16-node rule is one call, each doubling one more, and the six
-        # edge pieces one call with a weight row per piece; together they hand
-        # over the panels nodes, each once
+        # the 16-node rule and the six edge pieces are one call, with weight
+        # rows for the rule, the extrapolated edges and their error, and each
+        # doubling one more; together they hand over the panels nodes, each once
         _, op = t1
         eig = oracle_eigendecomposition(op)
         sizes = []
@@ -197,6 +218,37 @@ class TestStone:
         assert np.max(np.abs(res.projector - oracle_projector(eig, 0.5, 1.5))) <= 1e-12
         assert len(sizes) <= 5
         assert sum(sizes) == res.panels
+
+    @pytest.mark.parametrize("model, a, b", [("t1", 0.5, 1.5), ("stone_well", 0.05, 0.14)])
+    def test_edges_match_the_piecewise_reference(self, request, model, a, b):
+        # the reference forms the six edge integrals piece by piece, each piece
+        # a single-row resolvent_sum call, and extrapolates the arrays with
+        # richardson_weights; the three-row call folds both into its weights
+        _, op = request.getfixturevalue(model)
+        deltas = stone_projection(op, a, b, oracle_eigendecomposition(op)).deltas
+        nodes, weights = roots_legendre(_EDGE_NODES)
+        cuts = np.append(deltas, 0.0)
+        edges = np.zeros((len(deltas), op.n, op.n))   # the integral from 0 to deltas[k]
+        for k in reversed(range(len(deltas))):        # the piece [cuts[k + 1], cuts[k]]
+            lo, half = cuts[k + 1], 0.5 * (cuts[k] - cuts[k + 1])
+            s = 1j * (lo + half * (nodes + 1.0))
+            piece = op.resolvent_sum(np.concatenate([b + s, a + s]),
+                                     np.concatenate([weights, -weights]))
+            edges[:k + 1] += half / np.pi * piece.real
+        limit = np.tensordot(richardson_weights(deltas), edges, axes=1)
+        five = np.tensordot(richardson_weights(deltas[:-1]), edges[:-1], axes=1)
+        _, edge_limit, error = _first_rule_and_edges(op, a, b, deltas)
+        tol = 1e-14 * np.max(np.abs(edges))   # the scale the extrapolation cancels from
+        assert np.max(np.abs(edge_limit - limit)) <= tol
+        assert abs(error - np.max(np.abs(limit - five))) <= tol
+
+    def test_interval_oracle_without_levels(self, t1):
+        # an EigenSystem with no values has no level near an endpoint: the
+        # schedule starts at 1e-2 and the gap between T1's levels projects to 0
+        _, op = t1
+        res = stone_projection(op, 2.0, 2.5, oracle_eigendecomposition(op, (2.0, 2.5)))
+        assert res.deltas[0] == 1e-2
+        assert np.max(np.abs(res.projector)) <= 1e-10
 
     def test_panels_count_factorizations(self, reduced_annulus, monkeypatch):
         _, op = reduced_annulus
