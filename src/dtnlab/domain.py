@@ -143,17 +143,45 @@ class DiscreteDomain:
     # -- stencil -----------------------------------------------------------
 
     @cached_property
+    def _index_box(self) -> tuple:
+        """(flat, lo, shape): the index box with corner lo and shape that holds the
+        three lattices with a node to spare on every side, and the raveled index
+        flat of every node in it, the interior's, the boundary's and then the
+        truncation's.  The box is raveled in C order, so flat indices rank nodes
+        as their multi-indices rank lexicographically (built on first use)."""
+        nodes = np.concatenate([self.interior_lattice, self.boundary_lattice,
+                                self.truncation_lattice])
+        lo = nodes.min(axis=0) - 1
+        shape = nodes.max(axis=0) + 2 - lo
+        return np.ravel_multi_index(tuple((nodes - lo).T), shape), lo, shape
+
+    @cached_property
+    def _neighbor_tables(self) -> tuple:
+        """(interior_neighbors, boundary_neighbors), read off one array over the
+        index box that holds each interior node's index at its cell and -1
+        elsewhere, at the nodes' flat indices shifted by +e_0, -e_0, +e_1, ...;
+        the spare node on every side keeps each shift inside the box."""
+        flat, _, shape = self._index_box
+        n_i, n_b = self.n_interior, self.n_boundary
+        box = np.full(np.prod(shape), -1)
+        box[flat[:n_i]] = np.arange(n_i)
+        strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)   # e_k moves prod(shape[k+1:])
+        steps = np.repeat(strides, 2) * np.tile([1, -1], len(strides))
+        return (_read_only(box[flat[:n_i, None] + steps]),
+                _read_only(box[flat[n_i:n_i + n_b, None] + steps]))
+
+    @property
     def interior_neighbors(self) -> np.ndarray:
         """(n_I, 2d) interior index of each interior node's neighbor at +e_0, -e_0,
         +e_1, -e_1, ...; -1 where it is not interior (read-only, built on first use)."""
-        return _read_only(_neighbors(self.interior_lattice, self.interior_lattice))
+        return self._neighbor_tables[0]
 
-    @cached_property
+    @property
     def boundary_neighbors(self) -> np.ndarray:
         """(n_B, 2d) interior index of each boundary node's neighbor in the same
         directions as ``interior_neighbors``; -1 where it is not interior
         (read-only, built on first use)."""
-        return _read_only(_neighbors(self.interior_lattice, self.boundary_lattice))
+        return self._neighbor_tables[1]
 
     @cached_property
     def incidence(self) -> np.ndarray:
@@ -192,52 +220,42 @@ class DiscreteDomain:
     # -- invariants --------------------------------------------------------
 
     def validate(self) -> None:
+        if not np.isfinite(self.h):
+            raise DomainError("mesh spacing h must be finite")
         if self.h <= 0:
             raise DomainError("mesh spacing h must be positive")
-        nodes = np.concatenate([self.interior_lattice, self.boundary_lattice,
-                                self.truncation_lattice])
-        distinct, counts = np.unique(nodes, axis=0, return_counts=True)
-        if np.any(counts > 1):
-            row = tuple(distinct[np.argmax(counts > 1)].tolist())
-            raise DomainError(f"node {row} appears in more than one node set")
         if self.n_interior == 0:
             raise DomainError("empty interior")
+        # a node in two sets, or twice in one, is a box cell counted twice, and
+        # the first such cell is the lexicographically smallest such node
+        flat, lo, shape = self._index_box
+        shared = np.bincount(flat) > 1
+        if shared.any():
+            row = tuple((lo + np.unravel_index(np.argmax(shared), shape)).tolist())
+            raise DomainError(f"node {row} appears in more than one node set")
         if np.any(self.neighbor_counts == 0):
             b = int(np.argmin(self.neighbor_counts))
             raise DomainError(f"boundary node {b} has no interior neighbor")
-        # interior adjacency graph must be connected
+        # interior adjacency graph must be connected: its CSR rows are the
+        # neighbor table's rows without the -1 entries
         nbrs = self.interior_neighbors
-        rows, cols = np.nonzero(nbrs >= 0)[0], nbrs[nbrs >= 0]
-        graph = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(self.n_interior,) * 2)
+        has = nbrs >= 0
+        indptr = np.concatenate([[0], np.cumsum(has.sum(axis=1))])
+        graph = sp.csr_matrix((np.ones(indptr[-1]), nbrs[has], indptr),
+                              shape=(self.n_interior,) * 2)
         ncomp, _ = connected_components(graph, directed=False)
         if ncomp != 1:
             raise DomainError("interior adjacency graph is not connected")
 
 
-def _neighbors(lattice: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """(len(nodes), 2d) index into lattice of each node's neighbor at +e_0, -e_0,
-    +e_1, -e_1, ...; -1 where the lattice has no such node.
-
-    One index box over the lattice, padded by a node on every side, is read at
-    the shifted nodes.
-    """
-    both = np.concatenate([lattice, nodes])
-    lo = both.min(axis=0) - 1
-    box = np.full(both.max(axis=0) + 2 - lo, -1, dtype=int)
-    box[tuple((lattice - lo).T)] = np.arange(len(lattice))
-    d = lattice.shape[1]
-    steps = np.repeat(np.eye(d, dtype=int), 2, axis=0) * np.tile([1, -1], d)[:, None]
-    return box[tuple(np.moveaxis(nodes[:, None, :] + steps - lo, -1, 0))]
-
-
 def build_domain(spec) -> DiscreteDomain:
     """Construct a validated DiscreteDomain from a HalfLine1D or Exterior2D spec."""
-    if isinstance(spec, HalfLine1D):
-        dom = _build_halfline(spec)
-    elif isinstance(spec, Exterior2D):
-        dom = _build_exterior2d(spec)
-    else:
+    if not isinstance(spec, (HalfLine1D, Exterior2D)):
         raise DomainError(f"unknown domain spec {spec!r}")
+    for name, value in vars(spec).items():
+        if not np.isfinite(value):
+            raise DomainError(f"domain {name} must be finite, not {value}")
+    dom = _build_halfline(spec) if isinstance(spec, HalfLine1D) else _build_exterior2d(spec)
     dom.validate()
     return dom
 
@@ -631,18 +649,22 @@ def assemble_operator(dom: DiscreteDomain, q) -> DirichletOperator:
     """Assemble A_II and the boundary-injection matrix B for the potential q, one
     real value per interior node (checked as tabulated_potential checks it)."""
     q = tabulated_potential(dom, q)
-    n = dom.n_interior
-    h2 = dom.h ** 2
+    n, h2 = dom.n_interior, dom.h ** 2
     nbrs = dom.interior_neighbors
-    rows = np.concatenate([np.arange(n), np.nonzero(nbrs >= 0)[0]])
-    cols = np.concatenate([np.arange(n), nbrs[nbrs >= 0]])
-    vals = np.concatenate([2 * dom.dimension / h2 + q,
-                           np.full(len(rows) - n, -1.0 / h2)])
-    a_ii = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    # canonical CSR: each row's columns, the node's own among them, ascending,
+    # with a missing neighbor (-1) read as n so that it sorts last and is dropped
+    cols = np.sort(np.column_stack([np.where(nbrs >= 0, nbrs, n), np.arange(n)]), axis=1)
+    keep = cols < n
+    vals = np.where(cols == np.arange(n)[:, None], (2 * dom.dimension / h2 + q)[:, None],
+                    -1.0 / h2)
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    a_ii = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
     b = _read_only((dom.incidence / h2).astype(complex))
 
-    asym = abs(a_ii - a_ii.T)
-    if asym.nnz and asym.max() > 0:
+    # every off-diagonal entry is -1/h^2, so A_II is symmetric when each neighbor
+    # names the node back in the opposite direction (+e_k and -e_k are k ^ 1)
+    i, k = np.nonzero(nbrs >= 0)
+    if np.any(nbrs[nbrs[i, k], k ^ 1] != i):
         raise DomainError("assembled operator is not exactly symmetric")
     return DirichletOperator(domain=dom, potential=q, a_ii=a_ii, b=b)
 

@@ -187,10 +187,11 @@ def stone_projection(op: DirichletOperator, a: float, b: float,
     and keeps constants, so it runs on the edge integrals alone and P is
     added to their limit.  extrapolation_error is the distance to the limit
     without the last delta, or the last contour refinement step if larger
-    (at the cap).  eig guards the endpoints, refusing one within
-    eig.degeneracy_tol of a level as oracle_projector does, and starts the
-    schedule at no more than half their distance to the nearest level, so
-    the edges resolve it; an eig with no values has no level near them.
+    (at the cap).  eig, the whole-spectrum oracle, guards the endpoints,
+    refusing one within eig.degeneracy_tol of a level as oracle_projector
+    does, and starts the schedule at no more than half their distance to the
+    nearest level, so the edges resolve it.  An interval oracle is refused
+    with ValueError: it lacks the levels at and just outside a and b.
 
     The first rule and the edges are one op.resolvent_sum call, with weight
     rows for the rule, the extrapolated edges and their error, so that their
@@ -203,8 +204,10 @@ def stone_projection(op: DirichletOperator, a: float, b: float,
         raise ValueError("need a < b")
     delta0 = _DELTA0
     if eig is not None:
-        clearance = float(np.min(np.abs(eig.values[:, None] - np.array([a, b])[None, :]),
-                                 initial=np.inf))
+        if eig.vectors is None:
+            raise ValueError("stone_projection needs the whole-spectrum oracle: an interval "
+                             "oracle lacks the levels near the endpoints")
+        clearance = float(np.min(np.abs(eig.values[:, None] - np.array([a, b])[None, :])))
         if clearance <= eig.degeneracy_tol:
             raise EndpointOnEigenvalue(
                 f"interval endpoint of ({a}, {b}) lies on an eigenvalue")

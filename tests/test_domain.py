@@ -61,6 +61,18 @@ class TestHalfLineGeometry:
             build_domain(HalfLine1D(h=-0.1, L=1.0))
 
 
+@pytest.mark.parametrize("spec", [
+    HalfLine1D(h=np.nan, L=2.0), HalfLine1D(h=np.inf, L=2.0), HalfLine1D(h=0.5, L=np.inf),
+    Exterior2D(h=np.nan, a=1.5, L=7.5), Exterior2D(h=1.0, a=np.nan, L=7.5),
+    Exterior2D(h=1.0, a=1.5, L=np.nan), Exterior2D(h=1.0, a=-np.inf, L=7.5),
+], ids=repr)
+def test_non_finite_geometry(spec):
+    # a NaN compares false with every bound, so only a finiteness check stops
+    # it before the builders' int(), whose ValueError is no DomainError
+    with pytest.raises(DomainError, match="must be finite"):
+        build_domain(spec)
+
+
 class TestExteriorGeometry:
     def test_annulus_node_sets(self, annulus2d):
         dom, _ = annulus2d
@@ -88,11 +100,11 @@ class TestExteriorGeometry:
             build_domain(Exterior2D(h=1.0, a=1.5, L=2.5))
 
 
-def _halfline(interior=(1, 2), boundary=(0,), truncation=(3,)):
-    """Hand-built 1D domain, h = 1, from lattice indices."""
+def _halfline(interior=(1, 2), boundary=(0,), truncation=(3,), h=1.0):
+    """Hand-built 1D domain, h = 1 unless given, from lattice indices."""
     def lattice(nodes):
         return np.array(nodes, dtype=int).reshape(-1, 1)
-    return DiscreteDomain(h=1.0, interior_lattice=lattice(interior),
+    return DiscreteDomain(h=h, interior_lattice=lattice(interior),
                           boundary_lattice=lattice(boundary),
                           truncation_lattice=lattice(truncation))
 
@@ -111,10 +123,26 @@ class TestValidate:
                      id="kwargs6-empty interior"),
         pytest.param({"interior": (1, 3), "truncation": (4,)}, "not connected",
                      id="kwargs7-not connected"),
+        pytest.param({"h": np.nan}, "must be finite", id="h-nan"),
+        pytest.param({"h": np.inf}, "must be finite", id="h-inf"),
     ])
     def test_each_check_fires(self, kwargs, match):
         with pytest.raises(DomainError, match=match):
             _halfline(**kwargs).validate()
+
+    def test_shared_node_is_named_lexicographically_first(self):
+        # the truncation lattice takes two interior nodes, (2, -3) before (-2, 3):
+        # the error names (-2, 3), the first in lexicographic order, not the
+        # first given nor the first by its last coordinate
+        dom = build_domain(Exterior2D(h=1.0, a=1.5, L=4.5))
+        shared = np.array([[2, -3], [-2, 3]])
+        assert all((dom.interior_lattice == node).all(axis=1).any() for node in shared)
+        bad = DiscreteDomain(h=1.0, interior_lattice=dom.interior_lattice,
+                             boundary_lattice=dom.boundary_lattice,
+                             truncation_lattice=np.concatenate([dom.truncation_lattice, shared]))
+        with pytest.raises(DomainError,
+                           match=re.escape("node (-2, 3) appears in more than one node set")):
+            bad.validate()
 
 
 def _reference_stencil(dom, q):
@@ -216,6 +244,14 @@ class TestOperatorAssembly:
     def test_2d_symmetric(self, annulus2d):
         _, op = annulus2d
         assert (op.a_ii != op.a_ii.T).nnz == 0
+
+    def test_asymmetric_stencil_is_refused(self):
+        # an unvalidated domain with the lattice node 2 listed twice: its box
+        # cell holds the second copy, so the first copy's neighbor at -e_0, the
+        # node at 1, names the second copy at +e_0, not the first
+        dom = _halfline(interior=(1, 2, 2))
+        with pytest.raises(DomainError, match="assembled operator is not exactly symmetric"):
+            assemble_operator(dom, zero_potential(dom))
 
 
 class TestShiftedSolver:

@@ -242,13 +242,14 @@ class TestStone:
         assert np.max(np.abs(edge_limit - limit)) <= tol
         assert abs(error - np.max(np.abs(limit - five))) <= tol
 
-    def test_interval_oracle_without_levels(self, t1):
-        # an EigenSystem with no values has no level near an endpoint: the
-        # schedule starts at 1e-2 and the gap between T1's levels projects to 0
+    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (2.0, 2.5)])
+    def test_interval_oracle_is_refused(self, t1, a, b):
+        # an interval oracle holds only the levels in (a, b]: on (1.0, 2.0) it
+        # lacks T1's level at the endpoint 1, where the contour's crossing
+        # would raise NearSpectrum and the whole oracle EndpointOnEigenvalue
         _, op = t1
-        res = stone_projection(op, 2.0, 2.5, oracle_eigendecomposition(op, (2.0, 2.5)))
-        assert res.deltas[0] == 1e-2
-        assert np.max(np.abs(res.projector)) <= 1e-10
+        with pytest.raises(ValueError, match="needs the whole-spectrum oracle"):
+            stone_projection(op, a, b, oracle_eigendecomposition(op, (a, b)))
 
     def test_panels_count_factorizations(self, reduced_annulus, monkeypatch):
         _, op = reduced_annulus

@@ -8,8 +8,10 @@ registered in conftest.py makes the draws deterministic.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from dtnlab import (
     ClassifyConfig,
@@ -149,6 +151,29 @@ def test_band_is_the_permuted_operator(model):
     assert np.array_equal(unpacked, op.a_ii.toarray()[perm][:, perm])
     a = op.a_ii.tocoo()
     assert k <= np.max(np.abs(a.row - a.col))
+
+
+def _coo_assembly(dom, q):
+    """A_II as a COO matrix converted to CSR: the diagonal, then an entry -1/h^2
+    for every interior neighbor in the order of the neighbor table."""
+    n, h2, nbrs = dom.n_interior, dom.h ** 2, dom.interior_neighbors
+    rows = np.concatenate([np.arange(n), np.nonzero(nbrs >= 0)[0]])
+    cols = np.concatenate([np.arange(n), nbrs[nbrs >= 0]])
+    vals = np.concatenate([2 * dom.dimension / h2 + q, np.full(len(rows) - n, -1.0 / h2)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+@given(models)
+def test_csr_assembly_matches_the_coo_reference(model):
+    # A_II is written straight into canonical CSR; it must hold the arrays,
+    # dtypes included, that the COO route gives, since the band's ordering and
+    # every LU are read off them
+    dom, op = model
+    ref = _coo_assembly(dom, op.potential)
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(op.a_ii, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(op.banded[0], reverse_cuthill_mckee(ref, symmetric_mode=True))
 
 
 @given(st.one_of(halflines(), halflines(cells=st.just(3))),
