@@ -95,8 +95,9 @@ class DiscreteDomain:
     count, and the stencil is read off them once.  ``interior_neighbors``
     gives A_II and the connectivity check; ``boundary_neighbors``, the
     interior nodes at lattice distance one from each boundary node, gives
-    the neighbor counts and ``incidence``, from which B = P / h^2 and the
-    trace part of the normal derivative are formed.
+    the neighbor counts, B = P / h^2 and the trace part P^T u of the normal
+    derivative, and the dense ``incidence`` P that the 2D reduction,
+    ``visible_multiplicity`` and the oracle read.
     """
 
     h: float
@@ -186,7 +187,9 @@ class DiscreteDomain:
     @cached_property
     def incidence(self) -> np.ndarray:
         """Dense adjacency incidence P (interior x boundary), one count per adjacency
-        pair; B = P / h^2 (read-only, built on first use)."""
+        pair, for the readers that need P as a matrix: the 2D reduction,
+        refine_pole, visible_multiplicity and the oracle's traces (read-only,
+        built on first use)."""
         p = np.zeros((self.n_interior, self.n_boundary))
         b, k = np.nonzero(self.boundary_neighbors >= 0)
         p[self.boundary_neighbors[b, k], b] = 1.0
@@ -575,7 +578,12 @@ class DirichletOperator:
         return out.view(complex).reshape(len(zs), n_b, n_b)
 
     def resolvent_sum(self, zs, weights):
-        """sum_j weights[j] (A_II - zs[j])^-1 as a dense (n, n) complex matrix.
+        """Re sum_j weights[j] (A_II - zs[j])^-1 as a dense float64 (n, n) matrix.
+
+        A_II is real, so (A_II - conj z)^-1 is the conjugate of (A_II - z)^-1,
+        and the real part is half the sum over the conjugate pairs {z_j, conj z_j}
+        with the weights w_j and conj w_j: a real matrix.  The imaginary part of
+        a sum is the real part of the sum with the weights -i w_j.
 
         weights may also be a stack of rows, shape (k, len(zs)): the result is
         then the (k, n, n) array of the k sums, whose rows share one pivot pass
@@ -599,14 +607,16 @@ class DirichletOperator:
         C_j of the rho stay within 2^+-256, so that G_ji = C_j * (G_ii / C_i)
         in a block, and G_ji = C_j * G_(s, i) for a later block that starts at
         row s; G_(s, i) is carried from block to block by the block's last
-        product.  Each block pair is then one matrix product over the z axis.
-        Weights below 2^-256 in modulus enter scaled up by a power of two, and
-        the sum is scaled back at the end, so that every product is formed in
-        the normal range and the result is rounded once, as w (A_II - z)^-1 is.
+        product.  Each block pair is then one real matrix product over the z
+        axis, Re(C K^T) = [Re C, Im C] [Re K, -Im K]^T.  Weights below 2^-256 in
+        modulus enter scaled up by a power of two, and the sum is scaled back
+        at the end, so that every product is formed in the normal range and the
+        result is rounded once, as Re(w (A_II - z)^-1) is.
 
         Every other z (uncertified ones, and all z in 2D) is factorized once
         and solved against the identity, so NearSpectrum guards it as in
-        ``factorize``, and its inverse is added to each row that weights it.
+        ``factorize``, and Re w Re R - Im w Im R of its inverse R is added to
+        each row that weights it.
         """
         zs = np.asarray(zs, dtype=complex)
         weights = np.asarray(weights, dtype=complex)
@@ -617,7 +627,7 @@ class DirichletOperator:
         fast = self.certified(zs) & (self.domain.dimension == 1)
         g, ratio = _meurant_pivots(*self.tridiagonal, zs[fast]) if fast.any() else (None, None)
         rows = np.atleast_2d(weights)
-        out = np.zeros((len(rows), self.n, self.n), dtype=complex)
+        out = np.zeros((len(rows), self.n, self.n))
         for total, w in zip(out, rows):
             keep = np.flatnonzero(w[fast])
             if len(keep):
@@ -628,7 +638,7 @@ class DirichletOperator:
             inverse = self.factorize(zs[j]).solve(eye)
             for total, w in zip(out, rows[:, j]):
                 if w:
-                    total += w * inverse
+                    total += w.real * inverse.real - w.imag * inverse.imag
         return out[0] if weights.ndim == 1 else out
 
     @property
@@ -659,14 +669,17 @@ def assemble_operator(dom: DiscreteDomain, q) -> DirichletOperator:
                     -1.0 / h2)
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
     a_ii = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
-    b = _read_only((dom.incidence / h2).astype(complex))
+    # B = P / h^2: 1/h^2 at each adjacency pair of the boundary table
+    bnd, k = np.nonzero(dom.boundary_neighbors >= 0)
+    b = np.zeros((n, dom.n_boundary), dtype=complex)
+    b[dom.boundary_neighbors[bnd, k], bnd] = 1.0 / h2
 
     # every off-diagonal entry is -1/h^2, so A_II is symmetric when each neighbor
     # names the node back in the opposite direction (+e_k and -e_k are k ^ 1)
     i, k = np.nonzero(nbrs >= 0)
     if np.any(nbrs[nbrs[i, k], k ^ 1] != i):
         raise DomainError("assembled operator is not exactly symmetric")
-    return DirichletOperator(domain=dom, potential=q, a_ii=a_ii, b=b)
+    return DirichletOperator(domain=dom, potential=q, a_ii=a_ii, b=_read_only(b))
 
 
 # ---------------------------------------------------------------------------
@@ -738,8 +751,8 @@ def _meurant_pivots(diag: np.ndarray, off: np.ndarray, zs: np.ndarray) -> tuple:
 
 
 def _meurant_sum(g: np.ndarray, ratio: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_z w_z G(z) as a dense (n, n) array from the pivots (g, ratio) of
-    _meurant_pivots, by row blocks (see DirichletOperator.resolvent_sum)."""
+    """Re sum_z w_z G(z) as a dense float64 (n, n) array from the pivots (g, ratio)
+    of _meurant_pivots, by row blocks (see DirichletOperator.resolvent_sum)."""
     n, m = g.shape
     # weights below 2^-256 in modulus enter scaled up by a power of two, exactly
     exponent = int(np.frexp(np.max(np.abs(w)))[1])
@@ -758,19 +771,23 @@ def _meurant_sum(g: np.ndarray, ratio: np.ndarray, w: np.ndarray) -> np.ndarray:
         c = np.ones((e - s, m), dtype=complex)
         np.cumprod(ratio[s:e - 1], axis=0, out=c[1:])
         prods.append(c)
-    total = np.zeros((n, n), dtype=complex)
+    # Re(C K^T) = [Re C, Im C] [Re K, -Im K]^T, one real product
+    re_im = [np.concatenate([c.real, c.imag], axis=1) for c in prods]
+    total = np.zeros((n, n))
     for k, (s, e) in enumerate(blocks):
         carry = g[s:e] / prods[k] * scaled  # w G_ii / C_i
-        _symmetric_fill(total[s:e, s:e], prods[k], carry)
-        for (s2, e2), c, before in zip(blocks[k + 1:], prods[k + 1:], prods[k:]):
+        _symmetric_fill(total[s:e, s:e], re_im[k],
+                        np.concatenate([carry.real, -carry.imag], axis=1))
+        for (s2, e2), c, before in zip(blocks[k + 1:], re_im[k + 1:], prods[k:]):
             carry = carry * before[-1] * ratio[s2 - 1]   # w G_(s2, i)
             if not carry.any():   # underflowed: the rest of these columns is zero
                 break
-            np.matmul(c, carry.T, out=total[s2:e2, s:e])
+            np.matmul(c, np.concatenate([carry.real, -carry.imag], axis=1).T,
+                      out=total[s2:e2, s:e])
             total[s:e, s2:e2] = total[s2:e2, s:e].T
     if scale:
-        np.ldexp(total.view(float), scale, out=total.view(float))
-    total.reshape(-1)[::n + 1] = g @ w
+        np.ldexp(total, scale, out=total)
+    total.reshape(-1)[::n + 1] = (g @ w).real
     return total
 
 
@@ -946,8 +963,8 @@ def oracle_eigendecomposition(op: DirichletOperator, interval=None) -> EigenSyst
 
     tol = 1e-8 * max(float(ends[-1] - ends[0]), 1.0)
     # a group ends where the next value lies more than tol above
-    breaks = np.flatnonzero(np.diff(values) > tol) + 1
-    groups = tuple(tuple(g.tolist()) for g in np.split(np.arange(len(values)), breaks) if len(g))
+    bounds = [0, *(np.flatnonzero(np.diff(values) > tol) + 1).tolist(), len(values)]
+    groups = tuple(tuple(range(a, b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b)
     return EigenSystem(values=values, vectors=vectors, traces=traces, groups=groups,
                        degeneracy_tol=tol, interior_weight=w_i)
 

@@ -90,8 +90,13 @@ def normal_derivative(dom: DiscreteDomain, g: np.ndarray, u: np.ndarray) -> np.n
 
 
 def _trace_part(dom: DiscreteDomain, u_cols: np.ndarray) -> np.ndarray:
-    """Apply (1/(k_b h)) P^T to interior columns (the u-part of the normal derivative)."""
-    return (dom.incidence.T @ u_cols) / (dom.neighbor_counts[:, None] * dom.h)
+    """Apply (1/(k_b h)) P^T to interior columns (the u-part of the normal derivative):
+    row b of P^T u sums the rows of u at b's interior neighbors, which
+    ``boundary_neighbors`` lists boundary node by boundary node; every boundary
+    node has at least one, so no segment of the reduceat is empty."""
+    nbrs, counts = dom.boundary_neighbors, dom.neighbor_counts
+    pu = np.add.reduceat(u_cols[nbrs[nbrs >= 0]], np.cumsum(counts) - counts)
+    return pu / (counts[:, None] * dom.h)
 
 
 def _dtn_from_gamma(op: DirichletOperator, gamma: np.ndarray) -> np.ndarray:

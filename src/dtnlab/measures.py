@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.linalg import block_diag
-from scipy.special import roots_legendre
 
 from .domain import DirichletOperator, EigenSystem
 from .errors import AtomHit, EndpointOnEigenvalue
@@ -147,7 +147,10 @@ def _ellipse_nodes(a: float, b: float, ts) -> tuple:
 def _first_rule_and_edges(op: DirichletOperator, a: float, b: float, deltas) -> tuple:
     """(the contour sum of the _FIRST_NODES-node rule, the edge integral
     extrapolated to delta -> 0, its extrapolation error) of stone_projection,
-    from one op.resolvent_sum call with a weight row for each.  The edge
+    from one op.resolvent_sum call with a weight row for each.  resolvent_sum
+    returns real parts, so the phase is in the weights: the rule's row is -i
+    times its weights, whose real part is the imaginary part of the rule's
+    sum, and the edge rows are real.  The edge
     integral at delta_k sums the pieces below delta_k, so piece p (counted up
     from 0) enters the limit with the sum of the richardson_weights w_k over
     k < len(deltas) - p, and the error with the same sum of w_k less the
@@ -155,7 +158,7 @@ def _first_rule_and_edges(op: DirichletOperator, a: float, b: float, deltas) -> 
     ts = np.pi * np.arange(_FIRST_NODES // 2 + 1) / (_FIRST_NODES // 2)
     rule, rule_weights = _ellipse_nodes(a, b, ts)
     rule_weights[1:-1] *= 2  # t = 0 and pi (the crossings b and a) once, the rest twice
-    nodes, weights = roots_legendre(_EDGE_NODES)
+    nodes, weights = leggauss(_EDGE_NODES)
     lo, hi = np.append(0.0, deltas[:0:-1]), deltas[::-1]   # the pieces, upwards
     half = 0.5 * (hi - lo)
     s = 1j * (lo[:, None] + half[:, None] * (nodes + 1.0))
@@ -165,8 +168,8 @@ def _first_rule_and_edges(op: DirichletOperator, a: float, b: float, deltas) -> 
     pieces = np.concatenate([weights, -weights]) * (half / np.pi)[:, None]
     edges = np.cumsum([limit, error], axis=1)[:, ::-1, None] * pieces
     sums = op.resolvent_sum(np.concatenate([rule, np.hstack([b + s, a + s]).ravel()]),
-                            block_diag(rule_weights, edges.reshape(2, -1)))
-    return sums[0].imag, sums[1].real, float(np.max(np.abs(sums[2].real)))
+                            block_diag(-1j * rule_weights, edges.reshape(2, -1)))
+    return sums[0], sums[1], float(np.max(np.abs(sums[2])))
 
 
 def stone_projection(op: DirichletOperator, a: float, b: float,
@@ -196,7 +199,10 @@ def stone_projection(op: DirichletOperator, a: float, b: float,
     The first rule and the edges are one op.resolvent_sum call, with weight
     rows for the rule, the extrapolated edges and their error, so that their
     nodes share one pivot pass (in 1D, Meurant's tridiagonal inverse; see
-    DirichletOperator.resolvent_sum); each doubling is one more call.  In 1D
+    DirichletOperator.resolvent_sum); each doubling is one more call.
+    resolvent_sum returns the real part of a sum, so the rule and each
+    doubling weight their nodes with -i times the trapezoid weights and the
+    edges with theirs: every sum is a real matrix.  In 1D
     only the real crossings a and b, and edge nodes below the certified
     height, are factorized.  panels counts the resolvent evaluations.
     """
@@ -217,9 +223,9 @@ def stone_projection(op: DirichletOperator, a: float, b: float,
     total, edge_limit, err = _first_rule_and_edges(op, a, b, deltas)
     n, projector = _FIRST_NODES, -total / _FIRST_NODES  # -(1/2 pi i)(2 pi/n) sum_j R(z_j) z'(t_j)
     while n < _MAX_NODES:
-        # the nodes z(t), z(-t) = conj z(t) add 2i Im(R(z) z') to the sum
+        # the nodes z(t), z(-t) = conj z(t) add 2i Im(R(z) z') = 2i Re(-i R(z) z')
         zs, dz = _ellipse_nodes(a, b, np.pi * (2 * np.arange(n // 2) + 1) / n)
-        total += op.resolvent_sum(zs, 2 * dz).imag
+        total += op.resolvent_sum(zs, -2j * dz)
         n *= 2
         previous, projector = projector, -total / n
         if (step := np.max(np.abs(projector - previous))) <= quad_tol:

@@ -244,14 +244,19 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)!r}")
 
 
+def _write_text(path: str, text: str) -> str:
+    """Write text to path in one piece, as UTF-8; returns the path."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
 def write_json(data, out_dir: str, name: str) -> str:
     """Write data to out_dir/name as every JSON output file is written: sorted
-    keys, indent 1, UTF-8 text and a trailing newline; returns the path."""
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True, indent=1, ensure_ascii=False, default=_json_default)
-        fh.write("\n")
-    return path
+    keys, indent 1, UTF-8 text and a trailing newline, encoded whole and
+    written once; returns the path."""
+    text = json.dumps(data, sort_keys=True, indent=1, ensure_ascii=False, default=_json_default)
+    return _write_text(os.path.join(out_dir, name), text + "\n")
 
 
 def emit_report(report: ClassificationReport, out_dir: str) -> str:
@@ -264,30 +269,26 @@ def parse_report(path: str) -> dict:
 
 
 def emit_csv(report: ClassificationReport, out_dir: str) -> str:
-    path = os.path.join(out_dir, "samples.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,eta,probe_id,re_Mgg,im_Mgg,abs_etaMg,verdict\n")
-        for x, eta, pid, re_q, im_q, slim, verdict in report.samples:
-            fh.write(f"{x!r},{eta!r},{pid},{re_q!r},{im_q!r},{slim!r},{verdict}\n")
-    return path
+    rows = [f"{x!r},{eta!r},{pid},{re_q!r},{im_q!r},{slim!r},{verdict}\n"
+            for x, eta, pid, re_q, im_q, slim, verdict in report.samples]
+    return _write_text(os.path.join(out_dir, "samples.csv"),
+                       "x,eta,probe_id,re_Mgg,im_Mgg,abs_etaMg,verdict\n" + "".join(rows))
 
 
 def emit_plot_data(report: ClassificationReport, out_dir: str):
     """Plain-text plot files: boundary density trace and the levels of the window."""
-    density_path = os.path.join(out_dir, "plot_density.dat")
     by_key = {}
     for x, eta, pid, re_q, im_q, _, _ in report.samples:
         by_key.setdefault((x, pid), []).append((eta, im_q))
-    with open(density_path, "w", encoding="utf-8") as fh:
-        fh.write("# x  probe_id  neg_im_Mgg_at_smallest_eta\n")
-        for (x, pid) in sorted(by_key):
-            eta, im_q = min(by_key[(x, pid)])
-            fh.write(f"{x!r} {pid} {-im_q!r}\n")
+    density = ["# x  probe_id  neg_im_Mgg_at_smallest_eta\n"]
+    for (x, pid) in sorted(by_key):
+        eta, im_q = min(by_key[(x, pid)])
+        density.append(f"{x!r} {pid} {-im_q!r}\n")
+    density_path = _write_text(os.path.join(out_dir, "plot_density.dat"), "".join(density))
 
-    poles_path = os.path.join(out_dir, "plot_poles.dat")
     levels = report.data["levels"]
-    with open(poles_path, "w", encoding="utf-8") as fh:
-        fh.write("# lambda  multiplicity\n")
-        for level in levels if isinstance(levels, list) else ():
-            fh.write(f"{level['lambda']!r} {level['multiplicity']}\n")
+    poles = ["# lambda  multiplicity\n"]
+    poles += [f"{level['lambda']!r} {level['multiplicity']}\n"
+              for level in (levels if isinstance(levels, list) else ())]
+    poles_path = _write_text(os.path.join(out_dir, "plot_poles.dat"), "".join(poles))
     return density_path, poles_path

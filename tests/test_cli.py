@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +232,22 @@ class TestCli:
         data = json.loads((tmp_path / "measures.json").read_text())
         assert data["simplicity"] == {"rank": 2, "interior_dim": 2, "full": True}
         assert data["stone"][0]["extrapolation_error"] < 1e-6
+
+    def test_measures_does_not_import_scipy_special(self, tmp_path):
+        # Stone's Gauss-Legendre rule comes from numpy, so a measures run leaves
+        # scipy.special (3.3 MB resident) unloaded; checked in a fresh process,
+        # since this one may have loaded it for another test
+        code = ("import sys\nfrom dtnlab.cli import main\n"
+                f"assert main(['measures', '--config', {_write_config(tmp_path)!r}, "
+                f"'--out', {str(tmp_path)!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "measures.json").exists()
 
     def test_convergence(self, tmp_path):
         cfg = dict(T1_CONFIG)

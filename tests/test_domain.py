@@ -401,6 +401,18 @@ class TestResolventSum:
         with pytest.raises(ValueError, match=re.escape(message)):
             op.resolvent_sum(zs, weights)
 
+    @pytest.mark.parametrize("model", ["t1", "reduced_annulus"])
+    def test_sums_are_real(self, request, model):
+        # A_II is real, so Re sum_j w_j (A_II - z_j)^-1 is a real matrix and is
+        # returned as float64, from the certified fill (T1's first two z) and
+        # from the LU of an uncertified z (the real -1) alike
+        _, op = request.getfixturevalue(model)
+        zs = [0.4 + 0.3j, 2.0 - 0.2j, -1.0]
+        rows = np.array([[1.0, 2j, 0.5], [0.5 - 1j, -1.0, 3.0]])
+        assert op.resolvent_sum(zs, rows[0]).dtype == np.float64
+        assert op.resolvent_sum(zs, rows[0]).shape == (op.n, op.n)
+        assert op.resolvent_sum(zs, rows).dtype == np.float64
+
     def test_each_uncertified_z_is_factorized_once(self, reduced_annulus, monkeypatch):
         # in 2D every z is factorized: a z that two rows weight is factorized
         # once for the call and added to both, and each row of the (k, n, n)

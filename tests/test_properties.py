@@ -189,16 +189,18 @@ def test_resolvent_sum_matches_lu(model, draws, uncertified):
     # eigenvalue.  Both are backward stable, so they may differ by the
     # first-order term u*||A||_1*||G_j||^2 per node.  With `uncertified` one more
     # z sits that fraction of certified_height off the real axis: it is
-    # factorized as before and raises NearSpectrum at both or neither.
+    # factorized as before and raises NearSpectrum at both or neither.  The
+    # sum is real, Re sum_j w_j (A_II - z_j)^-1; with the weights -i w_j it is
+    # the imaginary part, so both parts are checked against the reference.
     _, op = model
     values = np.linalg.eigvalsh(op.a_ii.toarray())
     xs = [values[x % len(values)] if isinstance(x, int) else x for x, *_ in draws]
     zs = [complex(x, (1 if up else -1) * op.certified_height * 10 ** e)
           for x, (_, e, up, *_) in zip(xs, draws)]
-    ws = [complex(re, im) for *_, re, im in draws]
+    ws = np.array([complex(re, im) for *_, re, im in draws])
     if uncertified is not None:
         zs.append(complex(xs[0], uncertified * op.certified_height))
-        ws.append(ws[0])
+        ws = np.append(ws, ws[0])
     eye = np.eye(op.n)
     try:
         ref = sum(w * op.factorize(z).solve(eye) for z, w in zip(zs, ws))
@@ -209,20 +211,27 @@ def test_resolvent_sum_matches_lu(model, draws, uncertified):
     norms = [1.0 / np.min(np.abs(values - z)) for z in zs]     # ||(A_II - z)^-1||_2
     bound = sum(abs(w) * (1e-12 * g + 2 * np.finfo(float).eps * op.a_norm * g ** 2)
                 for w, g in zip(ws, norms))
-    assert np.max(np.abs(op.resolvent_sum(zs, ws) - ref)) <= bound
+    # Re(-i ref) is ref.imag exactly
+    assert np.max(np.abs(op.resolvent_sum(zs, ws) - ref.real)) <= bound
+    assert np.max(np.abs(op.resolvent_sum(zs, -1j * ws) - ref.imag)) <= bound
 
 
 def _defect_against_lu(op, zs, ws):
-    """(max |resolvent_sum - LU reference|, bound), with the reference and bound
-    of test_resolvent_sum_matches_lu; floats only, so that the traceback of a
+    """((max |resolvent_sum - Re LU reference| for the weights ws, the same for
+    -i ws), bound), with the reference and bound of
+    test_resolvent_sum_matches_lu; floats only, so that the traceback of a
     failing draw holds no (n, n) array."""
     values = eigvalsh_tridiagonal(*op.tridiagonal)
     eye = np.eye(op.n)
+    ws = np.asarray(ws, dtype=complex)
     ref = sum(w * op.factorize(z).solve(eye) for z, w in zip(zs, ws))
     norms = [1.0 / np.min(np.abs(values - z)) for z in zs]
     bound = sum(abs(w) * (1e-12 * g + 2 * np.finfo(float).eps * op.a_norm * g ** 2)
                 for w, g in zip(ws, norms))
-    return float(np.max(np.abs(op.resolvent_sum(zs, ws) - ref))), bound
+    # Re(-i ref) is ref.imag exactly
+    defects = (float(np.max(np.abs(op.resolvent_sum(zs, ws) - ref.real))),
+               float(np.max(np.abs(op.resolvent_sum(zs, -1j * ws) - ref.imag))))
+    return defects, bound
 
 
 weights = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
@@ -240,8 +249,8 @@ def test_resolvent_sum_on_a_long_halfline(draws, depth):
     assert op.n == 1999
     zs = [complex(x, (1 if up else -1) * op.certified_height * 10 ** e)
           for x, e, up, _ in draws]
-    defect, bound = _defect_against_lu(op, zs, [w for *_, w in draws])
-    assert defect <= bound
+    defects, bound = _defect_against_lu(op, zs, [w for *_, w in draws])
+    assert max(defects) <= bound
 
 
 @given(st.one_of(halflines(), halflines(cells=st.just(3))),
@@ -254,8 +263,8 @@ def test_resolvent_sum_far_off_the_spectrum(model, draws):
     _, op = model
     zs = [op.a_norm * 10 ** r * np.exp(1j * (theta if up else -theta))
           for r, theta, up, _ in draws]
-    defect, bound = _defect_against_lu(op, zs, [w for *_, w in draws])
-    assert defect <= bound
+    defects, bound = _defect_against_lu(op, zs, [w for *_, w in draws])
+    assert max(defects) <= bound
 
 
 @given(st.one_of(halflines(), halflines(cells=st.just(3))),
@@ -269,8 +278,8 @@ def test_resolvent_sum_at_the_certified_height(model, draws):
     zs = [complex(values[k % len(values)], (1 if up else -1) * op.certified_height * f)
           for k, f, up, _ in draws]
     assert op.certified(zs).all()
-    defect, bound = _defect_against_lu(op, zs, [w for *_, w in draws])
-    assert defect <= bound
+    defects, bound = _defect_against_lu(op, zs, [w for *_, w in draws])
+    assert max(defects) <= bound
 
 
 @given(st.one_of(halflines(), halflines(cells=st.just(3))),
@@ -279,15 +288,17 @@ def test_resolvent_sum_at_the_certified_height(model, draws):
 def test_subnormal_weights_round_once(model, draws):
     # weights of a few units of the least subnormal, 2^-1074: below the
     # diagonal the certified sum is that of the unit weights scaled down and
-    # rounded once, as the LU reference rounds each w (A_II - z)^-1 once
+    # rounded once, as the LU reference rounds each Re(w (A_II - z)^-1) once;
+    # the weights -i w give the imaginary part
     _, op = model
     zs = [complex(x, (1 if up else -1) * op.certified_height * 10 ** e) for x, e, up, *_ in draws]
     ws = np.array([complex(re, im) for *_, re, im in draws])
     assume(np.any(ws))
     below = np.tri(op.n, k=-1, dtype=bool)
-    tiny = op.resolvent_sum(zs, ws * 2.0 ** -1074)[below]
-    unit = op.resolvent_sum(zs, ws)[below]
-    assert np.array_equal(tiny, np.ldexp(unit.view(float), -1074).view(complex))
+    for phased in (ws, -1j * ws):
+        tiny = op.resolvent_sum(zs, phased * 2.0 ** -1074)[below]
+        unit = op.resolvent_sum(zs, phased)[below]
+        assert np.array_equal(tiny, np.ldexp(unit, -1074))
 
 
 @given(models,
