@@ -16,7 +16,6 @@ from .errors import (
     EndpointOnEigenvalue,
     Inconclusive,
     NearSpectrum,
-    SingularRobinPencil,
 )
 from .domain import (
     DirichletOperator,
@@ -43,7 +42,6 @@ from .dtn import (
     normal_derivative,
     poisson_matrix,
     poisson_solve,
-    robin_to_dirichlet,
 )
 from .limits import (
     AnalyticityReport,

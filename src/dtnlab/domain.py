@@ -35,10 +35,8 @@ from functools import cached_property
 from itertools import repeat
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import get_lapack_funcs
-from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from .errors import DomainError, EndpointOnEigenvalue, NearSpectrum
 
@@ -92,12 +90,12 @@ class DiscreteDomain:
 
     Node coordinates are stored as integer lattice multi-indices scaled by h,
     and the lattices are all the model keeps: the dimension is their column
-    count, and the stencil is read off them once.  ``interior_neighbors``
-    gives A_II and the connectivity check; ``boundary_neighbors``, the
-    interior nodes at lattice distance one from each boundary node, gives
-    the neighbor counts, B = P / h^2 and the trace part P^T u of the normal
-    derivative, and the dense ``incidence`` P that the 2D reduction,
-    ``visible_multiplicity`` and the oracle read.
+    count, and the stencil is read off them once.  ``interior_neighbors`` is
+    A_II's off-diagonal stencil and the graph of the connectivity check;
+    ``boundary_neighbors``, the interior nodes at lattice distance one from
+    each boundary node, gives the neighbor counts, B = P / h^2 and the trace
+    part P^T u of the normal derivative, and the dense ``incidence`` P that
+    the 2D reduction, ``visible_multiplicity`` and the oracle read.
     """
 
     h: float
@@ -223,6 +221,11 @@ class DiscreteDomain:
     # -- invariants --------------------------------------------------------
 
     def validate(self) -> None:
+        """DomainError unless h is finite and positive, the interior is not
+        empty, the three node sets are disjoint, every boundary node has an
+        interior neighbor and the interior adjacency graph is connected.  The
+        graph is checked in numpy array passes over ``interior_neighbors``
+        (``_is_connected``), with no sparse-matrix or graph package."""
         if not np.isfinite(self.h):
             raise DomainError("mesh spacing h must be finite")
         if self.h <= 0:
@@ -239,16 +242,33 @@ class DiscreteDomain:
         if np.any(self.neighbor_counts == 0):
             b = int(np.argmin(self.neighbor_counts))
             raise DomainError(f"boundary node {b} has no interior neighbor")
-        # interior adjacency graph must be connected: its CSR rows are the
-        # neighbor table's rows without the -1 entries
-        nbrs = self.interior_neighbors
-        has = nbrs >= 0
-        indptr = np.concatenate([[0], np.cumsum(has.sum(axis=1))])
-        graph = sp.csr_matrix((np.ones(indptr[-1]), nbrs[has], indptr),
-                              shape=(self.n_interior,) * 2)
-        ncomp, _ = connected_components(graph, directed=False)
-        if ncomp != 1:
+        if not _is_connected(self.interior_neighbors):
             raise DomainError("interior adjacency graph is not connected")
+
+
+def _is_connected(nbrs: np.ndarray) -> bool:
+    """Whether the undirected graph whose node i has the neighbors nbrs[i] (-1:
+    none) is connected, by min-label hooking with pointer jumping (Shiloach &
+    Vishkin, J. Algorithms 3 (1982)).  Each node points at a parent of no
+    larger index, and the pointers form stars: every parent is a root.  A
+    round hooks each root onto the least root next to its star, if that is
+    smaller, and then jumps the pointers, parent <- parent[parent], until
+    they are stars again.  A round lowers a root whenever some star has a
+    neighbor outside it, so the rounds end, and when none has, the stars are
+    the components: the graph is connected when every node points at 0."""
+    own = np.arange(len(nbrs))
+    # one row per direction, a missing neighbor read as the node itself
+    nbrs = np.where(nbrs >= 0, nbrs, own[:, None]).T.copy()
+    parent = own
+    while True:
+        low = np.minimum(parent.take(nbrs).min(axis=0), parent)
+        if np.array_equal(low, parent):
+            return not parent.any()
+        hooked = parent.copy()
+        np.minimum.at(hooked, parent, low)
+        parent, grand = hooked, hooked.take(hooked)
+        while not np.array_equal(grand, parent):
+            parent, grand = grand, grand.take(grand)
 
 
 def build_domain(spec) -> DiscreteDomain:
@@ -445,16 +465,22 @@ class DirichletOperator:
     """Interior block of the discrete -Laplace + q plus the boundary injection.
 
     A_II is the 2d+1-point stencil with homogeneous Dirichlet data on both the
-    discrete boundary and the truncation ring; B = P / h^2 carries boundary
-    data into the interior load with entries 1/h^2, one per adjacency pair,
-    and is kept once, as the dense complex read-only (n_I, n_B) array that
-    the solves read.  Data derived from A_II and B are read-only cached
-    properties; ``m_table`` is the z -> M(z) table (MTable).
+    discrete boundary and the truncation ring, and is kept as that stencil:
+    the diagonal 2d/h^2 + q, and the domain's ``interior_neighbors`` table,
+    where every off-diagonal entry is -1/h^2.  Its CSR matrix ``a_ii`` is
+    built on request, for the band ordering (2D and the two-node half-line)
+    and the 2D reduction; every other half-line reads the stencil alone, so
+    a run on it loads neither scipy.sparse nor its graph routines.
+    B = P / h^2 carries boundary data into the interior load with entries
+    1/h^2, one per adjacency pair, and is kept once, as the dense complex
+    read-only (n_I, n_B) array that the solves read.  Data derived from A_II
+    and B are read-only cached properties; ``m_table`` is the z -> M(z)
+    table (MTable).
     """
 
     domain: DiscreteDomain
     potential: np.ndarray                 # (n_I,) float, read-only
-    a_ii: sp.csr_matrix
+    diagonal: np.ndarray                  # (n_I,) float, 2d/h^2 + q, read-only
     b: np.ndarray
 
     m_table: MTable = field(default_factory=MTable, init=False, repr=False, compare=False)
@@ -463,15 +489,48 @@ class DirichletOperator:
     def n(self) -> int:
         return self.domain.n_interior
 
+    def _rows(self) -> tuple:
+        """(cols, vals): A_II's rows as in canonical CSR, each row's columns, the
+        node's own among them, ascending, and their entries; a missing neighbor
+        (-1) is read as column n, so that it sorts last, with the entry 0."""
+        n, nbrs = self.n, self.domain.interior_neighbors
+        cols = np.sort(np.column_stack([np.where(nbrs >= 0, nbrs, n), np.arange(n)]), axis=1)
+        vals = np.where(cols == np.arange(n)[:, None], self.diagonal[:, None],
+                        np.where(cols < n, -1.0 / self.domain.h ** 2, 0.0))
+        return cols, vals
+
+    @cached_property
+    def a_ii(self):
+        """A_II as a canonical scipy.sparse CSR matrix (built on first use).  Only
+        ``banded``, ``reduction`` and outside readers ask for it, so
+        scipy.sparse is imported here, on the first request."""
+        import scipy.sparse as sp
+
+        cols, vals = self._rows()
+        keep = cols < self.n
+        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+        return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(self.n, self.n))
+
     @cached_property
     def a_norm(self) -> float:
-        """||A_II||_1, the maximum absolute column sum, computed on first use."""
-        return abs(self.a_ii).sum(axis=0).max()
+        """||A_II||_1, the maximum absolute column sum, computed on first use from
+        the stencil.  A_II is symmetric, so a column's entries are its row's; they
+        are summed in ascending row order, as CSR sums a column, so the norm is
+        the CSR matrix's bit for bit."""
+        _, vals = self._rows()
+        total = np.zeros(self.n)
+        for column in np.abs(vals).T:
+            total += column
+        return total.max()
 
     @cached_property
     def tridiagonal(self) -> tuple:
-        """(diagonal, off-diagonal) of a tridiagonal A_II (read-only, built on first use)."""
-        return _read_only(self.a_ii.diagonal()), _read_only(self.a_ii.diagonal(1))
+        """(diagonal, off-diagonal) of A_II, the entries (i, i) and (i, i + 1), read
+        off the stencil; a tridiagonal A_II is these two (read-only, built on
+        first use)."""
+        nbrs = self.domain.interior_neighbors
+        after = (nbrs[:-1] == np.arange(1, self.n)[:, None]).any(axis=1)
+        return self.diagonal, _read_only(np.where(after, -1.0 / self.domain.h ** 2, 0.0))
 
     @cached_property
     def free_tail(self) -> tuple:
@@ -511,7 +570,10 @@ class DirichletOperator:
         """(perm, k, ab): the reverse Cuthill-McKee ordering perm of A_II, the
         half-bandwidth k of A_II[perm][:, perm], and that matrix in LAPACK gbtrf
         band storage, complex and Fortran-ordered, with k rows above for the
-        fill-in and the diagonal on row 2k (read-only, built on first use)."""
+        fill-in and the diagonal on row 2k (read-only, built on first use).  The
+        ordering is SciPy's graph routine, imported here, on the first band."""
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
         perm = reverse_cuthill_mckee(self.a_ii, symmetric_mode=True)
         a = self.a_ii[perm][:, perm].tocoo()
         k = int(np.max(np.abs(a.row - a.col)))
@@ -656,30 +718,25 @@ class DirichletOperator:
 
 
 def assemble_operator(dom: DiscreteDomain, q) -> DirichletOperator:
-    """Assemble A_II and the boundary-injection matrix B for the potential q, one
-    real value per interior node (checked as tabulated_potential checks it)."""
+    """Assemble A_II, as its stencil (the diagonal 2d/h^2 + q beside the domain's
+    neighbor table; see DirichletOperator), and the boundary-injection matrix B
+    for the potential q, one real value per interior node (checked as
+    tabulated_potential checks it).  No sparse matrix is formed."""
     q = tabulated_potential(dom, q)
-    n, h2 = dom.n_interior, dom.h ** 2
-    nbrs = dom.interior_neighbors
-    # canonical CSR: each row's columns, the node's own among them, ascending,
-    # with a missing neighbor (-1) read as n so that it sorts last and is dropped
-    cols = np.sort(np.column_stack([np.where(nbrs >= 0, nbrs, n), np.arange(n)]), axis=1)
-    keep = cols < n
-    vals = np.where(cols == np.arange(n)[:, None], (2 * dom.dimension / h2 + q)[:, None],
-                    -1.0 / h2)
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    a_ii = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
+    h2 = dom.h ** 2
     # B = P / h^2: 1/h^2 at each adjacency pair of the boundary table
     bnd, k = np.nonzero(dom.boundary_neighbors >= 0)
-    b = np.zeros((n, dom.n_boundary), dtype=complex)
+    b = np.zeros((dom.n_interior, dom.n_boundary), dtype=complex)
     b[dom.boundary_neighbors[bnd, k], bnd] = 1.0 / h2
 
     # every off-diagonal entry is -1/h^2, so A_II is symmetric when each neighbor
     # names the node back in the opposite direction (+e_k and -e_k are k ^ 1)
+    nbrs = dom.interior_neighbors
     i, k = np.nonzero(nbrs >= 0)
     if np.any(nbrs[nbrs[i, k], k ^ 1] != i):
         raise DomainError("assembled operator is not exactly symmetric")
-    return DirichletOperator(domain=dom, potential=q, a_ii=a_ii, b=_read_only(b))
+    return DirichletOperator(domain=dom, potential=q,
+                             diagonal=_read_only(2 * dom.dimension / h2 + q), b=_read_only(b))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import DirichletOperator, DiscreteDomain
-from .errors import DegenerateParameters, NearSpectrum, SingularRobinPencil
+from .errors import DegenerateParameters, NearSpectrum
 
 __all__ = [
     "IdentityReport",
@@ -36,7 +36,6 @@ __all__ = [
     "fill_certified",
     "boundary_adjoint",
     "identity_suite",
-    "robin_to_dirichlet",
 ]
 
 _TINY = 1e-300
@@ -263,27 +262,3 @@ def identity_suite(op: DirichletOperator, lam: complex, zeta: complex, nu: compl
     residuals["weyl_representation"] = _relative_residual(m_lam, rhs_w)
 
     return IdentityReport(residuals=residuals)
-
-
-# ---------------------------------------------------------------------------
-# Robin-to-Dirichlet map
-# ---------------------------------------------------------------------------
-
-def robin_to_dirichlet(op: DirichletOperator, lam: complex, theta: np.ndarray) -> np.ndarray:
-    """(Theta - M(lam))^(-1), the inverse of the Robin pencil."""
-    theta = np.atleast_2d(np.asarray(theta))
-    if np.iscomplexobj(theta) and np.any(theta.imag):
-        raise ValueError("Theta must be real symmetric")
-    theta = np.asarray(theta.real, dtype=float)
-    n_b = op.domain.n_boundary
-    if theta.shape != (n_b, n_b):
-        raise ValueError("Theta has wrong shape")
-    if not np.allclose(theta, theta.T, atol=1e-12 * max(1.0, np.abs(theta).max())):
-        raise ValueError("Theta must be real symmetric")
-    m = dtn_matrix(op, lam)
-    pencil = theta - m
-    sv = np.linalg.svd(pencil, compute_uv=False)
-    scale = max(np.abs(theta).max(), np.abs(m).max(), _TINY)
-    if sv[-1] <= 1e-12 * scale:
-        raise SingularRobinPencil(f"Theta - M({lam}) is numerically singular")
-    return np.linalg.inv(pencil)

@@ -2,8 +2,7 @@
 DtnLabError as its result."""
 
 __all__ = ["DtnLabError", "ConfigError", "DomainError", "NearSpectrum", "DegenerateParameters",
-           "SingularRobinPencil", "ContourTouchesSpectrum", "AtomHit", "EndpointOnEigenvalue",
-           "Inconclusive", "attempt"]
+           "ContourTouchesSpectrum", "AtomHit", "EndpointOnEigenvalue", "Inconclusive", "attempt"]
 
 
 class DtnLabError(Exception):
@@ -37,10 +36,6 @@ class NearSpectrum(DtnLabError):
 
 class DegenerateParameters(DtnLabError):
     """Parameter combination excluded by the identity hypotheses."""
-
-
-class SingularRobinPencil(DtnLabError):
-    """Theta - M(lambda) is numerically singular."""
 
 
 class ContourTouchesSpectrum(DtnLabError):

@@ -29,6 +29,18 @@ def _write_config(tmp_path, data=T1_CONFIG):
     return str(path)
 
 
+def _fresh_process(code):
+    """The lines that code prints when run by a new interpreter on this
+    checkout's src, whose modules no other test has loaded; the run must
+    exit 0."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()
+
+
 class TestConfig:
     def test_defaults_filled(self):
         cfg = config_from_dict(T1_CONFIG)
@@ -235,19 +247,44 @@ class TestCli:
 
     def test_measures_does_not_import_scipy_special(self, tmp_path):
         # Stone's Gauss-Legendre rule comes from numpy, so a measures run leaves
-        # scipy.special (3.3 MB resident) unloaded; checked in a fresh process,
-        # since this one may have loaded it for another test
+        # scipy.special (3.3 MB resident) unloaded
         code = ("import sys\nfrom dtnlab.cli import main\n"
                 f"assert main(['measures', '--config', {_write_config(tmp_path)!r}, "
                 f"'--out', {str(tmp_path)!r}]) == 0\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": path})
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.splitlines()[-1] == "[]"
+        assert _fresh_process(code)[-1] == "[]"
         assert (tmp_path / "measures.json").exists()
+
+    def test_halfline_runs_load_no_sparse_package(self, tmp_path):
+        # A_II is kept as its stencil and read as a tridiagonal on the
+        # half-line, so classify, measures (Stone's formula included) and
+        # validate on the well load neither scipy.sparse nor its graph
+        # routines; in 2D both come in with the band's ordering, and not before
+        cfg = {"domain": {"kind": "halfline", "h": 0.05, "L": 20.0},
+               "potential": {"kind": "well", "depth": 2.0, "width": 1.0},
+               "window": {"lo": 0.0, "hi": 1.0, "grid_step": 0.05},
+               "measures": {"stone_intervals": [[0.05, 0.14]]}}
+        path = _write_config(tmp_path, cfg)
+        loaded = ("'loaded', sorted(m for m in ('scipy.sparse', 'scipy.sparse.csgraph') "
+                  "if m in sys.modules)")
+        code = ("import sys\nfrom dtnlab.cli import main\n"
+                "for command in ('classify', 'measures', 'validate'):\n"
+                f"    assert main([command, '--config', {path!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+                f"    print({loaded})\n")
+        lines = [line for line in _fresh_process(code) if line.startswith("loaded")]
+        assert lines == ["loaded []"] * 3
+        assert all((tmp_path / name).exists()
+                   for name in ("report.json", "measures.json", "validate.json"))
+        annulus = {"domain": {"kind": "exterior2d", "h": 1.0, "a": 1.5, "L": 7.5},
+                   "window": {"lo": 0.5, "hi": 1.0, "grid_step": 0.25}}
+        code = ("import sys\nfrom dtnlab import config_from_dict\n"
+                "from dtnlab.report import build_model\n"
+                f"_, op = build_model(config_from_dict({annulus!r}))\n"
+                f"print({loaded})\n"
+                "op.banded\n"
+                f"print({loaded})\n")
+        assert _fresh_process(code) == ["loaded []",
+                                        "loaded ['scipy.sparse', 'scipy.sparse.csgraph']"]
 
     def test_convergence(self, tmp_path):
         cfg = dict(T1_CONFIG)

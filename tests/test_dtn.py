@@ -10,7 +10,6 @@ from dtnlab import (
     Exterior2D,
     MTable,
     NearSpectrum,
-    SingularRobinPencil,
     assemble_operator,
     boundary_adjoint,
     build_domain,
@@ -20,7 +19,6 @@ from dtnlab import (
     normal_derivative,
     poisson_matrix,
     poisson_solve,
-    robin_to_dirichlet,
     zero_potential,
 )
 from dtnlab.domain import ShiftedSolver
@@ -273,30 +271,3 @@ class TestIdentitySuite:
             identity_suite(op, 0.5 + 1j, zeta, np.conj(zeta))
         with pytest.raises(DegenerateParameters):
             identity_suite(op, 0.5 + 1j, zeta, 0.5 + 1j)
-
-
-class TestRobin:
-    def test_zero_theta_inverts_m(self, t1):
-        _, op = t1
-        lam = 0.0
-        m = dtn_matrix(op, lam)
-        rm = robin_to_dirichlet(op, lam, np.zeros((1, 1)))
-        assert rm[0, 0] == pytest.approx(-1 / m[0, 0])
-
-    def test_singular_pencil(self, t1):
-        _, op = t1
-        with pytest.raises(SingularRobinPencil):
-            robin_to_dirichlet(op, 0.0, np.array([[1 / 3]]))
-
-    def test_nonsymmetric_theta_rejected(self, annulus2d, rng):
-        _, op = annulus2d
-        theta = rng.standard_normal((8, 8))
-        with pytest.raises(ValueError):
-            robin_to_dirichlet(op, 0.5j, theta)
-
-    def test_complex_theta_rejected(self, t1):
-        # a cast to float would drop the imaginary part and solve with Theta = 0
-        _, op = t1
-        for theta in ([[1j]], np.array([[1j]])):
-            with pytest.raises(ValueError, match="real symmetric"):
-                robin_to_dirichlet(op, 0.5j, theta)

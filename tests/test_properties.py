@@ -11,10 +11,12 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from dtnlab import (
     ClassifyConfig,
+    DiscreteDomain,
+    DomainError,
     Exterior2D,
     HalfLine1D,
     NearSpectrum,
@@ -165,15 +167,70 @@ def _coo_assembly(dom, q):
 
 @given(models)
 def test_csr_assembly_matches_the_coo_reference(model):
-    # A_II is written straight into canonical CSR; it must hold the arrays,
-    # dtypes included, that the COO route gives, since the band's ordering and
-    # every LU are read off them
+    # A_II's CSR is built on request, straight from the stencil into canonical
+    # form; it must hold the arrays, dtypes included, that the COO route
+    # gives, since the band's ordering and every 2D LU are read off them
     dom, op = model
     ref = _coo_assembly(dom, op.potential)
     for name in ("data", "indices", "indptr"):
         got, want = getattr(op.a_ii, name), getattr(ref, name)
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert np.array_equal(op.banded[0], reverse_cuthill_mckee(ref, symmetric_mode=True))
+
+
+@given(st.one_of(halflines(), halflines(cells=st.just(3)), annuli(h=st.sampled_from([1.0, 0.5]))))
+def test_stencil_reads_match_the_csr(model):
+    # a_norm and tridiagonal read the stencil, not the CSR built on request,
+    # and must give what the CSR gives bit for bit: CSR sums a column's
+    # entries in ascending row order, and the stencil sums them so
+    _, op = model
+    assert op.a_norm == abs(op.a_ii).sum(axis=0).max()
+    diag, off = op.tridiagonal
+    assert np.array_equal(diag, op.a_ii.diagonal()) and np.array_equal(off, op.a_ii.diagonal(1))
+
+
+@st.composite
+def lattice_subsets(draw):
+    """Integer lattices in a random order: a random subset of a 1D or 2D box,
+    or a serpentine path through a 2D box, with one of its nodes dropped or
+    not (dropping an inner node cuts the path in two)."""
+    shape = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=2)))
+    if len(shape) == 2 and draw(st.booleans()):
+        keep = np.zeros(shape, dtype=bool)
+        keep[::2] = True
+        turns = np.arange(1, shape[0], 2)          # the odd rows join the even ones
+        keep[turns, np.where(turns % 4 == 1, shape[1] - 1, 0)] = True
+        nodes = np.argwhere(keep)
+        if draw(st.booleans()):
+            nodes = np.delete(nodes, draw(st.integers(0, len(nodes) - 1)), axis=0)
+    else:
+        density = draw(st.floats(0.3, 1.0))
+        cells = draw(st.lists(st.floats(0.0, 1.0), min_size=int(np.prod(shape)),
+                              max_size=int(np.prod(shape))))
+        nodes = np.argwhere(np.reshape(cells, shape) < density)
+    assume(len(nodes))
+    return nodes[draw(st.permutations(range(len(nodes))))]
+
+
+@given(lattice_subsets())
+@example(np.arange(9)[:, None])
+@example(np.array([[0], [2]]))
+def test_connectivity_check_matches_csgraph(nodes):
+    # validate checks connectivity by array passes over the neighbor table;
+    # its verdict must be SciPy's connected_components' on the same graph
+    empty = np.empty((0, nodes.shape[1]), dtype=int)
+    dom = DiscreteDomain(h=1.0, interior_lattice=nodes, boundary_lattice=empty,
+                         truncation_lattice=empty)
+    nbrs = dom.interior_neighbors
+    has = nbrs >= 0
+    graph = sp.csr_matrix((np.ones(has.sum()), nbrs[has],
+                           np.concatenate([[0], np.cumsum(has.sum(axis=1))])),
+                          shape=(len(nodes),) * 2)
+    if connected_components(graph, directed=False)[0] == 1:
+        dom.validate()
+    else:
+        with pytest.raises(DomainError, match="interior adjacency graph is not connected"):
+            dom.validate()
 
 
 @given(st.one_of(halflines(), halflines(cells=st.just(3))),
